@@ -199,6 +199,24 @@ BENCHMARK_CAPTURE(BM_NetworkStepSharded, t4x1, 4, 1)
 BENCHMARK_CAPTURE(BM_NetworkStepSharded, t4x4, 4, 4)
     ->Unit(benchmark::kMicrosecond);
 
+void BM_NetworkStepShardedTraceDiscard(benchmark::State& state, int tiles,
+                                       int threads) {
+  // BM_NetworkStepSharded with a discarding trace sink attached: a traced
+  // step keeps the tile-parallel drivers, so this prices the per-tile event
+  // buffers plus the node-order merge after each phase.  CI holds the ratio
+  // to the untraced capture with the same tiling (--pair).
+  Simulator sim(sharded_config(64, tiles, threads));
+  ftmesh::trace::CountingSink sink;
+  sim.set_trace_sink(&sink);
+  for (int i = 0; i < 500; ++i) sim.step();  // fill the mesh
+  for (auto _ : state) sim.step();
+  benchmark::DoNotOptimize(sink.total());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
+                          64);
+}
+BENCHMARK_CAPTURE(BM_NetworkStepShardedTraceDiscard, t4x4, 4, 4)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_NetworkStepShardedAlloc(benchmark::State& state, bool shard_alloc) {
   // Allocator-bound variant of the sharded kernel: saturated 64x64 mesh
   // with *short* messages (length 4), so worms retire and are recreated at

@@ -1,8 +1,10 @@
 #include "ftmesh/core/config_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ftmesh::core {
 
@@ -36,13 +38,38 @@ std::vector<fault::Rect> blocks_from_string(const std::string& text) {
     char c1 = 0, c2 = 0, c3 = 0;
     std::istringstream cell(item);
     if (!(cell >> r.x0 >> c1 >> r.y0 >> c2 >> r.x1 >> c3 >> r.y1) ||
-        c1 != ',' || c2 != ',' || c3 != ',') {
+        c1 != ',' || c2 != ',' || c3 != ',' || !(cell >> std::ws).eof()) {
       throw std::invalid_argument("malformed fault block: " + item);
     }
     blocks.push_back(r);
   }
   return blocks;
 }
+
+/// Parses the whole of `value` as a T.  std::stoi and friends stop at the
+/// first non-digit ("12abc" reads as 12) and the unsigned ones wrap a
+/// leading '-' ("-1" reads as 4294967295); from_chars rejects both, and
+/// rejects any sign on an unsigned T.
+template <typename T>
+T parse_number(const std::string& value) {
+  T out{};
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::out_of_range("'" + value + "' is out of range");
+  }
+  if (ec == std::errc{} && ptr == end) return out;
+  if constexpr (std::is_unsigned_v<T>) {
+    throw std::invalid_argument("expected a non-negative integer, got '" +
+                                value + "'");
+  } else if constexpr (std::is_integral_v<T>) {
+    throw std::invalid_argument("expected an integer, got '" + value + "'");
+  } else {
+    throw std::invalid_argument("expected a number, got '" + value + "'");
+  }
+}
+
+bool parse_flag(const std::string& value) { return parse_number<int>(value) != 0; }
 
 [[noreturn]] void fail(int line, const std::string& what) {
   throw std::invalid_argument("config line " + std::to_string(line) + ": " + what);
@@ -106,45 +133,45 @@ SimConfig load_config(std::istream& is) {
     if (eq == std::string::npos) fail(line_no, "expected key = value");
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
+    bool known = true;
     try {
-      if (key == "width") cfg.width = std::stoi(value);
-      else if (key == "height") cfg.height = std::stoi(value);
+      if (key == "width") cfg.width = parse_number<int>(value);
+      else if (key == "height") cfg.height = parse_number<int>(value);
       else if (key == "algorithm") cfg.algorithm = value;
-      else if (key == "total_vcs") cfg.total_vcs = std::stoi(value);
-      else if (key == "misroute_limit") cfg.misroute_limit = std::stoi(value);
-      else if (key == "xy_escape") cfg.xy_escape = std::stoi(value) != 0;
+      else if (key == "total_vcs") cfg.total_vcs = parse_number<int>(value);
+      else if (key == "misroute_limit") cfg.misroute_limit = parse_number<int>(value);
+      else if (key == "xy_escape") cfg.xy_escape = parse_flag(value);
       else if (key == "selection") cfg.selection = routing::selection_from_string(value);
-      else if (key == "buffer_depth") cfg.buffer_depth = std::stoi(value);
-      else if (key == "injection_vcs") cfg.injection_vcs = std::stoi(value);
+      else if (key == "buffer_depth") cfg.buffer_depth = parse_number<int>(value);
+      else if (key == "injection_vcs") cfg.injection_vcs = parse_number<int>(value);
       else if (key == "traffic") cfg.traffic = value;
-      else if (key == "injection_rate") cfg.injection_rate = std::stod(value);
-      else if (key == "message_length") cfg.message_length = static_cast<std::uint32_t>(std::stoul(value));
-      else if (key == "fault_count") cfg.fault_count = std::stoi(value);
-      else if (key == "link_fault_count") cfg.link_fault_count = std::stoi(value);
+      else if (key == "injection_rate") cfg.injection_rate = parse_number<double>(value);
+      else if (key == "message_length") cfg.message_length = parse_number<std::uint32_t>(value);
+      else if (key == "fault_count") cfg.fault_count = parse_number<int>(value);
+      else if (key == "link_fault_count") cfg.link_fault_count = parse_number<int>(value);
       else if (key == "fault_blocks") cfg.fault_blocks = blocks_from_string(value);
       else if (key == "fault_schedule") cfg.fault_schedule = value;
-      else if (key == "fault_max_retries") cfg.fault_max_retries = std::stoi(value);
-      else if (key == "fault_retry_backoff") cfg.fault_retry_backoff = std::stoull(value);
-      else if (key == "warmup_cycles") cfg.warmup_cycles = std::stoull(value);
-      else if (key == "total_cycles") cfg.total_cycles = std::stoull(value);
-      else if (key == "seed") cfg.seed = std::stoull(value);
-      else if (key == "watchdog_patience") cfg.watchdog_patience = std::stoull(value);
+      else if (key == "fault_max_retries") cfg.fault_max_retries = parse_number<int>(value);
+      else if (key == "fault_retry_backoff") cfg.fault_retry_backoff = parse_number<std::uint64_t>(value);
+      else if (key == "warmup_cycles") cfg.warmup_cycles = parse_number<std::uint64_t>(value);
+      else if (key == "total_cycles") cfg.total_cycles = parse_number<std::uint64_t>(value);
+      else if (key == "seed") cfg.seed = parse_number<std::uint64_t>(value);
+      else if (key == "watchdog_patience") cfg.watchdog_patience = parse_number<std::uint64_t>(value);
       else if (key == "scan_mode") cfg.scan_mode = value;
-      else if (key == "tiles") cfg.tiles = std::stoi(value);
-      else if (key == "step_threads") cfg.step_threads = std::stoi(value);
-      else if (key == "route_cache") cfg.route_cache = std::stoi(value) != 0;
-      else if (key == "recycle_messages") cfg.recycle_messages = std::stoi(value) != 0;
-      else if (key == "shard_alloc") cfg.shard_alloc = std::stoi(value) != 0;
-      else if (key == "collect_vc_usage") cfg.collect_vc_usage = std::stoi(value) != 0;
-      else if (key == "collect_traffic_map") cfg.collect_traffic_map = std::stoi(value) != 0;
-      else if (key == "collect_kernel_stats") cfg.collect_kernel_stats = std::stoi(value) != 0;
-      else if (key == "metrics_interval") cfg.metrics_interval = std::stoull(value);
-      else fail(line_no, "unknown key: " + key);
-    } catch (const std::invalid_argument&) {
-      throw;
+      else if (key == "tiles") cfg.tiles = parse_number<int>(value);
+      else if (key == "step_threads") cfg.step_threads = parse_number<int>(value);
+      else if (key == "route_cache") cfg.route_cache = parse_flag(value);
+      else if (key == "recycle_messages") cfg.recycle_messages = parse_flag(value);
+      else if (key == "shard_alloc") cfg.shard_alloc = parse_flag(value);
+      else if (key == "collect_vc_usage") cfg.collect_vc_usage = parse_flag(value);
+      else if (key == "collect_traffic_map") cfg.collect_traffic_map = parse_flag(value);
+      else if (key == "collect_kernel_stats") cfg.collect_kernel_stats = parse_flag(value);
+      else if (key == "metrics_interval") cfg.metrics_interval = parse_number<std::uint64_t>(value);
+      else known = false;
     } catch (const std::exception& e) {
       fail(line_no, std::string("bad value for ") + key + ": " + e.what());
     }
+    if (!known) fail(line_no, "unknown key: " + key);
   }
   return cfg;
 }

@@ -351,19 +351,56 @@ void Network::set_trace_sink(trace::TraceSink* sink) {
   trace_blocked_.assign(messages_.size(), 0);  // slot-indexed
 }
 
-void Network::emit(trace::EventKind kind, MessageId msg, Coord node,
-                   std::uint32_t a, std::uint32_t b) {
+namespace {
+
+trace::Event make_event(std::uint64_t cycle, trace::EventKind kind,
+                        MessageId msg, Coord node, std::uint32_t a,
+                        std::uint32_t b) {
   trace::Event e;
-  e.cycle = cycle_;
+  e.cycle = cycle;
   e.kind = kind;
   e.msg = msg;
   e.node = node;
   e.a = a;
   e.b = b;
-  trace_->record(e);
+  return e;
 }
 
-void Network::trace_alloc(Coord c, MessageSlot slot, Direction dir, int vc) {
+}  // namespace
+
+void Network::emit(trace::EventKind kind, MessageId msg, Coord node,
+                   std::uint32_t a, std::uint32_t b) {
+  trace_->record(make_event(cycle_, kind, msg, node, a, b));
+}
+
+void Network::emit(Tile& t, trace::EventKind kind, MessageId msg, Coord node,
+                   std::uint32_t a, std::uint32_t b) {
+  t.events.push_back(make_event(cycle_, kind, msg, node, a, b));
+}
+
+void Network::flush_trace() {
+  if (trace_ == nullptr) return;
+  // One tile visits its nodes in ascending order, so its buffer is already
+  // in serial order.
+  const std::vector<trace::Event>* merged = &tiles_.front().events;
+  if (tiles_.size() > 1) {
+    trace_scratch_.clear();
+    for (const Tile& t : tiles_) {
+      trace_scratch_.insert(trace_scratch_.end(), t.events.begin(),
+                            t.events.end());
+    }
+    std::stable_sort(trace_scratch_.begin(), trace_scratch_.end(),
+                     [this](const trace::Event& a, const trace::Event& b) {
+                       return mesh_->id_of(a.node) < mesh_->id_of(b.node);
+                     });
+    merged = &trace_scratch_;
+  }
+  for (const trace::Event& e : *merged) trace_->record(e);
+  for (Tile& t : tiles_) t.events.clear();
+}
+
+void Network::trace_alloc(Tile& t, Coord c, MessageSlot slot, Direction dir,
+                          int vc) {
   HeaderState& h = headers_[static_cast<std::size_t>(slot)];
   const MessageId id = messages_[static_cast<std::size_t>(slot)].id;
   const bool ring_was = h.rs.ring.active;
@@ -371,33 +408,29 @@ void Network::trace_alloc(Coord c, MessageSlot slot, Direction dir, int vc) {
   algorithm_->on_hop(c, dir, vc, h);
   if (trace_blocked_[static_cast<std::size_t>(slot)]) {
     trace_blocked_[static_cast<std::size_t>(slot)] = 0;
-    emit(trace::EventKind::Unblock, id, c);
+    emit(t, trace::EventKind::Unblock, id, c);
   }
-  trace::Event e;
-  e.cycle = cycle_;
-  e.kind = trace::EventKind::VcAlloc;
-  e.msg = id;
-  e.node = c;
+  trace::Event e = make_event(cycle_, trace::EventKind::VcAlloc, id, c, 0, 0);
   e.dir = dir;
   e.vc = static_cast<std::int16_t>(vc);
-  trace_->record(e);
+  t.events.push_back(e);
   if (!ring_was && h.rs.ring.active) {
-    emit(trace::EventKind::RingEnter, id, c,
+    emit(t, trace::EventKind::RingEnter, id, c,
          static_cast<std::uint32_t>(h.rs.ring.region), h.rs.ring.entry_distance);
   } else if (ring_was && !h.rs.ring.active) {
-    emit(trace::EventKind::RingExit, id, c,
+    emit(t, trace::EventKind::RingExit, id, c,
          static_cast<std::uint32_t>(h.rs.ring.region));
   }
   if (h.rs.misroutes > mis_was) {
-    emit(trace::EventKind::Misroute, id, c, h.rs.misroutes);
+    emit(t, trace::EventKind::Misroute, id, c, h.rs.misroutes);
   }
 }
 
-void Network::trace_block(MessageSlot slot, Coord c) {
+void Network::trace_block(Tile& t, MessageSlot slot, Coord c) {
   if (!trace_blocked_[static_cast<std::size_t>(slot)]) {
     trace_blocked_[static_cast<std::size_t>(slot)] = 1;
-    emit(trace::EventKind::Block, messages_[static_cast<std::size_t>(slot)].id,
-         c);
+    emit(t, trace::EventKind::Block,
+         messages_[static_cast<std::size_t>(slot)].id, c);
   }
 }
 
@@ -481,6 +514,11 @@ MessageId Network::enqueue_message(Coord src, Coord dst, std::uint32_t length) {
 
 void Network::stage_creations() {
   if (pending_creates_.empty()) return;
+  if (trace_ != nullptr) {
+    for (const PendingCreate& pc : pending_creates_) {
+      emit(trace::EventKind::Create, pc.id, pc.src, pc.length);
+    }
+  }
   if (!config_.recycle_messages) {
     // Append-only table: slot == id for every message ever created, so the
     // table must grow to cover every reserved id, in order, before the
@@ -558,6 +596,7 @@ void Network::materialize_tile_creations(Tile& t) {
              kInvalidMessage);
     }
     init_created_message(pc.slot, pc);
+    if (trace_ != nullptr) trace_blocked_[static_cast<std::size_t>(pc.slot)] = 0;
     const auto sid = static_cast<std::size_t>(mesh_->id_of(pc.src));
     queues_[sid].push_back(pc.slot);
     ++t.d.queued_messages;
@@ -566,29 +605,6 @@ void Network::materialize_tile_creations(Tile& t) {
     if (measuring_) t.d.measured_flits_generated += pc.length;
   }
   t.creates.clear();
-}
-
-void Network::materialize_creations_ordered() {
-  if (pending_creates_.empty()) return;
-  // Serial, in id order: the trace sink observes Create events, which must
-  // appear exactly where the immediate-creation path emitted them.
-  for (PendingCreate& pc : pending_creates_) {
-    const auto sid = static_cast<std::size_t>(mesh_->id_of(pc.src));
-    const auto tile = tile_of_node_[sid];
-    if (pc.slot == kInvalidMessage) pc.slot = acquire_slot(tile);
-    Tile& t = tiles_[tile];
-    init_created_message(pc.slot, pc);
-    queues_[sid].push_back(pc.slot);
-    ++t.d.queued_messages;
-    bump_inject(static_cast<NodeId>(sid), +1);
-    t.d.flits_generated += pc.length;
-    if (measuring_) t.d.measured_flits_generated += pc.length;
-    if (trace_ != nullptr) {
-      trace_blocked_[static_cast<std::size_t>(pc.slot)] = 0;
-      emit(trace::EventKind::Create, pc.id, pc.src, pc.length);
-    }
-  }
-  for (Tile& t : tiles_) t.creates.clear();
 }
 
 void Network::commit_creations() {
@@ -708,24 +724,12 @@ void Network::step() {
 
 template <typename Fn>
 void Network::for_each_tile(Fn&& fn) {
-  if (config_.step_threads != 1 && tiles_.size() > 1 && !ordered_execution()) {
+  if (config_.step_threads != 1 && tiles_.size() > 1) {
     core::parallel_for(tiles_.size(), config_.step_threads,
                        [&](std::size_t i) { fn(tiles_[i]); });
     return;
   }
   for (Tile& t : tiles_) fn(t);
-}
-
-const std::vector<NodeId>& Network::merged_mask_nodes(
-    std::vector<std::uint64_t> Tile::* mask) {
-  merged_nodes_.clear();
-  for (Tile& t : tiles_) {
-    walk_mask(t, t.*mask, [&](NodeId id) { merged_nodes_.push_back(id); });
-  }
-  // Tiles are rectangles, so per-tile ascending local order is not globally
-  // ascending; the ordered driver needs ascending node ids.
-  std::sort(merged_nodes_.begin(), merged_nodes_.end());
-  return merged_nodes_;
 }
 
 void Network::reduce_deltas() {
@@ -916,7 +920,8 @@ void Network::audit_invariants(int level) const {
   std::vector<std::int64_t> active_switch_recount(tiles_.size(), 0);
   std::vector<std::int64_t> active_inject_recount(tiles_.size(), 0);
   for (const Tile& t : tiles_) {
-    if (!t.credits.empty() || !t.retires.empty() || !t.ejects.empty()) {
+    if (!t.credits.empty() || !t.retires.empty() || !t.ejects.empty() ||
+        !t.events.empty()) {
       fail("deferred commit queue not drained between cycles");
     }
     if (t.d.buffered_flits != 0 || t.d.flits_moved != 0 ||
@@ -1188,7 +1193,7 @@ void Network::inject_node(Tile& t, NodeId id) {
     }
     if (sup.next_seq == 0) {
       m.injected = cycle_;
-      if (trace_ != nullptr) emit(trace::EventKind::Inject, m.id, c);
+      if (trace_ != nullptr) emit(t, trace::EventKind::Inject, m.id, c);
     }
     const bool was_empty = ivc.buf.empty();
     ivc.buf.push_back(flit);
@@ -1205,45 +1210,27 @@ void Network::inject_node(Tile& t, NodeId id) {
 }
 
 void Network::phase_injection() {
-  // Deferred creations materialise first — on the tiles in the parallel
-  // drivers (the serial prologue only provisions slots), serially in id
-  // order under the ordered driver — so a message enqueued before this
-  // step hits its source queue ahead of the injection walk, exactly when
-  // an immediate create_message would have put it there.  The id -> slot
-  // publication runs serially after the walk (before routing, which may
-  // retire a same-cycle src == dst message through the live-id map).
-  const bool creating = !pending_creates_.empty();
+  // Deferred creations materialise first, on their tiles (the serial
+  // prologue only provisions slots and emits the Create events), so a
+  // message enqueued before this step hits its source queue ahead of the
+  // injection walk, exactly when an immediate create_message would have
+  // put it there.  The id -> slot publication runs serially after the walk
+  // (before routing, which may retire a same-cycle src == dst message
+  // through the live-id map).
+  stage_creations();
   if (config_.scan_mode == ScanMode::Active) {
-    if (ordered_execution()) {
-      materialize_creations_ordered();
-      for (const NodeId id : merged_mask_nodes(&Tile::inject_mask)) {
-        inject_node(tiles_[tile_of_node_[static_cast<std::size_t>(id)]], id);
-      }
-      commit_creations();
-      return;
-    }
-    if (creating) stage_creations();
     for_each_tile([this](Tile& t) {
       materialize_tile_creations(t);
       walk_mask(t, t.inject_mask, [&](NodeId id) { inject_node(t, id); });
     });
-    commit_creations();
-    return;
+  } else {
+    for_each_tile([this](Tile& t) {
+      materialize_tile_creations(t);
+      for (const NodeId id : t.nodes) inject_node(t, id);
+    });
   }
-  if (ordered_execution()) {
-    materialize_creations_ordered();
-    for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-      inject_node(tiles_[tile_of_node_[static_cast<std::size_t>(id)]], id);
-    }
-    commit_creations();
-    return;
-  }
-  if (creating) stage_creations();
-  for_each_tile([this](Tile& t) {
-    materialize_tile_creations(t);
-    for (const NodeId id : t.nodes) inject_node(t, id);
-  });
   commit_creations();
+  flush_trace();
 }
 
 // ---- phase 3: routing ----------------------------------------------------
@@ -1435,14 +1422,14 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
       bump_route(id, -1);
       bump_switch(id, +1);
       if (trace_ != nullptr) {
-        trace_alloc(c, front.msg, chosen.dir, chosen.vc);
+        trace_alloc(t, c, front.msg, chosen.dir, chosen.vc);
       } else {
         algorithm_->on_hop(c, chosen.dir, chosen.vc, m);
       }
       allocated = true;
       break;
     }
-    if (trace_ != nullptr && !allocated) trace_block(front.msg, c);
+    if (trace_ != nullptr && !allocated) trace_block(t, front.msg, c);
   }
 #ifndef NDEBUG
   if (exhaustive) {
@@ -1453,29 +1440,16 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
 
 void Network::phase_routing() {
   if (config_.scan_mode == ScanMode::Active) {
-    if (ordered_execution()) {
-      for (const NodeId id : merged_mask_nodes(&Tile::route_mask)) {
-        route_node(tiles_[tile_of_node_[static_cast<std::size_t>(id)]], id,
-                   /*exhaustive=*/false);
-      }
-      return;
-    }
     for_each_tile([this](Tile& t) {
       walk_mask(t, t.route_mask,
                 [&](NodeId id) { route_node(t, id, /*exhaustive=*/false); });
     });
-    return;
+  } else {
+    for_each_tile([this](Tile& t) {
+      for (const NodeId id : t.nodes) route_node(t, id, /*exhaustive=*/true);
+    });
   }
-  if (ordered_execution()) {
-    for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-      route_node(tiles_[tile_of_node_[static_cast<std::size_t>(id)]], id,
-                 /*exhaustive=*/true);
-    }
-    return;
-  }
-  for_each_tile([this](Tile& t) {
-    for (const NodeId id : t.nodes) route_node(t, id, /*exhaustive=*/true);
-  });
+  flush_trace();
 }
 
 // ---- phase 4: switching --------------------------------------------------
@@ -1560,7 +1534,7 @@ void Network::switch_node(Tile& t, NodeId id) {
         }
         if (trace_ != nullptr) {
           const HeaderState& h = headers_[flit.msg];
-          emit(trace::EventKind::Eject, m.id, c,
+          emit(t, trace::EventKind::Eject, m.id, c,
                static_cast<std::uint32_t>(h.rs.hops),
                static_cast<std::uint32_t>(h.rs.misroutes));
         }
@@ -1614,26 +1588,15 @@ void Network::switch_node(Tile& t, NodeId id) {
 
 void Network::phase_switching() {
   if (config_.scan_mode == ScanMode::Active) {
-    if (ordered_execution()) {
-      for (const NodeId id : merged_mask_nodes(&Tile::switch_mask)) {
-        switch_node(tiles_[tile_of_node_[static_cast<std::size_t>(id)]], id);
-      }
-      return;
-    }
     for_each_tile([this](Tile& t) {
       walk_mask(t, t.switch_mask, [&](NodeId id) { switch_node(t, id); });
     });
-    return;
+  } else {
+    for_each_tile([this](Tile& t) {
+      for (const NodeId id : t.nodes) switch_node(t, id);
+    });
   }
-  if (ordered_execution()) {
-    for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-      switch_node(tiles_[tile_of_node_[static_cast<std::size_t>(id)]], id);
-    }
-    return;
-  }
-  for_each_tile([this](Tile& t) {
-    for (const NodeId id : t.nodes) switch_node(t, id);
-  });
+  flush_trace();
 }
 
 // ---- phase 5: sampling ---------------------------------------------------

@@ -392,9 +392,13 @@ class Network {
 
   /// Attaches a lifecycle-event sink (trace/); nullptr detaches.  The null
   /// pointer is the tracing-off fast path: each emission point costs one
-  /// predictable branch.  Events are only emitted from points where both
-  /// scan modes visit work in the same order, so a trace is byte-identical
-  /// across --scan-mode=full|active (tests/test_trace.cpp holds the line).
+  /// predictable branch.  A traced step runs the same tile drivers (and
+  /// honours step_threads) as an untraced one: events from the tile phases
+  /// are buffered per tile and handed to the sink after each phase, merged
+  /// in node order — the order a serial node-by-node visit would emit them
+  /// — so a trace is byte-identical across scan modes, tile counts and
+  /// thread counts (tests/test_golden_determinism.cpp holds the line).
+  /// The sink itself is only ever called from the stepping thread.
   void set_trace_sink(trace::TraceSink* sink);
   [[nodiscard]] trace::TraceSink* trace_sink() const noexcept { return trace_; }
 
@@ -550,9 +554,10 @@ class Network {
   };
 
   /// One rectangular shard of the mesh.  A tile owns its nodes' worklists,
-  /// route cache, scratch buffers and deferred-commit queues; during the
-  /// parallel phases exactly one thread works a tile, and everything it
-  /// writes is either owned by the tile or one of these queues.
+  /// route cache, scratch buffers, deferred-commit queues and trace buffer;
+  /// during the parallel phases exactly one thread works a tile, and
+  /// everything it writes is either owned by the tile or one of these
+  /// queues.
   struct Tile {
     std::vector<topology::NodeId> nodes;  // ascending
     // Occupancy bitmaps, one bit per tile-local node index (bit i of word
@@ -593,6 +598,9 @@ class Network {
     std::vector<CreditReturn> credits;
     std::vector<MessageSlot> retires;
     std::vector<DeferredEject> ejects;
+    /// Trace events emitted by this tile's phase bodies, in its (ascending)
+    /// node visit order; flush_trace() drains it after every phase.
+    std::vector<trace::Event> events;
     PhaseDeltas d;
     // Route-candidate memoization (empty when disabled) + scratch.
     std::vector<RouteCacheEntry> route_cache;
@@ -626,19 +634,13 @@ class Network {
   /// parallel path is enabled, inline otherwise.
   template <typename Fn>
   void for_each_tile(Fn&& fn);
-  /// True when phases must run serially in global node order: the trace
-  /// sink observes per-event order, so the ordered driver iterates the
-  /// merged worklists instead of going tile-parallel.  State evolution is
-  /// identical either way.
-  [[nodiscard]] bool ordered_execution() const noexcept {
-    return trace_ != nullptr;
-  }
   /// Folds every tile's PhaseDeltas into the real counters.
   void reduce_deltas();
-  /// Merged, ascending node list of every tile's set mask bits
-  /// (scratch-backed; the ordered driver's work source).
-  const std::vector<topology::NodeId>& merged_mask_nodes(
-      std::vector<std::uint64_t> Tile::* mask);
+  /// Hands the tile trace buffers to the sink, merged by a stable sort on
+  /// the emitting node id.  A phase visits each node once and a node's
+  /// events all sit together in its tile's buffer, so the merge reproduces
+  /// the serial node-order emission exactly.  No-op while untraced.
+  void flush_trace();
 
   /// Walks the set bits of a tile-local node mask in ascending node order,
   /// calling `fn(node)`.  Snapshots one word at a time: a phase body may
@@ -661,22 +663,19 @@ class Network {
   /// must not race the tile phase) and tops up tile free lists from the
   /// spillover pool.  With shard_alloc off it also assigns (and with the
   /// append-only table, pins slot == id) every slot serially — the
-  /// pre-sharding allocator.
+  /// pre-sharding allocator.  Emits the Create events, in id order.
   void stage_creations();
   /// Tile-phase body: pops tile-local slots for this tile's staged
   /// creations and initialises them (message, header state, source queue,
   /// occupancy deltas).
   void materialize_tile_creations(Tile& t);
-  /// Ordered-driver variant: materialises every pending creation serially
-  /// in id order (trace Create events must interleave in id order).
-  void materialize_creations_ordered();
   /// Serial epilogue: publishes id -> slot into live_ids_ (in id order)
   /// and clears the pending list.  Runs before the routing phase, so a
   /// same-cycle retirement (src == dst) finds the live entry.
   void commit_creations();
   /// Pops a free slot for a creation on `tile` — tile list, then spillover
   /// pool, then fresh append — or plain append when recycling is off.
-  /// Serial contexts only (create_message, staging, the ordered driver).
+  /// Serial contexts only (create_message, staging).
   [[nodiscard]] MessageSlot acquire_slot(std::uint32_t tile);
   /// Fills a freshly acquired slot from a pending creation: message
   /// fields, header state, algorithm on_inject.
@@ -706,16 +705,24 @@ class Network {
   /// aborted — never with flits of the message still in the network.
   void retire_slot(MessageSlot slot);
 
-  // Trace emission helpers; called only when trace_ != nullptr.
+  // Trace emission helpers; called only when trace_ != nullptr.  The
+  // serial overload records straight to the sink (creation, purge,
+  // retransmit — code that runs outside the tile phases); the Tile
+  // overloads append to the tile's buffer for flush_trace().  Kept out of
+  // line so the buffer append does not bloat the untraced phase bodies.
   void emit(trace::EventKind kind, MessageId msg, topology::Coord node,
             std::uint32_t a = 0, std::uint32_t b = 0);
+  [[gnu::noinline]] void emit(Tile& t, trace::EventKind kind, MessageId msg,
+                              topology::Coord node, std::uint32_t a = 0,
+                              std::uint32_t b = 0);
   /// Successful allocation: runs the algorithm's on_hop() and emits
   /// Unblock/VcAlloc plus any ring-transition / misroute events derived
   /// from the hop's effect on the routing state.
-  void trace_alloc(topology::Coord c, MessageSlot slot,
+  void trace_alloc(Tile& t, topology::Coord c, MessageSlot slot,
                    topology::Direction dir, int vc);
   /// Failed allocation (every tier busy): emits Block on the transition.
-  void trace_block(MessageSlot slot, topology::Coord c);
+  [[gnu::noinline]] void trace_block(Tile& t, MessageSlot slot,
+                                     topology::Coord c);
 
   /// Recomputes every occupancy counter, worklist and derived total from
   /// the authoritative router/queue/supply state.  Used after rare bulk
@@ -840,7 +847,6 @@ class Network {
   std::vector<std::uint32_t> link_pos_;
   int tile_grid_x_ = 1;
   int tile_grid_y_ = 1;
-  std::vector<topology::NodeId> merged_nodes_;  // ordered-driver scratch
 
   bool measuring_ = false;
   std::uint64_t measured_cycles_ = 0;
@@ -875,8 +881,10 @@ class Network {
   trace::TraceSink* trace_ = nullptr;
   /// Per-slot "currently blocked" flag, maintained only while tracing so
   /// Block/Unblock fire on transitions rather than every starved cycle.
-  /// Cleared on slot reuse.
+  /// Cleared on slot reuse.  Tile phases write only the slots they own at
+  /// that moment: a creation they materialise, a header they route.
   std::vector<char> trace_blocked_;
+  std::vector<trace::Event> trace_scratch_;  // flush_trace merge buffer
 
   // Deferred-commit scratch (kept across cycles to avoid reallocation).
   std::vector<DeferredEject> eject_scratch_;

@@ -110,6 +110,52 @@ TEST(ConfigIo, UnknownKeyFailsWithLineNumber) {
   }
 }
 
+TEST(ConfigIo, BadNumbersFailWithLineAndKey) {
+  // Every number must be one whole token of the key's type: no trailing
+  // junk, and no sign on unsigned keys (a "-1" message length used to wrap
+  // to 4294967295 and silently deliver nothing).  Each failure names the
+  // line and the key.
+  const struct {
+    const char* text;
+    const char* key;
+  } cases[] = {
+      {"width = abc", "width"},
+      {"width = 12abc", "width"},
+      {"width = 99999999999", "width"},
+      {"message_length = -1", "message_length"},
+      {"seed = -5", "seed"},
+      {"seed = +5", "seed"},
+      {"total_cycles = 1e6", "total_cycles"},
+      {"injection_rate = 0.5x", "injection_rate"},
+      {"route_cache = 1x", "route_cache"},
+      {"fault_blocks = 1,2,3,4x", "fault_blocks"},
+      {"selection = bogus", "selection"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream in(std::string("height = 6\n") + c.text + "\n");
+    try {
+      load_config(in);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("config line 2: bad value for " + std::string(c.key)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(ConfigIo, SignedAndFractionalValuesStillParse) {
+  std::stringstream in(
+      "misroute_limit = -3\ninjection_rate = -1\nseed = 18446744073709551615\n"
+      "message_length = 4294967295\ninjection_rate = 1e-05\n");
+  const auto cfg = load_config(in);
+  EXPECT_EQ(cfg.misroute_limit, -3);
+  EXPECT_EQ(cfg.seed, 18446744073709551615ull);
+  EXPECT_EQ(cfg.message_length, 4294967295u);
+  EXPECT_DOUBLE_EQ(cfg.injection_rate, 1e-05);
+}
+
 TEST(ConfigIo, MissingEqualsFails) {
   std::stringstream in("width 6\n");
   EXPECT_THROW(load_config(in), std::invalid_argument);

@@ -206,17 +206,23 @@ TEST_P(GoldenDeterminism, ShardedReportsAreByteIdentical) {
 }
 
 TEST_P(GoldenDeterminism, ShardedTracesAreByteIdentical) {
-  // With a trace sink attached the kernel switches to the ordered serial
-  // driver, but keeps the per-tile state (worklists, route caches): the
-  // JSONL stream must match the single-tile run event for event.
+  // A traced step runs the same tile-parallel drivers as an untraced one:
+  // each tile buffers its events and the network merges the buffers in
+  // node order after every phase.  The JSONL stream must match the
+  // single-tile run event for event at every tile and thread count; the
+  // threaded cases are the TSan target for the parallel tracing path.
   auto cfg = config();
   cfg.tiles = 1;
+  cfg.step_threads = 1;
   const std::string single = trace_for(cfg);
   ASSERT_FALSE(single.empty());
   for (const int tiles : {2, 4}) {
-    cfg.tiles = tiles;
-    cfg.step_threads = 4;  // ignored while tracing; must not change results
-    ASSERT_EQ(single, trace_for(cfg)) << "tiles=" << tiles;
+    for (const int threads : {1, 4}) {
+      cfg.tiles = tiles;
+      cfg.step_threads = threads;
+      ASSERT_EQ(single, trace_for(cfg))
+          << "tiles=" << tiles << " threads=" << threads;
+    }
   }
 }
 
@@ -249,9 +255,11 @@ TEST_P(GoldenDeterminism, ShardedAllocationReportsAreByteIdentical) {
 
 TEST_P(GoldenDeterminism, ShardedAllocationTracesAreByteIdentical) {
   // Same square, full event stream: Create/Inject/Alloc/Retire events carry
-  // stable ids and the ordered driver materialises creations in id order,
-  // so slot provenance (tile list, spillover pool, fresh append) must be
-  // invisible in the JSONL trace too.
+  // stable ids and Create events are emitted serially in id order before
+  // the tiles materialise the slots, so slot provenance (tile list,
+  // spillover pool, fresh append) must be invisible in the JSONL trace too.
+  // One step thread: threading is ShardedTracesAreByteIdentical's axis, and
+  // on an 8x8 mesh dispatch costs more than the tiles save.
   auto cfg = config();
   cfg.tiles = 1;
   cfg.shard_alloc = true;
@@ -262,7 +270,7 @@ TEST_P(GoldenDeterminism, ShardedAllocationTracesAreByteIdentical) {
       cfg.shard_alloc = shard;
       cfg.recycle_messages = recycle;
       cfg.tiles = 4;
-      cfg.step_threads = 4;  // ignored while tracing; must not change results
+      cfg.step_threads = 1;
       ASSERT_EQ(reference, trace_for(cfg))
           << "shard_alloc=" << shard << " recycle=" << recycle;
     }

@@ -308,18 +308,24 @@ TEST(Metrics, OffByDefault) {
 
 TEST(TraceOverhead, NullSinkDoesNotChangeResults) {
   // Attaching and detaching a sink must be behaviourally invisible: the
-  // traced run's report equals the untraced run's report byte for byte.
-  const auto cfg = loaded_config();
-  const auto report_for = [&](bool traced) {
-    Simulator sim(cfg);
-    CountingSink sink;
-    if (traced) sim.set_trace_sink(&sink);
-    const auto r = sim.run();
-    std::ostringstream os;
-    ftmesh::report::write_result_json(os, cfg, r);
-    return os.str();
-  };
-  EXPECT_EQ(report_for(false), report_for(true));
+  // traced run's report equals the untraced run's report byte for byte —
+  // also on the tile-parallel kernel, which traced runs now step too.
+  auto parallel = loaded_config();
+  parallel.tiles = 4;
+  parallel.step_threads = 4;
+  for (const SimConfig& cfg : {loaded_config(), parallel}) {
+    const auto report_for = [&](bool traced) {
+      Simulator sim(cfg);
+      CountingSink sink;
+      if (traced) sim.set_trace_sink(&sink);
+      const auto r = sim.run();
+      std::ostringstream os;
+      ftmesh::report::write_result_json(os, cfg, r);
+      return os.str();
+    };
+    EXPECT_EQ(report_for(false), report_for(true))
+        << "tiles=" << cfg.tiles << " step_threads=" << cfg.step_threads;
+  }
 }
 
 }  // namespace
