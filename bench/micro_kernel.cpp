@@ -61,6 +61,38 @@ void BM_NetworkStepModerateLoadFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkStepModerateLoadFullScan);
 
+SimConfig knee_config() {
+  // The paper-headline shape: Duato-Nbc, 24 VCs, 100-flit worms, 5 faults,
+  // rate 0.002 — near the knee, where almost every router has a sendable
+  // flit every cycle.
+  auto cfg = kernel_config(0.002, 5);
+  cfg.algorithm = "Duato-Nbc";
+  return cfg;
+}
+
+void BM_NetworkStepKnee(benchmark::State& state) {
+  // Skipping idle routers saves little at the knee: the cost is in the
+  // busy routers, where few of the 5 x 24 input VCs have work.
+  Simulator sim(knee_config());
+  for (int i = 0; i < 2000; ++i) sim.step();
+  for (auto _ : state) sim.step();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
+}
+BENCHMARK(BM_NetworkStepKnee);
+
+void BM_NetworkStepKneeFullScan(benchmark::State& state) {
+  // Reference path at the knee: the exhaustive scan visits every input VC
+  // of every router.  The gap to BM_NetworkStepKnee is what the per-VC
+  // ready masks buy where the per-node active sets cannot help.
+  auto cfg = knee_config();
+  cfg.scan_mode = "full";
+  Simulator sim(cfg);
+  for (int i = 0; i < 2000; ++i) sim.step();
+  for (auto _ : state) sim.step();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
+}
+BENCHMARK(BM_NetworkStepKneeFullScan);
+
 void BM_NetworkStepModerateLoadTraceDiscard(benchmark::State& state) {
   // Same load with a discarding trace sink attached: prices the event
   // emission hooks themselves (no serialisation).  The CI gate holds the

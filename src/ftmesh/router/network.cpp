@@ -23,17 +23,47 @@ using topology::NodeId;
 
 namespace {
 
-// One-bit occupancy helpers for the tile bitmaps (bit i of word i/64).
+// One-bit occupancy helpers for the tile bitmaps and the per-node ready
+// words (bit i of word i/64).
+inline void set_bit(std::uint64_t* words, std::size_t i) {
+  words[i >> 6] |= std::uint64_t{1} << (i & 63u);
+}
+inline bool test_bit(const std::uint64_t* words, std::size_t i) {
+  return (words[i >> 6] >> (i & 63u)) & 1u;
+}
 inline void set_bit(std::vector<std::uint64_t>& mask, std::size_t i) {
-  mask[i >> 6] |= std::uint64_t{1} << (i & 63u);
+  set_bit(mask.data(), i);
 }
 inline void clear_bit(std::vector<std::uint64_t>& mask, std::size_t i) {
   mask[i >> 6] &= ~(std::uint64_t{1} << (i & 63u));
 }
 inline bool test_bit(const std::vector<std::uint64_t>& mask, std::size_t i) {
-  return (mask[i >> 6] >> (i & 63u)) & 1u;
+  return test_bit(mask.data(), i);
 }
 inline std::size_t mask_words(std::size_t bits) { return (bits + 63u) / 64u; }
+inline bool all_zero(const std::uint64_t* words, std::size_t n) {
+  for (std::size_t w = 0; w < n; ++w) {
+    if (words[w] != 0) return false;
+  }
+  return true;
+}
+
+/// Sets (`on`) or clears input-VC bit `bit` in one node's `n` ready words.
+/// Returns true when the node's words went empty -> non-empty or back —
+/// the transitions its tile mask bit and gauge follow.
+inline bool update_ready_bit(std::uint64_t* words, std::size_t n,
+                             std::size_t bit, bool on) {
+  std::uint64_t& word = words[bit >> 6];
+  const std::uint64_t m = std::uint64_t{1} << (bit & 63u);
+  assert(((word & m) != 0) != on && "ready bit already in that state");
+  if (on) {
+    const bool was_empty = word == 0 && all_zero(words, n);
+    word |= m;
+    return was_empty;
+  }
+  word &= ~m;
+  return word == 0 && all_zero(words, n);
+}
 
 /// Balanced contiguous partition: chunk index of `x` when [0, extent) is
 /// split into `chunks` pieces covering [i*extent/chunks, (i+1)*extent/chunks).
@@ -67,8 +97,10 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   supplies_.resize(n * static_cast<std::size_t>(config_.injection_vcs));
   vc_busy_counts_.assign(static_cast<std::size_t>(vcs), 0);
   node_traffic_.assign(n, 0);
-  route_pending_.assign(n, 0);
-  switch_pending_.assign(n, 0);
+  vcs_ = vcs;
+  ready_words_ = mask_words(static_cast<std::size_t>(kPortCount * vcs));
+  route_ready_.assign(n * ready_words_, 0);
+  switch_ready_.assign(n * ready_words_, 0);
   inject_pending_.assign(n, 0);
   link_vc_allocated_.assign(static_cast<std::size_t>(vcs), 0);
   // The arbitration seeds come off derived streams (not the shared one),
@@ -164,33 +196,33 @@ void Network::setup_tiles() {
 
 // ---- occupancy bookkeeping -----------------------------------------------
 
-void Network::bump_route(NodeId node, int delta) {
+void Network::set_route_ready(NodeId node, std::size_t bit, bool ready) {
+  if (!update_ready_bit(ready_words(route_ready_, node), ready_words_, bit,
+                        ready)) {
+    return;
+  }
   const auto sid = static_cast<std::size_t>(node);
-  auto& p = route_pending_[sid];
-  assert(delta >= 0 || p >= static_cast<std::uint16_t>(-delta));
-  const bool was_zero = p == 0;
-  p = static_cast<std::uint16_t>(static_cast<int>(p) + delta);
   Tile& t = tiles_[tile_of_node_[sid]];
-  if (was_zero && p > 0) {
+  if (ready) {
     ++t.active_route;
     set_bit(t.route_mask, local_of_node_[sid]);
-  } else if (!was_zero && p == 0) {
+  } else {
     --t.active_route;
     clear_bit(t.route_mask, local_of_node_[sid]);
   }
 }
 
-void Network::bump_switch(NodeId node, int delta) {
+void Network::set_switch_ready(NodeId node, std::size_t bit, bool ready) {
+  if (!update_ready_bit(ready_words(switch_ready_, node), ready_words_, bit,
+                        ready)) {
+    return;
+  }
   const auto sid = static_cast<std::size_t>(node);
-  auto& p = switch_pending_[sid];
-  assert(delta >= 0 || p >= static_cast<std::uint16_t>(-delta));
-  const bool was_zero = p == 0;
-  p = static_cast<std::uint16_t>(static_cast<int>(p) + delta);
   Tile& t = tiles_[tile_of_node_[sid]];
-  if (was_zero && p > 0) {
+  if (ready) {
     ++t.active_switch;
     set_bit(t.switch_mask, local_of_node_[sid]);
-  } else if (!was_zero && p == 0) {
+  } else {
     --t.active_switch;
     clear_bit(t.switch_mask, local_of_node_[sid]);
   }
@@ -221,20 +253,20 @@ void Network::note_link_full(Tile& t, std::size_t link_idx) {
   set_bit(t.link_mask, link_pos_[link_idx]);
 }
 
-void Network::note_buffer_push(NodeId node, const InputVc& ivc, const Flit& f,
+void Network::note_buffer_push(NodeId node, std::size_t bit,
+                               const InputVc& ivc, const Flit& f,
                                bool was_empty) {
+  if (!was_empty) return;  // the VC's front, hence its readiness, is unchanged
   if (ivc.stage == IvcStage::Active) {
-    // A worm owns the VC; a new flit is sendable iff the buffer was dry.
-    if (was_empty) bump_switch(node, +1);
+    // A worm owns the VC and its buffer was dry: the new flit is sendable.
+    set_switch_ready(node, bit, true);
     return;
   }
   // Not Active and the buffer was empty: wormhole ordering guarantees the
   // arriving flit is the next worm's header (RouteWait implies non-empty).
-  assert(ivc.stage == IvcStage::Idle || !was_empty);
-  if (was_empty) {
-    assert(is_head(f.type) && "body flit arrived into an idle empty VC");
-    bump_route(node, +1);
-  }
+  assert(ivc.stage == IvcStage::Idle);
+  assert(is_head(f.type) && "body flit arrived into an idle empty VC");
+  set_route_ready(node, bit, true);
   (void)f;
 }
 
@@ -259,17 +291,20 @@ void Network::rebuild_active_sets() {
     const auto sid = static_cast<std::size_t>(id);
     Tile& t = tiles_[tile_of_node_[sid]];
     const Router& rt = routers_[sid];
-    std::uint16_t routable = 0;
-    std::uint16_t sendable = 0;
+    std::uint64_t* routable = ready_words(route_ready_, id);
+    std::uint64_t* sendable = ready_words(switch_ready_, id);
+    std::fill(routable, routable + ready_words_, 0);
+    std::fill(sendable, sendable + ready_words_, 0);
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
         const InputVc& ivc = rt.input(port, vc);
         flits += ivc.buf.size();
         if (ivc.buf.empty()) continue;
+        const auto bit = static_cast<std::size_t>(port * vcs + vc);
         if (ivc.stage == IvcStage::Active) {
-          ++sendable;
+          set_bit(sendable, bit);
         } else if (is_head(ivc.buf.front().type)) {
-          ++routable;
+          set_bit(routable, bit);
         }
       }
     }
@@ -280,13 +315,11 @@ void Network::rebuild_active_sets() {
         }
       }
     }
-    route_pending_[sid] = routable;
-    switch_pending_[sid] = sendable;
-    if (routable > 0) {
+    if (!all_zero(routable, ready_words_)) {
       set_bit(t.route_mask, local_of_node_[sid]);
       ++t.active_route;
     }
-    if (sendable > 0) {
+    if (!all_zero(sendable, ready_words_)) {
       set_bit(t.switch_mask, local_of_node_[sid]);
       ++t.active_switch;
     }
@@ -932,8 +965,12 @@ void Network::audit_invariants(int level) const {
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
     const Router& rt = routers_[sid];
-    std::uint32_t routable = 0;
-    std::uint32_t sendable = 0;
+    // Every input VC's ready bits are exact: route bit set iff the VC
+    // fronts a routable header, switch bit set iff it holds a sendable
+    // flit.  Checked per VC, so a bit on the wrong VC cannot hide behind a
+    // correct per-node total.
+    const std::uint64_t* route_words = ready_words(route_ready_, id);
+    const std::uint64_t* switch_words = ready_words(switch_ready_, id);
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
         const InputVc& ivc = rt.input(port, vc);
@@ -942,14 +979,23 @@ void Network::audit_invariants(int level) const {
             ivc.buf.size() > static_cast<std::size_t>(config_.buffer_depth)) {
           fail("input VC buffer deeper than the credit budget");
         }
+        bool routable = false;
+        bool sendable = false;
         if (!ivc.buf.empty()) {
           if (ivc.stage == IvcStage::Active) {
-            ++sendable;
+            sendable = true;
           } else if (is_head(ivc.buf.front().type)) {
-            ++routable;
+            routable = true;
           } else {
             fail("non-Active input VC fronted by a body flit");
           }
+        }
+        const auto bit = static_cast<std::size_t>(port * vcs + vc);
+        if (test_bit(route_words, bit) != routable) {
+          fail("route_ready bit disagrees with the input VC's state");
+        }
+        if (test_bit(switch_words, bit) != sendable) {
+          fail("switch_ready bit disagrees with the input VC's state");
         }
         if (ivc.stage == IvcStage::Active &&
             ivc.out_dir != Direction::Local) {
@@ -967,26 +1013,29 @@ void Network::audit_invariants(int level) const {
         }
       }
     }
-    // Per-node pending counters are exact, and the occupancy bitmaps are
-    // exact images of them: bit set if and only if pending > 0.  This is
-    // strictly stronger than the old worklist-membership check (which only
-    // proved flagged nodes were listed, not that stale entries were absent).
-    if (route_pending_[sid] != routable) {
-      fail("route_pending counter drifted from the router state");
+    // Bits beyond the last input VC must stay clear (the rotated route
+    // walk relies on it), and the tile occupancy bitmaps are exact images
+    // of the ready words: node bit set if and only if any VC bit is set.
+    const std::size_t nbits = static_cast<std::size_t>(kPortCount * vcs);
+    if ((nbits & 63u) != 0) {
+      const std::uint64_t spare = ~std::uint64_t{0} << (nbits & 63u);
+      if ((route_words[ready_words_ - 1] & spare) != 0 ||
+          (switch_words[ready_words_ - 1] & spare) != 0) {
+        fail("ready mask bit set beyond the last input VC");
+      }
     }
-    if (switch_pending_[sid] != sendable) {
-      fail("switch_pending counter drifted from the router state");
-    }
+    const bool any_routable = !all_zero(route_words, ready_words_);
+    const bool any_sendable = !all_zero(switch_words, ready_words_);
     const Tile& nt = tiles_[tile_of_node_[sid]];
     const std::size_t lidx = local_of_node_[sid];
-    if (test_bit(nt.route_mask, lidx) != (routable > 0)) {
-      fail("route mask bit disagrees with the routable-header recount");
+    if (test_bit(nt.route_mask, lidx) != any_routable) {
+      fail("route mask bit disagrees with the node's route_ready words");
     }
-    if (test_bit(nt.switch_mask, lidx) != (sendable > 0)) {
-      fail("switch mask bit disagrees with the sendable-flit recount");
+    if (test_bit(nt.switch_mask, lidx) != any_sendable) {
+      fail("switch mask bit disagrees with the node's switch_ready words");
     }
-    if (routable > 0) ++active_route_recount[tile_of_node_[sid]];
-    if (sendable > 0) ++active_switch_recount[tile_of_node_[sid]];
+    if (any_routable) ++active_route_recount[tile_of_node_[sid]];
+    if (any_sendable) ++active_switch_recount[tile_of_node_[sid]];
 
     for (int d = 0; d < kMeshDirections; ++d) {
       const auto nb = mesh_->neighbour(mesh_->coord_of(id),
@@ -1061,7 +1110,7 @@ void Network::audit_invariants(int level) const {
     if (tiles_[i].active_route != active_route_recount[i] ||
         tiles_[i].active_switch != active_switch_recount[i] ||
         tiles_[i].active_inject != active_inject_recount[i]) {
-      fail("per-tile active-set gauge drifted from the pending counters");
+      fail("per-tile active-set gauge drifted from the occupancy state");
     }
   }
 
@@ -1106,12 +1155,14 @@ void Network::arrive_link(Tile& t, std::size_t link_idx) {
              static_cast<std::uint32_t>(&t - tiles_.data()) &&
          "arrival processed by a tile that does not own the consumer");
   Router& down = routers_[static_cast<std::size_t>(down_id)];
-  InputVc& ivc = down.input(port_index(opposite(dir)), reg.vc);
+  const auto bit =
+      static_cast<std::size_t>(port_index(opposite(dir)) * vcs_ + reg.vc);
+  InputVc& ivc = down.input_at(bit);
   assert(static_cast<int>(ivc.buf.size()) < config_.buffer_depth &&
          "credit protocol violated");
   const bool was_empty = ivc.buf.empty();
   ivc.buf.push_back(reg.flit);
-  note_buffer_push(down_id, ivc, reg.flit, was_empty);
+  note_buffer_push(down_id, bit, ivc, reg.flit, was_empty);
   reg.full = false;
   --t.d.full_links;
 }
@@ -1176,7 +1227,8 @@ void Network::inject_node(Tile& t, NodeId id) {
       --t.d.queued_messages;
       ++t.d.busy_supplies;  // inject_pending_ is unchanged: queue -1, busy +1
     }
-    InputVc& ivc = router_mut(c).input(local, iv);
+    const auto bit = static_cast<std::size_t>(local * vcs_ + iv);
+    InputVc& ivc = router_mut(c).input_at(bit);
     if (static_cast<int>(ivc.buf.size()) >= config_.buffer_depth) continue;
     Message& m = messages_[sup.current];
     Flit flit;
@@ -1198,7 +1250,7 @@ void Network::inject_node(Tile& t, NodeId id) {
     const bool was_empty = ivc.buf.empty();
     ivc.buf.push_back(flit);
     ++t.d.buffered_flits;
-    note_buffer_push(id, ivc, flit, was_empty);
+    note_buffer_push(id, bit, ivc, flit, was_empty);
     ++sup.next_seq;
     if (sup.next_seq == m.length) {
       sup.current = kInvalidMessage;
@@ -1276,16 +1328,10 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
 }
 
 void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
-  const int pending = route_pending_[static_cast<std::size_t>(id)];
-  if (!exhaustive && pending == 0) return;
-  const int vcs = algorithm_->layout().total();
-  const int nivc = kPortCount * vcs;
+  const std::uint64_t* ready = ready_words(route_ready_, id);
+  const int nivc = kPortCount * vcs_;
   const Coord c = mesh_->coord_of(id);
   Router& rt = routers_[static_cast<std::size_t>(id)];
-  int remaining = pending;
-#ifndef NDEBUG
-  int found = 0;
-#endif
   // Random rotation keeps allocation fair without a full shuffle.  The
   // offset — like every other draw below — is a counter-based hash, a pure
   // function of (seed, cycle, node): skipping idle routers, retiling the
@@ -1296,146 +1342,157 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
                          static_cast<std::uint64_t>(nivc)));
   sim::CounterRng sel(
       sim::counter_hash(sel_seed_, cycle_, static_cast<std::uint64_t>(id)));
+  if (!exhaustive) {
+    // The rotated set-bit walk visits the routable VCs in exactly the
+    // (k + offset) % nivc order of the exhaustive scan below.  Routing a
+    // header clears only its own bit, which the walk allows.
+    sim::for_each_set_bit_from(
+        ready, static_cast<std::size_t>(nivc),
+        static_cast<std::size_t>(offset), [&](std::size_t idx) {
+          route_header(t, id, c, rt, idx, sel);
+        });
+    return;
+  }
   for (int k = 0; k < nivc; ++k) {
-    if (!exhaustive && remaining == 0) break;
-    const int idx = (k + offset) % nivc;
-    const int port = idx / vcs;
-    const int vc = idx % vcs;
-    InputVc& ivc = rt.input(port, vc);
-    if (ivc.buf.empty()) continue;
-    const Flit& front = ivc.buf.front();
-    if (!is_head(front.type) || ivc.stage == IvcStage::Active) continue;
-    --remaining;
-#ifndef NDEBUG
-    ++found;
-#endif
-    ivc.stage = IvcStage::RouteWait;
-    // SoA: the route stage reads/writes only the hot header array; the
-    // cold accounting record is untouched until ejection.
-    HeaderState& m = headers_[front.msg];
-    if (c == m.dst) {
-      ivc.out_dir = Direction::Local;
-      ivc.out_vc = vc;
-      ivc.stage = IvcStage::Active;
-      bump_route(id, -1);
-      bump_switch(id, +1);
-      continue;
+    const auto idx = static_cast<std::size_t>((k + offset) % nivc);
+    const InputVc& ivc = rt.input_at(idx);
+    const bool routable = !ivc.buf.empty() && is_head(ivc.buf.front().type) &&
+                          ivc.stage != IvcStage::Active;
+    assert(routable == test_bit(ready, idx) &&
+           "route_ready_ mask is not exact");
+    if (routable) route_header(t, id, c, rt, idx, sel);
+  }
+}
+
+void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
+                           std::size_t idx, sim::CounterRng& sel) {
+  InputVc& ivc = rt.input_at(idx);
+  assert(!ivc.buf.empty() && is_head(ivc.buf.front().type) &&
+         ivc.stage != IvcStage::Active);
+  const Flit& front = ivc.buf.front();
+  ivc.stage = IvcStage::RouteWait;
+  // SoA: the route stage reads/writes only the hot header array; the
+  // cold accounting record is untouched until ejection.
+  HeaderState& m = headers_[front.msg];
+  if (c == m.dst) {
+    ivc.out_dir = Direction::Local;
+    ivc.out_vc = static_cast<int>(idx) % vcs_;
+    ivc.stage = IvcStage::Active;
+    set_route_ready(id, idx, false);
+    set_switch_ready(id, idx, true);
+    return;
+  }
+  const routing::CandidateList& cand = route_candidates(t, id, m);
+  bool allocated = false;
+  // Branchless scoring: gather each candidate's output-VC occupancy into
+  // a byte vector (no data-dependent branch per candidate) and fold it
+  // into one free-bit mask; every per-tier decision below is then shifts
+  // and popcount.  Ascending set bits reproduce the scalar scan's
+  // candidate order exactly, so the selection RNG sees the same spans.
+  // Recomputed per header — allocations earlier in this node's scan
+  // change the occupancy.
+  // Wide lists (deep hop-class layouts under faults can exceed the
+  // one-word mask) take a scalar per-tier scan that visits candidates in
+  // the same ascending order; both paths feed select_candidate identical
+  // spans, so the draw sequence cannot differ between them.
+  const std::size_t ncand = cand.size();
+  const bool wide = ncand > routing::kMaxScoredCandidates;
+  routing::CandidateScoreScratch score;
+  std::uint64_t free_mask = 0;
+  if (!wide) {
+    const std::uint8_t* dirs = cand.dirs_data();
+    const std::uint8_t* cvcs = cand.vcs_data();
+    for (std::size_t i = 0; i < ncand; ++i) {
+      assert(static_cast<Direction>(dirs[i]) != Direction::Local);
+      assert(mesh_->neighbour(c, static_cast<Direction>(dirs[i]))
+                 .has_value());
+      score.busy[i] = static_cast<std::uint8_t>(
+          rt.output(port_index(static_cast<Direction>(dirs[i])),
+                    static_cast<int>(cvcs[i]))
+              .allocated);
     }
-    const routing::CandidateList& cand = route_candidates(t, id, m);
-    bool allocated = false;
-    // Branchless scoring: gather each candidate's output-VC occupancy into
-    // a byte vector (no data-dependent branch per candidate) and fold it
-    // into one free-bit mask; every per-tier decision below is then shifts
-    // and popcount.  Ascending set bits reproduce the scalar scan's
-    // candidate order exactly, so the selection RNG sees the same spans.
-    // Recomputed per header — allocations earlier in this node's scan
-    // change the occupancy.
-    // Wide lists (deep hop-class layouts under faults can exceed the
-    // one-word mask) take a scalar per-tier scan that visits candidates in
-    // the same ascending order; both paths feed select_candidate identical
-    // spans, so the draw sequence cannot differ between them.
-    const std::size_t ncand = cand.size();
-    const bool wide = ncand > routing::kMaxScoredCandidates;
-    routing::CandidateScoreScratch score;
-    std::uint64_t free_mask = 0;
+    routing::pad_busy(score, ncand);
+    free_mask = routing::free_mask_from_busy(score, ncand);
+  }
+  if (measuring_) {
+    ++t.d.measured_route_decisions;
+    t.d.measured_candidates_offered += ncand;
     if (!wide) {
-      const std::uint8_t* dirs = cand.dirs_data();
-      const std::uint8_t* cvcs = cand.vcs_data();
+      t.d.measured_candidates_free +=
+          static_cast<std::uint64_t>(std::popcount(free_mask));
+    } else {
       for (std::size_t i = 0; i < ncand; ++i) {
-        assert(static_cast<Direction>(dirs[i]) != Direction::Local);
-        assert(mesh_->neighbour(c, static_cast<Direction>(dirs[i]))
-                   .has_value());
-        score.busy[i] = static_cast<std::uint8_t>(
-            rt.output(port_index(static_cast<Direction>(dirs[i])),
-                      static_cast<int>(cvcs[i]))
-                .allocated);
-      }
-      routing::pad_busy(score, ncand);
-      free_mask = routing::free_mask_from_busy(score, ncand);
-    }
-    if (measuring_) {
-      ++t.d.measured_route_decisions;
-      t.d.measured_candidates_offered += ncand;
-      if (!wide) {
-        t.d.measured_candidates_free +=
-            static_cast<std::uint64_t>(std::popcount(free_mask));
-      } else {
-        for (std::size_t i = 0; i < ncand; ++i) {
-          t.d.measured_candidates_free += static_cast<std::uint64_t>(
-              !rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated);
-        }
+        t.d.measured_candidates_free += static_cast<std::uint64_t>(
+            !rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated);
       }
     }
-    for (std::size_t tier = 0; tier < cand.tier_count(); ++tier) {
-      const auto [begin, end] = cand.tier_range(tier);
-      t.free_cands.clear();
-      if (!wide) {
-        const std::uint64_t window =
-            routing::tier_window(free_mask, begin, end);
-        if (window == 0) continue;
-        for (std::uint64_t bits = window; bits != 0; bits &= bits - 1) {
-          const auto i = static_cast<std::size_t>(std::countr_zero(bits));
+  }
+  for (std::size_t tier = 0; tier < cand.tier_count(); ++tier) {
+    const auto [begin, end] = cand.tier_range(tier);
+    t.free_cands.clear();
+    if (!wide) {
+      const std::uint64_t window =
+          routing::tier_window(free_mask, begin, end);
+      if (window == 0) continue;
+      for (std::uint64_t bits = window; bits != 0; bits &= bits - 1) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(bits));
+        t.free_cands.push_back({cand.dir(i), cand.vc(i)});
+      }
+    } else {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated) {
           t.free_cands.push_back({cand.dir(i), cand.vc(i)});
         }
-      } else {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (!rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated) {
-            t.free_cands.push_back({cand.dir(i), cand.vc(i)});
-          }
-        }
-        if (t.free_cands.empty()) continue;
       }
-      const auto pick = routing::select_candidate(
-          config_.selection,
-          std::span<const routing::CandidateVc>(t.free_cands.data(),
-                                                t.free_cands.size()),
-          [&](std::size_t i) {
-            const auto& cv = t.free_cands[i];
-            return rt.output(port_index(cv.dir), cv.vc).credits;
-          },
-          sel);
-      const auto& chosen = t.free_cands[pick];
-#ifndef NDEBUG
-      if (!debug_channel_order_.empty() && port != port_index(Direction::Local)) {
-        // The held channel is the upstream router's output feeding this
-        // input port (see channel_id.hpp).  On ranked -> ranked moves the
-        // verified dependency order must strictly increase.
-        const auto in_dir = static_cast<Direction>(port);
-        const NodeId up = mesh_->id_of(c.step(in_dir));
-        const auto held = static_cast<std::size_t>(
-            channel_id(up, opposite(in_dir), vc, vcs));
-        const auto next = static_cast<std::size_t>(
-            channel_id(id, chosen.dir, chosen.vc, vcs));
-        assert(debug_channel_order_[held] < 0 ||
-               debug_channel_order_[next] < 0 ||
-               debug_channel_order_[held] < debug_channel_order_[next]);
-      }
-#endif
-      // Output-VC ownership is the *slot*: the purge/victim machinery
-      // indexes its flag arrays by slot, and the owner is always live
-      // while the reservation is held.
-      rt.output(port_index(chosen.dir), chosen.vc).allocate(front.msg);
-      ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
-      ivc.out_dir = chosen.dir;
-      ivc.out_vc = chosen.vc;
-      ivc.stage = IvcStage::Active;
-      bump_route(id, -1);
-      bump_switch(id, +1);
-      if (trace_ != nullptr) {
-        trace_alloc(t, c, front.msg, chosen.dir, chosen.vc);
-      } else {
-        algorithm_->on_hop(c, chosen.dir, chosen.vc, m);
-      }
-      allocated = true;
-      break;
+      if (t.free_cands.empty()) continue;
     }
-    if (trace_ != nullptr && !allocated) trace_block(t, front.msg, c);
-  }
+    const auto pick = routing::select_candidate(
+        config_.selection,
+        std::span<const routing::CandidateVc>(t.free_cands.data(),
+                                              t.free_cands.size()),
+        [&](std::size_t i) {
+          const auto& cv = t.free_cands[i];
+          return rt.output(port_index(cv.dir), cv.vc).credits;
+        },
+        sel);
+    const auto& chosen = t.free_cands[pick];
 #ifndef NDEBUG
-  if (exhaustive) {
-    assert(found == pending && "route_pending_ counter is not exact");
-  }
+    const int port = static_cast<int>(idx) / vcs_;
+    const int vc = static_cast<int>(idx) % vcs_;
+    if (!debug_channel_order_.empty() && port != port_index(Direction::Local)) {
+      // The held channel is the upstream router's output feeding this
+      // input port (see channel_id.hpp).  On ranked -> ranked moves the
+      // verified dependency order must strictly increase.
+      const auto in_dir = static_cast<Direction>(port);
+      const NodeId up = mesh_->id_of(c.step(in_dir));
+      const auto held = static_cast<std::size_t>(
+          channel_id(up, opposite(in_dir), vc, vcs_));
+      const auto next = static_cast<std::size_t>(
+          channel_id(id, chosen.dir, chosen.vc, vcs_));
+      assert(debug_channel_order_[held] < 0 ||
+             debug_channel_order_[next] < 0 ||
+             debug_channel_order_[held] < debug_channel_order_[next]);
+    }
 #endif
+    // Output-VC ownership is the *slot*: the purge/victim machinery
+    // indexes its flag arrays by slot, and the owner is always live
+    // while the reservation is held.
+    rt.output(port_index(chosen.dir), chosen.vc).allocate(front.msg);
+    ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
+    ivc.out_dir = chosen.dir;
+    ivc.out_vc = chosen.vc;
+    ivc.stage = IvcStage::Active;
+    set_route_ready(id, idx, false);
+    set_switch_ready(id, idx, true);
+    if (trace_ != nullptr) {
+      trace_alloc(t, c, front.msg, chosen.dir, chosen.vc);
+    } else {
+      algorithm_->on_hop(c, chosen.dir, chosen.vc, m);
+    }
+    allocated = true;
+    break;
+  }
+  if (trace_ != nullptr && !allocated) trace_block(t, front.msg, c);
 }
 
 void Network::phase_routing() {
@@ -1455,36 +1512,41 @@ void Network::phase_routing() {
 // ---- phase 4: switching --------------------------------------------------
 
 void Network::switch_node(Tile& t, NodeId id) {
-  const int sendable = switch_pending_[static_cast<std::size_t>(id)];
-  const bool exhaustive = config_.scan_mode == ScanMode::Full;
-  if (!exhaustive && sendable == 0) return;
-  const int vcs = algorithm_->layout().total();
+  const std::uint64_t* ready = ready_words(switch_ready_, id);
   const auto local = port_index(Direction::Local);
   const Coord c = mesh_->coord_of(id);
   Router& rt = routers_[static_cast<std::size_t>(id)];
 
   // Collect requests in the fixed port-major order (the shuffle below
   // depends on the initial order, so both scan modes must build the same
-  // sequence); stop early once every sendable flit has been seen.
+  // sequence).  Ascending bit order of the ready mask *is* port-major
+  // order, so the Active walk over the set bits builds the same sequence
+  // as the exhaustive scan.
   t.requests.clear();
-  int seen = 0;
-  for (int port = 0; port < kPortCount; ++port) {
-    if (!exhaustive && seen == sendable) break;
-    for (int vc = 0; vc < vcs; ++vc) {
-      if (!exhaustive && seen == sendable) break;
-      InputVc& ivc = rt.input(port, vc);
-      if (ivc.stage != IvcStage::Active || ivc.buf.empty()) continue;
-      ++seen;
-      if (ivc.out_dir != Direction::Local &&
-          rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0) {
-        continue;
-      }
-      t.requests.push_back({static_cast<std::int16_t>(port),
-                            static_cast<std::int16_t>(vc)});
+  const auto request = [&](std::size_t idx) {
+    const InputVc& ivc = rt.input_at(idx);
+    if (ivc.out_dir != Direction::Local &&
+        rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0) {
+      return;
+    }
+    const int port = static_cast<int>(idx) / vcs_;
+    t.requests.push_back(
+        {static_cast<std::int16_t>(port),
+         static_cast<std::int16_t>(static_cast<int>(idx) - port * vcs_)});
+  };
+  if (config_.scan_mode == ScanMode::Active) {
+    sim::for_each_set_bit(ready, ready_words_, request);
+  } else {
+    const auto nivc = static_cast<std::size_t>(kPortCount * vcs_);
+    for (std::size_t idx = 0; idx < nivc; ++idx) {
+      const InputVc& ivc = rt.input_at(idx);
+      const bool sendable =
+          ivc.stage == IvcStage::Active && !ivc.buf.empty();
+      assert(sendable == test_bit(ready, idx) &&
+             "switch_ready_ mask is not exact");
+      if (sendable) request(idx);
     }
   }
-  assert(!exhaustive ||
-         (seen == sendable && "switch_pending_ counter is not exact"));
   if (t.requests.empty()) return;
 
   // Random conflict resolution (paper): shuffle, then greedy matching
@@ -1572,16 +1634,18 @@ void Network::switch_node(Tile& t, NodeId id) {
            static_cast<std::int16_t>(req.vc)});
     }
 
+    const auto bit = static_cast<std::size_t>(req.port * vcs_ + req.vc);
     if (tail) {
       ivc.release();
-      bump_switch(id, -1);
+      set_switch_ready(id, bit, false);
       if (!ivc.buf.empty()) {
         // The flit behind a tail is always the next worm's header.
         assert(is_head(ivc.buf.front().type));
-        bump_route(id, +1);
+        set_route_ready(id, bit, true);
       }
     } else if (ivc.buf.empty()) {
-      bump_switch(id, -1);  // worm still owns the VC but has nothing to send
+      // The worm still owns the VC but has nothing to send.
+      set_switch_ready(id, bit, false);
     }
   }
 }

@@ -14,12 +14,13 @@
 // resolution of all conflicts (per the paper).
 //
 // Scheduling: the per-cycle phases are occupancy-driven.  The network keeps
-// exact per-node counters of routable headers, sendable (switch-ready)
-// flits and pending injection work, plus the set of full link registers,
-// updated at every occupancy-changing point (arrival, injection, route
-// allocation, switch traversal, tail release, purge).  ScanMode::Active
-// iterates only nodes whose counter is non-zero; ScanMode::Full is the
-// exhaustive reference scan that additionally cross-checks the counters in
+// exact per-node input-VC bitmasks of routable headers and sendable
+// (switch-ready) flits, a per-node count of pending injection work, and
+// the set of full link registers, updated at every occupancy-changing
+// point (arrival, injection, route allocation, switch traversal, tail
+// release, purge).  ScanMode::Active visits only nodes with work and, at
+// those nodes, only the input VCs whose ready bit is set; ScanMode::Full is
+// the exhaustive reference scan that additionally cross-checks the masks in
 // debug builds.  Both modes produce bit-identical results — see
 // docs/performance.md for the invariants and the determinism argument.
 
@@ -39,6 +40,7 @@
 #include "ftmesh/router/router.hpp"
 #include "ftmesh/routing/routing_algorithm.hpp"
 #include "ftmesh/routing/selection.hpp"
+#include "ftmesh/sim/bit_walk.hpp"
 #include "ftmesh/sim/rng.hpp"
 #include "ftmesh/sim/small_vec.hpp"
 #include "ftmesh/sim/watchdog.hpp"
@@ -426,10 +428,11 @@ class Network {
   }
 
   // Instantaneous active-set gauges.  Exact counters maintained on the
-  // zero <-> positive transitions of the per-node occupancy counts (and a
-  // dedicated full-register count), summed over the tiles: O(tile count)
-  // per call, independent of worklist length — cheap enough for
-  // --kernel-stats to sample every cycle even under the sharded kernel.
+  // empty <-> non-empty transitions of the per-node ready masks and inject
+  // counts (and a dedicated full-register count), summed over the tiles:
+  // O(tile count) per call, independent of how many nodes are active —
+  // cheap enough for --kernel-stats to sample every cycle even under the
+  // sharded kernel.
   [[nodiscard]] std::uint64_t active_route_nodes() const noexcept;
   [[nodiscard]] std::uint64_t active_switch_nodes() const noexcept;
   [[nodiscard]] std::uint64_t active_inject_nodes() const noexcept;
@@ -464,10 +467,11 @@ class Network {
   /// live-id consistency, created == retired + live).  Level 2 additionally
   /// recounts the whole network: flit conservation across input buffers and
   /// link registers, per-link credit/occupancy accounting, output-VC
-  /// ownership by live slots, the exact per-node pending counters, and
-  /// active-set soundness (worklists ⊇ nodes with work).  Always compiled
-  /// (tests drive it directly); builds configured with -DFTMESH_AUDIT=1|2
-  /// also run it automatically at the end of every step().
+  /// ownership by live slots, every input VC's route/switch ready bit, the
+  /// inject counters, and the node occupancy masks (bit set iff the node
+  /// has work).  Always compiled (tests drive it directly); builds
+  /// configured with -DFTMESH_AUDIT=1|2 also run it automatically at the
+  /// end of every step().
   void audit_invariants(int level) const;
 
  private:
@@ -561,13 +565,12 @@ class Network {
   struct Tile {
     std::vector<topology::NodeId> nodes;  // ascending
     // Occupancy bitmaps, one bit per tile-local node index (bit i of word
-    // i/64 <=> nodes[i]).  A bit is set exactly while the node's pending
-    // counter is positive — bump_* maintains the equivalence on the
-    // zero <-> positive transitions — and the consuming phase walks set
-    // bits via count-trailing-zeros, which visits nodes in ascending
-    // order for free.  These replace the former push/compact/sort
-    // worklists: membership is one OR/ANDN instead of a pointer-chasing
-    // list append plus a per-phase sort.
+    // i/64 <=> nodes[i]).  A route/switch bit is set exactly while the
+    // node's ready words are non-zero, an inject bit while its pending
+    // count is positive — set_*_ready / bump_inject maintain the
+    // equivalence on the empty <-> non-empty transitions — and the
+    // consuming phase walks set bits via count-trailing-zeros, which
+    // visits nodes in ascending order for free.
     std::vector<std::uint64_t> route_mask;
     std::vector<std::uint64_t> switch_mask;
     std::vector<std::uint64_t> inject_mask;
@@ -590,7 +593,7 @@ class Network {
     std::vector<MessageSlot> free_slots;
     /// Indices into pending_creates_ staged for this tile this cycle.
     std::vector<std::uint32_t> creates;
-    // Exact gauge counts: nodes with a positive pending counter.
+    // Exact gauge counts: nodes whose occupancy mask bit is set.
     std::int64_t active_route = 0;
     std::int64_t active_switch = 0;
     std::int64_t active_inject = 0;
@@ -618,11 +621,15 @@ class Network {
 
   // Per-node bodies shared by both scan modes and by the serial/parallel
   // drivers: identical work per visited node, so Active (which skips nodes
-  // with a zero pending counter), Full (which visits everyone) and any
-  // tiling of the node set cannot diverge.
+  // and input VCs whose ready bit is clear), Full (which visits everyone)
+  // and any tiling of the node set cannot diverge.
   void arrive_link(Tile& t, std::size_t link_idx);
   void inject_node(Tile& t, topology::NodeId id);
   void route_node(Tile& t, topology::NodeId id, bool exhaustive);
+  /// Routes the header fronting input VC `idx` (flat `port * vcs + vc`) of
+  /// router `rt` at node `id`: one allocation attempt, tier by tier.
+  void route_header(Tile& t, topology::NodeId id, topology::Coord c,
+                    Router& rt, std::size_t idx, sim::CounterRng& sel);
   void switch_node(Tile& t, topology::NodeId id);
 
   void arrivals_tile(Tile& t);
@@ -649,12 +656,8 @@ class Network {
   template <typename Fn>
   void walk_mask(const Tile& t, const std::vector<std::uint64_t>& mask,
                  Fn&& fn) {
-    for (std::size_t w = 0; w < mask.size(); ++w) {
-      for (std::uint64_t word = mask[w]; word != 0; word &= word - 1) {
-        fn(t.nodes[(w << 6) + static_cast<std::size_t>(
-                                  std::countr_zero(word))]);
-      }
-    }
+    sim::for_each_set_bit(mask.data(), mask.size(),
+                          [&](std::size_t i) { fn(t.nodes[i]); });
   }
 
   // ---- deferred creation (sharded allocator) ---------------------------
@@ -729,27 +732,39 @@ class Network {
   /// mutations (purge, reconfiguration) instead of per-item bookkeeping.
   void rebuild_active_sets();
 
-  // Occupancy bookkeeping.  The counters are exact:
-  //   route_pending_[n]  = #input VCs at n with a header flit at the front
-  //                        and stage != Active (a routable header)
-  //   switch_pending_[n] = #input VCs at n with stage == Active and a
-  //                        non-empty buffer (a sendable flit; credits are
-  //                        checked at switching time)
+  // Occupancy bookkeeping.  The masks and the counter are exact; bit
+  // `port * vcs + vc` of a node's ready words names one input VC:
+  //   route_ready_  bit set <=> that VC has a header flit at the front and
+  //                             stage != Active (a routable header)
+  //   switch_ready_ bit set <=> that VC has stage == Active and a non-empty
+  //                             buffer (a sendable flit; credits are
+  //                             checked at switching time)
   //   inject_pending_[n] = source-queue length + busy injection supplies
-  // A node's bit in its tile's occupancy mask is set exactly while the
-  // counter is positive: bump_* sets it on the zero -> positive transition
-  // and clears it on positive -> zero.
-  void bump_route(topology::NodeId node, int delta);
-  void bump_switch(topology::NodeId node, int delta);
+  // A node's bit in its tile's occupancy mask is set exactly while its
+  // ready words are non-zero (resp. the counter is positive): the setters
+  // set it on the empty -> non-empty transition and clear it on the way
+  // back.  set_*_ready asserts the VC bit actually changes state.
+  void set_route_ready(topology::NodeId node, std::size_t bit, bool ready);
+  void set_switch_ready(topology::NodeId node, std::size_t bit, bool ready);
   void bump_inject(topology::NodeId node, int delta);
+  /// The node's words in a per-node input-VC ready mask.
+  [[nodiscard]] std::uint64_t* ready_words(std::vector<std::uint64_t>& mask,
+                                           topology::NodeId node) {
+    return mask.data() + static_cast<std::size_t>(node) * ready_words_;
+  }
+  [[nodiscard]] const std::uint64_t* ready_words(
+      const std::vector<std::uint64_t>& mask, topology::NodeId node) const {
+    return mask.data() + static_cast<std::size_t>(node) * ready_words_;
+  }
   /// Called exactly when a flit lands on an empty link register.  `t` is
   /// the sender's tile (== the caller's): the register is listed on the
   /// sender's tile only when the downstream node is also in it, otherwise
   /// the downstream tile discovers it through its boundary_in scan.
   void note_link_full(Tile& t, std::size_t link_idx);
-  /// Applies the occupancy effect of pushing `f` into `ivc` at `node`.
-  void note_buffer_push(topology::NodeId node, const InputVc& ivc,
-                        const Flit& f, bool was_empty);
+  /// Applies the occupancy effect of pushing `f` into `ivc` — flat input
+  /// index `bit` — at `node`.
+  void note_buffer_push(topology::NodeId node, std::size_t bit,
+                        const InputVc& ivc, const Flit& f, bool was_empty);
 
   Router& router_mut(topology::Coord c) {
     return routers_[static_cast<std::size_t>(mesh_->id_of(c))];
@@ -769,6 +784,8 @@ class Network {
   const routing::RoutingAlgorithm* algorithm_;
   NetworkConfig config_;
   sim::Rng rng_;
+  int vcs_ = 0;                   ///< virtual channels per port
+  std::size_t ready_words_ = 0;   ///< words per node in the ready masks
   // Counter-based arbitration seeds, all derived (order-independently)
   // from the network seed: route-scan rotation offsets, selection-policy
   // draws, and the crossbar request shuffle.  Every draw in the cycle
@@ -821,12 +838,13 @@ class Network {
   std::uint64_t flits_moved_this_cycle_ = 0;
   sim::Watchdog watchdog_;
 
-  // Active-set state (maintained in both scan modes; see bump_* above).
-  // The pending counters stay global (indexed by node, each touched only
-  // by its owning tile mid-phase); the occupancy bitmaps live on the
-  // tiles, addressed through the node -> tile-local-index map.
-  std::vector<std::uint16_t> route_pending_;
-  std::vector<std::uint16_t> switch_pending_;
+  // Active-set state (maintained in both scan modes; see set_*_ready
+  // above).  The ready masks (ready_words_ words per node) and the inject
+  // counters stay global (indexed by node, each touched only by its owning
+  // tile mid-phase); the node occupancy bitmaps live on the tiles,
+  // addressed through the node -> tile-local-index map.
+  std::vector<std::uint64_t> route_ready_;
+  std::vector<std::uint64_t> switch_ready_;
   std::vector<std::uint32_t> inject_pending_;
   std::vector<std::uint32_t> link_vc_allocated_;  // per VC index, link ports
   std::uint64_t full_links_ = 0;  ///< exact count of full link registers

@@ -26,6 +26,11 @@ class Router {
   [[nodiscard]] const InputVc& input(int port, int vc) const noexcept {
     return inputs_[static_cast<std::size_t>(port * vcs_ + vc)];
   }
+  /// Input VC by flat index `port * vcs() + vc` — the bit index of the
+  /// network's per-node input-VC ready masks.
+  [[nodiscard]] InputVc& input_at(std::size_t idx) noexcept {
+    return inputs_[idx];
+  }
   [[nodiscard]] OutputVc& output(int port, int vc) noexcept {
     return outputs_[static_cast<std::size_t>(port * vcs_ + vc)];
   }

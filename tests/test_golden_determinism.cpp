@@ -305,4 +305,36 @@ INSTANTIATE_TEST_SUITE_P(Corpus, GoldenDeterminism,
                                             ::testing::Range(0, 4)),
                          param_name);
 
+// The per-node input-VC ready masks span ceil(5 * total_vcs / 64) words;
+// the corpus above runs the default 24 VCs (two words).  One algorithm on
+// the dynamic-schedule scenario at 8 VCs (one word) and 32 VCs (three
+// words) pins the Active walks against the exhaustive scan at the other
+// word counts, reports and traces both.
+class GoldenMaskWidths : public ::testing::TestWithParam<int> {
+ protected:
+  SimConfig config() const {
+    auto cfg = base_config("Duato");
+    cfg.total_vcs = GetParam();
+    kScenarios[2].apply(cfg);  // dynamic-schedule
+    return cfg;
+  }
+};
+
+TEST_P(GoldenMaskWidths, FullAndActiveReportsAndTracesAreByteIdentical) {
+  auto cfg = config();
+  cfg.scan_mode = "active";
+  const std::string active_report = report_for(cfg);
+  const std::string active_trace = trace_for(cfg);
+  cfg.scan_mode = "full";
+  ASSERT_EQ(active_report, report_for(cfg));
+  ASSERT_EQ(active_trace, trace_for(cfg));
+}
+
+std::string vcs_name(const ::testing::TestParamInfo<int>& info) {
+  return "vcs" + std::to_string(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, GoldenMaskWidths, ::testing::Values(8, 32),
+                         vcs_name);
+
 }  // namespace
