@@ -20,9 +20,6 @@
 // (config, pattern_seed), and retirement order is cell order, so the sink
 // sees byte-identical records for any thread count, shard split or
 // resume/restart history.
-//
-// The legacy core::run_campaign() is a thin collector sink over this
-// engine.
 
 #include <cstdint>
 #include <functional>

@@ -1,10 +1,8 @@
 #include "ftmesh/core/config_io.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
 
 namespace ftmesh::core {
 
@@ -45,31 +43,6 @@ std::vector<fault::Rect> blocks_from_string(const std::string& text) {
   }
   return blocks;
 }
-
-/// Parses the whole of `value` as a T.  std::stoi and friends stop at the
-/// first non-digit ("12abc" reads as 12) and the unsigned ones wrap a
-/// leading '-' ("-1" reads as 4294967295); from_chars rejects both, and
-/// rejects any sign on an unsigned T.
-template <typename T>
-T parse_number(const std::string& value) {
-  T out{};
-  const char* const end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::out_of_range("'" + value + "' is out of range");
-  }
-  if (ec == std::errc{} && ptr == end) return out;
-  if constexpr (std::is_unsigned_v<T>) {
-    throw std::invalid_argument("expected a non-negative integer, got '" +
-                                value + "'");
-  } else if constexpr (std::is_integral_v<T>) {
-    throw std::invalid_argument("expected an integer, got '" + value + "'");
-  } else {
-    throw std::invalid_argument("expected a number, got '" + value + "'");
-  }
-}
-
-bool parse_flag(const std::string& value) { return parse_number<int>(value) != 0; }
 
 [[noreturn]] void fail(int line, const std::string& what) {
   throw std::invalid_argument("config line " + std::to_string(line) + ": " + what);
@@ -140,7 +113,7 @@ SimConfig load_config(std::istream& is) {
       else if (key == "algorithm") cfg.algorithm = value;
       else if (key == "total_vcs") cfg.total_vcs = parse_number<int>(value);
       else if (key == "misroute_limit") cfg.misroute_limit = parse_number<int>(value);
-      else if (key == "xy_escape") cfg.xy_escape = parse_flag(value);
+      else if (key == "xy_escape") cfg.xy_escape = parse_number<bool>(value);
       else if (key == "selection") cfg.selection = routing::selection_from_string(value);
       else if (key == "buffer_depth") cfg.buffer_depth = parse_number<int>(value);
       else if (key == "injection_vcs") cfg.injection_vcs = parse_number<int>(value);
@@ -160,12 +133,12 @@ SimConfig load_config(std::istream& is) {
       else if (key == "scan_mode") cfg.scan_mode = value;
       else if (key == "tiles") cfg.tiles = parse_number<int>(value);
       else if (key == "step_threads") cfg.step_threads = parse_number<int>(value);
-      else if (key == "route_cache") cfg.route_cache = parse_flag(value);
-      else if (key == "recycle_messages") cfg.recycle_messages = parse_flag(value);
-      else if (key == "shard_alloc") cfg.shard_alloc = parse_flag(value);
-      else if (key == "collect_vc_usage") cfg.collect_vc_usage = parse_flag(value);
-      else if (key == "collect_traffic_map") cfg.collect_traffic_map = parse_flag(value);
-      else if (key == "collect_kernel_stats") cfg.collect_kernel_stats = parse_flag(value);
+      else if (key == "route_cache") cfg.route_cache = parse_number<bool>(value);
+      else if (key == "recycle_messages") cfg.recycle_messages = parse_number<bool>(value);
+      else if (key == "shard_alloc") cfg.shard_alloc = parse_number<bool>(value);
+      else if (key == "collect_vc_usage") cfg.collect_vc_usage = parse_number<bool>(value);
+      else if (key == "collect_traffic_map") cfg.collect_traffic_map = parse_number<bool>(value);
+      else if (key == "collect_kernel_stats") cfg.collect_kernel_stats = parse_number<bool>(value);
       else if (key == "metrics_interval") cfg.metrics_interval = parse_number<std::uint64_t>(value);
       else known = false;
     } catch (const std::exception& e) {

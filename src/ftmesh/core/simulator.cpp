@@ -2,21 +2,25 @@
 
 namespace ftmesh::core {
 
+fault::FaultMap initial_fault_map(const SimConfig& cfg,
+                                  const topology::Mesh& mesh) {
+  if (!cfg.fault_blocks.empty()) {
+    return fault::FaultMap::from_blocks(mesh, cfg.fault_blocks);
+  }
+  if (cfg.fault_count > 0 || cfg.link_fault_count > 0) {
+    auto fault_rng = sim::Rng(cfg.seed).derive(0xFA);
+    return fault::FaultMap::random(mesh, cfg.fault_count, cfg.link_fault_count,
+                                   fault_rng);
+  }
+  return fault::FaultMap(mesh);
+}
+
 Simulator::Simulator(SimConfig cfg)
     : cfg_(std::move(cfg)), mesh_(cfg_.width, cfg_.height) {
   cfg_.validate();
 
   const sim::Rng root(cfg_.seed);
-  if (!cfg_.fault_blocks.empty()) {
-    faults_ = std::make_unique<fault::FaultMap>(
-        fault::FaultMap::from_blocks(mesh_, cfg_.fault_blocks));
-  } else if (cfg_.fault_count > 0 || cfg_.link_fault_count > 0) {
-    auto fault_rng = root.derive(0xFA);
-    faults_ = std::make_unique<fault::FaultMap>(fault::FaultMap::random(
-        mesh_, cfg_.fault_count, cfg_.link_fault_count, fault_rng));
-  } else {
-    faults_ = std::make_unique<fault::FaultMap>(mesh_);
-  }
+  faults_ = std::make_unique<fault::FaultMap>(initial_fault_map(cfg_, mesh_));
   rings_ = std::make_unique<fault::FRingSet>(*faults_);
 
   routing::RoutingOptions opts;

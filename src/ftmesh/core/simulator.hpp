@@ -45,10 +45,15 @@ struct SimResult {
   int deactivated_nodes = 0;
 };
 
+/// The fault map a run of `cfg` starts from: cfg.fault_blocks when given,
+/// else cfg.fault_count random nodes and cfg.link_fault_count random links
+/// drawn from the seed, else a fault-free mesh.
+fault::FaultMap initial_fault_map(const SimConfig& cfg,
+                                  const topology::Mesh& mesh);
+
 class Simulator {
  public:
-  /// Builds everything; faults come from cfg.fault_blocks if non-empty,
-  /// otherwise cfg.fault_count random nodes drawn from the seed.
+  /// Builds everything; the starting faults come from initial_fault_map().
   explicit Simulator(SimConfig cfg);
 
   Simulator(const Simulator&) = delete;

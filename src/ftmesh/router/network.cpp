@@ -528,8 +528,7 @@ MessageId Network::create_message(Coord src, Coord dst, std::uint32_t length) {
   queues_[static_cast<std::size_t>(src_id)].push_back(slot);
   ++queued_messages_;
   bump_inject(src_id, +1);
-  total_flits_generated_ += length;
-  if (measuring_) measured_flits_generated_ += length;
+  counters_.flits_generated += length;
   if (trace_ != nullptr) {
     trace_blocked_[static_cast<std::size_t>(slot)] = 0;
     emit(trace::EventKind::Create, m.id, src, length);
@@ -634,8 +633,7 @@ void Network::materialize_tile_creations(Tile& t) {
     queues_[sid].push_back(pc.slot);
     ++t.d.queued_messages;
     bump_inject(static_cast<NodeId>(sid), +1);
-    t.d.flits_generated += pc.length;
-    if (measuring_) t.d.measured_flits_generated += pc.length;
+    t.d.counts.flits_generated += pc.length;
   }
   t.creates.clear();
 }
@@ -719,23 +717,20 @@ bool Network::message_finished(MessageId id) const {
 
 void Network::begin_measurement() {
   measuring_ = true;
-  measured_cycles_ = 0;
-  measured_flits_delivered_ = 0;
-  measured_messages_delivered_ = 0;
-  measured_flits_generated_ = 0;
-  std::fill(vc_busy_counts_.begin(), vc_busy_counts_.end(), 0);
-  vc_usage_samples_ = 0;
-  std::fill(node_traffic_.begin(), node_traffic_.end(), 0);
-  measured_route_decisions_ = 0;
-  measured_candidates_offered_ = 0;
-  measured_candidates_free_ = 0;
-  route_cache_lookups_ = 0;
-  route_cache_hits_ = 0;
-  kernel_samples_ = 0;
-  kernel_route_nodes_sum_ = 0;
-  kernel_switch_nodes_sum_ = 0;
-  kernel_inject_nodes_sum_ = 0;
-  kernel_link_regs_sum_ = 0;
+  mark_cycle_ = cycle_;
+  mark_ = counters_;
+  vc_busy_mark_ = vc_busy_counts_;
+  node_traffic_mark_ = node_traffic_;
+}
+
+std::vector<std::uint64_t> Network::since_mark(
+    const std::vector<std::uint64_t>& now,
+    const std::vector<std::uint64_t>& mark) const {
+  std::vector<std::uint64_t> out(now.size(), 0);
+  if (measuring_) {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = now[i] - mark[i];
+  }
+  return out;
 }
 
 void Network::step() {
@@ -750,7 +745,6 @@ void Network::step() {
   audit_invariants(FTMESH_AUDIT);
 #endif
   ++cycle_;
-  if (measuring_) ++measured_cycles_;
 }
 
 // ---- tile drivers and the post-barrier commit ----------------------------
@@ -777,20 +771,7 @@ void Network::reduce_deltas() {
     full_links_ = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(full_links_) + d.full_links);
     flits_moved_this_cycle_ += d.flits_moved;
-    total_messages_delivered_ += d.total_messages_delivered;
-    total_flits_delivered_ += d.total_flits_delivered;
-    total_latency_sum_ += d.total_latency_sum;
-    measured_flits_delivered_ += d.measured_flits_delivered;
-    measured_messages_delivered_ += d.measured_messages_delivered;
-    total_flits_generated_ += d.flits_generated;
-    measured_flits_generated_ += d.measured_flits_generated;
-    measured_route_decisions_ += d.measured_route_decisions;
-    measured_candidates_offered_ += d.measured_candidates_offered;
-    measured_candidates_free_ += d.measured_candidates_free;
-    total_cache_lookups_ += d.total_cache_lookups;
-    total_cache_hits_ += d.total_cache_hits;
-    route_cache_lookups_ += d.route_cache_lookups;
-    route_cache_hits_ += d.route_cache_hits;
+    counters_ += d.counts;
     for (std::size_t v = 0; v < d.vc_alloc.size(); ++v) {
       link_vc_allocated_[v] = static_cast<std::uint32_t>(
           static_cast<std::int64_t>(link_vc_allocated_[v]) + d.vc_alloc[v]);
@@ -1303,8 +1284,7 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
     algorithm_->enumerate(mesh_->coord_of(id), m, t.cand);
     return t.cand;
   }
-  ++t.d.total_cache_lookups;
-  if (measuring_) ++t.d.route_cache_lookups;
+  ++t.d.counts.cache_lookups;
   const std::uint64_t key = algorithm_->route_state_key(m);
   const NodeId dst = mesh_->id_of(m.dst);
   const std::size_t slot =
@@ -1314,8 +1294,7 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
       (kRouteCacheSize - 1);
   RouteCacheEntry& e = t.route_cache[slot];
   if (e.valid && e.node == id && e.dst == dst && e.key == key) {
-    ++t.d.total_cache_hits;
-    if (measuring_) ++t.d.route_cache_hits;
+    ++t.d.counts.cache_hits;
     return e.cands;
   }
   e.valid = true;
@@ -1414,17 +1393,15 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
     routing::pad_busy(score, ncand);
     free_mask = routing::free_mask_from_busy(score, ncand);
   }
-  if (measuring_) {
-    ++t.d.measured_route_decisions;
-    t.d.measured_candidates_offered += ncand;
-    if (!wide) {
-      t.d.measured_candidates_free +=
-          static_cast<std::uint64_t>(std::popcount(free_mask));
-    } else {
-      for (std::size_t i = 0; i < ncand; ++i) {
-        t.d.measured_candidates_free += static_cast<std::uint64_t>(
-            !rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated);
-      }
+  ++t.d.counts.route_decisions;
+  t.d.counts.candidates_offered += ncand;
+  if (!wide) {
+    t.d.counts.candidates_free +=
+        static_cast<std::uint64_t>(std::popcount(free_mask));
+  } else {
+    for (std::size_t i = 0; i < ncand; ++i) {
+      t.d.counts.candidates_free += static_cast<std::uint64_t>(
+          !rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated);
     }
   }
   for (std::size_t tier = 0; tier < cand.tier_count(); ++tier) {
@@ -1572,7 +1549,7 @@ void Network::switch_node(Tile& t, NodeId id) {
     ivc.buf.pop_front();
     --t.d.buffered_flits;
     ++t.d.flits_moved;
-    if (measuring_ && config_.collect_traffic_map) {
+    if (config_.collect_traffic_map) {
       ++node_traffic_[static_cast<std::size_t>(id)];
     }
     const bool tail = is_tail(flit.type);
@@ -1587,13 +1564,9 @@ void Network::switch_node(Tile& t, NodeId id) {
         Message& m = messages_[flit.msg];
         m.delivered = cycle_;
         m.done = true;
-        ++t.d.total_messages_delivered;
-        t.d.total_flits_delivered += m.length;
-        t.d.total_latency_sum += cycle_ - m.created;
-        if (measuring_) {
-          t.d.measured_flits_delivered += m.length;
-          ++t.d.measured_messages_delivered;
-        }
+        ++t.d.counts.messages_delivered;
+        t.d.counts.flits_delivered += m.length;
+        t.d.counts.latency_sum += cycle_ - m.created;
         if (trace_ != nullptr) {
           const HeaderState& h = headers_[flit.msg];
           emit(t, trace::EventKind::Eject, m.id, c,
@@ -1667,7 +1640,6 @@ void Network::phase_switching() {
 
 void Network::phase_sampling() {
   watchdog_.observe(flits_moved_this_cycle_, buffered_flits_);
-  if (!measuring_) return;
   if (config_.collect_vc_usage) {
 #ifndef NDEBUG
     if (config_.scan_mode == ScanMode::Full) {
@@ -1683,17 +1655,17 @@ void Network::phase_sampling() {
     for (std::size_t v = 0; v < vc_busy_counts_.size(); ++v) {
       vc_busy_counts_[v] += link_vc_allocated_[v];
     }
-    ++vc_usage_samples_;
+    ++counters_.vc_usage_samples;
   }
   if (config_.collect_kernel_stats) {
     // O(tiles) gauges — exact counts maintained on the zero <-> positive
     // pending transitions, so sampling every cycle costs nothing even on
     // huge sharded meshes.
-    kernel_route_nodes_sum_ += active_route_nodes();
-    kernel_switch_nodes_sum_ += active_switch_nodes();
-    kernel_inject_nodes_sum_ += active_inject_nodes();
-    kernel_link_regs_sum_ += full_links_;
-    ++kernel_samples_;
+    counters_.kernel_route_nodes_sum += active_route_nodes();
+    counters_.kernel_switch_nodes_sum += active_switch_nodes();
+    counters_.kernel_inject_nodes_sum += active_inject_nodes();
+    counters_.kernel_link_regs_sum += full_links_;
+    ++counters_.kernel_samples;
   }
 }
 

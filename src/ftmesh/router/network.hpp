@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "ftmesh/fault/fault_model.hpp"
+#include "ftmesh/router/counters.hpp"
 #include "ftmesh/router/message.hpp"
 #include "ftmesh/router/router.hpp"
 #include "ftmesh/routing/routing_algorithm.hpp"
@@ -137,7 +138,8 @@ class Network {
   /// Advances the network by one cycle.
   void step();
 
-  /// Marks the warm-up boundary: measurement counters start accumulating.
+  /// Marks the warm-up boundary: snapshots the counters, so the window
+  /// accessors count from here.
   void begin_measurement();
 
   // ---- observers -------------------------------------------------------
@@ -303,75 +305,90 @@ class Network {
     return messages_[slot_of(id)];
   }
 
-  // Measurement-window counters (active after begin_measurement()).
-  [[nodiscard]] std::uint64_t measured_cycles() const noexcept { return measured_cycles_; }
+  // ---- counters --------------------------------------------------------
+  //
+  // The kernel counts every event once, into whole-run Counters (cycle 0
+  // on), plus per-VC VC-usage sums and per-node switch traversals.
+  // begin_measurement() snapshots all three and the cycle; each window
+  // accessor below returns the growth past that snapshot (0 before it), so
+  // the warm-up window and a metrics interval are the same subtraction.
+  // The counts are maintained identically in both scan modes, at every
+  // tile and thread count.
+
+  /// Whole-run counts (the per-interval time series reads these).
+  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
+  [[nodiscard]] std::uint64_t total_messages_delivered() const noexcept {
+    return counters_.messages_delivered;
+  }
+  /// Whole-run count of route-cache flushes by fault changes.
+  [[nodiscard]] std::uint64_t route_cache_invalidations() const noexcept {
+    return route_cache_invalidations_;
+  }
+
+  /// Cycles stepped since begin_measurement().
+  [[nodiscard]] std::uint64_t measured_cycles() const noexcept {
+    return measuring_ ? cycle_ - mark_cycle_ : 0;
+  }
   [[nodiscard]] std::uint64_t measured_flits_delivered() const noexcept {
-    return measured_flits_delivered_;
+    return since_mark(&Counters::flits_delivered);
   }
   [[nodiscard]] std::uint64_t measured_messages_delivered() const noexcept {
-    return measured_messages_delivered_;
+    return since_mark(&Counters::messages_delivered);
   }
   [[nodiscard]] std::uint64_t measured_flits_generated() const noexcept {
-    return measured_flits_generated_;
+    return since_mark(&Counters::flits_generated);
   }
 
   /// Per-VC-index count of (router, link port, cycle) samples where the
   /// output VC was reserved; normalise by vc_usage_samples().
-  [[nodiscard]] const std::vector<std::uint64_t>& vc_busy_counts() const noexcept {
-    return vc_busy_counts_;
+  [[nodiscard]] std::vector<std::uint64_t> vc_busy_counts() const {
+    return since_mark(vc_busy_counts_, vc_busy_mark_);
   }
   [[nodiscard]] std::uint64_t vc_usage_samples() const noexcept {
-    return vc_usage_samples_;
+    return since_mark(&Counters::vc_usage_samples);
   }
 
   /// Per-node switch traversals (flits) during the measurement window.
-  [[nodiscard]] const std::vector<std::uint64_t>& node_traffic() const noexcept {
-    return node_traffic_;
+  [[nodiscard]] std::vector<std::uint64_t> node_traffic() const {
+    return since_mark(node_traffic_, node_traffic_mark_);
   }
 
-  // Adaptivity counters (measurement window): how much channel choice the
-  // algorithm offered per routing decision, and how much of it was free.
-  // Quantifies the paper's "flexibility in choosing the virtual channels".
+  // Adaptivity: how much channel choice the algorithm offered per routing
+  // decision, and how much of it was free.  Quantifies the paper's
+  // "flexibility in choosing the virtual channels".
   [[nodiscard]] std::uint64_t measured_route_decisions() const noexcept {
-    return measured_route_decisions_;
+    return since_mark(&Counters::route_decisions);
   }
   [[nodiscard]] std::uint64_t measured_candidates_offered() const noexcept {
-    return measured_candidates_offered_;
+    return since_mark(&Counters::candidates_offered);
   }
   [[nodiscard]] std::uint64_t measured_candidates_free() const noexcept {
-    return measured_candidates_free_;
+    return since_mark(&Counters::candidates_free);
   }
 
-  // Kernel counters (see stats/kernel_stats.hpp for the derived summary).
-  // Cache lookups/hits cover the measurement window (one lookup per routing
-  // decision when the cache is enabled); invalidations count fault-change
-  // events over the whole run.  The active-set sums accumulate the exact
-  // per-cycle set sizes while `collect_kernel_stats` is on — the counters
-  // are maintained identically in both scan modes, so the report does not
-  // depend on the mode.
+  // Kernel counters (see stats/kernel_stats.hpp for the derived summary):
+  // route-cache lookups and hits, and the exact per-cycle active-set sizes
+  // summed while `collect_kernel_stats` is on.
   [[nodiscard]] std::uint64_t route_cache_lookups() const noexcept {
-    return route_cache_lookups_;
+    return since_mark(&Counters::cache_lookups);
   }
   [[nodiscard]] std::uint64_t route_cache_hits() const noexcept {
-    return route_cache_hits_;
-  }
-  [[nodiscard]] std::uint64_t route_cache_invalidations() const noexcept {
-    return route_cache_invalidations_;
+    return since_mark(&Counters::cache_hits);
   }
   [[nodiscard]] std::uint64_t kernel_samples() const noexcept {
-    return kernel_samples_;
+    return since_mark(&Counters::kernel_samples);
   }
   [[nodiscard]] std::uint64_t kernel_route_nodes_sum() const noexcept {
-    return kernel_route_nodes_sum_;
+    return since_mark(&Counters::kernel_route_nodes_sum);
   }
   [[nodiscard]] std::uint64_t kernel_switch_nodes_sum() const noexcept {
-    return kernel_switch_nodes_sum_;
+    return since_mark(&Counters::kernel_switch_nodes_sum);
   }
   [[nodiscard]] std::uint64_t kernel_inject_nodes_sum() const noexcept {
-    return kernel_inject_nodes_sum_;
+    return since_mark(&Counters::kernel_inject_nodes_sum);
   }
   [[nodiscard]] std::uint64_t kernel_link_regs_sum() const noexcept {
-    return kernel_link_regs_sum_;
+    return since_mark(&Counters::kernel_link_regs_sum);
   }
 
   /// Human-readable dump of every non-empty input VC — the wait-for state.
@@ -403,29 +420,6 @@ class Network {
   /// The sink itself is only ever called from the stepping thread.
   void set_trace_sink(trace::TraceSink* sink);
   [[nodiscard]] trace::TraceSink* trace_sink() const noexcept { return trace_; }
-
-  // Whole-run cumulative counters (from cycle 0, measurement-independent):
-  // the raw material for the per-interval time series (trace/
-  // metrics_recorder.hpp), which needs deltas across the warm-up boundary.
-  [[nodiscard]] std::uint64_t total_flits_generated() const noexcept {
-    return total_flits_generated_;
-  }
-  [[nodiscard]] std::uint64_t total_flits_delivered() const noexcept {
-    return total_flits_delivered_;
-  }
-  [[nodiscard]] std::uint64_t total_messages_delivered() const noexcept {
-    return total_messages_delivered_;
-  }
-  /// Sum over delivered messages of (delivery cycle - creation cycle).
-  [[nodiscard]] std::uint64_t total_latency_sum() const noexcept {
-    return total_latency_sum_;
-  }
-  [[nodiscard]] std::uint64_t total_cache_lookups() const noexcept {
-    return total_cache_lookups_;
-  }
-  [[nodiscard]] std::uint64_t total_cache_hits() const noexcept {
-    return total_cache_hits_;
-  }
 
   // Instantaneous active-set gauges.  Exact counters maintained on the
   // empty <-> non-empty transitions of the per-node ready masks and inject
@@ -529,20 +523,7 @@ class Network {
     std::int64_t busy_supplies = 0;
     std::int64_t full_links = 0;
     std::uint64_t flits_moved = 0;
-    std::uint64_t total_messages_delivered = 0;
-    std::uint64_t total_flits_delivered = 0;
-    std::uint64_t total_latency_sum = 0;
-    std::uint64_t measured_flits_delivered = 0;
-    std::uint64_t measured_messages_delivered = 0;
-    std::uint64_t measured_route_decisions = 0;
-    std::uint64_t measured_candidates_offered = 0;
-    std::uint64_t measured_candidates_free = 0;
-    std::uint64_t total_cache_lookups = 0;
-    std::uint64_t total_cache_hits = 0;
-    std::uint64_t route_cache_lookups = 0;
-    std::uint64_t route_cache_hits = 0;
-    std::uint64_t flits_generated = 0;
-    std::uint64_t measured_flits_generated = 0;
+    Counters counts;
     std::vector<std::int32_t> vc_alloc;  // per VC index
   };
 
@@ -688,6 +669,16 @@ class Network {
   /// cache when enabled, enumerated into the tile's scratch otherwise.
   const routing::CandidateList& route_candidates(Tile& t, topology::NodeId id,
                                                  const HeaderState& h);
+
+  /// Growth of a whole-run count (or of each element of a per-VC /
+  /// per-node sum) past the begin_measurement() snapshot; 0 before it.
+  [[nodiscard]] std::uint64_t since_mark(
+      std::uint64_t Counters::* field) const noexcept {
+    return measuring_ ? counters_.*field - mark_.*field : 0;
+  }
+  [[nodiscard]] std::vector<std::uint64_t> since_mark(
+      const std::vector<std::uint64_t>& now,
+      const std::vector<std::uint64_t>& mark) const;
 
   /// Slot for a live id: identity when recycling is off (slot == id), a
   /// live-id-map lookup otherwise.  Debug-asserts liveness; release builds
@@ -866,32 +857,17 @@ class Network {
   int tile_grid_x_ = 1;
   int tile_grid_y_ = 1;
 
+  // Counts (see the accessors): whole-run, and the begin_measurement()
+  // snapshot the window accessors subtract.
+  Counters counters_;
+  std::vector<std::uint64_t> vc_busy_counts_;  // per VC index
+  std::vector<std::uint64_t> node_traffic_;    // per node
+  std::uint64_t route_cache_invalidations_ = 0;
   bool measuring_ = false;
-  std::uint64_t measured_cycles_ = 0;
-  std::uint64_t measured_flits_delivered_ = 0;
-  std::uint64_t measured_messages_delivered_ = 0;
-  std::uint64_t measured_flits_generated_ = 0;
-  std::vector<std::uint64_t> vc_busy_counts_;
-  std::uint64_t vc_usage_samples_ = 0;
-  std::vector<std::uint64_t> node_traffic_;
-  std::uint64_t measured_route_decisions_ = 0;
-  std::uint64_t measured_candidates_offered_ = 0;
-  std::uint64_t measured_candidates_free_ = 0;
-  std::uint64_t route_cache_lookups_ = 0;
-  std::uint64_t route_cache_hits_ = 0;
-  std::uint64_t route_cache_invalidations_ = 0;  // whole-run event count
-  // Whole-run cumulative counters (see accessors above).
-  std::uint64_t total_flits_generated_ = 0;
-  std::uint64_t total_flits_delivered_ = 0;
-  std::uint64_t total_messages_delivered_ = 0;
-  std::uint64_t total_latency_sum_ = 0;
-  std::uint64_t total_cache_lookups_ = 0;
-  std::uint64_t total_cache_hits_ = 0;
-  std::uint64_t kernel_samples_ = 0;
-  std::uint64_t kernel_route_nodes_sum_ = 0;
-  std::uint64_t kernel_switch_nodes_sum_ = 0;
-  std::uint64_t kernel_inject_nodes_sum_ = 0;
-  std::uint64_t kernel_link_regs_sum_ = 0;
+  std::uint64_t mark_cycle_ = 0;
+  Counters mark_;
+  std::vector<std::uint64_t> vc_busy_mark_;
+  std::vector<std::uint64_t> node_traffic_mark_;
 
   EjectHook eject_hook_;
   std::vector<std::int32_t> debug_channel_order_;  // empty = check disabled

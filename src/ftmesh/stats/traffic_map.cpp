@@ -5,7 +5,7 @@
 namespace ftmesh::stats {
 
 std::vector<double> normalized_traffic_grid(const router::Network& net) {
-  const auto& raw = net.node_traffic();
+  const auto raw = net.node_traffic();
   std::vector<double> grid(raw.size(), 0.0);
   std::uint64_t peak = 0;
   for (const auto v : raw) peak = std::max(peak, v);

@@ -10,7 +10,7 @@ double VcUsage::total() const {
 
 VcUsage summarize_vc_usage(const router::Network& net) {
   VcUsage usage;
-  const auto& counts = net.vc_busy_counts();
+  const auto counts = net.vc_busy_counts();
   usage.percent.assign(counts.size(), 0.0);
   const double samples = static_cast<double>(net.vc_usage_samples());
   if (samples <= 0.0) return usage;

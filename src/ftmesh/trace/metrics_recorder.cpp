@@ -25,32 +25,24 @@ void MetricsRecorder::on_cycle(const router::Network& net) {
   MetricsSample s;
   s.cycle = net.cycle();
 
-  const std::uint64_t flits = net.total_flits_delivered();
-  const std::uint64_t msgs = net.total_messages_delivered();
-  const std::uint64_t lat = net.total_latency_sum();
-  const std::uint64_t lookups = net.total_cache_lookups();
-  const std::uint64_t hits = net.total_cache_hits();
+  const router::Counters d = net.counters() - prev_;
+  prev_ = net.counters();
 
-  s.delivered_messages = msgs - prev_messages_delivered_;
+  s.delivered_messages = d.messages_delivered;
   const double nodes = static_cast<double>(net.faults().active_count());
   if (nodes > 0.0) {
     s.accepted_flits_per_node_cycle =
-        static_cast<double>(flits - prev_flits_delivered_) /
+        static_cast<double>(d.flits_delivered) /
         (nodes * static_cast<double>(series_.interval));
   }
   if (s.delivered_messages > 0) {
-    s.mean_latency = static_cast<double>(lat - prev_latency_sum_) /
+    s.mean_latency = static_cast<double>(d.latency_sum) /
                      static_cast<double>(s.delivered_messages);
   }
-  if (lookups > prev_cache_lookups_) {
-    s.cache_hit_rate = static_cast<double>(hits - prev_cache_hits_) /
-                       static_cast<double>(lookups - prev_cache_lookups_);
+  if (d.cache_lookups > 0) {
+    s.cache_hit_rate = static_cast<double>(d.cache_hits) /
+                       static_cast<double>(d.cache_lookups);
   }
-  prev_flits_delivered_ = flits;
-  prev_messages_delivered_ = msgs;
-  prev_latency_sum_ = lat;
-  prev_cache_lookups_ = lookups;
-  prev_cache_hits_ = hits;
 
   s.flits_in_flight = net.flits_in_network();
   s.route_nodes = net.active_route_nodes();
@@ -64,20 +56,29 @@ void MetricsRecorder::on_cycle(const router::Network& net) {
   series_.samples.push_back(s);
 }
 
+const std::vector<std::string>& metrics_csv_columns() {
+  static const std::vector<std::string> kColumns = {
+      "cycle",           "delivered_messages", "accepted_flits_per_node_cycle",
+      "mean_latency",    "cache_hit_rate",     "flits_in_flight",
+      "route_nodes",     "switch_nodes",       "inject_nodes",
+      "link_regs",       "ring_vcs_busy"};
+  return kColumns;
+}
+
+std::vector<std::string> metrics_csv_cells(const MetricsSample& s) {
+  return {std::to_string(s.cycle), std::to_string(s.delivered_messages),
+          report::format_double(s.accepted_flits_per_node_cycle, 6),
+          report::format_double(s.mean_latency, 3),
+          report::format_double(s.cache_hit_rate, 4),
+          std::to_string(s.flits_in_flight), std::to_string(s.route_nodes),
+          std::to_string(s.switch_nodes), std::to_string(s.inject_nodes),
+          std::to_string(s.link_regs), std::to_string(s.ring_vcs_busy)};
+}
+
 void write_metrics_csv(std::ostream& os, const MetricsSeries& series) {
   report::CsvWriter csv(os);
-  csv.row({"cycle", "delivered_messages", "accepted_flits_per_node_cycle",
-           "mean_latency", "cache_hit_rate", "flits_in_flight", "route_nodes",
-           "switch_nodes", "inject_nodes", "link_regs", "ring_vcs_busy"});
-  for (const auto& s : series.samples) {
-    csv.row({std::to_string(s.cycle), std::to_string(s.delivered_messages),
-             report::format_double(s.accepted_flits_per_node_cycle, 6),
-             report::format_double(s.mean_latency, 3),
-             report::format_double(s.cache_hit_rate, 4),
-             std::to_string(s.flits_in_flight), std::to_string(s.route_nodes),
-             std::to_string(s.switch_nodes), std::to_string(s.inject_nodes),
-             std::to_string(s.link_regs), std::to_string(s.ring_vcs_busy)});
-  }
+  csv.row(metrics_csv_columns());
+  for (const auto& s : series.samples) csv.row(metrics_csv_cells(s));
 }
 
 }  // namespace ftmesh::trace

@@ -9,7 +9,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
+
+#include "ftmesh/router/counters.hpp"
 
 namespace ftmesh::router {
 class Network;
@@ -57,13 +60,14 @@ class MetricsRecorder {
  private:
   MetricsSeries series_;
   std::vector<int> ring_vcs_;
-  // Cumulative counter values at the previous sample point.
-  std::uint64_t prev_flits_delivered_ = 0;
-  std::uint64_t prev_messages_delivered_ = 0;
-  std::uint64_t prev_latency_sum_ = 0;
-  std::uint64_t prev_cache_lookups_ = 0;
-  std::uint64_t prev_cache_hits_ = 0;
+  router::Counters prev_;  ///< whole-run counters at the previous sample
 };
+
+/// The per-sample CSV columns: header names, and one sample's cells in
+/// that order.  Shared by write_metrics_csv and the campaign metrics CSV,
+/// which prefixes each row with its cell and pattern.
+const std::vector<std::string>& metrics_csv_columns();
+std::vector<std::string> metrics_csv_cells(const MetricsSample& s);
 
 /// CSV with one row per sample (header included): the plotting-friendly
 /// form of a single run's series.

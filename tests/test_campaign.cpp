@@ -1,20 +1,39 @@
-// Tests for the campaign (experiment-matrix) runner.
+// Tests for the campaign (experiment-matrix) runner: the matrix shape and
+// order, per-cell results and the CSV, through campaign::run_streamed with
+// a sink that keeps every cell.
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "ftmesh/campaign/csv.hpp"
 #include "ftmesh/campaign/error.hpp"
-#include "ftmesh/core/campaign.hpp"
+#include "ftmesh/campaign/stream.hpp"
+#include "ftmesh/core/experiment.hpp"
 #include "ftmesh/fault/fault_model.hpp"
+#include "ftmesh/report/csv.hpp"
+#include "ftmesh/trace/metrics_recorder.hpp"
 
 namespace {
 
-using ftmesh::core::CampaignSpec;
+using ftmesh::campaign::CampaignSpec;
+using ftmesh::campaign::CellRecord;
 using ftmesh::core::pattern_seed;
-using ftmesh::core::run_campaign;
+
+/// Runs the whole matrix and returns every cell, in cell order.
+std::vector<CellRecord> run_campaign(const CampaignSpec& spec) {
+  struct Collector : ftmesh::campaign::CellSink {
+    std::vector<CellRecord> cells;
+    void on_cell(const CellRecord& record) override { cells.push_back(record); }
+  } collector;
+  ftmesh::campaign::StreamOptions options;
+  options.threads = spec.threads;
+  ftmesh::campaign::run_streamed(spec, options, &collector);
+  return std::move(collector.cells);
+}
 
 CampaignSpec tiny_spec() {
   CampaignSpec spec;
@@ -34,18 +53,18 @@ TEST(Campaign, MatrixShapeAndOrder) {
   const auto cells = run_campaign(tiny_spec());
   ASSERT_EQ(cells.size(), 2u * 2u * 2u);
   // Algorithm-major, then rate, then fault count.
-  EXPECT_EQ(cells[0].algorithm, "Minimal-Adaptive");
-  EXPECT_EQ(cells[0].rate, 0.001);
-  EXPECT_EQ(cells[0].fault_count, 0);
-  EXPECT_EQ(cells[1].fault_count, 3);
-  EXPECT_EQ(cells[2].rate, 0.004);
-  EXPECT_EQ(cells[4].algorithm, "Nbc");
+  EXPECT_EQ(cells[0].plan.algorithm, "Minimal-Adaptive");
+  EXPECT_EQ(cells[0].plan.rate, 0.001);
+  EXPECT_EQ(cells[0].plan.fault_count, 0);
+  EXPECT_EQ(cells[1].plan.fault_count, 3);
+  EXPECT_EQ(cells[2].plan.rate, 0.004);
+  EXPECT_EQ(cells[4].plan.algorithm, "Nbc");
 }
 
 TEST(Campaign, FaultFreeCellsSkipPatternAveraging) {
   const auto cells = run_campaign(tiny_spec());
   for (const auto& cell : cells) {
-    if (cell.fault_count == 0) {
+    if (cell.plan.fault_count == 0) {
       EXPECT_EQ(cell.runs.size(), 1u);
     } else {
       EXPECT_EQ(cell.runs.size(), 2u);
@@ -64,8 +83,8 @@ TEST(Campaign, EmptyDimensionsFallBackToBase) {
   spec.base.fault_count = 2;
   const auto cells = run_campaign(spec);
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].algorithm, "Duato");
-  EXPECT_EQ(cells[0].fault_count, 2);
+  EXPECT_EQ(cells[0].plan.algorithm, "Duato");
+  EXPECT_EQ(cells[0].plan.fault_count, 2);
 }
 
 TEST(Campaign, ValidateRejectsBadInput) {
@@ -139,7 +158,9 @@ TEST(Campaign, ValidateErrorsAreTyped) {
 TEST(Campaign, CsvHasHeaderPlusOneRowPerCell) {
   const auto cells = run_campaign(tiny_spec());
   std::ostringstream os;
-  ftmesh::core::write_campaign_csv(os, cells);
+  ftmesh::report::CsvWriter csv(os);
+  csv.row(ftmesh::campaign::csv_columns());
+  for (const auto& cell : cells) csv.row(cell.row);
   int lines = 0;
   for (const char ch : os.str()) {
     if (ch == '\n') ++lines;
@@ -204,19 +225,20 @@ TEST(Campaign, MetricsCsvRowsFollowSamples) {
   spec.rates = {0.004};
   spec.base.metrics_interval = 250;
   const auto cells = run_campaign(spec);
-  std::ostringstream os;
-  ftmesh::core::write_campaign_metrics_csv(os, cells);
-  std::size_t expected = 1;  // header
   for (const auto& cell : cells) {
-    for (const auto& run : cell.runs) expected += run.metrics.samples.size();
+    for (const auto& run : cell.runs) {
+      // Every run carries its own series: one sample per interval.
+      ASSERT_EQ(run.metrics.samples.size(), 1000u / 250u);
+      std::ostringstream os;
+      ftmesh::trace::write_metrics_csv(os, run.metrics);
+      std::size_t lines = 0;
+      for (const char ch : os.str()) {
+        if (ch == '\n') ++lines;
+      }
+      EXPECT_EQ(lines, 1 + run.metrics.samples.size());  // header + samples
+      EXPECT_NE(os.str().find("ring_vcs_busy"), std::string::npos);
+    }
   }
-  std::size_t lines = 0;
-  for (const char ch : os.str()) {
-    if (ch == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, expected);
-  EXPECT_GT(expected, 1u);  // the interval actually produced samples
-  EXPECT_NE(os.str().find("ring_vcs_busy"), std::string::npos);
 }
 
 TEST(Campaign, DeterministicAcrossRuns) {

@@ -3,7 +3,7 @@
 //
 // The load-bearing property throughout is byte-identity: whatever the
 // thread count, shard split or crash/resume history, the campaign CSV must
-// come out byte-for-byte equal to the single-process in-memory run.
+// come out byte-for-byte equal to one unsharded, uncheckpointed run.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "ftmesh/campaign/merge.hpp"
 #include "ftmesh/campaign/progress.hpp"
 #include "ftmesh/campaign/stream.hpp"
-#include "ftmesh/core/campaign.hpp"
 #include "ftmesh/report/csv.hpp"
 
 namespace {
@@ -61,11 +60,9 @@ std::string streamed_csv(const campaign::CampaignSpec& spec,
   return sink.os.str();
 }
 
+/// The reference CSV: one unsharded, uncheckpointed streamed run.
 std::string legacy_csv(const campaign::CampaignSpec& spec) {
-  const auto cells = ftmesh::core::run_campaign(spec);
-  std::ostringstream os;
-  ftmesh::core::write_campaign_csv(os, cells);
-  return os.str();
+  return streamed_csv(spec, {});
 }
 
 /// Fresh (empty, not-yet-created) checkpoint directory under the test tmp.
@@ -74,17 +71,6 @@ std::string fresh_dir(const std::string& name) {
       std::filesystem::path(testing::TempDir()) / ("ftmesh_engine_" + name);
   std::filesystem::remove_all(path);
   return path.string();
-}
-
-TEST(CampaignEngine, MatchesLegacyRunnerByteForByte) {
-  const auto spec = engine_spec();
-  const std::string expected = legacy_csv(spec);
-  for (const int threads : {1, 4}) {
-    campaign::StreamOptions options;
-    options.threads = threads;
-    EXPECT_EQ(streamed_csv(spec, options), expected)
-        << "threads=" << threads;
-  }
 }
 
 TEST(CampaignEngine, ShardedKernelDoesNotChangeTheCsv) {

@@ -22,80 +22,18 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <utility>
 
-#include "ftmesh/core/config.hpp"
-#include "ftmesh/core/simulator.hpp"
-#include "ftmesh/report/json.hpp"
-#include "ftmesh/trace/trace_sink.hpp"
+#include "golden_corpus.hpp"
 
 namespace {
 
 using ftmesh::core::SimConfig;
-using ftmesh::core::Simulator;
-
-SimConfig base_config(const std::string& algorithm) {
-  SimConfig cfg;
-  cfg.algorithm = algorithm;
-  cfg.width = 8;
-  cfg.height = 8;
-  cfg.injection_rate = 0.008;
-  cfg.message_length = 16;
-  cfg.warmup_cycles = 400;
-  cfg.total_cycles = 2200;
-  cfg.seed = 11;
-  return cfg;
-}
-
-std::string report_for(SimConfig cfg) {
-  cfg.validate();
-  Simulator sim(cfg);
-  const auto result = sim.run();
-  std::ostringstream os;
-  ftmesh::report::write_result_json(os, cfg, result);
-  return os.str();
-}
-
-std::string trace_for(SimConfig cfg) {
-  cfg.validate();
-  Simulator sim(cfg);
-  std::ostringstream os;
-  ftmesh::trace::JsonlSink sink(os);
-  sim.set_trace_sink(&sink);
-  sim.run();
-  return os.str();
-}
-
-struct Scenario {
-  const char* name;
-  void (*apply)(SimConfig&);
-};
-
-const Scenario kScenarios[] = {
-    {"no-fault", [](SimConfig&) {}},
-    {"static-faults", [](SimConfig& cfg) { cfg.fault_count = 3; }},
-    {"dynamic-schedule",
-     [](SimConfig& cfg) {
-       // A failure and a repair while traffic is in flight: exercises the
-       // recovery purge, the f-ring rebuild, route-cache invalidation and
-       // the post-event active-set rebuild.
-       cfg.fault_schedule = "fail@700:3,3; fail@1100:5,2; repair@1600:3,3";
-     }},
-    {"transient-link",
-     [](SimConfig& cfg) {
-       // A full transient link-fault cycle — channel dies, crossing worms
-       // are flushed and retransmitted over the detour, the link repairs,
-       // routing goes minimal again — layered over a static dead link and
-       // a node fault so degenerate (inverted-box) regions, candidate
-       // masking and partial-router purges all run under every kernel
-       // configuration.
-       cfg.link_fault_count = 1;
-       cfg.fault_schedule =
-           "fail-link@700:3,3,E; fail@1000:5,5; repair-link@1500:3,3,E";
-     }},
-};
+using ftmesh::golden::base_config;
+using ftmesh::golden::kScenarios;
+using ftmesh::golden::report_for;
+using ftmesh::golden::trace_for;
 
 const char* const kAlgorithms[] = {"Duato", "Boura-FT", "NHop"};
 

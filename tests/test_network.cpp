@@ -168,6 +168,42 @@ TEST(Network, MeasurementWindowCountsOnlyAfterBegin) {
   EXPECT_EQ(f.net->measured_flits_generated(), 10u);
 }
 
+TEST(Network, WindowIsGrowthPastTheWarmupSnapshot) {
+  // The kernel counts from cycle 0; begin_measurement() only snapshots, and
+  // every window accessor reads the growth past the snapshot.
+  NetworkConfig cfg;
+  cfg.collect_vc_usage = true;
+  cfg.collect_traffic_map = true;
+  cfg.collect_kernel_stats = true;
+  NetFixture f("Minimal-Adaptive", cfg);
+  f.net->create_message({0, 0}, {4, 0}, 10);
+  for (int i = 0; i < 60; ++i) f.net->step();
+  const auto warm = f.net->counters();
+  EXPECT_EQ(warm.messages_delivered, 1u);
+  EXPECT_EQ(warm.vc_usage_samples, 60u);
+  EXPECT_GT(warm.route_decisions, 0u);
+  EXPECT_EQ(f.net->measured_cycles(), 0u);
+  EXPECT_EQ(f.net->measured_route_decisions(), 0u);
+  EXPECT_EQ(f.net->kernel_samples(), 0u);
+  for (const auto v : f.net->node_traffic()) EXPECT_EQ(v, 0u);
+  for (const auto v : f.net->vc_busy_counts()) EXPECT_EQ(v, 0u);
+
+  f.net->begin_measurement();
+  f.net->create_message({0, 0}, {4, 0}, 10);
+  for (int i = 0; i < 40; ++i) f.net->step();
+  const auto now = f.net->counters();
+  EXPECT_EQ(now.messages_delivered, 2u);
+  EXPECT_EQ(f.net->measured_cycles(), 40u);
+  EXPECT_EQ(f.net->measured_messages_delivered(), 1u);
+  EXPECT_EQ(f.net->vc_usage_samples(), 40u);
+  EXPECT_EQ(f.net->kernel_samples(), 40u);
+  EXPECT_EQ(f.net->measured_route_decisions(),
+            now.route_decisions - warm.route_decisions);
+  std::uint64_t traffic = 0;
+  for (const auto v : f.net->node_traffic()) traffic += v;
+  EXPECT_EQ(traffic, 10u * 5u);  // the second message's traversals only
+}
+
 TEST(Network, SourceQueueTracksBacklog) {
   NetFixture f;
   for (int i = 0; i < 5; ++i) f.net->create_message({0, 0}, {9, 9}, 100);

@@ -44,7 +44,6 @@
 #include "ftmesh/campaign/merge.hpp"
 #include "ftmesh/campaign/progress.hpp"
 #include "ftmesh/campaign/stream.hpp"
-#include "ftmesh/core/campaign.hpp"
 #include "ftmesh/core/config_io.hpp"
 #include "ftmesh/core/experiment.hpp"
 #include "ftmesh/report/cli.hpp"
@@ -63,47 +62,57 @@ namespace {
 using ftmesh::core::SimConfig;
 using ftmesh::report::Cli;
 
-SimConfig config_from_cli(const Cli& cli) {
+/// Overrides `field` with --name when given, parsed like the matching
+/// config-file key: the whole token, as the field's own type, with its
+/// sign checked (so "--length -8" and "--cycles 3000x" are errors).
+template <typename T>
+void override_from(const Cli& cli, const std::string& name, T& field) {
+  if (!cli.flag(name)) return;
+  try {
+    field = ftmesh::core::parse_number<T>(cli.get(name, ""));
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("bad value for --" + name + ": " + e.what());
+  }
+}
+
+/// The base SimConfig: --config, then the flags that override its fields.
+/// `--faults` is the random node-fault count, except for verify and audit,
+/// which read it as their own list of counts and pass false.
+SimConfig config_from_cli(const Cli& cli, bool faults_is_count = true) {
   SimConfig cfg;
   if (const auto path = cli.get("config", ""); !path.empty()) {
     cfg = ftmesh::core::load_config_file(path);
   }
   cfg.algorithm = cli.get("algorithm", cfg.algorithm);
   cfg.traffic = cli.get("traffic", cfg.traffic);
-  cfg.width = static_cast<int>(cli.get_int("width", cfg.width));
-  cfg.height = static_cast<int>(cli.get_int("height", cfg.height));
-  cfg.injection_rate = cli.get_double("rate", cfg.injection_rate);
-  cfg.message_length =
-      static_cast<std::uint32_t>(cli.get_int("length", cfg.message_length));
-  cfg.total_vcs = static_cast<int>(cli.get_int("vcs", cfg.total_vcs));
-  cfg.fault_count = static_cast<int>(cli.get_int("faults", cfg.fault_count));
-  cfg.link_fault_count =
-      static_cast<int>(cli.get_int("link-faults", cfg.link_fault_count));
-  cfg.total_cycles =
-      static_cast<std::uint64_t>(cli.get_int("cycles", static_cast<std::int64_t>(cfg.total_cycles)));
-  cfg.warmup_cycles = static_cast<std::uint64_t>(
-      cli.get_int("warmup", static_cast<std::int64_t>(cfg.total_cycles / 3)));
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
-  cfg.buffer_depth = static_cast<int>(cli.get_int("buffer-depth", cfg.buffer_depth));
-  cfg.watchdog_patience = static_cast<std::uint64_t>(
-      cli.get_int("patience", static_cast<std::int64_t>(cfg.watchdog_patience)));
+  override_from(cli, "width", cfg.width);
+  override_from(cli, "height", cfg.height);
+  override_from(cli, "rate", cfg.injection_rate);
+  override_from(cli, "length", cfg.message_length);
+  override_from(cli, "vcs", cfg.total_vcs);
+  if (faults_is_count) override_from(cli, "faults", cfg.fault_count);
+  override_from(cli, "link-faults", cfg.link_fault_count);
+  override_from(cli, "cycles", cfg.total_cycles);
+  // A new run length without an explicit warm-up keeps the paper's 1:3
+  // ratio; otherwise the warm-up is the config file's (or the default).
+  if (cli.flag("cycles") && !cli.flag("warmup")) {
+    cfg.warmup_cycles = cfg.total_cycles / 3;
+  }
+  override_from(cli, "warmup", cfg.warmup_cycles);
+  override_from(cli, "seed", cfg.seed);
+  override_from(cli, "buffer-depth", cfg.buffer_depth);
+  override_from(cli, "patience", cfg.watchdog_patience);
   cfg.fault_schedule = cli.get("fault-schedule", cfg.fault_schedule);
-  cfg.fault_max_retries =
-      static_cast<int>(cli.get_int("max-retries", cfg.fault_max_retries));
-  cfg.fault_retry_backoff = static_cast<std::uint64_t>(cli.get_int(
-      "backoff", static_cast<std::int64_t>(cfg.fault_retry_backoff)));
+  override_from(cli, "max-retries", cfg.fault_max_retries);
+  override_from(cli, "backoff", cfg.fault_retry_backoff);
   cfg.scan_mode = cli.get("scan-mode", cfg.scan_mode);
-  cfg.tiles = static_cast<int>(cli.get_int("tiles", cfg.tiles));
-  cfg.step_threads =
-      static_cast<int>(cli.get_int("step-threads", cfg.step_threads));
-  cfg.route_cache =
-      cli.get_int("route-cache", cfg.route_cache ? 1 : 0) != 0;
-  cfg.recycle_messages =
-      cli.get_int("recycle-messages", cfg.recycle_messages ? 1 : 0) != 0;
-  cfg.shard_alloc = cli.get_int("shard-alloc", cfg.shard_alloc ? 1 : 0) != 0;
+  override_from(cli, "tiles", cfg.tiles);
+  override_from(cli, "step-threads", cfg.step_threads);
+  override_from(cli, "route-cache", cfg.route_cache);
+  override_from(cli, "recycle-messages", cfg.recycle_messages);
+  override_from(cli, "shard-alloc", cfg.shard_alloc);
   if (cli.flag("kernel-stats")) cfg.collect_kernel_stats = true;
-  cfg.metrics_interval = static_cast<std::uint64_t>(cli.get_int(
-      "metrics-interval", static_cast<std::int64_t>(cfg.metrics_interval)));
+  override_from(cli, "metrics-interval", cfg.metrics_interval);
   for (const auto& w : cfg.warnings()) std::cerr << "warning: " << w << "\n";
   return cfg;
 }
@@ -272,10 +281,7 @@ int cmd_saturation(const Cli& cli) {
 int cmd_faults(const Cli& cli) {
   const auto cfg = config_from_cli(cli);
   const ftmesh::topology::Mesh mesh(cfg.width, cfg.height);
-  ftmesh::sim::Rng rng = ftmesh::sim::Rng(cfg.seed).derive(0xFA);
-  const auto map = cfg.fault_count > 0
-                       ? ftmesh::fault::FaultMap::random(mesh, cfg.fault_count, rng)
-                       : ftmesh::fault::FaultMap(mesh);
+  const auto map = ftmesh::core::initial_fault_map(cfg, mesh);
   std::cout << map.faulty_count() << " faulty + " << map.deactivated_count()
             << " deactivated nodes, " << map.regions().size() << " region(s)\n";
   std::vector<double> zeros(static_cast<std::size_t>(mesh.node_count()), 0.0);
@@ -314,23 +320,15 @@ class CampaignCliSink : public ftmesh::campaign::CellSink {
     csv_.row(record.row);
     ++rows_;
     if (!metrics_) return;
-    using ftmesh::report::format_double;
     for (std::size_t p = 0; p < record.runs.size(); ++p) {
       for (const auto& s : record.runs[p].metrics.samples) {
-        metrics_->row({record.plan.algorithm,
-                       format_double(record.plan.rate, 6),
-                       std::to_string(record.plan.fault_count),
-                       std::to_string(p), std::to_string(s.cycle),
-                       std::to_string(s.delivered_messages),
-                       format_double(s.accepted_flits_per_node_cycle, 6),
-                       format_double(s.mean_latency, 3),
-                       format_double(s.cache_hit_rate, 4),
-                       std::to_string(s.flits_in_flight),
-                       std::to_string(s.route_nodes),
-                       std::to_string(s.switch_nodes),
-                       std::to_string(s.inject_nodes),
-                       std::to_string(s.link_regs),
-                       std::to_string(s.ring_vcs_busy)});
+        std::vector<std::string> row = {
+            record.plan.algorithm,
+            ftmesh::report::format_double(record.plan.rate, 6),
+            std::to_string(record.plan.fault_count), std::to_string(p)};
+        const auto cells = ftmesh::trace::metrics_csv_cells(s);
+        row.insert(row.end(), cells.begin(), cells.end());
+        metrics_->row(row);
       }
     }
   }
@@ -344,11 +342,11 @@ class CampaignCliSink : public ftmesh::campaign::CellSink {
     csv_.row(ftmesh::campaign::csv_columns());
     if (metrics_os_ != nullptr) {
       metrics_ = std::make_unique<ftmesh::report::CsvWriter>(*metrics_os_);
-      metrics_->row({"algorithm", "rate", "fault_count", "pattern", "cycle",
-                     "delivered_messages", "accepted_flits_per_node_cycle",
-                     "mean_latency", "cache_hit_rate", "flits_in_flight",
-                     "route_nodes", "switch_nodes", "inject_nodes",
-                     "link_regs", "ring_vcs_busy"});
+      std::vector<std::string> header = {"algorithm", "rate", "fault_count",
+                                         "pattern"};
+      const auto& columns = ftmesh::trace::metrics_csv_columns();
+      header.insert(header.end(), columns.begin(), columns.end());
+      metrics_->row(header);
     }
   }
 
@@ -480,7 +478,7 @@ int cmd_campaign_merge(const Cli& cli) {
 // graph of each requested algorithm against each fault pattern and check
 // acyclicity + progress.  Exit 0 only when every combination verifies.
 int cmd_verify(const Cli& cli) {
-  const auto cfg = config_from_cli(cli);
+  const auto cfg = config_from_cli(cli, false);
   const ftmesh::topology::Mesh mesh(cfg.width, cfg.height);
 
   std::vector<std::string> names;
@@ -543,7 +541,7 @@ int cmd_verify(const Cli& cli) {
 // AuditProfile.  Runs over a matrix of fault-pattern classes so both the
 // fault-free function and its fortified behaviour are covered.
 int cmd_audit(const Cli& cli) {
-  const auto cfg = config_from_cli(cli);
+  const auto cfg = config_from_cli(cli, false);
   const ftmesh::topology::Mesh mesh(cfg.width, cfg.height);
 
   std::vector<std::string> names;
