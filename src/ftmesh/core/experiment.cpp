@@ -137,6 +137,8 @@ SimResult aggregate(const std::vector<SimResult>& results) {
       ar.fault_events_rejected += rr.fault_events_rejected;
       ar.node_failures += rr.node_failures;
       ar.node_repairs += rr.node_repairs;
+      ar.link_failures += rr.link_failures;
+      ar.link_repairs += rr.link_repairs;
       ar.rings_reused += rr.rings_reused;
       ar.rings_rebuilt += rr.rings_rebuilt;
       ar.recovered_messages += rr.recovered_messages;

@@ -1,18 +1,15 @@
 #include "ftmesh/verify/audit.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <ostream>
 #include <sstream>
-#include <unordered_map>
 
-#include "ftmesh/core/thread_pool.hpp"
 #include "ftmesh/verify/scc.hpp"
+#include "ftmesh/verify/state_space.hpp"
 
 namespace ftmesh::verify {
 
 using topology::Coord;
-using topology::Direction;
 
 const char* audit_check_name(AuditCheck check) noexcept {
   switch (check) {
@@ -36,54 +33,19 @@ const char* role_name(routing::VcRole role) noexcept {
   return "?";
 }
 
-/// BFS state identity, shared with the CDG builder: header node plus the
-/// algorithm's routing-state key.
-struct StateKey {
-  topology::NodeId node = 0;
-  std::uint64_t key = 0;
-
-  friend bool operator==(const StateKey&, const StateKey&) = default;
-};
-
-struct StateKeyHash {
-  std::size_t operator()(const StateKey& s) const noexcept {
-    std::uint64_t x = s.key * 0x9E3779B97F4A7C15ull +
-                      static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.node));
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-};
-
 /// Per-destination audit scratch; results are merged by the caller.
 struct DstAudit {
   const routing::RoutingAlgorithm* algo = nullptr;
-  const topology::Mesh* mesh = nullptr;
   const fault::FaultMap* faults = nullptr;
   const fault::FRingSet* rings = nullptr;
   const AuditOptions* opts = nullptr;
   Coord dst;
   routing::AuditProfile profile;
-  bool escape_required = false;
 
-  std::unordered_map<StateKey, std::int32_t, StateKeyHash> index;
-  std::vector<router::RouteState> state_rs;
-  std::vector<Coord> state_at;
-  std::vector<std::uint64_t> state_key;
-  std::vector<std::vector<routing::CandidateVc>> state_cands;
-  std::vector<char> state_has_nonring;  ///< offers >= 1 non-ring candidate
-  /// Ring-hop edges of the state graph (s -> successor state via a BcRing
-  /// candidate); exit-free cycles in here are livelocks.
-  std::vector<std::vector<std::int32_t>> ring_out;
-  std::deque<std::int32_t> todo;
-  routing::CandidateList cand;
-
+  std::uint64_t states = 0;
   std::uint64_t candidates_checked = 0;
   std::uint64_t violation_count = 0;
-  std::vector<AuditViolation> violations;
+  std::vector<AuditViolation> violations{};
 
   void flag(AuditCheck check, Coord at, std::uint64_t key, std::string detail) {
     ++violation_count;
@@ -92,51 +54,66 @@ struct DstAudit {
     }
   }
 
-  /// Runs every per-state and per-candidate check on a freshly interned
-  /// state.  `cs` is the state's full candidate set.
-  void check_state(Coord at, std::uint64_t key, const router::HeaderState& msg,
-                   const std::vector<routing::CandidateVc>& cs) {
+  void run(const StateSpace& ss) {
+    states = ss.size();
+    std::vector<char> has_nonring(ss.size(), 0);  ///< offers >= 1 non-ring candidate
+    // Ring-hop edges of the state graph (s -> successor state via a BcRing
+    // candidate); exit-free cycles in here are livelocks.
+    std::vector<std::vector<std::int32_t>> ring_out(ss.size());
+    for (std::size_t s = 0; s < ss.size(); ++s) {
+      has_nonring[s] = check_state(ss, s) ? 1 : 0;
+      candidates_checked += ss.cands[s].size();
+      for (const auto& w : ss.cands[s]) {
+        if (w.next >= 0 && algo->layout().at(w.vc).role == routing::VcRole::BcRing) {
+          ring_out[s].push_back(w.next);
+        }
+      }
+    }
+    check_ring_orbits(ss, ring_out, has_nonring);
+  }
+
+  /// Runs every per-state and per-candidate check on state `s`; returns
+  /// whether it offers a non-ring candidate.
+  bool check_state(const StateSpace& ss, std::size_t s) {
     const auto& layout = algo->layout();
+    const Coord at = ss.at[s];
+    const std::uint64_t key = ss.key[s];
+    const router::HeaderState& msg = ss.msg[s];
 
     // Coverage: the fault-map constructors reject disconnecting patterns,
     // so every reachable state sits in a connected component with dst and
     // must make an offer.
-    if (cs.empty()) {
+    if (ss.fault[s] == StateFault::NoCandidate) {
       flag(AuditCheck::Coverage, at, key,
            "no candidate at a reachable state (pattern is connected)");
-      return;
+      return false;
     }
-    bool any_escape = false;
     bool any_nonring = false;
-    for (const auto& c : cs) {
-      ++candidates_checked;
-
+    for (const auto& w : ss.cands[s]) {
       // VC discipline: index range, permitted role, legal direction.
-      if (c.vc < 0 || c.vc >= layout.total()) {
+      if (w.fault == CandidateFault::VcOutsideLayout) {
         std::ostringstream os;
-        os << "vc " << c.vc << " outside layout (total " << layout.total() << ")";
+        os << "vc " << w.vc << " outside layout (total " << layout.total() << ")";
         flag(AuditCheck::VcDiscipline, at, key, os.str());
         continue;
       }
-      const auto info = layout.at(c.vc);
-      if (info.role != routing::VcRole::AdaptiveI) any_escape = true;
+      const auto info = layout.at(w.vc);
       if (info.role != routing::VcRole::BcRing) any_nonring = true;
       if (!profile.allows(info.role)) {
         std::ostringstream os;
-        os << "role " << role_name(info.role) << " (vc " << c.vc
+        os << "role " << role_name(info.role) << " (vc " << w.vc
            << ") outside the declared role mask";
         flag(AuditCheck::VcDiscipline, at, key, os.str());
       }
-      if (c.dir == Direction::Local) {
+      if (w.fault == CandidateFault::LocalPort) {
         flag(AuditCheck::VcDiscipline, at, key, "candidate on the local port");
         continue;
       }
-      const auto nb = mesh->neighbour(at, c.dir);
-      if (!nb) {
+      if (w.fault == CandidateFault::OffMesh) {
         flag(AuditCheck::VcDiscipline, at, key, "candidate points off the mesh");
         continue;
       }
-      const Coord to = *nb;
+      const Coord to = at.step(w.dir);
       if (faults->blocked(to)) {
         std::ostringstream os;
         os << "candidate into blocked node (" << to.x << "," << to.y << ")";
@@ -154,7 +131,7 @@ struct DstAudit {
       }
 
       if (info.role == routing::VcRole::BcRing) {
-        check_ring_candidate(at, key, c, to, info.level);
+        check_ring_candidate(at, key, w.vc, to, info.level);
       } else if (profile.misroute_limit >= 0 &&
                  topology::manhattan(to, dst) >= topology::manhattan(at, dst)) {
         // Progress: a non-minimal, non-ring hop must fit the misroute
@@ -175,7 +152,7 @@ struct DstAudit {
       }
     }
 
-    if (escape_required && !any_escape) {
+    if (ss.fault[s] == StateFault::NoEscape) {
       flag(AuditCheck::Coverage, at, key,
            "no escape-capable candidate (EscapeCdg progress condition)");
     }
@@ -189,12 +166,12 @@ struct DstAudit {
       flag(AuditCheck::RingConformance, at, key,
            "non-ring candidate before the ring exit condition holds");
     }
+    return any_nonring;
   }
 
   /// A BcRing candidate must ride its message type's dedicated channel and
   /// step to the f-ring successor under that type's fixed orientation.
-  void check_ring_candidate(Coord at, std::uint64_t key,
-                            const routing::CandidateVc& c, Coord to,
+  void check_ring_candidate(Coord at, std::uint64_t key, int vc, Coord to,
                             int level) {
     const auto& layout = algo->layout();
     if (level < 0 || level >= router::kMsgTypeCount) {
@@ -202,9 +179,9 @@ struct DstAudit {
       return;
     }
     const auto type = static_cast<router::MsgType>(level);
-    if (layout.ring_vc(type) != c.vc) {
+    if (layout.ring_vc(type) != vc) {
       std::ostringstream os;
-      os << "ring candidate on vc " << c.vc << ", but type " << level
+      os << "ring candidate on vc " << vc << ", but type " << level
          << "'s channel is vc " << layout.ring_vc(type);
       flag(AuditCheck::RingConformance, at, key, os.str());
     }
@@ -220,102 +197,28 @@ struct DstAudit {
     flag(AuditCheck::RingConformance, at, key, os.str());
   }
 
-  std::int32_t intern(Coord at, const router::HeaderState& msg) {
-    const StateKey key{mesh->id_of(at), algo->route_state_key(msg)};
-    const auto [it, fresh] =
-        index.try_emplace(key, static_cast<std::int32_t>(state_rs.size()));
-    if (!fresh) return it->second;
-    const std::int32_t s = it->second;
-    state_rs.push_back(msg.rs);
-    state_at.push_back(at);
-    state_key.push_back(key.key);
-
-    cand.clear();
-    algo->enumerate(at, msg, cand);
-    std::vector<routing::CandidateVc> cs;
-    cs.reserve(cand.size());
-    for (std::size_t i = 0; i < cand.size(); ++i) cs.push_back(cand[i]);
-    check_state(at, key.key, msg, cs);
-
-    bool nonring = false;
-    const auto& layout = algo->layout();
-    for (const auto& c : cs) {
-      if (c.vc >= 0 && c.vc < layout.total() &&
-          layout.at(c.vc).role != routing::VcRole::BcRing) {
-        nonring = true;
-        break;
-      }
-    }
-    state_has_nonring.push_back(nonring ? 1 : 0);
-    state_cands.push_back(std::move(cs));
-    ring_out.emplace_back();
-    todo.push_back(s);
-    return s;
-  }
-
-  void run() {
-    for (const Coord src : faults->active_nodes()) {
-      if (src == dst) continue;
-      router::HeaderState msg;
-      msg.src = src;
-      msg.dst = dst;
-      algo->on_inject(msg);
-      intern(src, msg);
-    }
-    const auto& layout = algo->layout();
-    while (!todo.empty()) {
-      const std::int32_t s = todo.front();
-      todo.pop_front();
-      const Coord at = state_at[static_cast<std::size_t>(s)];
-      // Copy: intern() may grow state_cands and invalidate references.
-      const auto cands = state_cands[static_cast<std::size_t>(s)];
-      for (const auto& c : cands) {
-        if (c.dir == Direction::Local || c.vc < 0 || c.vc >= layout.total()) {
-          continue;  // already flagged; no state to advance into
-        }
-        const auto nb = mesh->neighbour(at, c.dir);
-        if (!nb) continue;  // off-mesh: already flagged, no state to advance
-        const Coord to = *nb;
-        if (to == dst) continue;  // delivered: ejection is always a sink
-        router::HeaderState msg;
-        msg.src = dst;  // src is never read after injection
-        msg.dst = dst;
-        msg.rs = state_rs[static_cast<std::size_t>(s)];
-        algo->on_hop(at, c.dir, c.vc, msg);
-        const std::int32_t s2 = intern(to, msg);
-        if (layout.at(c.vc).role == routing::VcRole::BcRing) {
-          ring_out[static_cast<std::size_t>(s)].push_back(s2);
-        }
-      }
-    }
-    check_ring_orbits();
-  }
-
   /// Progress: a cycle of ring hops in state space none of whose states
   /// offers a non-ring candidate can never be left — a livelock.  (Cycles
   /// *with* an exit are legitimate: a blocked message may lap a closed ring
   /// until an exit channel frees.)
-  void check_ring_orbits() {
+  void check_ring_orbits(const StateSpace& ss,
+                         const std::vector<std::vector<std::int32_t>>& ring_out,
+                         const std::vector<char>& has_nonring) {
     const auto scc = strongly_connected_components(ring_out, {});
-    std::vector<char> comp_has_exit(static_cast<std::size_t>(scc.comp_count), 0);
-    for (std::size_t s = 0; s < state_has_nonring.size(); ++s) {
-      const auto comp = scc.comp[s];
-      if (comp >= 0 && state_has_nonring[s] != 0) {
-        comp_has_exit[static_cast<std::size_t>(comp)] = 1;
-      }
+    // Every state is in some component; a component is done once it is
+    // known to have an exit or has been flagged at its first state.
+    std::vector<char> done(static_cast<std::size_t>(scc.comp_count), 0);
+    for (std::size_t s = 0; s < has_nonring.size(); ++s) {
+      if (has_nonring[s] != 0) done[static_cast<std::size_t>(scc.comp[s])] = 1;
     }
-    std::vector<char> flagged(static_cast<std::size_t>(scc.comp_count), 0);
-    for (std::size_t s = 0; s < state_has_nonring.size(); ++s) {
-      const auto comp = scc.comp[s];
-      if (comp < 0 || scc.comp_size[static_cast<std::size_t>(comp)] < 2) continue;
-      if (comp_has_exit[static_cast<std::size_t>(comp)] != 0) continue;
-      if (flagged[static_cast<std::size_t>(comp)] != 0) continue;
-      flagged[static_cast<std::size_t>(comp)] = 1;
+    for (std::size_t s = 0; s < has_nonring.size(); ++s) {
+      const auto comp = static_cast<std::size_t>(scc.comp[s]);
+      if (scc.comp_size[comp] < 2 || done[comp] != 0) continue;
+      done[comp] = 1;
       std::ostringstream os;
-      os << "exit-free ring orbit ("
-         << scc.comp_size[static_cast<std::size_t>(comp)]
+      os << "exit-free ring orbit (" << scc.comp_size[comp]
          << " states): no state on the cycle offers a non-ring candidate";
-      flag(AuditCheck::Progress, state_at[s], state_key[s], os.str());
+      flag(AuditCheck::Progress, ss.at[s], ss.key[s], os.str());
     }
   }
 };
@@ -335,39 +238,19 @@ AuditReport audit_algorithm(const routing::RoutingAlgorithm& algo,
   report.faulty = faults.faulty_count();
   report.deactivated = faults.deactivated_count();
 
-  const auto dsts = faults.active_nodes();
   const auto profile = algo.audit_profile();
-  const bool escape_required =
-      algo.deadlock_argument() == routing::DeadlockArgument::EscapeCdg;
-
-  std::vector<std::uint64_t> states_by_dst(dsts.size(), 0);
-  std::vector<std::uint64_t> cands_by_dst(dsts.size(), 0);
-  std::vector<std::uint64_t> count_by_dst(dsts.size(), 0);
-  std::vector<std::vector<AuditViolation>> violations_by_dst(dsts.size());
-
-  core::parallel_for(dsts.size(), opts.threads, [&](std::size_t di) {
-    DstAudit audit;
-    audit.algo = &algo;
-    audit.mesh = &mesh;
-    audit.faults = &faults;
-    audit.rings = &rings;
-    audit.opts = &opts;
-    audit.dst = dsts[di];
-    audit.profile = profile;
-    audit.escape_required = escape_required;
-    audit.run();
-
-    states_by_dst[di] = audit.state_rs.size();
-    cands_by_dst[di] = audit.candidates_checked;
-    count_by_dst[di] = audit.violation_count;
-    violations_by_dst[di] = std::move(audit.violations);
-  });
-
-  for (std::size_t di = 0; di < dsts.size(); ++di) {
-    report.states_explored += states_by_dst[di];
-    report.candidates_checked += cands_by_dst[di];
-    report.violation_count += count_by_dst[di];
-    for (auto& v : violations_by_dst[di]) {
+  auto per_dst = walk_state_space(
+      algo, mesh, faults, opts.threads, [&](const StateSpace& ss) {
+        DstAudit audit{.algo = &algo, .faults = &faults, .rings = &rings,
+                       .opts = &opts, .dst = ss.dst, .profile = profile};
+        audit.run(ss);
+        return audit;
+      });
+  for (auto& audit : per_dst) {
+    report.states_explored += audit.states;
+    report.candidates_checked += audit.candidates_checked;
+    report.violation_count += audit.violation_count;
+    for (auto& v : audit.violations) {
       if (report.violations.size() >= opts.max_violations) break;
       report.violations.push_back(std::move(v));
     }

@@ -4,8 +4,8 @@
 // Where the verifier (verifier.hpp) proves the channel-dependency graph
 // acyclic, the audit checks the routing *function itself* against the
 // contract each algorithm publishes (routing/audit_profile.hpp).  For every
-// destination it enumerates all reachable (node, route-state-key) states —
-// the same finite abstraction the CDG builder uses — and checks each state
+// destination it reads all reachable (node, route-state-key) states — the
+// walk the CDG builder reads too (state_space.hpp) — and checks each state
 // and each emitted candidate:
 //
 //   coverage          every reachable state of a connected fault pattern

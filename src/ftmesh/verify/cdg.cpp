@@ -2,11 +2,8 @@
 
 #include <bit>
 #include <cstddef>
-#include <deque>
 #include <mutex>
-#include <unordered_map>
 
-#include "ftmesh/core/thread_pool.hpp"
 #include "ftmesh/router/channel_id.hpp"
 
 namespace ftmesh::verify {
@@ -16,207 +13,88 @@ using topology::Coord;
 using topology::Direction;
 using topology::kMeshDirections;
 
-namespace {
-
-/// BFS state identity: header node plus the algorithm's routing-state key.
-struct StateKey {
-  topology::NodeId node = 0;
-  std::uint64_t key = 0;
-
-  friend bool operator==(const StateKey&, const StateKey&) = default;
-};
-
-struct StateKeyHash {
-  std::size_t operator()(const StateKey& s) const noexcept {
-    // splitmix64 over the packed pair; the node id fits the low bits.
-    std::uint64_t x = s.key * 0x9E3779B97F4A7C15ull +
-                      static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.node));
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-};
-
-/// Per-destination search scratch, reporting into a shared dependency mask.
-struct DstSearch {
-  const routing::RoutingAlgorithm* algo;
-  const topology::Mesh* mesh;
-  const fault::FaultMap* faults;
-  const CdgOptions* opts;
-  Coord dst;
-  int vcs;
-  std::size_t words;  ///< 64-bit words in one out-channel mask (4 * vcs bits)
-
-  std::unordered_map<StateKey, std::int32_t, StateKeyHash> index;
-  std::vector<router::RouteState> state_rs;
-  std::vector<Coord> state_at;
-  std::vector<std::vector<routing::CandidateVc>> state_cands;
-  std::vector<std::uint64_t> state_mask;  ///< [state][words]
-  std::deque<std::int32_t> todo;
-  routing::CandidateList cand;
-
-  // Results, merged by the caller.
-  std::vector<std::uint64_t> dep_mask;  ///< [channel][words]
-  std::vector<char> used;
-  std::vector<DeadEnd> dead_ends;
-
-  /// Interns the state (at, key(msg)); on first sight computes and caches
-  /// its candidate set and flags dead ends.
-  std::int32_t intern(Coord at, const router::HeaderState& msg) {
-    const StateKey key{mesh->id_of(at), algo->route_state_key(msg)};
-    const auto [it, fresh] =
-        index.try_emplace(key, static_cast<std::int32_t>(state_rs.size()));
-    if (!fresh) return it->second;
-    const std::int32_t s = it->second;
-    state_rs.push_back(msg.rs);
-    state_at.push_back(at);
-    state_mask.resize(state_mask.size() + words, 0);
-
-    cand.clear();
-    algo->enumerate(at, msg, cand);
-    std::vector<routing::CandidateVc> cs;
-    cs.reserve(cand.size());
-    bool any_escape = false;
-    const auto& layout = algo->layout();
-    for (std::size_t i = 0; i < cand.size(); ++i) {
-      const auto& c = cand[i];
-      cs.push_back(c);
-      const auto rel = static_cast<std::size_t>(
-          topology::port_index(c.dir) * vcs + c.vc);
-      state_mask[static_cast<std::size_t>(s) * words + rel / 64] |=
-          1ull << (rel % 64);
-      if (layout.at(c.vc).role != routing::VcRole::AdaptiveI) any_escape = true;
-    }
-    const bool empty = cs.empty();
-    if ((empty || (opts->require_escape_candidate && !any_escape)) &&
-        dead_ends.size() < opts->max_dead_ends) {
-      dead_ends.push_back({at, dst, key.key, !empty});
-    }
-    state_cands.push_back(std::move(cs));
-    todo.push_back(s);
-    return s;
-  }
-
-  void run() {
-    for (const Coord src : faults->active_nodes()) {
-      if (src == dst) continue;
-      router::HeaderState msg;
-      msg.src = src;
-      msg.dst = dst;
-      algo->on_inject(msg);
-      intern(src, msg);
-    }
-    while (!todo.empty()) {
-      const std::int32_t s = todo.front();
-      todo.pop_front();
-      const Coord at = state_at[static_cast<std::size_t>(s)];
-      // Copy: intern() may grow state_cands and invalidate references.
-      const auto cands = state_cands[static_cast<std::size_t>(s)];
-      for (const auto& c : cands) {
-        const std::int32_t ch = channel_id(mesh->id_of(at), c.dir, c.vc, vcs);
-        used[static_cast<std::size_t>(ch)] = 1;
-        const Coord to = at.step(c.dir);
-        if (to == dst) continue;  // delivered: ejection is always a sink
-        router::HeaderState msg;
-        msg.src = dst;  // src is never read after injection
-        msg.dst = dst;
-        msg.rs = state_rs[static_cast<std::size_t>(s)];
-        algo->on_hop(at, c.dir, c.vc, msg);
-        const std::int32_t s2 = intern(to, msg);
-        // The header now holds `ch` while requesting s2's candidates:
-        // every such pair is a dependency edge.
-        for (std::size_t w = 0; w < words; ++w) {
-          dep_mask[static_cast<std::size_t>(ch) * words + w] |=
-              state_mask[static_cast<std::size_t>(s2) * words + w];
-        }
-      }
-    }
-  }
-};
-
-}  // namespace
-
 Cdg build_cdg(const routing::RoutingAlgorithm& algo, const topology::Mesh& mesh,
-              const fault::FaultMap& faults, const CdgOptions& opts) {
+              const fault::FaultMap& faults, const VerifyOptions& opts) {
   const int vcs = algo.layout().total();
+  // 64-bit words in one out-channel mask (4 * vcs bits).
   const std::size_t words =
       (static_cast<std::size_t>(kMeshDirections) * static_cast<std::size_t>(vcs) + 63) / 64;
   const std::int32_t nch = router::channel_table_size(mesh.node_count(), vcs);
 
+  // Bit (port * vcs + vc) of a channel's dependency mask marks that
+  // out-channel of the node the channel points into; the same bit of a
+  // node's used mask marks its own out-channel as requested by some state.
+  std::vector<std::uint64_t> dep_mask(static_cast<std::size_t>(nch) * words, 0);
+  std::vector<std::uint64_t> used_mask(
+      static_cast<std::size_t>(mesh.node_count()) * words, 0);
   Cdg g;
-  g.total_vcs = vcs;
-  g.channel_count = nch;
-  g.used.assign(static_cast<std::size_t>(nch), 0);
-  g.escape.assign(static_cast<std::size_t>(nch), 0);
-  g.ring.assign(static_cast<std::size_t>(nch), 0);
-  for (std::int32_t ch = 0; ch < nch; ++ch) {
-    const int vc = router::channel_vc(ch, vcs);
-    const auto role = algo.layout().at(vc).role;
-    g.escape[static_cast<std::size_t>(ch)] =
-        role != routing::VcRole::AdaptiveI ? 1 : 0;
-    g.ring[static_cast<std::size_t>(ch)] =
-        role == routing::VcRole::BcRing ? 1 : 0;
-  }
-
-  const auto dsts = faults.active_nodes();
-  std::vector<std::uint64_t> dep_mask(
-      static_cast<std::size_t>(nch) * words, 0);
-  std::vector<std::vector<DeadEnd>> dead_by_dst(dsts.size());
-  std::vector<std::uint64_t> states_by_dst(dsts.size(), 0);
-  std::mutex merge_mutex;
-
-  core::parallel_for(dsts.size(), opts.threads, [&](std::size_t di) {
-    DstSearch search;
-    search.algo = &algo;
-    search.mesh = &mesh;
-    search.faults = &faults;
-    search.opts = &opts;
-    search.dst = dsts[di];
-    search.vcs = vcs;
-    search.words = words;
-    search.dep_mask.assign(static_cast<std::size_t>(nch) * words, 0);
-    search.used.assign(static_cast<std::size_t>(nch), 0);
-    search.run();
-
-    dead_by_dst[di] = std::move(search.dead_ends);
-    states_by_dst[di] = search.state_rs.size();
-    const std::lock_guard<std::mutex> lock(merge_mutex);
-    for (std::size_t i = 0; i < dep_mask.size(); ++i) {
-      dep_mask[i] |= search.dep_mask[i];
-    }
-    for (std::size_t c = 0; c < g.used.size(); ++c) {
-      g.used[c] = static_cast<char>(g.used[c] | search.used[c]);
-    }
-  });
-
-  for (std::size_t di = 0; di < dsts.size(); ++di) {
-    g.states_explored += states_by_dst[di];
-    for (const auto& d : dead_by_dst[di]) {
+  std::mutex merge_mutex;  // guards dep_mask, used_mask and g.states_explored
+  const auto per_dst = walk_state_space(
+      algo, mesh, faults, opts.threads, [&](const StateSpace& ss) {
+        std::vector<DeadEnd> dead_ends;
+        std::vector<std::uint64_t> state_mask(ss.size() * words, 0);
+        for (std::size_t s = 0; s < ss.size(); ++s) {
+          for (const auto& w : ss.cands[s]) {
+            if (w.fault != CandidateFault::None) continue;
+            const auto rel = static_cast<std::size_t>(
+                topology::port_index(w.dir) * vcs + w.vc);
+            state_mask[s * words + rel / 64] |= 1ull << (rel % 64);
+          }
+          if (ss.fault[s] != StateFault::None &&
+              dead_ends.size() < opts.max_dead_ends) {
+            dead_ends.push_back({ss.at[s], ss.dst, ss.key[s], ss.fault[s]});
+          }
+        }
+        std::vector<std::uint64_t> dep(dep_mask.size(), 0);
+        std::vector<std::uint64_t> used(used_mask.size(), 0);
+        for (std::size_t s = 0; s < ss.size(); ++s) {
+          const auto node = static_cast<std::size_t>(mesh.id_of(ss.at[s]));
+          for (std::size_t k = 0; k < words; ++k) {
+            used[node * words + k] |= state_mask[s * words + k];
+          }
+          for (const auto& w : ss.cands[s]) {
+            if (w.next < 0) continue;
+            // The header now holds `ch` while requesting the candidates of
+            // the state it entered: every such pair is a dependency edge.
+            const auto ch = static_cast<std::size_t>(
+                channel_id(static_cast<topology::NodeId>(node), w.dir, w.vc, vcs));
+            for (std::size_t k = 0; k < words; ++k) {
+              dep[ch * words + k] |=
+                  state_mask[static_cast<std::size_t>(w.next) * words + k];
+            }
+          }
+        }
+        const std::lock_guard<std::mutex> lock(merge_mutex);
+        g.states_explored += ss.size();
+        for (std::size_t i = 0; i < dep.size(); ++i) dep_mask[i] |= dep[i];
+        for (std::size_t i = 0; i < used.size(); ++i) used_mask[i] |= used[i];
+        return dead_ends;
+      });
+  for (const auto& dead_ends : per_dst) {
+    for (const auto& d : dead_ends) {
       if (g.dead_ends.size() >= opts.max_dead_ends) break;
       g.dead_ends.push_back(d);
     }
   }
 
-  // Expand the per-channel dependency masks into adjacency lists.  The bits
-  // of channel c's mask index the out-channels of the node c points into.
+  // Expand the per-channel dependency masks into adjacency lists.
   g.out.assign(static_cast<std::size_t>(nch), {});
+  g.used.assign(static_cast<std::size_t>(nch), 0);
   for (std::int32_t ch = 0; ch < nch; ++ch) {
-    const Coord from = mesh.coord_of(router::channel_node(ch, vcs));
-    const Coord into = from.step(router::channel_dir(ch, vcs));
+    const auto node = router::channel_node(ch, vcs);
+    const auto bit = static_cast<std::size_t>(ch % (kMeshDirections * vcs));
+    g.used[static_cast<std::size_t>(ch)] = static_cast<char>(
+        (used_mask[static_cast<std::size_t>(node) * words + bit / 64] >> (bit % 64)) & 1);
+    const Coord into = mesh.coord_of(node).step(router::channel_dir(ch, vcs));
     for (std::size_t w = 0; w < words; ++w) {
       std::uint64_t bits = dep_mask[static_cast<std::size_t>(ch) * words + w];
       while (bits != 0) {
-        const int bit = std::countr_zero(bits);
+        const auto rel = static_cast<int>(w * 64) + std::countr_zero(bits);
         bits &= bits - 1;
-        const auto rel = static_cast<int>(w * 64) + bit;
         const auto dir = static_cast<Direction>(rel / vcs);
         const std::int32_t to_ch =
             channel_id(mesh.id_of(into), dir, rel % vcs, vcs);
         g.out[static_cast<std::size_t>(ch)].push_back(to_ch);
-        ++g.edge_count;
       }
     }
   }

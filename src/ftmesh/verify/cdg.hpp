@@ -1,12 +1,6 @@
 #pragma once
-// Channel-dependency-graph construction by reachable-state enumeration.
-//
-// For each destination the builder runs a breadth-first search over routing
-// states (header node, RoutingAlgorithm::route_state_key), seeded at every
-// healthy source via on_inject and advanced by applying on_hop to a scratch
-// message.  The algorithm's key contract (equal keys at equal positions see
-// equal candidate sets, and keys are congruent under on_hop) makes the
-// search finite and the resulting graph exact over the key abstraction.
+// Channel-dependency-graph construction over the reachable-state walk
+// (state_space.hpp).
 //
 // The CDG has an edge c1 -> c2 whenever some reachable state can hold
 // channel c1 while requesting channel c2 — the Dally-Seitz dependency
@@ -16,41 +10,30 @@
 #include <cstdint>
 #include <vector>
 
-#include "ftmesh/fault/fault_model.hpp"
-#include "ftmesh/routing/routing_algorithm.hpp"
-#include "ftmesh/topology/mesh.hpp"
+#include "ftmesh/verify/state_space.hpp"
 
 namespace ftmesh::verify {
 
-/// A reachable state whose candidate set fails the progress requirement:
-/// either no candidate at all, or (when the algorithm's argument demands an
-/// always-available escape path) no escape-channel candidate.
+/// A reachable state whose candidate set fails the progress requirement or
+/// holds a candidate the walker cannot follow.
 struct DeadEnd {
   topology::Coord at;
   topology::Coord dst;
   std::uint64_t key = 0;
-  bool missing_escape = false;  ///< candidates exist but none is an escape VC
+  StateFault fault = StateFault::NoCandidate;
 };
 
 struct Cdg {
-  int total_vcs = 0;
-  std::int32_t channel_count = 0;           ///< nodes * 4 * total_vcs
   std::vector<std::vector<std::int32_t>> out;  ///< adjacency by channel id
-  std::vector<char> used;    ///< requested by some reachable state
-  std::vector<char> escape;  ///< VcRole != AdaptiveI (a per-vc property)
-  std::vector<char> ring;    ///< VcRole == BcRing (a per-vc property)
+  std::vector<char> used;  ///< requested by some reachable state
   std::vector<DeadEnd> dead_ends;
-  std::uint64_t edge_count = 0;
   std::uint64_t states_explored = 0;
 };
 
-struct CdgOptions {
+/// Options of build_cdg and verify_algorithm (verifier.hpp).
+struct VerifyOptions {
   int threads = 0;  ///< <= 0: one per hardware thread
   std::size_t max_dead_ends = 8;
-  /// Require every reachable state to offer at least one escape-channel
-  /// candidate (Duato's progress condition); without it only non-emptiness
-  /// of the candidate set is checked.
-  bool require_escape_candidate = false;
 };
 
 /// Builds the channel-dependency graph of `algo` over `mesh` + `faults`.
@@ -58,6 +41,6 @@ struct CdgOptions {
 [[nodiscard]] Cdg build_cdg(const routing::RoutingAlgorithm& algo,
                             const topology::Mesh& mesh,
                             const fault::FaultMap& faults,
-                            const CdgOptions& opts = {});
+                            const VerifyOptions& opts = {});
 
 }  // namespace ftmesh::verify

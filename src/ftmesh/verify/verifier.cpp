@@ -21,15 +21,10 @@ VerifyReport verify_algorithm(const routing::RoutingAlgorithm& algo,
   r.faulty = faults.faulty_count();
   r.deactivated = faults.deactivated_count();
 
-  CdgOptions cdg_opts;
-  cdg_opts.threads = opts.threads;
-  cdg_opts.max_dead_ends = opts.max_dead_ends;
-  cdg_opts.require_escape_candidate =
-      r.argument == routing::DeadlockArgument::EscapeCdg;
-  const Cdg g = build_cdg(algo, mesh, faults, cdg_opts);
+  const Cdg g = build_cdg(algo, mesh, faults, opts);
 
-  r.channels_total = g.channel_count;
-  r.dependency_edges = g.edge_count;
+  r.channels_total = static_cast<std::int32_t>(g.out.size());
+  for (const auto& adj : g.out) r.dependency_edges += adj.size();
   r.states_explored = g.states_explored;
   r.dead_ends = g.dead_ends;
   for (const char u : g.used) r.channels_used += u != 0 ? 1 : 0;
@@ -45,14 +40,16 @@ VerifyReport verify_algorithm(const routing::RoutingAlgorithm& algo,
   std::vector<char> base(g.used.size(), 0);
   std::vector<char> ring(g.used.size(), 0);
   for (std::size_t c = 0; c < g.used.size(); ++c) {
-    if (g.ring[c] != 0) {
+    const auto vc = router::channel_vc(static_cast<std::int32_t>(c), r.total_vcs);
+    const auto role = algo.layout().at(vc).role;
+    if (role == routing::VcRole::BcRing) {
       ring[c] = g.used[c] != 0 ? 1 : 0;
       r.ring_channels_checked += g.used[c] != 0 ? 1 : 0;
       continue;
     }
     const bool in = r.argument == routing::DeadlockArgument::FullCdg
                         ? g.used[c] != 0
-                        : g.escape[c] != 0;
+                        : role != routing::VcRole::AdaptiveI;
     base[c] = in ? 1 : 0;
     r.channels_checked += in ? 1 : 0;
   }
@@ -118,7 +115,9 @@ void print_report(std::ostream& os, const VerifyReport& r,
   }
   for (const auto& d : r.dead_ends) {
     os << "  FAIL: "
-       << (d.missing_escape ? "no escape candidate" : "no candidate")
+       << (d.fault == StateFault::NoEscape           ? "no escape candidate"
+           : d.fault == StateFault::InvalidCandidate ? "invalid candidate"
+                                                     : "no candidate")
        << " at (" << d.at.x << "," << d.at.y << ") for dst (" << d.dst.x
        << "," << d.dst.y << "), state key 0x" << std::hex << d.key << std::dec
        << "\n";

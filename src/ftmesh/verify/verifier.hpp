@@ -15,7 +15,9 @@
 //      (docs/verification.md), which is exactly what these two machine-
 //      checked premises feed.
 //   2. Progress — every reachable routing state offers at least one
-//      candidate (and, under EscapeCdg, at least one *escape* candidate).
+//      candidate (and, under EscapeCdg, at least one *escape* candidate),
+//      and none it offers leaves the mesh, names the Local port or a VC
+//      outside the layout.
 //   3. As a by-product of 1a, a topological rank per checked channel that
 //      the router can assert against at runtime in debug builds
 //      (Network::set_debug_channel_order).
@@ -27,11 +29,6 @@
 #include "ftmesh/verify/cdg.hpp"
 
 namespace ftmesh::verify {
-
-struct VerifyOptions {
-  int threads = 0;  ///< <= 0: one per hardware thread
-  std::size_t max_dead_ends = 8;
-};
 
 struct VerifyReport {
   std::string algorithm;

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,6 +13,7 @@
 #include "ftmesh/routing/registry.hpp"
 #include "ftmesh/verify/audit.hpp"
 #include "ftmesh/verify/broken_demo.hpp"
+#include "routing_fixtures.hpp"
 
 namespace {
 
@@ -28,14 +28,8 @@ using ftmesh::topology::Mesh;
 using ftmesh::verify::AuditCheck;
 using ftmesh::verify::AuditOptions;
 using ftmesh::verify::AuditReport;
+using ftmesh::testing::make_faults;
 using ftmesh::verify::audit_algorithm;
-
-FaultMap make_faults(const Mesh& mesh, int count, std::uint64_t seed) {
-  if (count == 0) return FaultMap(mesh);
-  // Same derivation as the simulator, so audited patterns match runs.
-  Rng rng = Rng(seed).derive(0xFA);
-  return FaultMap::random(mesh, count, rng);
-}
 
 AuditReport audit(const std::string& name, const Mesh& mesh,
                   const FaultMap& faults) {
@@ -130,45 +124,11 @@ TEST(Audit, BrokenDemoIsCleanOnFaultFreeMesh) {
 
 // An algorithm that emits a VC index outside its own layout: the
 // vc-discipline check must catch it at every state.
-class BadVcRouting : public ftmesh::routing::RoutingAlgorithm {
- public:
-  BadVcRouting(const Mesh& mesh, const FaultMap& faults)
-      : RoutingAlgorithm(mesh, faults),
-        layout_(ftmesh::routing::VcLayout::adaptive(1, /*ring=*/false,
-                                                    /*xy=*/false)) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "Bad-Vc";
-  }
-  [[nodiscard]] const ftmesh::routing::VcLayout& layout() const noexcept override {
-    return layout_;
-  }
-  void candidates(Coord at, const ftmesh::router::HeaderState& msg,
-                  ftmesh::routing::CandidateList& out) const override {
-    std::array<ftmesh::topology::Direction, 2> dirs{};
-    const int n = usable_minimal(at, msg.dst, dirs);
-    for (int d = 0; d < n; ++d) {
-      out.add(dirs[static_cast<std::size_t>(d)], 7);  // layout has 1 VC
-    }
-  }
-  [[nodiscard]] ftmesh::routing::DeadlockArgument deadlock_argument()
-      const noexcept override {
-    return ftmesh::routing::DeadlockArgument::FullCdg;
-  }
-  [[nodiscard]] std::uint64_t route_state_key(
-      const ftmesh::router::HeaderState&) const noexcept override {
-    return 0;
-  }
-
- private:
-  ftmesh::routing::VcLayout layout_;
-};
-
 TEST(Audit, OutOfRangeVcIsFlaggedAsVcDiscipline) {
   const Mesh mesh(5, 5);
   const FaultMap faults(mesh);
   const FRingSet rings(faults);
-  const BadVcRouting algo(mesh, faults);
+  const ftmesh::testing::BadVcRouting algo(mesh, faults);
   const auto report = audit_algorithm(algo, mesh, faults, rings);
   ASSERT_FALSE(report.ok());
   ASSERT_FALSE(report.violations.empty());

@@ -119,6 +119,22 @@ TEST(Experiment, AggregateVcUsageElementwise) {
   EXPECT_DOUBLE_EQ(agg.vc_usage.percent[1], 30.0);
 }
 
+TEST(Experiment, AggregateSumsLinkFaultCountsLikeNodeCounts) {
+  ftmesh::core::SimResult a, b;
+  a.cycles_run = b.cycles_run = 100;
+  a.reliability.enabled = b.reliability.enabled = true;
+  a.reliability.node_failures = 1;
+  b.reliability.node_failures = 2;
+  a.reliability.link_failures = 2;
+  b.reliability.link_failures = 3;
+  a.reliability.link_repairs = 1;
+  const auto agg = ftmesh::core::aggregate({a, b});
+  ASSERT_TRUE(agg.reliability.enabled);
+  EXPECT_EQ(agg.reliability.node_failures, 3);
+  EXPECT_EQ(agg.reliability.link_failures, 5);
+  EXPECT_EQ(agg.reliability.link_repairs, 1);
+}
+
 TEST(Experiment, EmptyAggregateIsDefault) {
   const auto agg = ftmesh::core::aggregate({});
   EXPECT_EQ(agg.latency.delivered, 0u);

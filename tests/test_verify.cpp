@@ -17,6 +17,7 @@
 #include "ftmesh/verify/broken_demo.hpp"
 #include "ftmesh/verify/scc.hpp"
 #include "ftmesh/verify/verifier.hpp"
+#include "routing_fixtures.hpp"
 
 namespace {
 
@@ -26,15 +27,10 @@ using ftmesh::routing::CandidateList;
 using ftmesh::sim::Rng;
 using ftmesh::topology::Coord;
 using ftmesh::topology::Mesh;
+using ftmesh::testing::make_faults;
 using ftmesh::verify::find_cycle;
 using ftmesh::verify::strongly_connected_components;
 using ftmesh::verify::VerifyReport;
-
-FaultMap make_faults(const Mesh& mesh, int count, std::uint64_t seed) {
-  if (count == 0) return FaultMap(mesh);
-  auto rng = Rng(seed).derive(0xFA);
-  return FaultMap::random(mesh, count, rng);
-}
 
 VerifyReport verify_named(const std::string& name, const Mesh& mesh,
                           const FaultMap& faults) {
@@ -163,6 +159,27 @@ TEST(Verifier, ReportPrintsCycleAndVerdict) {
   std::ostringstream os2;
   ftmesh::verify::print_report(os2, ok, mesh);
   EXPECT_NE(os2.str().find("OK"), std::string::npos);
+}
+
+TEST(Verifier, ReportsAnOutOfLayoutVcInsteadOfThrowing) {
+  // Every candidate names VC 7 on a 1-VC layout: the walk follows none of
+  // them, and each reached state is reported rather than indexing the VC
+  // layout out of range on a pool worker.
+  const Mesh mesh(5, 5);
+  const FaultMap fm(mesh);
+  const ftmesh::testing::BadVcRouting algo(mesh, fm);
+  ftmesh::verify::VerifyReport r;
+  ASSERT_NO_THROW(r = ftmesh::verify::verify_algorithm(algo, mesh, fm));
+  EXPECT_FALSE(r.ok());
+  ASSERT_FALSE(r.dead_ends.empty());
+  EXPECT_EQ(r.dead_ends.front().fault,
+            ftmesh::verify::StateFault::InvalidCandidate);
+  EXPECT_EQ(r.channels_used, 0);
+  EXPECT_EQ(r.dependency_edges, 0u);
+  std::ostringstream os;
+  ftmesh::verify::print_report(os, r, mesh);
+  EXPECT_NE(os.str().find("FAIL: invalid candidate"), std::string::npos)
+      << os.str();
 }
 
 TEST(Scc, FindsComponentsAndCycles) {

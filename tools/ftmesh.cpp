@@ -20,7 +20,7 @@
 //   ftmesh campaign-merge [--out f.csv] DIR [DIR...]
 //   ftmesh verify     [--algo A|all|broken-demo] [--faults 0,5,10]
 //                     [--link-faults N] [--seed S] [--width W] [--height H]
-//                     [--vcs V] [--threads N]
+//                     [--vcs V] [--threads N] [--config f]
 //   ftmesh audit      [--algo A|all|broken-demo] [--patterns clean,center,
 //                     boundary,link,link-edge,random] [--faults N,..]
 //                     [--link-faults N] [--seed S] [--width W] [--height H]
@@ -31,6 +31,14 @@
 //
 // Flags mirror SimConfig fields; a --config file provides the base and
 // explicit flags override it.
+//
+// verify and audit take --algo (or --algorithm) as "all", a comma list or
+// broken-demo, and --faults as a comma list of whole non-negative counts
+// ("5x" and "-2" are errors).  Each count draws the random pattern `run`
+// uses for that --faults/--link-faults/--seed; verify checks a config's
+// fault blocks instead, once.  audit rejects an unknown --patterns class
+// and fails when no requested class applies, rather than passing having
+// audited nothing.
 
 #include <algorithm>
 #include <fstream>
@@ -474,61 +482,85 @@ int cmd_campaign_merge(const Cli& cli) {
   return 0;
 }
 
+/// verify/audit --faults: a comma list of random node-fault counts, each a
+/// whole non-negative integer.
+std::vector<int> fault_count_list(const Cli& cli, const std::string& fallback) {
+  std::vector<int> counts;
+  for (const auto& item : split_list(cli.get("faults", fallback))) {
+    try {
+      counts.push_back(ftmesh::core::parse_number<int>(item));
+    } catch (const std::exception& e) {
+      throw std::invalid_argument("bad value for --faults: " + std::string(e.what()));
+    }
+    if (counts.back() < 0) {
+      throw std::invalid_argument(
+          "bad value for --faults: expected a non-negative integer, got '" + item + "'");
+    }
+  }
+  return counts;
+}
+
+/// The fault map a run of `cfg` with `fault_count` random node faults (and
+/// cfg's random link faults) starts from.
+ftmesh::fault::FaultMap random_fault_map(SimConfig cfg, const ftmesh::topology::Mesh& mesh,
+                                         int fault_count) {
+  cfg.fault_blocks.clear();
+  cfg.fault_count = fault_count;
+  return ftmesh::core::initial_fault_map(cfg, mesh);
+}
+
+/// verify/audit --algo (or --algorithm): "all", a comma list of registry
+/// names, or broken-demo.  Calls check(algo, rings) for each, built over
+/// `map` with cfg's routing options.
+template <typename Check>
+void for_each_checked_algorithm(const Cli& cli, const SimConfig& cfg,
+                                const ftmesh::topology::Mesh& mesh,
+                                const ftmesh::fault::FaultMap& map, const Check& check) {
+  const auto arg = cli.get("algo", cli.get("algorithm", "all"));
+  const auto names = arg == "all" ? ftmesh::routing::algorithm_names() : split_list(arg);
+  if (names.empty()) throw std::invalid_argument("--algo names no algorithm");
+  const ftmesh::fault::FRingSet rings(map);
+  for (const auto& name : names) {
+    std::unique_ptr<ftmesh::routing::RoutingAlgorithm> algo;
+    if (name == "broken-demo") {
+      algo = std::make_unique<ftmesh::verify::BrokenDemoRouting>(mesh, map);
+    } else {
+      ftmesh::routing::RoutingOptions ropts;
+      ropts.total_vcs = cfg.total_vcs;
+      ropts.misroute_limit = cfg.misroute_limit;
+      ropts.xy_escape = cfg.xy_escape;
+      algo = ftmesh::routing::make_algorithm(name, mesh, map, rings, ropts);
+    }
+    check(*algo, rings);
+  }
+}
+
 // Static deadlock-freedom verification: enumerate the channel-dependency
 // graph of each requested algorithm against each fault pattern and check
 // acyclicity + progress.  Exit 0 only when every combination verifies.
+// The config's fault blocks, when it has any, are the one pattern checked;
+// otherwise each --faults count draws the random pattern `run` would use.
 int cmd_verify(const Cli& cli) {
   const auto cfg = config_from_cli(cli, false);
   const ftmesh::topology::Mesh mesh(cfg.width, cfg.height);
-
-  std::vector<std::string> names;
-  const auto algo_arg = cli.get("algo", cli.get("algorithm", "all"));
-  if (algo_arg == "all") {
-    names = ftmesh::routing::algorithm_names();
-  } else {
-    names = split_list(algo_arg);
-  }
-
-  std::vector<int> fault_counts;
-  for (const auto& f : split_list(cli.get("faults", "0"))) {
-    fault_counts.push_back(std::stoi(f));
-  }
-  if (fault_counts.empty()) fault_counts.push_back(0);
+  auto fault_counts = fault_count_list(cli, "0");
+  if (fault_counts.empty() || !cfg.fault_blocks.empty()) fault_counts = {0};
 
   ftmesh::verify::VerifyOptions vopts;
   vopts.threads = static_cast<int>(cli.get_int("threads", 0));
 
-  const int link_faults =
-      static_cast<int>(cli.get_int("link-faults", cfg.link_fault_count));
-
   bool all_ok = true;
   for (const int fault_count : fault_counts) {
-    // Same derivation as the simulator so a verified pattern is exactly the
-    // pattern a run with the same --faults/--link-faults/--seed would use.
-    ftmesh::sim::Rng rng = ftmesh::sim::Rng(cfg.seed).derive(0xFA);
-    const auto map =
-        fault_count > 0 || link_faults > 0
-            ? ftmesh::fault::FaultMap::random(mesh, fault_count, link_faults,
-                                              rng)
-            : ftmesh::fault::FaultMap(mesh);
-    const ftmesh::fault::FRingSet rings(map);
-
-    for (const auto& name : names) {
-      std::unique_ptr<ftmesh::routing::RoutingAlgorithm> algo;
-      if (name == "broken-demo") {
-        algo = std::make_unique<ftmesh::verify::BrokenDemoRouting>(mesh, map);
-      } else {
-        ftmesh::routing::RoutingOptions ropts;
-        ropts.total_vcs = cfg.total_vcs;
-        ropts.misroute_limit = cfg.misroute_limit;
-        ropts.xy_escape = cfg.xy_escape;
-        algo = ftmesh::routing::make_algorithm(name, mesh, map, rings, ropts);
-      }
-      const auto report =
-          ftmesh::verify::verify_algorithm(*algo, mesh, map, vopts);
-      ftmesh::verify::print_report(std::cout, report, mesh);
-      all_ok = all_ok && report.ok();
-    }
+    const auto map = cfg.fault_blocks.empty()
+                         ? random_fault_map(cfg, mesh, fault_count)
+                         : ftmesh::core::initial_fault_map(cfg, mesh);
+    for_each_checked_algorithm(
+        cli, cfg, mesh, map,
+        [&](const ftmesh::routing::RoutingAlgorithm& algo, const ftmesh::fault::FRingSet&) {
+          const auto report = ftmesh::verify::verify_algorithm(algo, mesh, map, vopts);
+          ftmesh::verify::print_report(std::cout, report, mesh);
+          all_ok = all_ok && report.ok();
+        });
   }
   std::cout << (all_ok ? "verification PASSED" : "verification FAILED")
             << "\n";
@@ -539,18 +571,11 @@ int cmd_verify(const Cli& cli) {
 // states per destination and check coverage, VC-role discipline, f-ring
 // conformance and progress bounds against each algorithm's published
 // AuditProfile.  Runs over a matrix of fault-pattern classes so both the
-// fault-free function and its fortified behaviour are covered.
+// fault-free function and its fortified behaviour are covered.  An unknown
+// class name is an error, and so is a matrix with nothing in it to audit.
 int cmd_audit(const Cli& cli) {
   const auto cfg = config_from_cli(cli, false);
   const ftmesh::topology::Mesh mesh(cfg.width, cfg.height);
-
-  std::vector<std::string> names;
-  const auto algo_arg = cli.get("algo", cli.get("algorithm", "all"));
-  if (algo_arg == "all") {
-    names = ftmesh::routing::algorithm_names();
-  } else {
-    names = split_list(algo_arg);
-  }
 
   // ---- fault-pattern classes --------------------------------------------
   // clean     fault-free mesh
@@ -565,9 +590,18 @@ int cmd_audit(const Cli& cli) {
   using ftmesh::fault::Rect;
   using ftmesh::topology::Coord;
   using ftmesh::topology::Direction;
+  static const std::vector<std::string> kClasses{
+      "clean", "center", "boundary", "link", "link-edge", "random"};
   std::vector<std::pair<std::string, FaultMap>> patterns;
   const auto wanted = split_list(
       cli.get("patterns", "clean,center,boundary,link,link-edge,random"));
+  for (const auto& w : wanted) {
+    if (std::find(kClasses.begin(), kClasses.end(), w) == kClasses.end()) {
+      throw std::invalid_argument("unknown --patterns class '" + w +
+                                  "' (expected clean, center, boundary, link, "
+                                  "link-edge or random)");
+    }
+  }
   const auto has = [&wanted](const char* p) {
     return std::find(wanted.begin(), wanted.end(), p) != wanted.end();
   };
@@ -594,20 +628,19 @@ int cmd_audit(const Cli& cli) {
         "link-edge", FaultMap::from_state(mesh, {}, {{a, Direction::XPlus}}));
   }
   if (has("random")) {
-    std::vector<int> fault_counts;
-    for (const auto& f : split_list(cli.get("faults", "3"))) {
-      fault_counts.push_back(std::stoi(f));
-    }
-    const int link_faults =
-        static_cast<int>(cli.get_int("link-faults", cfg.link_fault_count));
-    for (const int fault_count : fault_counts) {
+    const int link_faults = cfg.link_fault_count;
+    for (const int fault_count : fault_count_list(cli, "3")) {
       if (fault_count <= 0 && link_faults <= 0) continue;
-      ftmesh::sim::Rng rng = ftmesh::sim::Rng(cfg.seed).derive(0xFA);
       std::string label = "random-" + std::to_string(fault_count);
       if (link_faults > 0) label += "+" + std::to_string(link_faults) + "L";
-      patterns.emplace_back(
-          label, FaultMap::random(mesh, fault_count, link_faults, rng));
+      patterns.emplace_back(label, random_fault_map(cfg, mesh, fault_count));
     }
+  }
+  if (patterns.empty()) {
+    throw std::invalid_argument("nothing to audit: no requested --patterns class "
+                                "yields a fault pattern on a " +
+                                std::to_string(cfg.width) + "x" +
+                                std::to_string(cfg.height) + " mesh");
   }
 
   ftmesh::verify::AuditOptions aopts;
@@ -621,51 +654,43 @@ int cmd_audit(const Cli& cli) {
 
   bool all_ok = true;
   for (const auto& [label, map] : patterns) {
-    const ftmesh::fault::FRingSet rings(map);
-    for (const auto& name : names) {
-      std::unique_ptr<ftmesh::routing::RoutingAlgorithm> algo;
-      if (name == "broken-demo") {
-        algo = std::make_unique<ftmesh::verify::BrokenDemoRouting>(mesh, map);
-      } else {
-        ftmesh::routing::RoutingOptions ropts;
-        ropts.total_vcs = cfg.total_vcs;
-        ropts.misroute_limit = cfg.misroute_limit;
-        ropts.xy_escape = cfg.xy_escape;
-        algo = ftmesh::routing::make_algorithm(name, mesh, map, rings, ropts);
-      }
-      const auto report =
-          ftmesh::verify::audit_algorithm(*algo, mesh, map, rings, aopts);
-      all_ok = all_ok && report.ok();
-      if (json) {
-        jw.begin_object();
-        jw.key("algorithm").value(report.algorithm);
-        jw.key("pattern").value(label);
-        jw.key("width").value(report.width);
-        jw.key("height").value(report.height);
-        jw.key("total_vcs").value(report.total_vcs);
-        jw.key("faulty").value(report.faulty);
-        jw.key("deactivated").value(report.deactivated);
-        jw.key("states_explored").value(report.states_explored);
-        jw.key("candidates_checked").value(report.candidates_checked);
-        jw.key("violations").value(report.violation_count);
-        jw.key("ok").value(report.ok());
-        jw.key("witnesses").begin_array();
-        for (const auto& v : report.violations) {
-          jw.begin_object();
-          jw.key("check").value(ftmesh::verify::audit_check_name(v.check));
-          jw.key("at").begin_array().value(v.at.x).value(v.at.y).end_array();
-          jw.key("dst").begin_array().value(v.dst.x).value(v.dst.y).end_array();
-          jw.key("key").value(static_cast<std::uint64_t>(v.key));
-          jw.key("detail").value(v.detail);
-          jw.end_object();
-        }
-        jw.end_array();
-        jw.end_object();
-      } else {
-        std::cout << "pattern " << label << ": ";
-        ftmesh::verify::print_audit_report(std::cout, report);
-      }
-    }
+    for_each_checked_algorithm(
+        cli, cfg, mesh, map,
+        [&](const ftmesh::routing::RoutingAlgorithm& algo,
+            const ftmesh::fault::FRingSet& rings) {
+          const auto report =
+              ftmesh::verify::audit_algorithm(algo, mesh, map, rings, aopts);
+          all_ok = all_ok && report.ok();
+          if (json) {
+            jw.begin_object();
+            jw.key("algorithm").value(report.algorithm);
+            jw.key("pattern").value(label);
+            jw.key("width").value(report.width);
+            jw.key("height").value(report.height);
+            jw.key("total_vcs").value(report.total_vcs);
+            jw.key("faulty").value(report.faulty);
+            jw.key("deactivated").value(report.deactivated);
+            jw.key("states_explored").value(report.states_explored);
+            jw.key("candidates_checked").value(report.candidates_checked);
+            jw.key("violations").value(report.violation_count);
+            jw.key("ok").value(report.ok());
+            jw.key("witnesses").begin_array();
+            for (const auto& v : report.violations) {
+              jw.begin_object();
+              jw.key("check").value(ftmesh::verify::audit_check_name(v.check));
+              jw.key("at").begin_array().value(v.at.x).value(v.at.y).end_array();
+              jw.key("dst").begin_array().value(v.dst.x).value(v.dst.y).end_array();
+              jw.key("key").value(static_cast<std::uint64_t>(v.key));
+              jw.key("detail").value(v.detail);
+              jw.end_object();
+            }
+            jw.end_array();
+            jw.end_object();
+          } else {
+            std::cout << "pattern " << label << ": ";
+            ftmesh::verify::print_audit_report(std::cout, report);
+          }
+        });
   }
   if (json) {
     jw.end_array();
