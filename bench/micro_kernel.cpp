@@ -72,7 +72,10 @@ SimConfig knee_config() {
 
 void BM_NetworkStepKnee(benchmark::State& state) {
   // Skipping idle routers saves little at the knee: the cost is in the
-  // busy routers, where few of the 5 x 24 input VCs have work.
+  // busy routers, where few of the 5 x 24 input VCs have work and about
+  // half of those that do wait on a downstream buffer with no free slot.
+  // The crossbar collects `switch_ready & ~credit_blocked`, so such a
+  // worm costs a word AND, not a load of its input and output VC.
   Simulator sim(knee_config());
   for (int i = 0; i < 2000; ++i) sim.step();
   for (auto _ : state) sim.step();

@@ -88,11 +88,25 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   if (config_.injection_vcs < 1 || config_.injection_vcs > vcs) {
     throw std::invalid_argument("injection_vcs out of range");
   }
+  if (kPortCount * vcs > 0xffff) {
+    throw std::invalid_argument("too many VCs for a 16-bit input-VC index");
+  }
   routers_.reserve(n);
   for (NodeId id = 0; id < mesh.node_count(); ++id) {
     routers_.emplace_back(mesh.coord_of(id), vcs, config_.buffer_depth);
   }
   links_.resize(n * kMeshDirections);
+  neighbour_id_.assign(n * kMeshDirections, -1);
+  for (NodeId id = 0; id < mesh.node_count(); ++id) {
+    const Coord c = mesh.coord_of(id);
+    for (const Direction dir : topology::kAllMeshDirections) {
+      if (const auto nb = mesh.neighbour(c, dir)) {
+        neighbour_id_[static_cast<std::size_t>(id) * kMeshDirections +
+                      static_cast<std::size_t>(port_index(dir))] =
+            mesh.id_of(*nb);
+      }
+    }
+  }
   queues_.resize(n);
   supplies_.resize(n * static_cast<std::size_t>(config_.injection_vcs));
   vc_busy_counts_.assign(static_cast<std::size_t>(vcs), 0);
@@ -101,6 +115,7 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   ready_words_ = mask_words(static_cast<std::size_t>(kPortCount * vcs));
   route_ready_.assign(n * ready_words_, 0);
   switch_ready_.assign(n * ready_words_, 0);
+  credit_blocked_.assign(n * ready_words_, 0);
   inject_pending_.assign(n, 0);
   link_vc_allocated_.assign(static_cast<std::size_t>(vcs), 0);
   // The arbitration seeds come off derived streams (not the shared one),
@@ -172,12 +187,12 @@ void Network::setup_tiles() {
   link_pos_.assign(n * kMeshDirections, 0);
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     Tile& t = tiles_[tile_of_node_[static_cast<std::size_t>(id)]];
-    const Coord c = mesh_->coord_of(id);
     for (int d = 0; d < kMeshDirections; ++d) {
       const auto dir = static_cast<Direction>(d);
-      const auto nb = mesh_->neighbour(c, dir);
-      if (!nb) continue;
-      const NodeId up = mesh_->id_of(*nb);
+      const NodeId up = neighbour_id_[static_cast<std::size_t>(id) *
+                                          kMeshDirections +
+                                      static_cast<std::size_t>(d)];
+      if (up < 0) continue;
       const auto idx =
           static_cast<std::size_t>(up) * kMeshDirections +
           static_cast<std::size_t>(port_index(opposite(dir)));
@@ -293,14 +308,20 @@ void Network::rebuild_active_sets() {
     const Router& rt = routers_[sid];
     std::uint64_t* routable = ready_words(route_ready_, id);
     std::uint64_t* sendable = ready_words(switch_ready_, id);
+    std::uint64_t* blocked = ready_words(credit_blocked_, id);
     std::fill(routable, routable + ready_words_, 0);
     std::fill(sendable, sendable + ready_words_, 0);
+    std::fill(blocked, blocked + ready_words_, 0);
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
         const InputVc& ivc = rt.input(port, vc);
+        const auto bit = static_cast<std::size_t>(port * vcs + vc);
+        if (ivc.stage == IvcStage::Active && ivc.out_dir != Direction::Local &&
+            rt.output(port_index(ivc.out_dir), ivc.out_vc).credits == 0) {
+          set_bit(blocked, bit);
+        }
         flits += ivc.buf.size();
         if (ivc.buf.empty()) continue;
-        const auto bit = static_cast<std::size_t>(port * vcs + vc);
         if (ivc.stage == IvcStage::Active) {
           set_bit(sendable, bit);
         } else if (is_head(ivc.buf.front().type)) {
@@ -776,9 +797,12 @@ void Network::reduce_deltas() {
       link_vc_allocated_[v] = static_cast<std::uint32_t>(
           static_cast<std::int64_t>(link_vc_allocated_[v]) + d.vc_alloc[v]);
     }
-    const std::size_t vcs = d.vc_alloc.size();
+    // Reset every field but keep vc_alloc's buffer: zeroed in place and
+    // moved back, so the per-cycle reset allocates nothing.
+    std::vector<std::int32_t> vc_alloc = std::move(d.vc_alloc);
+    std::fill(vc_alloc.begin(), vc_alloc.end(), 0);
     d = PhaseDeltas{};
-    d.vc_alloc.assign(vcs, 0);
+    d.vc_alloc = std::move(vc_alloc);
   }
 }
 
@@ -805,12 +829,19 @@ void Network::commit_deferred() {
   // Credit returns: increments commute, so per-tile order is fine.  Every
   // credit lands here — even a same-tile one — which is what makes a freed
   // buffer slot visible uniformly on the next cycle instead of depending
-  // on the switch phase's node visit order.
+  // on the switch phase's node visit order.  A return that lifts a reserved
+  // output VC from 0 credits unblocks the input VC feeding it.  The clear
+  // is branchless (an AND with an all-ones mask when nothing unblocks): the
+  // 0 -> 1 outcome is close to a coin flip at the knee.
   for (Tile& t : tiles_) {
     for (const CreditReturn& cr : t.credits) {
-      routers_[static_cast<std::size_t>(cr.node)]
-          .output(cr.port, cr.vc)
-          .credits++;
+      OutputVc& ovc =
+          routers_[static_cast<std::size_t>(cr.node)].output(cr.port, cr.vc);
+      const std::uint64_t unblock =
+          static_cast<std::uint64_t>((ovc.credits == 0) & ovc.allocated);
+      ++ovc.credits;
+      ready_words(credit_blocked_, cr.node)[ovc.feeder >> 6] &=
+          ~(unblock << (ovc.feeder & 63u));
     }
     t.credits.clear();
   }
@@ -948,10 +979,12 @@ void Network::audit_invariants(int level) const {
     const Router& rt = routers_[sid];
     // Every input VC's ready bits are exact: route bit set iff the VC
     // fronts a routable header, switch bit set iff it holds a sendable
-    // flit.  Checked per VC, so a bit on the wrong VC cannot hide behind a
-    // correct per-node total.
+    // flit, credit-blocked bit set iff it is Active towards a link output
+    // VC with no credit.  Checked per VC, so a bit on the wrong VC cannot
+    // hide behind a correct per-node total.
     const std::uint64_t* route_words = ready_words(route_ready_, id);
     const std::uint64_t* switch_words = ready_words(switch_ready_, id);
+    const std::uint64_t* blocked_words = ready_words(credit_blocked_, id);
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
         const InputVc& ivc = rt.input(port, vc);
@@ -978,6 +1011,7 @@ void Network::audit_invariants(int level) const {
         if (test_bit(switch_words, bit) != sendable) {
           fail("switch_ready bit disagrees with the input VC's state");
         }
+        bool blocked = false;
         if (ivc.stage == IvcStage::Active &&
             ivc.out_dir != Direction::Local) {
           if (ivc.out_vc < 0 || ivc.out_vc >= vcs) {
@@ -991,6 +1025,11 @@ void Network::audit_invariants(int level) const {
           if (!ivc.buf.empty() && ivc.buf.front().msg != ovc.owner) {
             fail("flits of one worm on an output VC owned by another");
           }
+          blocked = ovc.credits == 0;
+        }
+        if (test_bit(blocked_words, bit) != blocked) {
+          fail("credit_blocked bit disagrees with the input VC's output "
+               "credits");
         }
       }
     }
@@ -1001,7 +1040,8 @@ void Network::audit_invariants(int level) const {
     if ((nbits & 63u) != 0) {
       const std::uint64_t spare = ~std::uint64_t{0} << (nbits & 63u);
       if ((route_words[ready_words_ - 1] & spare) != 0 ||
-          (switch_words[ready_words_ - 1] & spare) != 0) {
+          (switch_words[ready_words_ - 1] & spare) != 0 ||
+          (blocked_words[ready_words_ - 1] & spare) != 0) {
         fail("ready mask bit set beyond the last input VC");
       }
     }
@@ -1028,6 +1068,17 @@ void Network::audit_invariants(int level) const {
           if (ovc.owner >= messages_.size() ||
               messages_[ovc.owner].id == kInvalidMessage) {
             fail("reserved output VC owned by a vacant message slot");
+          }
+          // The feeder names the input VC whose worm holds the reservation:
+          // Active, pointed at exactly this output VC.
+          if (ovc.feeder >= nbits) {
+            fail("reserved output VC with an out-of-range feeder");
+          }
+          const InputVc& feeder = rt.input_at(ovc.feeder);
+          if (feeder.stage != IvcStage::Active ||
+              feeder.out_dir != static_cast<Direction>(d) ||
+              feeder.out_vc != vc) {
+            fail("output VC feeder does not name the input VC holding it");
           }
         }
         if (!nb) continue;
@@ -1125,13 +1176,9 @@ void Network::audit_invariants(int level) const {
 void Network::arrive_link(Tile& t, std::size_t link_idx) {
   LinkReg& reg = links_[link_idx];
   assert(reg.full);
-  const auto id = static_cast<NodeId>(link_idx / kMeshDirections);
-  const int d = static_cast<int>(link_idx % kMeshDirections);
-  const Coord c = mesh_->coord_of(id);
-  const auto dir = static_cast<Direction>(d);
-  const auto nb = mesh_->neighbour(c, dir);
-  assert(nb && "flit sent off-mesh");
-  const NodeId down_id = mesh_->id_of(*nb);
+  const auto dir = static_cast<Direction>(link_idx % kMeshDirections);
+  const NodeId down_id = neighbour_id_[link_idx];
+  assert(down_id >= 0 && "flit sent off-mesh");
   assert(tile_of_node_[static_cast<std::size_t>(down_id)] ==
              static_cast<std::uint32_t>(&t - tiles_.data()) &&
          "arrival processed by a tile that does not own the consumer");
@@ -1453,8 +1500,11 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
 #endif
     // Output-VC ownership is the *slot*: the purge/victim machinery
     // indexes its flag arrays by slot, and the owner is always live
-    // while the reservation is held.
-    rt.output(port_index(chosen.dir), chosen.vc).allocate(front.msg);
+    // while the reservation is held.  A reservation taken while the
+    // downstream buffer is still full starts out credit-blocked.
+    OutputVc& ovc = rt.output(port_index(chosen.dir), chosen.vc);
+    ovc.allocate(front.msg, static_cast<std::uint16_t>(idx));
+    if (ovc.credits == 0) set_bit(ready_words(credit_blocked_, id), idx);
     ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
     ivc.out_dir = chosen.dir;
     ivc.out_vc = chosen.vc;
@@ -1490,38 +1540,54 @@ void Network::phase_routing() {
 
 void Network::switch_node(Tile& t, NodeId id) {
   const std::uint64_t* ready = ready_words(switch_ready_, id);
+  const std::uint64_t* blocked = ready_words(credit_blocked_, id);
   const auto local = port_index(Direction::Local);
-  const Coord c = mesh_->coord_of(id);
   Router& rt = routers_[static_cast<std::size_t>(id)];
 
   // Collect requests in the fixed port-major order (the shuffle below
   // depends on the initial order, so both scan modes must build the same
-  // sequence).  Ascending bit order of the ready mask *is* port-major
-  // order, so the Active walk over the set bits builds the same sequence
-  // as the exhaustive scan.
+  // sequence).  A request is a sendable flit whose output VC has a credit
+  // (or is the ejection port).  Ascending bit order of the ready mask *is*
+  // port-major order, so the Active walk over `ready & ~blocked` builds
+  // the same sequence as the exhaustive scan without touching the input
+  // or output VC of a credit-starved worm; the port follows from the walk
+  // itself, one compare per crossed port boundary.
   t.requests.clear();
-  const auto request = [&](std::size_t idx) {
-    const InputVc& ivc = rt.input_at(idx);
-    if (ivc.out_dir != Direction::Local &&
-        rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0) {
-      return;
-    }
-    const int port = static_cast<int>(idx) / vcs_;
-    t.requests.push_back(
-        {static_cast<std::int16_t>(port),
-         static_cast<std::int16_t>(static_cast<int>(idx) - port * vcs_)});
-  };
   if (config_.scan_mode == ScanMode::Active) {
-    sim::for_each_set_bit(ready, ready_words_, request);
+    int port = 0;
+    std::size_t port_base = 0;
+    for (std::size_t w = 0; w < ready_words_; ++w) {
+      for (std::uint64_t word = ready[w] & ~blocked[w]; word != 0;
+           word &= word - 1) {
+        const std::size_t idx =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+        while (idx >= port_base + static_cast<std::size_t>(vcs_)) {
+          ++port;
+          port_base += static_cast<std::size_t>(vcs_);
+        }
+        t.requests.push_back({static_cast<std::int16_t>(port),
+                              static_cast<std::int16_t>(idx - port_base)});
+      }
+    }
   } else {
-    const auto nivc = static_cast<std::size_t>(kPortCount * vcs_);
-    for (std::size_t idx = 0; idx < nivc; ++idx) {
-      const InputVc& ivc = rt.input_at(idx);
-      const bool sendable =
-          ivc.stage == IvcStage::Active && !ivc.buf.empty();
-      assert(sendable == test_bit(ready, idx) &&
-             "switch_ready_ mask is not exact");
-      if (sendable) request(idx);
+    for (int port = 0; port < kPortCount; ++port) {
+      for (int vc = 0; vc < vcs_; ++vc) {
+        const auto idx = static_cast<std::size_t>(port * vcs_ + vc);
+        const InputVc& ivc = rt.input_at(idx);
+        const bool sendable =
+            ivc.stage == IvcStage::Active && !ivc.buf.empty();
+        const bool starved =
+            ivc.stage == IvcStage::Active && ivc.out_dir != Direction::Local &&
+            rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0;
+        assert(sendable == test_bit(ready, idx) &&
+               "switch_ready_ mask is not exact");
+        assert(starved == test_bit(blocked, idx) &&
+               "credit_blocked_ mask is not exact");
+        if (sendable && !starved) {
+          t.requests.push_back({static_cast<std::int16_t>(port),
+                                static_cast<std::int16_t>(vc)});
+        }
+      }
     }
   }
   if (t.requests.empty()) return;
@@ -1529,12 +1595,15 @@ void Network::switch_node(Tile& t, NodeId id) {
   // Random conflict resolution (paper): shuffle, then greedy matching
   // under the one-flit-per-input-port / per-output-port crossbar limits.
   // The shuffle draws from a (seed, cycle, node) counter stream — node-
-  // local randomness, like the routing draws above.
-  sim::CounterRng shuf(
-      sim::counter_hash(shuf_seed_, cycle_, static_cast<std::uint64_t>(id)));
-  for (std::size_t i = t.requests.size(); i > 1; --i) {
-    const auto j = shuf.next_below(i);
-    std::swap(t.requests[i - 1], t.requests[j]);
+  // local randomness, like the routing draws above.  A single request
+  // draws nothing, so its stream is not even seeded.
+  if (t.requests.size() > 1) {
+    sim::CounterRng shuf(
+        sim::counter_hash(shuf_seed_, cycle_, static_cast<std::uint64_t>(id)));
+    for (std::size_t i = t.requests.size(); i > 1; --i) {
+      const auto j = shuf.next_below(i);
+      std::swap(t.requests[i - 1], t.requests[j]);
+    }
   }
   bool used_in[kPortCount] = {};
   bool used_out[kPortCount] = {};
@@ -1545,6 +1614,7 @@ void Network::switch_node(Tile& t, NodeId id) {
     used_in[req.port] = true;
     used_out[out_port] = true;
 
+    const auto bit = static_cast<std::size_t>(req.port * vcs_ + req.vc);
     const Flit flit = ivc.buf.front();
     ivc.buf.pop_front();
     --t.d.buffered_flits;
@@ -1569,7 +1639,7 @@ void Network::switch_node(Tile& t, NodeId id) {
         t.d.counts.latency_sum += cycle_ - m.created;
         if (trace_ != nullptr) {
           const HeaderState& h = headers_[flit.msg];
-          emit(t, trace::EventKind::Eject, m.id, c,
+          emit(t, trace::EventKind::Eject, m.id, mesh_->coord_of(id),
                static_cast<std::uint32_t>(h.rs.hops),
                static_cast<std::uint32_t>(h.rs.misroutes));
         }
@@ -1591,6 +1661,10 @@ void Network::switch_node(Tile& t, NodeId id) {
       if (tail) {
         ovc.release();
         --t.d.vc_alloc[static_cast<std::size_t>(ivc.out_vc)];
+      } else if (ovc.credits == 0) {
+        // The worm spent the last downstream slot: it stays blocked until
+        // the commit that returns a credit to this output VC.
+        set_bit(ready_words(credit_blocked_, id), bit);
       }
     }
 
@@ -1598,16 +1672,15 @@ void Network::switch_node(Tile& t, NodeId id) {
     // deferred to the commit, so a freed slot becomes visible upstream on
     // the next cycle no matter which tile (or visit order) freed it.
     if (req.port != local) {
-      const auto updir = static_cast<Direction>(req.port);
-      const auto up = mesh_->neighbour(c, updir);
-      assert(up);
       t.credits.push_back(
-          {mesh_->id_of(*up),
-           static_cast<std::int16_t>(port_index(opposite(updir))),
-           static_cast<std::int16_t>(req.vc)});
+          {neighbour_id_[static_cast<std::size_t>(id) * kMeshDirections +
+                         static_cast<std::size_t>(req.port)],
+           static_cast<std::int16_t>(
+               port_index(opposite(static_cast<Direction>(req.port)))),
+           req.vc});
+      assert(t.credits.back().node >= 0);
     }
 
-    const auto bit = static_cast<std::size_t>(req.port * vcs_ + req.vc);
     if (tail) {
       ivc.release();
       set_switch_ready(id, bit, false);

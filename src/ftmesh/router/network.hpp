@@ -14,15 +14,16 @@
 // resolution of all conflicts (per the paper).
 //
 // Scheduling: the per-cycle phases are occupancy-driven.  The network keeps
-// exact per-node input-VC bitmasks of routable headers and sendable
-// (switch-ready) flits, a per-node count of pending injection work, and
-// the set of full link registers, updated at every occupancy-changing
-// point (arrival, injection, route allocation, switch traversal, tail
-// release, purge).  ScanMode::Active visits only nodes with work and, at
-// those nodes, only the input VCs whose ready bit is set; ScanMode::Full is
-// the exhaustive reference scan that additionally cross-checks the masks in
-// debug builds.  Both modes produce bit-identical results — see
-// docs/performance.md for the invariants and the determinism argument.
+// exact per-node input-VC bitmasks of routable headers, sendable
+// (switch-ready) flits and credit-blocked worms, a per-node count of
+// pending injection work, and the set of full link registers, updated at
+// every occupancy-changing point (arrival, injection, route allocation,
+// switch traversal, credit return, tail release, purge).  ScanMode::Active
+// visits only nodes with work and, at those nodes, only the input VCs whose
+// ready bit is set; ScanMode::Full is the exhaustive reference scan that
+// additionally cross-checks the masks in debug builds.  Both modes produce
+// bit-identical results — see docs/performance.md for the invariants and
+// the determinism argument.
 
 #include <bit>
 #include <cassert>
@@ -461,9 +462,10 @@ class Network {
   /// live-id consistency, created == retired + live).  Level 2 additionally
   /// recounts the whole network: flit conservation across input buffers and
   /// link registers, per-link credit/occupancy accounting, output-VC
-  /// ownership by live slots, every input VC's route/switch ready bit, the
-  /// inject counters, and the node occupancy masks (bit set iff the node
-  /// has work).  Always compiled (tests drive it directly); builds
+  /// ownership by live slots, every input VC's route/switch ready and
+  /// credit-blocked bit, every reserved output VC's feeder, the inject
+  /// counters, and the node occupancy masks (bit set iff the node has
+  /// work).  Always compiled (tests drive it directly); builds
   /// configured with -DFTMESH_AUDIT=1|2 also run it automatically at the
   /// end of every step().
   void audit_invariants(int level) const;
@@ -728,13 +730,20 @@ class Network {
   //   route_ready_  bit set <=> that VC has a header flit at the front and
   //                             stage != Active (a routable header)
   //   switch_ready_ bit set <=> that VC has stage == Active and a non-empty
-  //                             buffer (a sendable flit; credits are
-  //                             checked at switching time)
+  //                             buffer (a sendable flit)
+  //   credit_blocked_ bit set <=> that VC has stage == Active, out_dir !=
+  //                             Local and its reserved output VC has
+  //                             credits == 0 (the VC cannot send, whether
+  //                             or not it holds a flit)
   //   inject_pending_[n] = source-queue length + busy injection supplies
   // A node's bit in its tile's occupancy mask is set exactly while its
-  // ready words are non-zero (resp. the counter is positive): the setters
-  // set it on the empty -> non-empty transition and clear it on the way
-  // back.  set_*_ready asserts the VC bit actually changes state.
+  // route/switch ready words are non-zero (resp. the counter is positive):
+  // the setters set it on the empty -> non-empty transition and clear it
+  // on the way back.  set_*_ready asserts the VC bit actually changes
+  // state.  credit_blocked_ has no tile mask or gauge: it is set by route
+  // allocation onto a creditless output VC and by a non-tail grant that
+  // spends the last credit, and cleared by the credit return that lifts
+  // the count from 0 (found through OutputVc::feeder).
   void set_route_ready(topology::NodeId node, std::size_t bit, bool ready);
   void set_switch_ready(topology::NodeId node, std::size_t bit, bool ready);
   void bump_inject(topology::NodeId node, int delta);
@@ -789,6 +798,10 @@ class Network {
 
   std::vector<Router> routers_;
   std::vector<LinkReg> links_;  // [node][direction]
+  /// Mesh neighbour of each node per link direction, -1 off the edge;
+  /// indexed like links_, so a register's downstream node is
+  /// neighbour_id_[link index].
+  std::vector<topology::NodeId> neighbour_id_;
 
   // Message storage: a slot table plus a parallel hot array (SoA split —
   // the route stage touches only headers_).  With recycling on, finished
@@ -836,6 +849,7 @@ class Network {
   // addressed through the node -> tile-local-index map.
   std::vector<std::uint64_t> route_ready_;
   std::vector<std::uint64_t> switch_ready_;
+  std::vector<std::uint64_t> credit_blocked_;
   std::vector<std::uint32_t> inject_pending_;
   std::vector<std::uint32_t> link_vc_allocated_;  // per VC index, link ports
   std::uint64_t full_links_ = 0;  ///< exact count of full link registers

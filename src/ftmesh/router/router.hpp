@@ -31,6 +31,9 @@ class Router {
   [[nodiscard]] InputVc& input_at(std::size_t idx) noexcept {
     return inputs_[idx];
   }
+  [[nodiscard]] const InputVc& input_at(std::size_t idx) const noexcept {
+    return inputs_[idx];
+  }
   [[nodiscard]] OutputVc& output(int port, int vc) noexcept {
     return outputs_[static_cast<std::size_t>(port * vcs_ + vc)];
   }

@@ -37,11 +37,16 @@ struct InputVc {
 
 struct OutputVc {
   bool allocated = false;
+  /// Flat input-VC index (`port * vcs + vc`) of the worm that reserved this
+  /// output VC; meaningful only while `allocated`.  Lets a credit return
+  /// find the input VC it unblocks without a search.
+  std::uint16_t feeder = 0;
   MessageId owner = kInvalidMessage;
   int credits = 0;
 
-  void allocate(MessageId m) noexcept {
+  void allocate(MessageId m, std::uint16_t from) noexcept {
     allocated = true;
+    feeder = from;
     owner = m;
   }
   void release() noexcept {

@@ -4,28 +4,6 @@
 
 namespace ftmesh::sim {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t counter_hash(std::uint64_t seed, std::uint64_t a,
-                           std::uint64_t b) noexcept {
-  std::uint64_t state = seed ^ (0xbf58476d1ce4e5b9ULL * (a + 1));
-  (void)splitmix64(state);
-  state ^= 0x94d049bb133111ebULL * (b + 1);
-  return splitmix64(state);
-}
-
-std::uint64_t counter_below(std::uint64_t seed, std::uint64_t a,
-                            std::uint64_t b, std::uint64_t bound) noexcept {
-  const __uint128_t m =
-      static_cast<__uint128_t>(counter_hash(seed, a, b)) * bound;
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));

@@ -15,20 +15,37 @@
 namespace ftmesh::sim {
 
 /// SplitMix64 step: used for seeding and for deriving sub-streams.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless counter-based hash of (seed, a, b): two chained SplitMix64
 /// finalisations.  Unlike a shared-stream draw, the value for one counter
 /// pair is independent of how many other pairs were evaluated, so a
 /// scheduler that skips idle work cannot perturb anybody else's randomness
-/// (the "counter-based RNG" idiom from parallel simulation).
-std::uint64_t counter_hash(std::uint64_t seed, std::uint64_t a,
-                           std::uint64_t b) noexcept;
+/// (the "counter-based RNG" idiom from parallel simulation).  Inline: the
+/// cycle kernel calls it per routed node, per crossbar shuffle and per
+/// route-cache probe.
+inline std::uint64_t counter_hash(std::uint64_t seed, std::uint64_t a,
+                                  std::uint64_t b) noexcept {
+  std::uint64_t state = seed ^ (0xbf58476d1ce4e5b9ULL * (a + 1));
+  (void)splitmix64(state);
+  state ^= 0x94d049bb133111ebULL * (b + 1);
+  return splitmix64(state);
+}
 
 /// counter_hash reduced to [0, bound) by the multiply-shift map.
 /// bound must be > 0.
-std::uint64_t counter_below(std::uint64_t seed, std::uint64_t a,
-                            std::uint64_t b, std::uint64_t bound) noexcept;
+inline std::uint64_t counter_below(std::uint64_t seed, std::uint64_t a,
+                                   std::uint64_t b,
+                                   std::uint64_t bound) noexcept {
+  const __uint128_t m =
+      static_cast<__uint128_t>(counter_hash(seed, a, b)) * bound;
+  return static_cast<std::uint64_t>(m >> 64);
+}
 
 /// A draw *stream* over counter_hash: the n-th value is
 /// counter_hash(seed, n, 0).  Used for arbitration inside the (optionally

@@ -9,6 +9,7 @@
 
 #include "ftmesh/fault/fault_model.hpp"
 #include "ftmesh/fault/fring.hpp"
+#include "ftmesh/inject/fault_injector.hpp"
 #include "ftmesh/router/network.hpp"
 #include "ftmesh/routing/registry.hpp"
 #include "ftmesh/verify/audit.hpp"
@@ -20,10 +21,16 @@ namespace {
 using ftmesh::fault::FaultMap;
 using ftmesh::fault::FRingSet;
 using ftmesh::fault::Rect;
+using ftmesh::inject::FaultEvent;
+using ftmesh::inject::FaultEventKind;
+using ftmesh::inject::FaultInjector;
+using ftmesh::inject::FaultSchedule;
+using ftmesh::router::IvcStage;
 using ftmesh::router::Network;
 using ftmesh::router::NetworkConfig;
 using ftmesh::sim::Rng;
 using ftmesh::topology::Coord;
+using ftmesh::topology::Direction;
 using ftmesh::topology::Mesh;
 using ftmesh::verify::AuditCheck;
 using ftmesh::verify::AuditOptions;
@@ -225,6 +232,75 @@ TEST(RuntimeAudit, SerialAllocatorUnderTilingKeepsEveryInvariant) {
 
 TEST(RuntimeAudit, AppendOnlyTableUnderTilingKeepsEveryInvariant) {
   run_audited_traffic("Fully-Adaptive", 0, /*recycle=*/false, /*tiles=*/4);
+}
+
+TEST(RuntimeAudit, CreditBlockedWormsSurvivePurgeAndRebuild) {
+  // Long worms into a hot spot keep many input VCs Active behind full
+  // downstream buffers, i.e. credit-blocked.  A node fault and a link fault
+  // mid-run flush the worms they sever (purge_messages) and refresh the
+  // fault-derived state (on_fault_change); both rebuild the active sets,
+  // credit-blocked mask included.  The level-2 recount checks every
+  // credit-blocked bit and every output-VC feeder after each cycle and
+  // after each reconfiguration.
+  const Mesh mesh(6, 6);
+  FaultMap faults(mesh);
+  FRingSet rings(faults);
+  const auto algo =
+      ftmesh::routing::make_algorithm("Duato-Nbc", mesh, faults, rings);
+  Network net(mesh, faults, *algo, {}, Rng(7));
+  FaultSchedule sched;
+  sched.add(120, FaultEvent{FaultEventKind::Fail, {2, 3}});
+  sched.add(260,
+            FaultEvent{FaultEventKind::FailLink, {4, 0}, Direction::XPlus});
+  FaultInjector inj(std::move(sched), faults, rings, {});
+
+  const Coord hot{3, 3};
+  Rng traffic(21);
+  const auto credit_blocked_somewhere = [&] {
+    const int vcs = algo->layout().total();
+    for (const Coord c : faults.active_nodes()) {
+      const auto& rt = net.router_at(c);
+      for (int port = 0; port < ftmesh::topology::kPortCount; ++port) {
+        for (int vc = 0; vc < vcs; ++vc) {
+          const auto& ivc = rt.input(port, vc);
+          if (ivc.stage != IvcStage::Active ||
+              ivc.out_dir == Direction::Local) {
+            continue;
+          }
+          const int out = ftmesh::topology::port_index(ivc.out_dir);
+          if (rt.output(out, ivc.out_vc).credits == 0) return true;
+        }
+      }
+    }
+    return false;
+  };
+  int blocked_cycles = 0;
+  for (int cycle = 0; cycle < 1500; ++cycle) {
+    if (inj.tick(net)) {
+      net.revalidate_ring_state(rings);
+      net.reset_watchdog();
+      net.on_fault_change();
+      algo->on_fault_change();
+      ASSERT_NO_THROW(net.audit_invariants(2))
+          << "after the reconfiguration at cycle " << cycle;
+      ASSERT_TRUE(faults.active(hot));
+    }
+    if (cycle < 400 && cycle % 4 == 0) {
+      Coord src{};
+      do {
+        src = {static_cast<int>(traffic.next_below(6)),
+               static_cast<int>(traffic.next_below(6))};
+      } while (!faults.active(src) || src == hot);
+      net.create_message(src, hot, 32);
+    }
+    net.step();
+    ASSERT_NO_THROW(net.audit_invariants(2)) << "cycle " << cycle;
+    if (credit_blocked_somewhere()) ++blocked_cycles;
+  }
+  EXPECT_EQ(inj.log().events_applied, 2);
+  EXPECT_GT(inj.log().messages_flushed, 0u);
+  EXPECT_GT(blocked_cycles, 0);
+  EXPECT_FALSE(net.watchdog().tripped());
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include "ftmesh/router/network.hpp"
 #include "ftmesh/routing/registry.hpp"
+#include "ftmesh/routing/vc_layout.hpp"
+#include "ftmesh/routing/xy.hpp"
 
 namespace {
 
@@ -13,11 +15,14 @@ using ftmesh::fault::FaultMap;
 using ftmesh::fault::FRingSet;
 using ftmesh::router::Flit;
 using ftmesh::router::FlitType;
+using ftmesh::router::IvcStage;
 using ftmesh::router::Network;
 using ftmesh::router::NetworkConfig;
 using ftmesh::sim::Rng;
 using ftmesh::topology::Coord;
+using ftmesh::topology::Direction;
 using ftmesh::topology::Mesh;
+using ftmesh::topology::port_index;
 
 struct NetFixture {
   Mesh mesh{10, 10};
@@ -347,6 +352,65 @@ TEST(Network, NoWaitCycleAtSaturationWithFaults) {
     net.step();
     if (c % 250 == 0) EXPECT_TRUE(net.find_deadlock_cycle().empty()) << c;
   }
+}
+
+TEST(Network, CreditStarvedWormWaitsForItsCreditThenSends) {
+  // Two worms contend for the one XY channel east out of (3,0): X, injected
+  // there, takes it first; W, arriving from the west, waits at (3,0) with
+  // its header unrouted and its depth-2 buffer full, so the router
+  // upstream, (2,0), holds W's reserved output VC at 0 credits.  W's input
+  // VC there must never be granted while the count is 0, and must be
+  // granted on the cycle after the commit that returns a credit (nothing
+  // else competes at (2,0)).  The level-2 audit after every step checks
+  // that its credit-blocked bit is set exactly while the count is 0.
+  const Mesh mesh(10, 10);
+  const FaultMap faults(mesh);
+  const auto layout = ftmesh::routing::VcLayout::duato(24, 0, 0, true, true);
+  const ftmesh::routing::XyRouting xy(mesh, faults, layout);
+  NetworkConfig cfg;
+  cfg.buffer_depth = 2;
+  Network net(mesh, faults, xy, cfg, Rng(7));
+  const int vc = layout.xy_escape()[0];
+  const Coord up{2, 0};
+  const int in_port = port_index(Direction::XMinus);
+  const int out_port = port_index(Direction::XPlus);
+  const auto& ivc = net.router_at(up).input(in_port, vc);
+  const auto& ovc = net.router_at(up).output(out_port, vc);
+  net.create_message({3, 0}, {9, 0}, 20);  // X
+  net.create_message({0, 0}, {8, 0}, 20);  // W
+
+  int cycle = 0;
+  for (; cycle < 100; ++cycle) {
+    if (ivc.stage == IvcStage::Active && ovc.credits == 0 &&
+        ivc.buf.size() == 2) {
+      break;
+    }
+    net.step();
+    ASSERT_NO_THROW(net.audit_invariants(2));
+  }
+  ASSERT_LT(cycle, 100) << "W never starved at (2,0)";
+
+  int starved_steps = 0;
+  for (;; ++starved_steps) {
+    ASSERT_LT(starved_steps, 100) << "the credit never came back";
+    ASSERT_EQ(ovc.credits, 0);
+    ASSERT_FALSE(ivc.buf.empty());
+    const auto front = ivc.buf.front().seq;
+    net.step();
+    ASSERT_NO_THROW(net.audit_invariants(2));
+    // The switch phase saw 0 credits: the front flit must not have moved.
+    EXPECT_EQ(ivc.buf.front().seq, front);
+    if (ovc.credits != 0) break;
+  }
+  EXPECT_GT(starved_steps, 5);
+  // The commit of the step just taken returned the credit; the next switch
+  // phase sends.
+  EXPECT_EQ(ovc.credits, 1);
+  const auto front = ivc.buf.front().seq;
+  net.step();
+  ASSERT_NO_THROW(net.audit_invariants(2));
+  ASSERT_FALSE(ivc.buf.empty());
+  EXPECT_EQ(ivc.buf.front().seq, front + 1);
 }
 
 TEST(Network, WatchdogStaysQuietOnHealthyTraffic) {

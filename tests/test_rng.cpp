@@ -156,4 +156,42 @@ TEST(Rng, SplitMix64KnownSequenceAdvances) {
   EXPECT_EQ(s, 2 * 0x9e3779b97f4a7c15ULL);
 }
 
+// Known-answer values for the counter-based hash.  Every arbitration draw
+// in the cycle kernel, the route-cache slot, campaign cell seeds and
+// fault-pattern seeds are built on these functions, so any change to their
+// bits silently changes every result; these pins catch it at the source.
+
+TEST(CounterHash, KnownAnswers) {
+  using ftmesh::sim::counter_hash;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  EXPECT_EQ(counter_hash(0, 0, 0), 0x1e136b3638e1520fULL);
+  EXPECT_EQ(counter_hash(1, 2, 3), 0x0faef70efd93ccb1ULL);
+  EXPECT_EQ(counter_hash(0x9e3779b97f4a7c15ULL, 30000, 42),
+            0x7cb56c688db803d0ULL);
+  EXPECT_EQ(counter_hash(kMax, kMax, kMax), 0xe99ff867dbf682c9ULL);
+  EXPECT_EQ(counter_hash(12345, 0, 99), 0x7002a69a492401e2ULL);
+}
+
+TEST(CounterHash, BelowKnownAnswers) {
+  using ftmesh::sim::counter_below;
+  EXPECT_EQ(counter_below(0, 0, 0, 120), 14u);
+  EXPECT_EQ(counter_below(1, 2, 3, 10), 0u);
+  EXPECT_EQ(counter_below(7, 1000, 55, 1), 0u);
+  EXPECT_EQ(counter_below(42, 17, 4, std::uint64_t{1} << 40), 509079863502u);
+  EXPECT_EQ(counter_below(~std::uint64_t{0}, 5, 6, 3), 1u);
+}
+
+TEST(CounterHash, StreamKnownAnswers) {
+  ftmesh::sim::CounterRng r(2024);
+  EXPECT_EQ(r(), 0x7063df4012fbd3c6ULL);
+  EXPECT_EQ(r(), 0x33b0e7d8448b35abULL);
+  EXPECT_EQ(r(), 0x07ff319787c62eb6ULL);
+  EXPECT_EQ(r(), 0x3eb8c8fc9e935162ULL);
+  // next_below continues the same draw index sequence (n = 4, 5, ...).
+  EXPECT_EQ(r.next_below(2), 0u);
+  EXPECT_EQ(r.next_below(3), 2u);
+  EXPECT_EQ(r.next_below(7), 2u);
+  EXPECT_EQ(r.next_below(100), 54u);
+}
+
 }  // namespace
