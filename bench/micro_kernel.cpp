@@ -147,8 +147,9 @@ void BM_NetworkStepSaturatedRecycled(benchmark::State& state) {
 BENCHMARK(BM_NetworkStepSaturatedRecycled);
 
 void BM_NetworkStepSaturatedAppendOnly(benchmark::State& state) {
-  // Legacy storage model: the message table grows one entry per message
-  // ever created, so long saturated runs walk ever-colder memory.
+  // Recycling off: retirement keeps every slot, so the message table grows
+  // one entry per message ever created and long saturated runs walk
+  // ever-colder memory.
   auto cfg = kernel_config(-1.0, 0);
   cfg.recycle_messages = false;
   Simulator sim(cfg);
@@ -257,10 +258,10 @@ void BM_NetworkStepShardedAlloc(benchmark::State& state, bool shard_alloc) {
   // with *short* messages (length 4), so worms retire and are recreated at
   // the highest possible rate and slot churn dominates the step.  Both
   // captures run the identical simulation (reports are byte-identical
-  // across the allocator flag); `shard` allocates from per-tile free lists
-  // inside the tile-parallel injection phase, `serial` replays the
-  // pre-sharding allocator — every slot assigned from the single global
-  // LIFO in a serial prologue.  CI holds the shard:serial pair ratio.
+  // across the allocator flag); `shard` lets each tile keep up to four
+  // freed slots for its own creations, `serial` sets the keep cap to 0 —
+  // every freed slot goes to the global LIFO and the creation prologue
+  // hands every slot out from there.  CI holds the shard:serial pair ratio.
   auto cfg = sharded_config(64, 4, 4);
   cfg.message_length = 4;
   cfg.shard_alloc = shard_alloc;

@@ -18,7 +18,7 @@ class CampaignSpecError : public std::invalid_argument {
     base_config,            ///< base SimConfig failed its own validate()
     unknown_algorithm,      ///< name not in the routing registry
     duplicate_algorithm,    ///< same algorithm listed twice
-    invalid_rate,           ///< NaN, infinite or negative injection rate
+    invalid_rate,           ///< NaN, infinite, negative or > injection_vcs
     invalid_patterns,       ///< patterns <= 0
     fault_count_out_of_range,  ///< negative or >= mesh node count
     invalid_threads,        ///< threads below -1? (reserved)

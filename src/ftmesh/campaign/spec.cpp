@@ -60,11 +60,14 @@ void CampaignSpec::validate() const {
     }
   }
   for (const double r : rates) {
-    if (std::isnan(r) || std::isinf(r) || r < 0.0) {
+    if (!std::isfinite(r) || r < 0.0 ||
+        r > static_cast<double>(base.injection_vcs)) {
       std::ostringstream os;
       os << "invalid injection rate " << r
-         << " (campaign rates must be finite and >= 0; use `ftmesh run "
-            "--rate -1` for a one-off saturated-source run)";
+         << " (campaign rates must be finite, >= 0 and <= injection_vcs = "
+         << base.injection_vcs
+         << "; use `ftmesh run --rate -1` for a one-off saturated-source "
+            "run)";
       throw CampaignSpecError(CampaignSpecError::Code::invalid_rate, os.str());
     }
   }

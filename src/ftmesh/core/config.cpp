@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "ftmesh/inject/fault_schedule.hpp"
 #include "ftmesh/routing/registry.hpp"
@@ -24,8 +25,14 @@ void SimConfig::validate() const {
     throw std::invalid_argument("injection_vcs out of range");
   }
   if (message_length < 1) throw std::invalid_argument("message_length must be >= 1");
-  if (std::isnan(injection_rate)) {
-    throw std::invalid_argument("injection_rate must not be NaN");
+  // A source injects at most injection_vcs messages per cycle; a larger
+  // (or infinite) Poisson rate would also stall the arrival clock, whose
+  // exponential gaps round to 0 against the current cycle.
+  if (!std::isfinite(injection_rate) ||
+      injection_rate > static_cast<double>(injection_vcs)) {
+    throw std::invalid_argument(
+        "injection_rate must be finite and <= injection_vcs (" +
+        std::to_string(injection_vcs) + ") messages/node/cycle");
   }
   if (scan_mode != "active" && scan_mode != "full") {
     throw std::invalid_argument("scan_mode must be 'active' or 'full'");

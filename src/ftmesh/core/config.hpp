@@ -75,13 +75,14 @@ struct SimConfig {
   /// Recycle message slots: finished messages retire into a compact log
   /// the cycle they complete and their slot is reused, bounding storage at
   /// O(in-flight) instead of O(delivered).  Byte-identical results either
-  /// way; off = the legacy append-only message table (A/B validation).
+  /// way; off = retirement keeps every slot, so the table grows with each
+  /// message ever created (A/B validation).
   bool recycle_messages = true;
-  /// Shard the slot allocator: retired slots return to a per-tile free
-  /// list (global pool only as bounded spillover), so the tiled injection
-  /// phase allocates without touching shared state.  Requires nothing of
-  /// the caller; results are byte-identical either way.  Off = the serial
-  /// single-LIFO allocator (A/B validation and the perf baseline).
+  /// Per-tile keep cap of the slot allocator: on, each tile keeps up to 4
+  /// freed slots for its own creations (the global pool takes the
+  /// spillover); off, tiles keep none and every slot comes from the global
+  /// LIFO pool (A/B validation and the perf baseline).  Results are
+  /// byte-identical either way.
   bool shard_alloc = true;
 
   // optional statistics

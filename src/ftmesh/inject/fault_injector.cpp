@@ -107,8 +107,7 @@ void FaultInjector::recover(router::Network& net) {
     }
   }
   // Dedupe on slots, then order by stable id so purge-trace emission and
-  // the retransmit schedule are independent of slot assignment (with
-  // recycling off slot == id and this is the legacy order).
+  // the retransmit schedule are independent of slot assignment.
   std::sort(victims.begin(), victims.end());
   victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
   std::sort(victims.begin(), victims.end(), [&](MessageSlot a, MessageSlot b) {

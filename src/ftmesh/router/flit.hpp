@@ -16,8 +16,8 @@ inline constexpr MessageId kInvalidMessage = 0xffffffffu;
 /// enabled a slot is reused after its message retires, so a slot is *not*
 /// a stable identifier: the externally visible `Message::id` stays a
 /// monotonically increasing counter, while flits, VC owners and source
-/// queues all carry slots.  The two types coincide bit-for-bit when
-/// recycling is off (slot == id for every message ever created).
+/// queues all carry slots.  The allocator assigns slots in its own order
+/// in every mode; only the id is ever reported.
 using MessageSlot = std::uint32_t;
 
 enum class FlitType : std::uint8_t {

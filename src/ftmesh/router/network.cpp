@@ -81,6 +81,7 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
       faults_(&faults),
       algorithm_(&algorithm),
       config_(config),
+      tile_free_keep_(config.shard_alloc ? kTileFreeKeep : 0),
       rng_(rng),
       watchdog_(config.watchdog_patience) {
   const auto n = static_cast<std::size_t>(mesh.node_count());
@@ -490,33 +491,6 @@ void Network::trace_block(Tile& t, MessageSlot slot, Coord c) {
 
 // ---- message lifecycle ---------------------------------------------------
 
-MessageSlot Network::acquire_slot(std::uint32_t tile) {
-  if (config_.recycle_messages) {
-    Tile& t = tiles_[tile];
-    if (config_.shard_alloc && !t.free_slots.empty()) {
-      const MessageSlot slot = t.free_slots.back();
-      t.free_slots.pop_back();
-      assert(messages_[static_cast<std::size_t>(slot)].id == kInvalidMessage);
-      assert(slot_tile_[static_cast<std::size_t>(slot)] == tile);
-      return slot;
-    }
-    if (!free_slots_.empty()) {
-      const MessageSlot slot = free_slots_.back();
-      free_slots_.pop_back();
-      assert(messages_[static_cast<std::size_t>(slot)].id == kInvalidMessage);
-      slot_tile_[static_cast<std::size_t>(slot)] = tile;  // new owner
-      return slot;
-    }
-  }
-  const auto slot = static_cast<MessageSlot>(messages_.size());
-  messages_.emplace_back();
-  headers_.emplace_back();
-  slot_gen_.push_back(0);
-  slot_tile_.push_back(tile);
-  if (trace_ != nullptr) trace_blocked_.push_back(0);
-  return slot;
-}
-
 void Network::init_created_message(MessageSlot slot, const PendingCreate& pc) {
   Message& m = messages_[static_cast<std::size_t>(slot)];
   m = Message{};
@@ -533,28 +507,15 @@ void Network::init_created_message(MessageSlot slot, const PendingCreate& pc) {
 }
 
 MessageId Network::create_message(Coord src, Coord dst, std::uint32_t length) {
-  assert(faults_->active(src) && faults_->active(dst));
-  assert(length >= 1);
-  // Immediate creations may not interleave with deferred ones while the
-  // append-only table is in force: slot == id only holds when slots are
-  // appended in id order.
-  assert(config_.recycle_messages || pending_creates_.empty());
-  const NodeId src_id = mesh_->id_of(src);
-  const auto tile = tile_of_node_[static_cast<std::size_t>(src_id)];
-  const MessageSlot slot = acquire_slot(tile);
-  PendingCreate pc{next_message_id_++, src, dst, length, slot};
-  init_created_message(slot, pc);
-  const Message& m = messages_[static_cast<std::size_t>(slot)];
-  if (config_.recycle_messages) live_ids_.emplace(m.id, slot);
-  queues_[static_cast<std::size_t>(src_id)].push_back(slot);
-  ++queued_messages_;
-  bump_inject(src_id, +1);
-  counters_.flits_generated += length;
-  if (trace_ != nullptr) {
-    trace_blocked_[static_cast<std::size_t>(slot)] = 0;
-    emit(trace::EventKind::Create, m.id, src, length);
-  }
-  return m.id;
+  // The injection phase's own creation steps, run now: any creation
+  // enqueued earlier in this between-cycles window materialises with it,
+  // in id order.
+  const MessageId id = enqueue_message(src, dst, length);
+  stage_creations();
+  for (Tile& t : tiles_) materialize_tile_creations(t);
+  commit_creations();
+  reduce_deltas();
+  return id;
 }
 
 MessageId Network::enqueue_message(Coord src, Coord dst, std::uint32_t length) {
@@ -572,82 +533,46 @@ void Network::stage_creations() {
       emit(trace::EventKind::Create, pc.id, pc.src, pc.length);
     }
   }
-  if (!config_.recycle_messages) {
-    // Append-only table: slot == id for every message ever created, so the
-    // table must grow to cover every reserved id, in order, before the
-    // tiles run (vector growth is not tile-safe).
-    const std::size_t need =
-        static_cast<std::size_t>(pending_creates_.back().id) + 1;
-    assert(messages_.size() == pending_creates_.front().id);
-    messages_.resize(need);
-    headers_.resize(need);
-    slot_gen_.resize(need, 0);
-    slot_tile_.resize(need, 0);
-    if (trace_ != nullptr) trace_blocked_.resize(need, 0);
-    for (PendingCreate& pc : pending_creates_) {
-      pc.slot = static_cast<MessageSlot>(pc.id);
-      const auto sid = static_cast<std::size_t>(mesh_->id_of(pc.src));
-      slot_tile_[static_cast<std::size_t>(pc.slot)] = tile_of_node_[sid];
-    }
-  } else if (config_.shard_alloc) {
-    // Count each tile's demand, then top its private list up — spillover
-    // pool first, fresh appends last — so the tile phase can pop without
-    // touching shared state.
-    create_need_.assign(tiles_.size(), 0);
-    for (const PendingCreate& pc : pending_creates_) {
-      const auto sid = static_cast<std::size_t>(mesh_->id_of(pc.src));
-      ++create_need_[tile_of_node_[sid]];
-    }
-    for (std::size_t i = 0; i < tiles_.size(); ++i) {
-      Tile& t = tiles_[i];
-      while (t.free_slots.size() < create_need_[i]) {
-        if (!free_slots_.empty()) {
-          const MessageSlot slot = free_slots_.back();
-          free_slots_.pop_back();
-          assert(messages_[static_cast<std::size_t>(slot)].id ==
-                 kInvalidMessage);
-          slot_tile_[static_cast<std::size_t>(slot)] =
-              static_cast<std::uint32_t>(i);
-          t.free_slots.push_back(slot);
-        } else {
-          const auto slot = static_cast<MessageSlot>(messages_.size());
-          messages_.emplace_back();
-          headers_.emplace_back();
-          slot_gen_.push_back(0);
-          slot_tile_.push_back(static_cast<std::uint32_t>(i));
-          if (trace_ != nullptr) trace_blocked_.push_back(0);
-          t.free_slots.push_back(slot);
-        }
-      }
-    }
-  } else {
-    // Serial allocator (the pre-sharding path): assign every slot from the
-    // single global LIFO here, in id order.
-    for (PendingCreate& pc : pending_creates_) {
-      const auto sid = static_cast<std::size_t>(mesh_->id_of(pc.src));
-      pc.slot = acquire_slot(tile_of_node_[sid]);
-    }
-  }
+  // Bucket the creations by tile, then top each tile's private list up to
+  // its demand — spillover pool first, fresh appends last — so the tile
+  // phase can pop without touching shared state (vector growth must not
+  // race the tiles).
   for (std::size_t i = 0; i < pending_creates_.size(); ++i) {
     const auto sid =
         static_cast<std::size_t>(mesh_->id_of(pending_creates_[i].src));
     tiles_[tile_of_node_[sid]].creates.push_back(
         static_cast<std::uint32_t>(i));
   }
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    Tile& t = tiles_[i];
+    while (t.free_slots.size() < t.creates.size()) {
+      MessageSlot slot;
+      if (!free_slots_.empty()) {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+        assert(messages_[static_cast<std::size_t>(slot)].id == kInvalidMessage);
+        slot_tile_[static_cast<std::size_t>(slot)] =
+            static_cast<std::uint32_t>(i);
+      } else {
+        slot = static_cast<MessageSlot>(messages_.size());
+        messages_.emplace_back();
+        headers_.emplace_back();
+        slot_gen_.push_back(0);
+        slot_tile_.push_back(static_cast<std::uint32_t>(i));
+        if (trace_ != nullptr) trace_blocked_.push_back(0);
+      }
+      t.free_slots.push_back(slot);
+    }
+  }
 }
 
 void Network::materialize_tile_creations(Tile& t) {
-  if (t.creates.empty()) return;
-  const bool pop_local = config_.recycle_messages && config_.shard_alloc;
   for (const std::uint32_t i : t.creates) {
     PendingCreate& pc = pending_creates_[i];
-    if (pop_local) {
-      assert(!t.free_slots.empty());  // staged by the prologue
-      pc.slot = t.free_slots.back();
-      t.free_slots.pop_back();
-      assert(messages_[static_cast<std::size_t>(pc.slot)].id ==
-             kInvalidMessage);
-    }
+    assert(!t.free_slots.empty());  // staged by the prologue
+    pc.slot = t.free_slots.back();
+    t.free_slots.pop_back();
+    assert(messages_[static_cast<std::size_t>(pc.slot)].id == kInvalidMessage);
     init_created_message(pc.slot, pc);
     if (trace_ != nullptr) trace_blocked_[static_cast<std::size_t>(pc.slot)] = 0;
     const auto sid = static_cast<std::size_t>(mesh_->id_of(pc.src));
@@ -660,12 +585,9 @@ void Network::materialize_tile_creations(Tile& t) {
 }
 
 void Network::commit_creations() {
-  if (pending_creates_.empty()) return;
-  if (config_.recycle_messages) {
-    for (const PendingCreate& pc : pending_creates_) {
-      assert(pc.slot != kInvalidMessage);
-      live_ids_.emplace(pc.id, pc.slot);
-    }
+  for (const PendingCreate& pc : pending_creates_) {
+    assert(pc.slot != kInvalidMessage);
+    live_ids_.emplace(pc.id, pc.slot);
   }
   pending_creates_.clear();
 }
@@ -692,22 +614,17 @@ void Network::retire_slot(MessageSlot slot) {
   r.aborted = m.aborted;
   r.ring_user = h.rs.ring.region >= 0;
   retired_.push_back(r);
-  if (!config_.recycle_messages) return;  // legacy: slots live forever
+  if (!config_.recycle_messages) return;  // the slot and its id stay put
   live_ids_.erase(m.id);
   m = Message{};  // id == kInvalidMessage marks the slot free
   headers_[static_cast<std::size_t>(slot)] = HeaderState{};
   ++slot_gen_[static_cast<std::size_t>(slot)];
-  if (!config_.shard_alloc) {
-    free_slots_.push_back(slot);
-    return;
-  }
-  // Sharded allocator: the slot returns to its owning tile's list (LIFO —
-  // the warmest slot is reused first), trimmed to kTileFreeKeep by
-  // spilling the coldest entries to the global pool so tile-local churn
-  // cannot strand capacity.
+  // The slot returns to its owning tile's list (LIFO — the warmest slot is
+  // reused first), trimmed to the keep cap by spilling the coldest entry to
+  // the global pool so tile-local churn cannot strand capacity.
   Tile& t = tiles_[slot_tile_[static_cast<std::size_t>(slot)]];
   t.free_slots.push_back(slot);
-  if (t.free_slots.size() > kTileFreeKeep) {
+  if (t.free_slots.size() > tile_free_keep_) {
     free_slots_.push_back(t.free_slots.front());
     t.free_slots.erase(t.free_slots.begin());
   }
@@ -729,11 +646,14 @@ const RetiredMessage* Network::retired_record(MessageId id) const {
 
 bool Network::message_finished(MessageId id) const {
   assert(id < next_message_id_);
-  if (!config_.recycle_messages) {
-    const Message& m = messages_[static_cast<std::size_t>(id)];
-    return m.done || m.aborted;
+  const auto it = live_ids_.find(id);
+  if (it == live_ids_.end()) {
+    // Retired, or still pending: every id is pending from enqueue_message
+    // until the commit, and the pending list is in id order.
+    return pending_creates_.empty() || id < pending_creates_.front().id;
   }
-  return live_ids_.find(id) == live_ids_.end();
+  const Message& m = messages_[static_cast<std::size_t>(it->second)];
+  return m.done || m.aborted;
 }
 
 void Network::begin_measurement() {
@@ -878,9 +798,18 @@ void Network::audit_invariants(int level) const {
       messages_.size() != slot_tile_.size()) {
     fail("slot-table arrays diverged (messages/headers/slot_gen/slot_tile)");
   }
+  // Retirement frees the slot when recycling; otherwise the finished
+  // message stays in place, so exactly the retired messages are finished
+  // occupants.
   std::size_t occupied = 0;
+  std::size_t finished = 0;
   for (const auto& m : messages_) {
-    if (m.id != kInvalidMessage) ++occupied;
+    if (m.id == kInvalidMessage) continue;
+    ++occupied;
+    if (m.done || m.aborted) ++finished;
+  }
+  if (finished != (config_.recycle_messages ? 0 : retired_.size())) {
+    fail("finished occupants != retirements kept in place");
   }
   // Ids drawn by enqueue_message but not yet materialised into slots count
   // as created-but-not-live; between cycles the list is empty, but the audit
@@ -889,67 +818,56 @@ void Network::audit_invariants(int level) const {
   for (const PendingCreate& pc : pending_creates_) {
     if (pc.slot == kInvalidMessage) ++pending_unslotted;
   }
-  if (config_.recycle_messages) {
-    // The free store is the union of the global spillover pool and every
-    // tile's local list.  The union must be a permutation of the vacant
-    // slots: no entry twice (a cross-tile double-free would surface here),
-    // no occupied entry, no vacant slot missing.  Tile-local entries must
-    // be owned by that tile and bounded by the trim threshold — retirement
-    // spills anything beyond kTileFreeKeep back to the global pool.
-    std::vector<char> freed(messages_.size(), 0);
-    const auto note_free = [&](MessageSlot slot, const char* where) {
-      if (slot >= messages_.size()) {
-        fail(std::string("free-list entry out of range (") + where + ")");
-      }
-      if (freed[slot] != 0) {
-        fail(std::string("slot appears in the free union twice (") + where +
-             ")");
-      }
-      freed[slot] = 1;
-      if (messages_[slot].id != kInvalidMessage) {
-        fail(std::string("free-listed slot is still occupied (") + where +
-             ")");
-      }
-    };
-    for (const MessageSlot slot : free_slots_) note_free(slot, "global");
-    for (std::size_t i = 0; i < tiles_.size(); ++i) {
-      const Tile& t = tiles_[i];
-      if (t.free_slots.size() > kTileFreeKeep) {
-        fail("tile free list exceeds the trim threshold");
-      }
-      for (const MessageSlot slot : t.free_slots) {
-        note_free(slot, "tile");
-        if (slot_tile_[slot] != static_cast<std::uint32_t>(i)) {
-          fail("tile free list holds a slot owned by another tile");
-        }
+  // The free store is the union of the global spillover pool and every
+  // tile's local list.  The union must be a permutation of the vacant
+  // slots: no entry twice (a cross-tile double-free would surface here), no
+  // occupied entry, no vacant slot missing.  Tile-local entries must be
+  // owned by that tile and bounded by the keep cap — retirement spills
+  // anything beyond it back to the global pool.
+  std::vector<char> freed(messages_.size(), 0);
+  const auto note_free = [&](MessageSlot slot, const char* where) {
+    if (slot >= messages_.size()) {
+      fail(std::string("free-list entry out of range (") + where + ")");
+    }
+    if (freed[slot] != 0) {
+      fail(std::string("slot appears in the free union twice (") + where +
+           ")");
+    }
+    freed[slot] = 1;
+    if (messages_[slot].id != kInvalidMessage) {
+      fail(std::string("free-listed slot is still occupied (") + where + ")");
+    }
+  };
+  for (const MessageSlot slot : free_slots_) note_free(slot, "global");
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    const Tile& t = tiles_[i];
+    if (t.free_slots.size() > tile_free_keep_) {
+      fail("tile free list exceeds the keep cap");
+    }
+    for (const MessageSlot slot : t.free_slots) {
+      note_free(slot, "tile");
+      if (slot_tile_[slot] != static_cast<std::uint32_t>(i)) {
+        fail("tile free list holds a slot owned by another tile");
       }
     }
-    for (MessageSlot slot = 0; slot < messages_.size(); ++slot) {
-      if (messages_[slot].id == kInvalidMessage && freed[slot] == 0) {
-        fail("vacant slot missing from the free union");
-      }
+  }
+  for (MessageSlot slot = 0; slot < messages_.size(); ++slot) {
+    if (messages_[slot].id == kInvalidMessage && freed[slot] == 0) {
+      fail("vacant slot missing from the free union");
     }
-    if (occupied != live_ids_.size() + (pending_creates_.size() -
-                                        pending_unslotted)) {
-      fail("occupied slot count != live-id map size + staged creations");
+  }
+  if (occupied != live_ids_.size() + (pending_creates_.size() -
+                                      pending_unslotted)) {
+    fail("occupied slot count != live-id map size + staged creations");
+  }
+  for (const auto& [id, slot] : live_ids_) {
+    if (slot >= messages_.size() || messages_[slot].id != id) {
+      fail("live-id map entry does not name its occupant");
     }
-    for (const auto& [id, slot] : live_ids_) {
-      if (slot >= messages_.size() || messages_[slot].id != id) {
-        fail("live-id map entry does not name its occupant");
-      }
-    }
-    if (retired_.size() + occupied + pending_unslotted != next_message_id_) {
-      fail("message conservation: retired + live + pending != created");
-    }
-  } else {
-    for (const Tile& t : tiles_) {
-      if (!t.free_slots.empty()) {
-        fail("tile free list populated while recycling is off");
-      }
-    }
-    if (messages_.size() + pending_unslotted != next_message_id_) {
-      fail("append-only slot table size + pending != messages created");
-    }
+  }
+  if (retired_.size() + (occupied - finished) + pending_unslotted !=
+      next_message_id_) {
+    fail("message conservation: retired + live + pending != created");
   }
 
   if (level < 2) return;
@@ -1293,10 +1211,10 @@ void Network::phase_injection() {
   // Deferred creations materialise first, on their tiles (the serial
   // prologue only provisions slots and emits the Create events), so a
   // message enqueued before this step hits its source queue ahead of the
-  // injection walk, exactly when an immediate create_message would have
-  // put it there.  The id -> slot publication runs serially after the walk
-  // (before routing, which may retire a same-cycle src == dst message
-  // through the live-id map).
+  // injection walk — where create_message, which runs these same steps
+  // between cycles, would already have put it.  The id -> slot publication
+  // runs serially after the walk (before routing, which may retire a
+  // same-cycle src == dst message through the live-id map).
   stage_creations();
   if (config_.scan_mode == ScanMode::Active) {
     for_each_tile([this](Tile& t) {
@@ -1800,8 +1718,7 @@ std::vector<MessageSlot> Network::collect_fault_victims() const {
   out.erase(std::unique(out.begin(), out.end()), out.end());
   // Order by stable id, not slot: trace Purge emission and retransmit
   // scheduling iterate this list, and their byte-exact order must not
-  // depend on which slots the victims happen to occupy.  (With recycling
-  // off, slot == id and this is a no-op.)
+  // depend on which slots the victims happen to occupy.
   std::sort(out.begin(), out.end(), [this](MessageSlot a, MessageSlot b) {
     return messages_[static_cast<std::size_t>(a)].id <
            messages_[static_cast<std::size_t>(b)].id;

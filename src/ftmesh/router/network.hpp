@@ -74,19 +74,18 @@ struct NetworkConfig {
   bool route_cache = true;    ///< memoize candidate sets per routing state
   /// Recycle message slots: a message retires into the compact
   /// `RetiredMessage` log the cycle its tail is ejected (or it is aborted)
-  /// and its slot returns to a free list, so steady-state storage is
-  /// O(in-flight), not O(delivered).  Off = the legacy append-only table
-  /// (slot == id for every message ever created); results are
-  /// byte-identical either way — the stats read the same retirement log in
-  /// both modes.
+  /// and its slot returns to the free store, so steady-state storage is
+  /// O(in-flight), not O(delivered).  Off = retirement logs the message
+  /// but keeps its slot (and id lookup) for good, so the table grows with
+  /// every message ever created.  Results are byte-identical either way —
+  /// the stats read the same retirement log in both modes.
   bool recycle_messages = true;
-  /// Shard the message allocator: each tile owns a private free list (plus
-  /// a bounded global spillover pool) and deferred creations materialise
-  /// inside the tile-parallel injection phase, so create-heavy workloads
-  /// stop serialising through one global LIFO.  Off = the single global
-  /// free list with a fully serial creation prologue (the pre-sharding
-  /// allocator).  Slot numbering is unobservable, so results are
-  /// byte-identical either way.
+  /// Per-tile free-list keep cap of the message allocator: on, each tile
+  /// keeps up to kTileFreeKeep freed slots for its own creations; off, it
+  /// keeps none, so every freed slot goes to the global LIFO pool and the
+  /// creation prologue hands every slot out from there.  Creations always
+  /// materialise inside the tile-parallel injection phase.  Slot numbering
+  /// is unobservable, so results are byte-identical either way.
   bool shard_alloc = true;
   bool collect_vc_usage = false;
   bool collect_traffic_map = false;
@@ -113,8 +112,11 @@ class Network {
           const routing::RoutingAlgorithm& algorithm, NetworkConfig config,
           sim::Rng rng);
 
-  /// Enqueues a new message at `src`'s source queue.  Both endpoints must
-  /// be active nodes.  Returns the message's stable id — a monotonically
+  /// Enqueues a new message at `src`'s source queue now: enqueue_message
+  /// followed by the injection phase's own staging, materialisation and
+  /// commit, so any creation enqueued earlier in this between-cycles
+  /// window materialises with it, in id order.  Both endpoints must be
+  /// active nodes.  Returns the message's stable id — a monotonically
   /// increasing counter, never a (reusable) slot index.
   MessageId create_message(topology::Coord src, topology::Coord dst,
                            std::uint32_t length);
@@ -126,7 +128,7 @@ class Network {
   /// on the owning tile, in parallel with the other tiles.  The message is
   /// created at the same cycle and injects on the same cycle as an
   /// immediate create_message call made at the same point, so results are
-  /// byte-identical; only the allocator serialisation disappears.
+  /// byte-identical.
   MessageId enqueue_message(topology::Coord src, topology::Coord dst,
                             std::uint32_t length);
 
@@ -153,11 +155,11 @@ class Network {
   }
   [[nodiscard]] const NetworkConfig& config() const noexcept { return config_; }
 
-  /// Access to a *live* message by its stable id.  Hot accessor: unchecked
-  /// indexing plus a debug-build assert (the bounds/liveness check was a
-  /// measurable cost in the recovery path); with recycling enabled the id
-  /// is translated through the live-id map.  Calling this for a retired id
-  /// is a contract violation — use message_finished() / retired_record().
+  /// Access to a *live* message by its stable id, translated through the
+  /// live-id map (unchecked indexing plus a debug-build assert).  With
+  /// recycling off a finished message stays live here; with it on, calling
+  /// this for a retired id is a contract violation — use
+  /// message_finished() / retired_record().
   [[nodiscard]] const Message& message(MessageId id) const {
     return messages_[slot_of(id)];
   }
@@ -185,10 +187,12 @@ class Network {
   /// Retirement record for `id`, or nullptr while the message is still
   /// live.  Linear scan — diagnostics and tests, not the per-cycle path.
   [[nodiscard]] const RetiredMessage* retired_record(MessageId id) const;
-  /// True once the message retired (delivered or aborted).
+  /// True once the message retired (delivered or aborted); false while it
+  /// is live or still pending creation.
   [[nodiscard]] bool message_finished(MessageId id) const;
 
-  /// Total ids handed out by create_message (monotonic, never reused).
+  /// Total ids handed out by enqueue_message / create_message (monotonic,
+  /// never reused).
   [[nodiscard]] MessageId messages_created() const noexcept {
     return next_message_id_;
   }
@@ -198,8 +202,8 @@ class Network {
   [[nodiscard]] std::size_t message_slots() const noexcept {
     return messages_.size();
   }
-  /// Free slots across the whole allocator: the global pool plus, with
-  /// sharded allocation, every tile's private list.
+  /// Free slots across the whole allocator: the global pool plus every
+  /// tile's private list.
   [[nodiscard]] std::size_t free_message_slots() const noexcept;
   /// True when `h` still names the occupant it was taken for: the slot's
   /// generation matches and the slot is occupied.
@@ -252,10 +256,9 @@ class Network {
 
   /// Messages that the *current* fault map invalidates: any message with a
   /// flit buffered in (or a channel reserved at / into) a blocked node.
-  /// Duplicate-free slots, sorted by stable id (== slot order when
-  /// recycling is off), so downstream trace emission and retransmit
-  /// scheduling see the same order in both modes.  Cheap when nothing
-  /// changed: long-blocked nodes hold no flits.
+  /// Duplicate-free slots, sorted by stable id, so downstream trace
+  /// emission and retransmit scheduling never depend on slot assignment.
+  /// Cheap when nothing changed: long-blocked nodes hold no flits.
   [[nodiscard]] std::vector<MessageSlot> collect_fault_victims() const;
 
   /// Removes every flit of the given messages from input buffers and link
@@ -568,11 +571,11 @@ class Network {
     std::vector<std::size_t> boundary_in;
     /// Static: every register delivering into this tile (Full scan).
     std::vector<std::size_t> incoming_all;
-    /// Private message free list (sharded allocator): slots owned by this
-    /// tile, reused LIFO by creations materialising on it.  Bounded by
-    /// kTileFreeKeep — excess cold slots overflow to the global spillover
-    /// pool so per-tile churn cannot strand capacity and peak_slots stays
-    /// on the recycling plateau.
+    /// Private message free list: slots owned by this tile, reused LIFO by
+    /// creations materialising on it.  Bounded by the keep cap between
+    /// cycles — excess cold slots overflow to the global spillover pool so
+    /// per-tile churn cannot strand capacity and peak_slots stays on the
+    /// recycling plateau.
     std::vector<MessageSlot> free_slots;
     /// Indices into pending_creates_ staged for this tile this cycle.
     std::vector<std::uint32_t> creates;
@@ -643,13 +646,11 @@ class Network {
                           [&](std::size_t i) { fn(t.nodes[i]); });
   }
 
-  // ---- deferred creation (sharded allocator) ---------------------------
+  // ---- message creation (one path: enqueue, stage, materialise, commit) --
   /// Serial prologue of the injection phase: buckets pending creations by
-  /// owning tile, grows the slot table for any shortfall (vector growth
-  /// must not race the tile phase) and tops up tile free lists from the
-  /// spillover pool.  With shard_alloc off it also assigns (and with the
-  /// append-only table, pins slot == id) every slot serially — the
-  /// pre-sharding allocator.  Emits the Create events, in id order.
+  /// owning tile and tops each tile's free list up to its demand — global
+  /// pool first, fresh appends last (vector growth must not race the tile
+  /// phase).  Emits the Create events, in id order.
   void stage_creations();
   /// Tile-phase body: pops tile-local slots for this tile's staged
   /// creations and initialises them (message, header state, source queue,
@@ -659,11 +660,7 @@ class Network {
   /// and clears the pending list.  Runs before the routing phase, so a
   /// same-cycle retirement (src == dst) finds the live entry.
   void commit_creations();
-  /// Pops a free slot for a creation on `tile` — tile list, then spillover
-  /// pool, then fresh append — or plain append when recycling is off.
-  /// Serial contexts only (create_message, staging).
-  [[nodiscard]] MessageSlot acquire_slot(std::uint32_t tile);
-  /// Fills a freshly acquired slot from a pending creation: message
+  /// Fills a freshly popped slot from a pending creation: message
   /// fields, header state, algorithm on_inject.
   void init_created_message(MessageSlot slot, const PendingCreate& pc);
 
@@ -682,14 +679,9 @@ class Network {
       const std::vector<std::uint64_t>& now,
       const std::vector<std::uint64_t>& mark) const;
 
-  /// Slot for a live id: identity when recycling is off (slot == id), a
-  /// live-id-map lookup otherwise.  Debug-asserts liveness; release builds
-  /// index unchecked.
+  /// Slot for a live id: a live-id-map lookup.  Debug-asserts liveness;
+  /// release builds index unchecked.
   [[nodiscard]] MessageSlot slot_of(MessageId id) const {
-    if (!config_.recycle_messages) {
-      assert(static_cast<std::size_t>(id) < messages_.size());
-      return static_cast<MessageSlot>(id);
-    }
     const auto it = live_ids_.find(id);
     assert(it != live_ids_.end() && "message accessor on a retired id");
     return it->second;
@@ -697,8 +689,9 @@ class Network {
 
   /// Freezes the slot's accounting into the retirement log and (when
   /// recycling) clears the slot, bumps its generation and returns it to
-  /// the free list.  Called the cycle the tail ejects or the message is
-  /// aborted — never with flits of the message still in the network.
+  /// its tile's free list, trimmed to the keep cap.  Called the cycle the
+  /// tail ejects or the message is aborted — never with flits of the
+  /// message still in the network.
   void retire_slot(MessageSlot slot);
 
   // Trace emission helpers; called only when trace_ != nullptr.  The
@@ -783,6 +776,7 @@ class Network {
   const fault::FaultMap* faults_;
   const routing::RoutingAlgorithm* algorithm_;
   NetworkConfig config_;
+  std::size_t tile_free_keep_;  ///< kTileFreeKeep, or 0 with shard_alloc off
   sim::Rng rng_;
   int vcs_ = 0;                   ///< virtual channels per port
   std::size_t ready_words_ = 0;   ///< words per node in the ready masks
@@ -804,32 +798,33 @@ class Network {
   std::vector<topology::NodeId> neighbour_id_;
 
   // Message storage: a slot table plus a parallel hot array (SoA split —
-  // the route stage touches only headers_).  With recycling on, finished
-  // slots go through retire_slot() onto free_slots_ and their generation
-  // is bumped; live_ids_ maps stable ids to their current slot.  With
-  // recycling off the table is append-only and slot == id.
+  // the route stage touches only headers_); live_ids_ maps stable ids to
+  // their current slot.  With recycling on, finished slots go through
+  // retire_slot() back to the free store and their generation is bumped.
+  // With recycling off a finished message keeps its slot and its live_ids_
+  // entry, so nothing is ever freed.
   std::vector<Message> messages_;      // cold accounting, indexed by slot
   std::vector<HeaderState> headers_;   // hot routing state, indexed by slot
   std::vector<std::uint32_t> slot_gen_;
-  /// Global free pool, LIFO.  With shard_alloc it is the bounded spillover
-  /// behind the per-tile lists (tiles trim to kTileFreeKeep into it, and
-  /// staging refills from it before appending fresh slots); without, it is
-  /// the allocator.
+  /// Global free pool, LIFO: the spillover behind the per-tile lists
+  /// (tiles trim to the keep cap into it, and staging refills from it
+  /// before appending fresh slots).  With a keep cap of 0 every freed slot
+  /// lands here.
   std::vector<MessageSlot> free_slots_;
-  /// Owning tile of each slot (sharded allocator): the tile whose free
-  /// list the slot returns to at retirement.  Assigned when the slot is
-  /// first appended and re-stamped whenever the spillover pool hands the
-  /// slot to a different tile.
+  /// Owning tile of each slot: the tile whose free list the slot returns
+  /// to at retirement.  Assigned when the slot is first appended and
+  /// re-stamped whenever the spillover pool hands the slot to a different
+  /// tile.
   std::vector<std::uint32_t> slot_tile_;
   std::vector<RetiredMessage> retired_;  // in retirement order
-  std::unordered_map<MessageId, MessageSlot> live_ids_;  // recycling only
+  std::unordered_map<MessageId, MessageSlot> live_ids_;
   MessageId next_message_id_ = 0;
   /// Deferred creations in id order (enqueue_message), drained by the next
   /// injection phase.
   std::vector<PendingCreate> pending_creates_;
-  std::vector<std::uint32_t> create_need_;  // staging scratch, per tile
-  /// Per-tile free-list cap: retirement trims each list to this many
-  /// (warmest) slots, spilling the rest to the global pool.
+  /// Per-tile free-list keep cap with shard_alloc on: retirement trims
+  /// each list to this many (warmest) slots, spilling the rest to the
+  /// global pool.
   static constexpr std::size_t kTileFreeKeep = 4;
 
   std::vector<std::deque<MessageSlot>> queues_;  // per-node source queues

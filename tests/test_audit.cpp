@@ -189,7 +189,7 @@ void run_audited_traffic(const std::string& algo_name, int fault_count,
       while (dst == src) dst = random_live();
       // Alternate the creation paths so both the immediate API and the
       // deferred staged/materialise pipeline run under the recount.
-      if (cycle % 6 == 0 && recycle) {
+      if (cycle % 6 == 0) {
         net.create_message(src, dst, 4);
       } else {
         net.enqueue_message(src, dst, 4);

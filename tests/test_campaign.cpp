@@ -135,6 +135,20 @@ TEST(Campaign, ValidateErrorsAreTyped) {
   spec.rates = {std::numeric_limits<double>::infinity()};
   EXPECT_EQ(code_of(spec), Code::invalid_rate);
 
+  // Finite but beyond what a source can inject (injection_vcs messages per
+  // cycle): such a rate would stall the arrival clock.
+  spec = tiny_spec();
+  spec.rates = {0.004, 1e308};
+  EXPECT_EQ(code_of(spec), Code::invalid_rate);
+
+  spec = tiny_spec();
+  spec.rates = {1.5};  // injection_vcs = 1
+  EXPECT_EQ(code_of(spec), Code::invalid_rate);
+
+  spec = tiny_spec();
+  spec.rates = {1.0};
+  EXPECT_NO_THROW(spec.validate());
+
   spec = tiny_spec();
   spec.patterns = -3;
   EXPECT_EQ(code_of(spec), Code::invalid_patterns);

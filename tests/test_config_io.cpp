@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "ftmesh/core/config_io.hpp"
@@ -85,6 +86,31 @@ TEST(ConfigIo, ZeroRateWarnsAboutLegacySaturationConvention) {
   EXPECT_TRUE(quiet.warnings().empty());
   quiet.injection_rate = 0.004;  // Poisson
   EXPECT_TRUE(quiet.warnings().empty());
+}
+
+TEST(ConfigIo, RateAboveInjectionCapacityIsRejected) {
+  // A source injects at most injection_vcs messages per cycle; a larger or
+  // non-finite Poisson rate would stall the arrival clock (its exponential
+  // gaps round to 0), so validate() refuses it.  Negative rates still mean
+  // saturated sources.
+  SimConfig cfg;
+  cfg.injection_vcs = 2;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 1e308,
+                           2.5}) {
+    cfg.injection_rate = bad;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << bad;
+  }
+  for (const double good : {2.0, 0.5, 0.0, -1.0, -1e308}) {
+    cfg.injection_rate = good;
+    EXPECT_NO_THROW(cfg.validate()) << good;
+  }
+
+  // from_chars accepts "inf"; the config file's value must still fail
+  // validation rather than hang the run.
+  std::stringstream in("injection_rate = inf\n");
+  const auto loaded = load_config(in);
+  EXPECT_THROW(loaded.validate(), std::invalid_argument);
 }
 
 TEST(ConfigIo, CommentsAndBlanksIgnored) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "ftmesh/router/network.hpp"
 #include "ftmesh/routing/registry.hpp"
 
@@ -99,14 +101,64 @@ TEST(Recycling, DisabledKeepsAppendOnlyTable) {
   RecyclingFixture f(/*recycle=*/false);
   const auto a = f.deliver_one({0, 0}, {4, 4});
   const auto b = f.deliver_one({2, 2}, {7, 7});
-  // Legacy storage model: one slot per message ever created, slot == id,
-  // finished messages stay inspectable in place.
+  // Legacy storage model: one slot per message ever created, finished
+  // messages stay inspectable in place.
   EXPECT_EQ(f.net->message_slots(), 2u);
   EXPECT_EQ(f.net->free_message_slots(), 0u);
   EXPECT_TRUE(f.net->message(a).done);
   EXPECT_TRUE(f.net->message(b).done);
   // The retirement log is written in both modes (single stats path).
   EXPECT_EQ(f.net->retired().size(), 2u);
+}
+
+TEST(Recycling, ImmediateCreationAfterEnqueueKeepsBothMessages) {
+  // create_message after an enqueue_message in the same between-cycles
+  // window: both creations go through one staging pass, in id order, so
+  // each message keeps its own slot and record in every allocator mode —
+  // the append-only table included, where two messages need two slots.
+  for (const bool recycle : {false, true}) {
+    for (const bool shard : {false, true}) {
+      for (const int tiles : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "recycle=" << recycle << " shard="
+                                        << shard << " tiles=" << tiles);
+        RecyclingFixture f(recycle, tiles, /*step_threads=*/1, shard);
+        std::map<MessageId, Coord> ejected_at;  // tail ejections, by id
+        f.net->set_eject_hook([&](const ftmesh::router::Flit& flit, Coord c) {
+          if (ftmesh::router::is_tail(flit.type)) {
+            ejected_at[f.net->slot_message(flit.msg).id] = c;
+          }
+        });
+        const Coord a_dst{0, 7};
+        const Coord b_dst{6, 0};
+        const auto a = f.net->enqueue_message({0, 0}, a_dst, 8);
+        EXPECT_FALSE(f.net->message_finished(a));  // pending, not retired
+        const auto b = f.net->create_message({1, 0}, b_dst, 8);
+        ASSERT_EQ(b, a + 1);
+        EXPECT_EQ(f.net->pending_creations(), 0u);
+        EXPECT_FALSE(f.net->message_finished(a));
+        EXPECT_FALSE(f.net->message_finished(b));
+        for (int i = 0; i < 400 && !(f.net->message_finished(a) &&
+                                     f.net->message_finished(b));
+             ++i) {
+          f.net->step();
+          ASSERT_NO_THROW(f.net->audit_invariants(2)) << "cycle " << i;
+        }
+        ASSERT_TRUE(f.net->message_finished(a));
+        ASSERT_TRUE(f.net->message_finished(b));
+        ASSERT_EQ(ejected_at.size(), 2u);
+        EXPECT_EQ(ejected_at[a], a_dst);
+        EXPECT_EQ(ejected_at[b], b_dst);
+        EXPECT_EQ(f.net->retired().size(), 2u);
+        if (!recycle) {
+          EXPECT_EQ(f.net->message_slots(), 2u);
+          EXPECT_EQ(f.net->message(a).dst, a_dst);
+          EXPECT_EQ(f.net->message(b).dst, b_dst);
+          EXPECT_TRUE(f.net->message(a).done);
+          EXPECT_TRUE(f.net->message(b).done);
+        }
+      }
+    }
+  }
 }
 
 TEST(Recycling, SlotTableStaysBoundedOverLongRuns) {
