@@ -396,7 +396,21 @@ void Network::on_fault_change() {
     invalidated = true;
   }
   if (invalidated) ++route_cache_invalidations_;
+  // Not rebuilt here: callers notify the algorithm after the network, and
+  // uniform_at() may read labels (Boura-FT's unsafe set) that are stale
+  // until then.
+  sites_stale_ = true;
   rebuild_active_sets();
+}
+
+void Network::rebuild_sites() {
+  site_base_.resize(static_cast<std::size_t>(mesh_->node_count()));
+  for (NodeId id = 0; id < mesh_->node_count(); ++id) {
+    const Coord c = mesh_->coord_of(id);
+    site_base_[static_cast<std::size_t>(id)] =
+        algorithm_->uniform_at(c) ? routing::site_base(*mesh_, c) : kNotUniform;
+  }
+  sites_stale_ = false;
 }
 
 // ---- trace emission ------------------------------------------------------
@@ -1250,24 +1264,44 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
     return t.cand;
   }
   ++t.d.counts.cache_lookups;
+  const Coord c = mesh_->coord_of(id);
   const std::uint64_t key = algorithm_->route_state_key(m);
-  const NodeId dst = mesh_->id_of(m.dst);
+  // Away from faults and off the rings the candidate set depends only on
+  // the route site and the key, so every node of a class shares an entry.
+  const std::uint8_t base = site_base_[static_cast<std::size_t>(id)];
+  const bool by_site = base != kNotUniform && !m.rs.ring.active;
+  const auto nodes = static_cast<std::uint64_t>(mesh_->node_count());
+  const std::uint64_t place =
+      by_site ? std::uint64_t{base} | routing::direction_class(c, m.dst)
+              : kSitePlaces + static_cast<std::uint64_t>(id) * nodes +
+                    static_cast<std::uint64_t>(mesh_->id_of(m.dst));
   const std::size_t slot =
-      static_cast<std::size_t>(
-          sim::counter_hash(key, static_cast<std::uint64_t>(id),
-                            static_cast<std::uint64_t>(dst))) &
+      static_cast<std::size_t>(sim::counter_hash(key, place, 0)) &
       (kRouteCacheSize - 1);
   RouteCacheEntry& e = t.route_cache[slot];
-  if (e.valid && e.node == id && e.dst == dst && e.key == key) {
+  if (e.valid && e.place == place && e.key == key) {
     ++t.d.counts.cache_hits;
+#if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
+    // The site form of the key contract, checked on every shared hit.
+    if (by_site) {
+      t.cand.clear();
+      algorithm_->enumerate(c, m, t.cand);
+      if (!(t.cand == e.cands) && t.route_class_fault.empty()) {
+        t.route_class_fault =
+            "route-class: cached candidates of site " + std::to_string(place) +
+            ", key " + std::to_string(key) + " differ from a fresh "
+            "enumeration at node " + std::to_string(id) + " towards (" +
+            std::to_string(m.dst.x) + "," + std::to_string(m.dst.y) + ")";
+      }
+    }
+#endif
     return e.cands;
   }
   e.valid = true;
-  e.node = id;
-  e.dst = dst;
+  e.place = place;
   e.key = key;
   e.cands.clear();
-  algorithm_->enumerate(mesh_->coord_of(id), m, e.cands);
+  algorithm_->enumerate(c, m, e.cands);
   return e.cands;
 }
 
@@ -1441,6 +1475,7 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
 }
 
 void Network::phase_routing() {
+  if (sites_stale_ && config_.route_cache) rebuild_sites();
   if (config_.scan_mode == ScanMode::Active) {
     for_each_tile([this](Tile& t) {
       walk_mask(t, t.route_mask,
@@ -1452,6 +1487,13 @@ void Network::phase_routing() {
     });
   }
   flush_trace();
+#if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
+  for (Tile& t : tiles_) {
+    if (t.route_class_fault.empty()) continue;
+    throw AuditError("cycle " + std::to_string(cycle_) + ", " +
+                     t.route_class_fault);
+  }
+#endif
 }
 
 // ---- phase 4: switching --------------------------------------------------

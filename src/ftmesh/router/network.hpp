@@ -298,9 +298,12 @@ class Network {
   void revalidate_ring_state(const fault::FRingSet& rings);
 
   /// Invalidates state derived from the fault map: drops every memoized
-  /// route-candidate set (their enumeration read the old map / rings) and
-  /// rebuilds the active sets.  Must be called after any in-place fault-map
-  /// mutation, alongside the algorithm's own on_fault_change().
+  /// route-candidate set (their enumeration read the old map / rings),
+  /// marks the route-site table stale and rebuilds the active sets.  Must
+  /// be called after any in-place fault-map mutation, alongside the
+  /// algorithm's own on_fault_change(), in either order: the site table
+  /// reads the algorithm's uniform_at(), so it is rebuilt only when the
+  /// next routing phase starts, after both have run.
   void on_fault_change();
 
   /// Mutable access for recovery bookkeeping (retries / aborted flags).
@@ -488,18 +491,24 @@ class Network {
     std::int16_t vc;
   };
   /// One direct-mapped memoization slot: the candidate set the algorithm
-  /// enumerated for (node, dst, route_state_key).  Sound by the key
-  /// contract (routing_algorithm.hpp): equal key + dst + position imply an
-  /// identical candidate set; anything else candidates() reads (fault map,
-  /// rings) only changes on reconfiguration, which invalidates the cache.
+  /// enumerated for (place, route_state_key).  The place is the header's
+  /// route site (routing::route_site, < kSitePlaces) at a uniform node for
+  /// a header not in ring mode, and kSitePlaces + node * nodes + dst
+  /// elsewhere.  Sound by the key contract (routing_algorithm.hpp) in its
+  /// site form and its (node, dst) form; anything else candidates() reads
+  /// (fault map, rings, derived labels) only changes on reconfiguration,
+  /// which invalidates the cache and the site table.
   struct RouteCacheEntry {
     std::uint64_t key = 0;
-    topology::NodeId node = -1;
-    topology::NodeId dst = -1;
+    std::uint64_t place = 0;
     bool valid = false;
     routing::CandidateList cands;
   };
-  static constexpr std::size_t kRouteCacheSize = 4096;  // power of two
+  static constexpr std::size_t kRouteCacheSize = 1024;  // power of two
+  static constexpr std::uint64_t kSitePlaces = 256;
+  /// site_base_ value of a node whose candidates may read more than its
+  /// route site (routing::route_site never produces it).
+  static constexpr std::uint8_t kNotUniform = 0xFF;
 
   /// A deferred credit return: +1 credit on `node`'s output (port, vc),
   /// applied after the switching barrier.  Deferring makes the cycle a
@@ -593,6 +602,11 @@ class Network {
     PhaseDeltas d;
     // Route-candidate memoization (empty when disabled) + scratch.
     std::vector<RouteCacheEntry> route_cache;
+#if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
+    /// First site-keyed hit whose cached list differed from a fresh
+    /// enumeration this phase; phase_routing throws it after the barrier.
+    std::string route_class_fault;
+#endif
     routing::CandidateList cand;
     sim::SmallVec<routing::CandidateVc, 16> free_cands;
     std::vector<Request> requests;
@@ -668,6 +682,8 @@ class Network {
   /// cache when enabled, enumerated into the tile's scratch otherwise.
   const routing::CandidateList& route_candidates(Tile& t, topology::NodeId id,
                                                  const HeaderState& h);
+  /// Re-reads every node's site_base_ from the algorithm's uniform_at().
+  void rebuild_sites();
 
   /// Growth of a whole-run count (or of each element of a per-VC /
   /// per-node sum) past the begin_measurement() snapshot; 0 before it.
@@ -872,6 +888,11 @@ class Network {
   std::vector<std::uint64_t> vc_busy_counts_;  // per VC index
   std::vector<std::uint64_t> node_traffic_;    // per node
   std::uint64_t route_cache_invalidations_ = 0;
+  /// Per node: routing::site_base when the algorithm's uniform_at() holds
+  /// there, kNotUniform otherwise.  Read only by the route cache; rebuilt
+  /// by the routing phase's serial prologue while sites_stale_ is set.
+  std::vector<std::uint8_t> site_base_;
+  bool sites_stale_ = true;
   bool measuring_ = false;
   std::uint64_t mark_cycle_ = 0;
   Counters mark_;

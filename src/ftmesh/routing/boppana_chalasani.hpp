@@ -42,6 +42,10 @@ class BoppanaChalasani : public RoutingAlgorithm {
   void on_hop(topology::Coord at, topology::Direction dir, int vc,
               router::HeaderState& msg) const override;
   void on_fault_change() override { base_->on_fault_change(); }
+  /// Away from faults the ring layer adds nothing; the base decides.
+  [[nodiscard]] bool uniform_at(topology::Coord at) const noexcept override {
+    return base_->uniform_at(at);
+  }
 
   /// The fortification adds ring channels but does not change which CDG the
   /// base algorithm's argument needs.

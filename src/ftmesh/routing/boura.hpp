@@ -62,6 +62,17 @@ class Boura : public RoutingAlgorithm {
     return {klass, klass};
   }
 
+  /// FT: candidates() compares `next == msg.dst` at unsafe neighbours, so a
+  /// node beside an unsafe one is not uniform.
+  [[nodiscard]] bool uniform_at(topology::Coord at) const noexcept override {
+    if (!RoutingAlgorithm::uniform_at(at)) return false;
+    for (const auto d : topology::kAllMeshDirections) {
+      const auto next = mesh().neighbour(at, d);
+      if (next && unsafe(*next)) return false;
+    }
+    return true;
+  }
+
   /// True when `c` carries the unsafe label (FT variant only; always false
   /// for the adaptive variant).
   [[nodiscard]] bool unsafe(topology::Coord c) const noexcept {

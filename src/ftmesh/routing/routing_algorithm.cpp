@@ -34,6 +34,17 @@ std::uint64_t RoutingAlgorithm::route_state_key(
   return key;
 }
 
+bool RoutingAlgorithm::uniform_at(Coord at) const noexcept {
+  if (faults_->blocked(at)) return false;
+  for (const auto d : topology::kAllMeshDirections) {
+    const auto next = mesh_->neighbour(at, d);
+    if (next && (faults_->blocked(*next) || !faults_->link_alive(at, d))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 AuditProfile RoutingAlgorithm::audit_profile() const noexcept {
   // Derive the mask from the layout: the algorithm cannot legally claim a
   // role its layout has no channel for.  Misrouting stays unchecked unless

@@ -166,6 +166,37 @@ enum class DeadlockArgument : std::uint8_t {
   EscapeCdg = 1,
 };
 
+/// Direction class of `dst` seen from `at`: (sign dx + 1) * 3 + (sign dy
+/// + 1), in 0..8.  Away from faults a header's minimal directions, and so
+/// its whole candidate set, follow from this class alone.
+constexpr std::uint8_t direction_class(topology::Coord at,
+                                       topology::Coord dst) noexcept {
+  const int sx = (dst.x > at.x) - (dst.x < at.x);
+  const int sy = (dst.y > at.y) - (dst.y < at.y);
+  return static_cast<std::uint8_t>((sx + 1) * 3 + (sy + 1));
+}
+
+/// Neighbour-existence mask of `at`: bit d set when direction d stays on
+/// the mesh, shifted into the high nibble of a route site.
+[[nodiscard]] inline std::uint8_t site_base(const topology::Mesh& mesh,
+                                            topology::Coord at) noexcept {
+  unsigned mask = 0;
+  for (const auto d : topology::kAllMeshDirections) {
+    if (mesh.contains(at.step(d))) mask |= 1U << topology::port_index(d);
+  }
+  return static_cast<std::uint8_t>(mask << 4);
+}
+
+/// The route site of a header at `at` bound for `dst`: site_base | class.
+/// Never 0xFF (the class is at most 8), which the kernel keeps free as its
+/// "not uniform" marker.
+[[nodiscard]] inline std::uint8_t route_site(const topology::Mesh& mesh,
+                                             topology::Coord at,
+                                             topology::Coord dst) noexcept {
+  return static_cast<std::uint8_t>(site_base(mesh, at) |
+                                   direction_class(at, dst));
+}
+
 class RoutingAlgorithm {
  public:
   virtual ~RoutingAlgorithm() = default;
@@ -223,8 +254,23 @@ class RoutingAlgorithm {
   /// make its reachable-state enumeration finite.  The default packs the raw
   /// counters, which is always sound but may blow up the verifier's state
   /// space; algorithms should override with their clamped projection.
+  ///
+  /// Stronger form, relied on by the kernel's route cache: at a node where
+  /// uniform_at() holds, two headers not in ring mode with equal keys and
+  /// equal route_site(at, dst) receive identical candidate sets (directions,
+  /// VCs and tier boundaries), whatever their node and destination.  The
+  /// audit's route-class check proves it over every reachable state.
   [[nodiscard]] virtual std::uint64_t route_state_key(
       const router::HeaderState& msg) const noexcept;
+
+  /// True when nothing `candidates` reads at `at` can tell the node apart
+  /// from any other node with the same neighbours: the node and every
+  /// neighbour are healthy and every link of the node is alive, so routing
+  /// there sees only the minimal directions of route_site.  Algorithms that
+  /// read further per-node state (Boura-FT's unsafe labels) narrow it.
+  /// Reads the fault map and derived labels as they stand: callers
+  /// re-evaluate it only after on_fault_change() has run.
+  [[nodiscard]] virtual bool uniform_at(topology::Coord at) const noexcept;
 
   // ---- static-audit hooks (verify/audit) ------------------------------
 

@@ -1,6 +1,7 @@
 #include "ftmesh/verify/audit.hpp"
 
 #include <algorithm>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -17,6 +18,7 @@ const char* audit_check_name(AuditCheck check) noexcept {
     case AuditCheck::VcDiscipline: return "vc-discipline";
     case AuditCheck::RingConformance: return "ring-conformance";
     case AuditCheck::Progress: return "progress";
+    case AuditCheck::RouteClass: return "route-class";
   }
   return "unknown";
 }
@@ -33,9 +35,28 @@ const char* role_name(routing::VcRole role) noexcept {
   return "?";
 }
 
+/// The first state seen with a given (route site, key): its candidate
+/// list is what every later state of the class must reproduce.
+struct SiteWitness {
+  Coord at;
+  Coord dst;
+  routing::CandidateList cands;
+};
+using SiteClass = std::pair<std::uint8_t, std::uint64_t>;  ///< (site, key)
+
+std::string route_class_detail(std::uint8_t site, const SiteWitness& first) {
+  std::ostringstream os;
+  os << "candidates differ from those at (" << first.at.x << "," << first.at.y
+     << ") -> (" << first.dst.x << "," << first.dst.y
+     << ") with the same site 0x" << std::hex << static_cast<int>(site)
+     << std::dec << " and route-state key";
+  return os.str();
+}
+
 /// Per-destination audit scratch; results are merged by the caller.
 struct DstAudit {
   const routing::RoutingAlgorithm* algo = nullptr;
+  const topology::Mesh* mesh = nullptr;
   const fault::FaultMap* faults = nullptr;
   const fault::FRingSet* rings = nullptr;
   const AuditOptions* opts = nullptr;
@@ -46,6 +67,10 @@ struct DstAudit {
   std::uint64_t candidates_checked = 0;
   std::uint64_t violation_count = 0;
   std::vector<AuditViolation> violations{};
+  std::uint64_t site_states = 0;
+  /// This destination's first witness of each (site, key) class; the
+  /// caller checks them against the other destinations'.
+  std::map<SiteClass, SiteWitness> classes{};
 
   void flag(AuditCheck check, Coord at, std::uint64_t key, std::string detail) {
     ++violation_count;
@@ -61,6 +86,7 @@ struct DstAudit {
     // candidate); exit-free cycles in here are livelocks.
     std::vector<std::vector<std::int32_t>> ring_out(ss.size());
     for (std::size_t s = 0; s < ss.size(); ++s) {
+      check_route_class(ss, s);
       has_nonring[s] = check_state(ss, s) ? 1 : 0;
       candidates_checked += ss.cands[s].size();
       for (const auto& w : ss.cands[s]) {
@@ -169,6 +195,26 @@ struct DstAudit {
     return any_nonring;
   }
 
+  /// Route class: a non-ring state at a uniform node must see exactly the
+  /// candidate list of the first state with its (site, key).
+  void check_route_class(const StateSpace& ss, std::size_t s) {
+    const Coord at = ss.at[s];
+    const router::HeaderState& msg = ss.msg[s];
+    if (msg.rs.ring.active || !algo->uniform_at(at)) return;
+    ++site_states;
+    SiteWitness w{at, dst, {}};
+    algo->enumerate(at, msg, w.cands);
+    const std::uint8_t site = routing::route_site(*mesh, at, dst);
+    const SiteClass cls{site, ss.key[s]};
+    const auto it = classes.find(cls);
+    if (it == classes.end()) {
+      classes.emplace(cls, std::move(w));
+    } else if (!(it->second.cands == w.cands)) {
+      flag(AuditCheck::RouteClass, at, ss.key[s],
+           route_class_detail(site, it->second));
+    }
+  }
+
   /// A BcRing candidate must ride its message type's dedicated channel and
   /// step to the f-ring successor under that type's fixed orientation.
   void check_ring_candidate(Coord at, std::uint64_t key, int vc, Coord to,
@@ -241,18 +287,33 @@ AuditReport audit_algorithm(const routing::RoutingAlgorithm& algo,
   const auto profile = algo.audit_profile();
   auto per_dst = walk_state_space(
       algo, mesh, faults, opts.threads, [&](const StateSpace& ss) {
-        DstAudit audit{.algo = &algo, .faults = &faults, .rings = &rings,
-                       .opts = &opts, .dst = ss.dst, .profile = profile};
+        DstAudit audit{.algo = &algo, .mesh = &mesh, .faults = &faults,
+                       .rings = &rings, .opts = &opts, .dst = ss.dst,
+                       .profile = profile};
         audit.run(ss);
         return audit;
       });
+  std::map<SiteClass, SiteWitness> classes;  // first witness, any destination
   for (auto& audit : per_dst) {
     report.states_explored += audit.states;
     report.candidates_checked += audit.candidates_checked;
+    report.site_states += audit.site_states;
     report.violation_count += audit.violation_count;
     for (auto& v : audit.violations) {
       if (report.violations.size() >= opts.max_violations) break;
       report.violations.push_back(std::move(v));
+    }
+    // Route class across destinations: each destination's first witness
+    // of a class against the first one seen in any destination.
+    for (const auto& [cls, w] : audit.classes) {
+      const auto [it, first] = classes.try_emplace(cls, w);
+      if (first || it->second.cands == w.cands) continue;
+      ++report.violation_count;
+      if (report.violations.size() < opts.max_violations) {
+        report.violations.push_back(
+            {AuditCheck::RouteClass, w.at, w.dst, cls.second,
+             route_class_detail(cls.first, it->second)});
+      }
     }
   }
   return report;

@@ -24,7 +24,13 @@
 //                     the declared misroute budget, and no reachable ring
 //                     orbit is exit-free (a state-space cycle of ring hops
 //                     none of whose states offers a non-ring candidate is a
-//                     guaranteed livelock).
+//                     guaranteed livelock);
+//   route-class       at every node where the algorithm claims uniform_at,
+//                     each non-ring state's full candidate list (directions,
+//                     VCs and tier boundaries) equals that of every other
+//                     such state, in any destination's space, with the
+//                     same route site and key — the contract the kernel's
+//                     site-keyed route cache relies on.
 //
 // Findings are exact over the key abstraction: a clean audit proves the
 // property for every reachable state, not just the ones one simulation
@@ -47,6 +53,7 @@ enum class AuditCheck : std::uint8_t {
   VcDiscipline = 1,
   RingConformance = 2,
   Progress = 3,
+  RouteClass = 4,
 };
 
 /// Stable lower-case identifier ("coverage", "vc-discipline", ...), used in
@@ -71,6 +78,8 @@ struct AuditReport {
 
   std::uint64_t states_explored = 0;
   std::uint64_t candidates_checked = 0;
+  /// Non-ring states at uniform nodes, each compared by route-class.
+  std::uint64_t site_states = 0;
 
   /// Total violations found; `violations` keeps only the first
   /// AuditOptions::max_violations of them as witnesses.

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ftmesh/fault/fault_model.hpp"
 #include "ftmesh/fault/fring.hpp"
@@ -96,6 +99,100 @@ TEST_P(AuditAllAlgorithms, RandomFaultPatternsHaveNoViolations) {
         << (report.violations.empty() ? std::string("none")
                                       : report.violations.front().detail);
   }
+}
+
+// ---- route-class: the contract of the site-keyed route cache ----------
+
+/// The audit's fault-pattern classes (as `ftmesh audit` builds them) on a
+/// 6x6 mesh: clean, center, boundary, link and random.
+std::vector<std::pair<std::string, FaultMap>> pattern_classes(
+    const Mesh& mesh) {
+  std::vector<std::pair<std::string, FaultMap>> out;
+  out.emplace_back("clean", FaultMap(mesh));
+  out.emplace_back("center", FaultMap::from_blocks(mesh, {Rect{2, 2, 3, 3}}));
+  out.emplace_back("boundary",
+                   FaultMap::from_blocks(mesh, {Rect{0, 2, 0, 3}}));
+  out.emplace_back(
+      "link", FaultMap::from_state(mesh, {}, {{{2, 3}, Direction::XPlus}}));
+  for (const std::uint64_t seed : {2u, 3u, 4u}) {
+    out.emplace_back("random-" + std::to_string(seed),
+                     make_faults(mesh, 4, seed));
+  }
+  return out;
+}
+
+TEST_P(AuditAllAlgorithms, RouteClassHoldsUnderEveryPatternClass) {
+  const Mesh mesh(6, 6);
+  for (const auto& [label, faults] : pattern_classes(mesh)) {
+    const auto report = audit(GetParam(), mesh, faults);
+    EXPECT_GT(report.site_states, 0u) << label;
+    for (const auto& v : report.violations) {
+      EXPECT_NE(v.check, AuditCheck::RouteClass)
+          << label << ": at (" << v.at.x << "," << v.at.y << ") -> (" << v.dst.x
+          << "," << v.dst.y << "): " << v.detail;
+    }
+    EXPECT_TRUE(report.ok()) << label << ": " << report.violation_count
+                             << " violations";
+  }
+}
+
+/// Minimal adaptive routing on one VC that splits its two minimal
+/// directions into separate tiers only when the destination is more than
+/// two hops away — a read of manhattan(at, dst) that its route site cannot
+/// see, while it keeps the default uniform_at claim.
+class DistanceReadingRouting : public ftmesh::routing::RoutingAlgorithm {
+ public:
+  DistanceReadingRouting(const Mesh& mesh, const FaultMap& faults)
+      : RoutingAlgorithm(mesh, faults),
+        layout_(ftmesh::routing::VcLayout::adaptive(1, /*ring=*/false,
+                                                    /*xy=*/false)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "Distance-Reading";
+  }
+  [[nodiscard]] const ftmesh::routing::VcLayout& layout()
+      const noexcept override {
+    return layout_;
+  }
+  void candidates(Coord at, const ftmesh::router::HeaderState& msg,
+                  ftmesh::routing::CandidateList& out) const override {
+    std::array<Direction, 2> dirs{};
+    const int n = usable_minimal(at, msg.dst, dirs);
+    const bool far = ftmesh::topology::manhattan(at, msg.dst) > 2;
+    for (int d = 0; d < n; ++d) {
+      if (d == 1 && far) out.next_tier();
+      out.add(dirs[static_cast<std::size_t>(d)], 0);
+    }
+  }
+  [[nodiscard]] ftmesh::routing::DeadlockArgument deadlock_argument()
+      const noexcept override {
+    return ftmesh::routing::DeadlockArgument::FullCdg;
+  }
+  [[nodiscard]] std::uint64_t route_state_key(
+      const ftmesh::router::HeaderState&) const noexcept override {
+    return 0;
+  }
+
+ private:
+  ftmesh::routing::VcLayout layout_;
+};
+
+TEST(Audit, DistanceReadAtAUniformNodeIsFlaggedAsRouteClass) {
+  const Mesh mesh(6, 6);
+  const FaultMap faults(mesh);
+  const FRingSet rings(faults);
+  const DistanceReadingRouting algo(mesh, faults);
+  AuditOptions opts;
+  opts.threads = 1;
+  const auto report = audit_algorithm(algo, mesh, faults, rings, opts);
+  ASSERT_FALSE(report.ok());
+  ASSERT_FALSE(report.violations.empty());
+  for (const auto& v : report.violations) {
+    EXPECT_EQ(v.check, AuditCheck::RouteClass) << v.detail;
+  }
+  std::ostringstream os;
+  ftmesh::verify::print_audit_report(os, report);
+  EXPECT_NE(os.str().find("[route-class]"), std::string::npos);
 }
 
 // ---- the audit provably catches broken routing functions --------------
@@ -233,6 +330,29 @@ TEST(RuntimeAudit, SerialAllocatorUnderTilingKeepsEveryInvariant) {
 TEST(RuntimeAudit, AppendOnlyTableUnderTilingKeepsEveryInvariant) {
   run_audited_traffic("Fully-Adaptive", 0, /*recycle=*/false, /*tiles=*/4);
 }
+
+#if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
+TEST(RuntimeAudit, SiteKeyedHitsAreReEnumerated) {
+  // The level-2 build re-enumerates every site-keyed cache hit: an
+  // algorithm whose candidates read more than its route site must throw
+  // as soon as two headers of one site class disagree.
+  const Mesh mesh(6, 6);
+  const FaultMap faults(mesh);
+  const DistanceReadingRouting algo(mesh, faults);
+  Network net(mesh, faults, algo, {}, Rng(7));
+  const auto drive = [&] {
+    for (int cycle = 0; cycle < 200; ++cycle) {
+      if (cycle % 2 == 0) {
+        // Both sources are interior nodes routing north-east: one site.
+        net.create_message({1, 1}, {4, 4}, 4);  // far: two tiers
+        net.create_message({3, 3}, {4, 4}, 4);  // near: one tier
+      }
+      net.step();
+    }
+  };
+  EXPECT_THROW(drive(), ftmesh::router::AuditError);
+}
+#endif
 
 TEST(RuntimeAudit, CreditBlockedWormsSurvivePurgeAndRebuild) {
   // Long worms into a hot spot keep many input VCs Active behind full

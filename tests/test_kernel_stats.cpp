@@ -5,13 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "ftmesh/core/config.hpp"
 #include "ftmesh/core/simulator.hpp"
+#include "ftmesh/report/json.hpp"
+#include "ftmesh/routing/boppana_chalasani.hpp"
+#include "ftmesh/routing/boura.hpp"
 
 namespace {
 
 using ftmesh::core::SimConfig;
 using ftmesh::core::Simulator;
+using ftmesh::topology::Coord;
 
 SimConfig kernel_config() {
   SimConfig cfg;
@@ -113,6 +120,79 @@ TEST(KernelStats, FaultEventsInvalidateTheCache) {
   // flush the cache — serving a pre-fault candidate set after the map
   // changed would be unsound.
   EXPECT_EQ(r.kernel.cache_invalidations, 2u);
+}
+
+TEST(KernelStats, SiteKeysShareEntriesAcrossAFaultFreeTiledMesh) {
+  // Away from faults a header's candidates depend only on its route site
+  // (neighbourhood, sign of dst - at) and route state, so the 32x32 mesh's
+  // ~10^6 (node, dst) pairs fold into a few hundred entries per tile.  A
+  // count, not a timing: the run is deterministic, so the ratio repeats
+  // exactly on any host.
+  SimConfig cfg;
+  cfg.algorithm = "Duato";
+  cfg.width = 32;
+  cfg.height = 32;
+  cfg.total_vcs = 8;
+  cfg.injection_rate = 0.01;
+  cfg.message_length = 4;
+  cfg.warmup_cycles = 500;
+  cfg.total_cycles = 1500;
+  cfg.tiles = 4;
+  cfg.seed = 7;
+  cfg.collect_kernel_stats = true;
+  Simulator sim(cfg);
+  const auto r = sim.run();
+  ASSERT_TRUE(r.kernel.enabled);
+  ASSERT_GT(r.kernel.cache_lookups, 10000u);
+  EXPECT_GE(static_cast<double>(r.kernel.cache_hits) /
+                static_cast<double>(r.kernel.cache_lookups),
+            0.95)
+      << r.kernel.cache_hits << " hits of " << r.kernel.cache_lookups;
+}
+
+std::string report_json(const SimConfig& cfg) {
+  Simulator sim(cfg);
+  const auto r = sim.run();
+  std::ostringstream os;
+  ftmesh::report::write_result_json(os, cfg, r);
+  return os.str();
+}
+
+TEST(KernelStats, NewUnsafeLabelsEndSiteSharingBesideThem) {
+  // Failing (2,3) and then (4,3) gives (3,3) two faulty neighbours: Boura-
+  // FT labels it unsafe, and (3,4) above it — healthy, with healthy
+  // neighbours and live links — stops being uniform, because Boura-FT
+  // routes around unsafe neighbours that are not the destination.  The
+  // simulator notifies the network before the algorithm, so a site table
+  // rebuilt at notification time would keep (3,4) site-keyed on stale
+  // labels and serve candidates through (3,3) that a fresh enumeration no
+  // longer offers in tier 1.
+  SimConfig cfg;
+  cfg.algorithm = "Boura-FT";
+  cfg.width = 8;
+  cfg.height = 8;
+  cfg.injection_rate = 0.02;
+  cfg.message_length = 8;
+  cfg.warmup_cycles = 200;
+  cfg.total_cycles = 2000;
+  cfg.seed = 5;
+  cfg.fault_schedule = "fail@300:2,3; fail@500:4,3";
+
+  const Coord beside{3, 4};
+  Simulator sim(cfg);
+  const auto& ft = dynamic_cast<const ftmesh::routing::Boura&>(
+      dynamic_cast<const ftmesh::routing::BoppanaChalasani&>(sim.algorithm())
+          .base());
+  for (int cycle = 0; cycle < 400; ++cycle) sim.step();
+  EXPECT_TRUE(sim.algorithm().uniform_at(beside));
+  for (int cycle = 400; cycle < 600; ++cycle) sim.step();
+  ASSERT_TRUE(sim.faults().active({3, 3}));
+  ASSERT_TRUE(ft.unsafe({3, 3}));
+  EXPECT_FALSE(sim.algorithm().uniform_at(beside));
+
+  auto uncached = cfg;
+  uncached.route_cache = false;
+  EXPECT_EQ(report_json(cfg), report_json(uncached));
 }
 
 TEST(KernelStats, CollectingStatsDoesNotPerturbResults) {
