@@ -1,7 +1,7 @@
 #pragma once
 // Shared scaffolding for the figure-reproduction benches.
 //
-// Every bench accepts:
+// Every bench accepts (numbers parse as whole tokens; "6000x" is an error):
 //   --full            paper-scale run (30k cycles, 10k warm-up, 10 fault
 //                     patterns; also via FTMESH_FULL=1)
 //   --cycles N --warmup N --patterns N --seed N   explicit overrides
@@ -61,22 +61,23 @@ inline ftmesh::core::SimConfig paper_config(const Scale& s) {
 }
 
 inline void print_banner(const std::string& title, const std::string& paper_ref,
-                         const Scale& s) {
-  std::cout << "== " << title << " ==\n"
-            << "   reproduces: " << paper_ref << "\n"
-            << "   scale: " << s.cycles << " cycles (" << s.warmup
-            << " warm-up), " << s.patterns << " fault pattern(s)"
-            << (s.full ? " [paper scale]" : " [reduced; --full for paper scale]")
-            << "\n\n";
+                         const Scale& s, std::ostream& out = std::cout) {
+  out << "== " << title << " ==\n"
+      << "   reproduces: " << paper_ref << "\n"
+      << "   scale: " << s.cycles << " cycles (" << s.warmup
+      << " warm-up), " << s.patterns << " fault pattern(s)"
+      << (s.full ? " [paper scale]" : " [reduced; --full for paper scale]")
+      << "\n\n";
 }
 
 /// Emits `table` as text or CSV depending on the scale flags.
-inline void emit(const ftmesh::report::Table& table, const Scale& s) {
+inline void emit(const ftmesh::report::Table& table, const Scale& s,
+                 std::ostream& out = std::cout) {
   if (!s.csv) {
-    table.print(std::cout);
+    table.print(out);
     return;
   }
-  ftmesh::report::CsvWriter csv(std::cout);
+  ftmesh::report::CsvWriter csv(out);
   csv.row(table.headers());
   std::vector<std::string> row;
   for (std::size_t r = 0; r < table.rows(); ++r) {

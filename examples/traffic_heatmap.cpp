@@ -18,7 +18,8 @@ void run_case(const ftmesh::core::SimConfig& cfg, const std::string& label) {
   std::cout << label << " (accepted "
             << r.throughput.accepted_flits_per_node_cycle
             << " flits/node/cycle):\n";
-  const auto grid = ftmesh::stats::normalized_traffic_grid(sim.network());
+  const auto grid =
+      ftmesh::stats::normalized_traffic_grid(sim.network().node_traffic());
   ftmesh::report::print_heatmap(std::cout, sim.faults(), grid);
   if (!sim.rings().rings().empty()) {
     const auto split =

@@ -163,8 +163,8 @@ Shard parse_shard(const std::string& text) {
   }
   Shard shard;
   try {
-    shard.index = std::stoi(text.substr(0, slash));
-    shard.count = std::stoi(text.substr(slash + 1));
+    shard.index = core::parse_number<int>(text.substr(0, slash));
+    shard.count = core::parse_number<int>(text.substr(slash + 1));
   } catch (const std::exception&) {
     throw CampaignError("bad shard spec '" + text + "' (expected i/N)");
   }

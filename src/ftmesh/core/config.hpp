@@ -93,6 +93,9 @@ struct SimConfig {
   /// metrics_recorder.hpp); 0 = recording off.
   std::uint64_t metrics_interval = 0;
 
+  /// Field-by-field equality: the same config simulates the same run.
+  bool operator==(const SimConfig&) const = default;
+
   /// Throws std::invalid_argument on inconsistent settings.
   void validate() const;
 

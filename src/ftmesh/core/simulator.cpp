@@ -115,7 +115,9 @@ SimResult Simulator::snapshot() const {
   r.throughput = stats::summarize_throughput(*network_);
   if (cfg_.collect_vc_usage) r.vc_usage = stats::summarize_vc_usage(*network_);
   if (cfg_.collect_traffic_map) {
-    r.traffic_split = stats::summarize_traffic_split(*network_, *rings_);
+    r.node_traffic = network_->node_traffic();
+    r.traffic_split =
+        stats::summarize_traffic_split(r.node_traffic, *faults_, *rings_);
   }
   r.adaptivity.decisions = network_->measured_route_decisions();
   if (r.adaptivity.decisions > 0) {

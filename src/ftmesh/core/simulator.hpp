@@ -35,6 +35,7 @@ struct SimResult {
   AdaptivitySummary adaptivity;
   stats::VcUsage vc_usage;          ///< filled when collect_vc_usage
   stats::TrafficSplit traffic_split; ///< filled when collect_traffic_map
+  std::vector<std::uint64_t> node_traffic;  ///< per-node loads, same condition
   stats::ReliabilitySummary reliability;  ///< filled when a fault schedule ran
   stats::KernelSummary kernel;      ///< filled when collect_kernel_stats
   trace::MetricsSeries metrics;     ///< filled when metrics_interval > 0

@@ -1,7 +1,11 @@
 #include "ftmesh/report/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
+
+#include "ftmesh/core/config_io.hpp"
 
 namespace ftmesh::report {
 
@@ -44,16 +48,56 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
   return fallback;
 }
 
+namespace {
+
+template <typename T>
+T parse_flag(const std::string& name, const std::string& text) {
+  try {
+    return core::parse_number<T>(text);
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("bad value for --" + name + ": " + e.what());
+  }
+}
+
+template <typename T>
+std::vector<T> parse_flag_list(const std::string& name, const std::string& text) {
+  std::vector<T> out;
+  std::istringstream is(text);
+  for (std::string item; std::getline(is, item, ',');) {
+    if (!item.empty()) out.push_back(parse_flag<T>(name, item));
+  }
+  return out;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto v = get(name, "");
   if (v.empty()) return fallback;
-  return std::stoll(v);
+  return parse_flag<std::int64_t>(name, v);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name, "");
   if (v.empty()) return fallback;
-  return std::stod(v);
+  return parse_flag<double>(name, v);
+}
+
+std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
+                                            const std::string& fallback) const {
+  return parse_flag_list<std::int64_t>(name, get(name, fallback));
+}
+
+std::vector<double> Cli::get_double_list(const std::string& name) const {
+  return parse_flag_list<double>(name, get(name, ""));
+}
+
+void Cli::reject_unknown(const std::vector<std::string>& known) const {
+  for (const auto& e : entries_) {
+    if (std::find(known.begin(), known.end(), e.key) == known.end()) {
+      throw std::invalid_argument("unknown flag --" + e.key);
+    }
+  }
 }
 
 bool Cli::full_scale() const {

@@ -19,9 +19,22 @@ class Cli {
 
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+
+  /// Numbers parse as one whole token (core::parse_number): "2x" and "1e"
+  /// throw std::invalid_argument("bad value for --name: ...").
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+
+  /// --name as a comma list of numbers, each item parsed like get_int /
+  /// get_double; empty items are skipped.
+  [[nodiscard]] std::vector<std::int64_t> get_int_list(
+      const std::string& name, const std::string& fallback = "") const;
+  [[nodiscard]] std::vector<double> get_double_list(const std::string& name) const;
+
+  /// Throws std::invalid_argument("unknown flag --x") for the first --x not
+  /// in `known`.
+  void reject_unknown(const std::vector<std::string>& known) const;
 
   /// --full flag or FTMESH_FULL=1: run the paper-scale configuration.
   [[nodiscard]] bool full_scale() const;

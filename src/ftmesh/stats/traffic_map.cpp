@@ -4,8 +4,7 @@
 
 namespace ftmesh::stats {
 
-std::vector<double> normalized_traffic_grid(const router::Network& net) {
-  const auto raw = net.node_traffic();
+std::vector<double> normalized_traffic_grid(const std::vector<std::uint64_t>& raw) {
   std::vector<double> grid(raw.size(), 0.0);
   std::uint64_t peak = 0;
   for (const auto v : raw) peak = std::max(peak, v);
@@ -18,25 +17,27 @@ std::vector<double> normalized_traffic_grid(const router::Network& net) {
 
 TrafficSplit summarize_traffic_split(const router::Network& net,
                                      const fault::FRingSet& rings) {
+  return summarize_traffic_split(net.node_traffic(), net.faults(), rings);
+}
+
+TrafficSplit summarize_traffic_split(const std::vector<std::uint64_t>& loads,
+                                     const fault::FaultMap& faults,
+                                     const fault::FRingSet& rings) {
   TrafficSplit split;
-  const auto grid = normalized_traffic_grid(net);
-  const auto& mesh = net.mesh();
-  const auto& faults = net.faults();
+  const auto grid = normalized_traffic_grid(loads);
   double fring_sum = 0.0, other_sum = 0.0;
-  for (int y = 0; y < mesh.height(); ++y) {
-    for (int x = 0; x < mesh.width(); ++x) {
-      const topology::Coord c{x, y};
-      if (faults.blocked(c)) continue;
-      const double load = grid[static_cast<std::size_t>(mesh.id_of(c))];
-      if (rings.on_any_ring(c)) {
-        ++split.fring_nodes;
-        fring_sum += load;
-        split.fring_peak_percent = std::max(split.fring_peak_percent, load);
-      } else {
-        ++split.other_nodes;
-        other_sum += load;
-        split.other_peak_percent = std::max(split.other_peak_percent, load);
-      }
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const auto c = faults.mesh().coord_of(static_cast<topology::NodeId>(i));
+    if (faults.blocked(c)) continue;
+    const double load = grid[i];
+    if (rings.on_any_ring(c)) {
+      ++split.fring_nodes;
+      fring_sum += load;
+      split.fring_peak_percent = std::max(split.fring_peak_percent, load);
+    } else {
+      ++split.other_nodes;
+      other_sum += load;
+      split.other_peak_percent = std::max(split.other_peak_percent, load);
     }
   }
   if (split.fring_nodes > 0) {

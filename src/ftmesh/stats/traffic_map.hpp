@@ -28,7 +28,14 @@ struct TrafficSplit {
 TrafficSplit summarize_traffic_split(const router::Network& net,
                                      const fault::FRingSet& rings);
 
-/// Normalised per-node load grid (percent of the peak node), row-major.
-std::vector<double> normalized_traffic_grid(const router::Network& net);
+/// The same split over the per-node loads of a run (SimResult::
+/// node_traffic) whose fault map was `faults`; no loads, an empty split.
+TrafficSplit summarize_traffic_split(const std::vector<std::uint64_t>& loads,
+                                     const fault::FaultMap& faults,
+                                     const fault::FRingSet& rings);
+
+/// Normalised per-node load grid (percent of the peak node), row-major,
+/// from per-node loads such as Network::node_traffic().
+std::vector<double> normalized_traffic_grid(const std::vector<std::uint64_t>& loads);
 
 }  // namespace ftmesh::stats

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "ftmesh/report/cli.hpp"
 #include "ftmesh/report/csv.hpp"
@@ -122,6 +123,35 @@ TEST(Cli, NegativeNumberAsValue) {
   const char* argv[] = {"prog", "--rate", "-1"};
   const Cli cli(3, argv);
   EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), -1.0);
+}
+
+TEST(Cli, NumbersParseAsWholeTokens) {
+  const char* argv[] = {"prog", "--steps", "2x", "--rate", "0.01x",
+                        "--rates", "0.01,0.02", "--counts", "1,,5"};
+  const Cli cli(9, argv);
+  EXPECT_THROW((void)cli.get_int("steps", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_EQ(cli.get_double_list("rates"), (std::vector<double>{0.01, 0.02}));
+  EXPECT_EQ(cli.get_int_list("counts"), (std::vector<std::int64_t>{1, 5}));
+  EXPECT_EQ(cli.get_int_list("absent", "3,4"), (std::vector<std::int64_t>{3, 4}));
+  EXPECT_THROW((void)cli.get_double_list("steps"), std::invalid_argument);
+  try {
+    (void)cli.get_int("steps", 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("bad value for --steps: ", 0), 0u) << e.what();
+  }
+}
+
+TEST(Cli, RejectsUnknownFlags) {
+  const char* argv[] = {"prog", "--cycles", "30", "--bogus-flag", "1", "pos"};
+  const Cli cli(6, argv);
+  EXPECT_NO_THROW(cli.reject_unknown({"cycles", "bogus-flag"}));
+  try {
+    cli.reject_unknown({"cycles"});
+    FAIL() << "--bogus-flag accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --bogus-flag");
+  }
 }
 
 TEST(Cli, FullScaleViaEnv) {

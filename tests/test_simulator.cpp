@@ -118,6 +118,30 @@ TEST(Simulator, CollectsOptionalStatsOnDemand) {
   const auto r = sim.run();
   EXPECT_EQ(r.vc_usage.percent.size(), 24u);
   EXPECT_GT(r.traffic_split.fring_nodes, 0u);
+  // The kept per-node loads reproduce the split after the run is gone.
+  ASSERT_EQ(r.node_traffic.size(), 64u);
+  const auto split =
+      ftmesh::stats::summarize_traffic_split(r.node_traffic, sim.faults(), sim.rings());
+  EXPECT_EQ(split.fring_nodes, r.traffic_split.fring_nodes);
+  EXPECT_EQ(split.other_nodes, r.traffic_split.other_nodes);
+  EXPECT_EQ(split.fring_mean_percent, r.traffic_split.fring_mean_percent);
+  EXPECT_EQ(split.other_peak_percent, r.traffic_split.other_peak_percent);
+}
+
+TEST(Simulator, KeepsNoLoadsWithoutTrafficMap) {
+  Simulator sim(small_config());
+  EXPECT_TRUE(sim.run().node_traffic.empty());
+}
+
+TEST(SimConfig, EqualitySeesFaultBlocksAndStatsFlags) {
+  SimConfig a = small_config();
+  SimConfig b = a;
+  EXPECT_EQ(a, b);
+  b.fault_blocks = {Rect{1, 1, 2, 2}};
+  EXPECT_NE(a, b);
+  b = a;
+  b.collect_traffic_map = !a.collect_traffic_map;
+  EXPECT_NE(a, b);
 }
 
 TEST(Simulator, SnapshotBeforeRunIsEmptyButValid) {

@@ -199,7 +199,7 @@ TEST(TrafficGrid, NormalizedToPeak) {
   f.net->begin_measurement();
   f.net->create_message({0, 0}, {7, 0}, 10);
   for (int i = 0; i < 100; ++i) f.net->step();
-  const auto grid = ftmesh::stats::normalized_traffic_grid(*f.net);
+  const auto grid = ftmesh::stats::normalized_traffic_grid(f.net->node_traffic());
   double peak = 0.0;
   for (const double v : grid) peak = std::max(peak, v);
   EXPECT_DOUBLE_EQ(peak, 100.0);
@@ -209,7 +209,7 @@ TEST(TrafficGrid, AllZeroWhenNoTraffic) {
   NetworkConfig cfg;
   cfg.collect_traffic_map = true;
   StatFixture f(cfg);
-  const auto grid = ftmesh::stats::normalized_traffic_grid(*f.net);
+  const auto grid = ftmesh::stats::normalized_traffic_grid(f.net->node_traffic());
   for (const double v : grid) EXPECT_EQ(v, 0.0);
 }
 

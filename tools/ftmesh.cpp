@@ -1,36 +1,10 @@
 // The ftmesh command-line driver: run simulations, sweep rates, find
 // saturation points, and inspect fault patterns without writing C++.
-//
-//   ftmesh run        [--config f] [--algorithm A] [--rate R] [--faults N]
-//                     [--link-faults N] [--cycles N] [--seed S] [--json]
-//                     [--save-config f]
-//                     [--fault-schedule SPEC] [--max-retries N]
-//                     [--backoff N] [--patience N] [--drain]
-//                     [--tiles N] [--step-threads N] [--shard-alloc 0|1]
-//                     [--trace f] [--trace-format jsonl|chrome]
-//                     [--metrics-interval N] [--metrics-out f.csv]
-//   ftmesh sweep      [--algorithm A] [--from R0] [--to R1] [--steps N] ...
-//   ftmesh saturation [--algorithm A] [--threshold T] ...
-//   ftmesh faults     [--faults N] [--seed S]
-//   ftmesh campaign   [--algorithms A,B,..] [--rates r1,r2,..]
-//                     [--fault-counts 0,5,10] [--patterns N] [--out f.csv]
-//                     [--threads N] [--metrics-interval N] [--metrics-out f.csv]
-//                     [--dir DIR] [--resume DIR] [--shard i/N]
-//                     [--checkpoint-every N] [--progress[=force]]
-//   ftmesh campaign-merge [--out f.csv] DIR [DIR...]
-//   ftmesh verify     [--algo A|all|broken-demo] [--faults 0,5,10]
-//                     [--link-faults N] [--seed S] [--width W] [--height H]
-//                     [--vcs V] [--threads N] [--config f]
-//   ftmesh audit      [--algo A|all|broken-demo] [--patterns clean,center,
-//                     boundary,link,link-edge,random] [--faults N,..]
-//                     [--link-faults N] [--seed S] [--width W] [--height H]
-//                     [--vcs V] [--threads N] [--max-violations N] [--json]
-//   ftmesh reliability [--width W] [--height H] [--node-prob P]
-//                     [--link-prob Q] [--trials N] [--seed S] [--json]
-//   ftmesh algorithms
+// `ftmesh --help` (or `ftmesh <command> --help`) prints kUsage below.
 //
 // Flags mirror SimConfig fields; a --config file provides the base and
-// explicit flags override it.
+// explicit flags override it.  Each command accepts only the flags it
+// reads (kCommands): anything else is an error before any work starts.
 //
 // verify and audit take --algo (or --algorithm) as "all", a comma list or
 // broken-demo, and --faults as a comma list of whole non-negative counts
@@ -43,6 +17,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -370,11 +345,9 @@ int cmd_campaign(const Cli& cli) {
   cmp::CampaignSpec spec;
   spec.base = config_from_cli(cli);
   spec.algorithms = split_list(cli.get("algorithms", ""));
-  for (const auto& r : split_list(cli.get("rates", ""))) {
-    spec.rates.push_back(std::stod(r));
-  }
-  for (const auto& f : split_list(cli.get("fault-counts", ""))) {
-    spec.fault_counts.push_back(std::stoi(f));
+  spec.rates = cli.get_double_list("rates");
+  for (const auto f : cli.get_int_list("fault-counts")) {
+    spec.fault_counts.push_back(static_cast<int>(f));
   }
   spec.patterns = static_cast<int>(cli.get_int("patterns", 1));
   spec.threads = static_cast<int>(cli.get_int("threads", 0));
@@ -486,16 +459,13 @@ int cmd_campaign_merge(const Cli& cli) {
 /// whole non-negative integer.
 std::vector<int> fault_count_list(const Cli& cli, const std::string& fallback) {
   std::vector<int> counts;
-  for (const auto& item : split_list(cli.get("faults", fallback))) {
-    try {
-      counts.push_back(ftmesh::core::parse_number<int>(item));
-    } catch (const std::exception& e) {
-      throw std::invalid_argument("bad value for --faults: " + std::string(e.what()));
-    }
-    if (counts.back() < 0) {
+  for (const auto n : cli.get_int_list("faults", fallback)) {
+    if (n < 0 || n > std::numeric_limits<int>::max()) {
       throw std::invalid_argument(
-          "bad value for --faults: expected a non-negative integer, got '" + item + "'");
+          "bad value for --faults: expected a non-negative int, got '" +
+          std::to_string(n) + "'");
     }
+    counts.push_back(static_cast<int>(n));
   }
   return counts;
 }
@@ -632,7 +602,10 @@ int cmd_audit(const Cli& cli) {
     for (const int fault_count : fault_count_list(cli, "3")) {
       if (fault_count <= 0 && link_faults <= 0) continue;
       std::string label = "random-" + std::to_string(fault_count);
-      if (link_faults > 0) label += "+" + std::to_string(link_faults) + "L";
+      // append, not `"+" + ...`: GCC 12's -Wrestrict misfires on that here.
+      if (link_faults > 0) {
+        label.append("+").append(std::to_string(link_faults)).append("L");
+      }
       patterns.emplace_back(label, random_fault_map(cfg, mesh, fault_count));
     }
   }
@@ -750,44 +723,111 @@ int cmd_reliability(const Cli& cli) {
   return 0;
 }
 
-int cmd_algorithms() {
+int cmd_algorithms(const Cli&) {
   for (const auto& name : ftmesh::routing::algorithm_names()) {
     std::cout << name << "\n";
   }
   return 0;
 }
 
-void usage() {
-  std::cerr << "usage: ftmesh "
-               "<run|sweep|saturation|faults|campaign|campaign-merge|verify|"
-               "audit|reliability|algorithms> [flags]\n(see the header of "
-               "tools/ftmesh.cpp)\n";
-}
+constexpr const char* kUsage = R"(usage: ftmesh <command> [flags]
+
+  ftmesh run        [--config f] [--algorithm A] [--rate R] [--faults N]
+                    [--link-faults N] [--cycles N] [--seed S] [--json]
+                    [--save-config f]
+                    [--fault-schedule SPEC] [--max-retries N]
+                    [--backoff N] [--patience N] [--drain]
+                    [--tiles N] [--step-threads N] [--shard-alloc 0|1]
+                    [--trace f] [--trace-format jsonl|chrome]
+                    [--metrics-interval N] [--metrics-out f.csv]
+  ftmesh sweep      [--algorithm A] [--from R0] [--to R1] [--steps N] ...
+  ftmesh saturation [--algorithm A] [--threshold T] ...
+  ftmesh faults     [--faults N] [--seed S]
+  ftmesh campaign   [--algorithms A,B,..] [--rates r1,r2,..]
+                    [--fault-counts 0,5,10] [--patterns N] [--out f.csv]
+                    [--threads N] [--metrics-interval N] [--metrics-out f.csv]
+                    [--dir DIR] [--resume DIR] [--shard i/N]
+                    [--checkpoint-every N] [--progress[=force]]
+  ftmesh campaign-merge [--out f.csv] DIR [DIR...]
+  ftmesh verify     [--algo A|all|broken-demo] [--faults 0,5,10]
+                    [--link-faults N] [--seed S] [--width W] [--height H]
+                    [--vcs V] [--threads N] [--config f]
+  ftmesh audit      [--algo A|all|broken-demo] [--patterns clean,center,
+                    boundary,link,link-edge,random] [--faults N,..]
+                    [--link-faults N] [--seed S] [--width W] [--height H]
+                    [--vcs V] [--threads N] [--max-violations N] [--json]
+  ftmesh reliability [--width W] [--height H] [--node-prob P]
+                    [--link-prob Q] [--trials N] [--seed S] [--json]
+  ftmesh algorithms
+
+Every command that simulates or checks a mesh (all but campaign-merge,
+reliability and algorithms) also takes the SimConfig flags: --config
+--algorithm --traffic --width --height --rate --length --vcs --faults
+--link-faults --cycles --warmup --seed --buffer-depth --patience
+--fault-schedule --max-retries --backoff --scan-mode --tiles
+--step-threads --route-cache --recycle-messages --shard-alloc
+--kernel-stats --metrics-interval.
+)";
+
+/// The flags config_from_cli reads.
+const std::vector<std::string> kConfigFlags = {
+    "config", "algorithm", "traffic", "width", "height", "rate", "length",
+    "vcs", "faults", "link-faults", "cycles", "warmup", "seed", "buffer-depth",
+    "patience", "fault-schedule", "max-retries", "backoff", "scan-mode",
+    "tiles", "step-threads", "route-cache", "recycle-messages", "shard-alloc",
+    "kernel-stats", "metrics-interval"};
+
+struct Command {
+  const char* name;
+  int (*run)(const Cli&);
+  bool config_flags;               ///< reads kConfigFlags too
+  std::vector<std::string> flags;  ///< its own flags
+};
+
+const std::vector<Command> kCommands = {
+    {"run", cmd_run, true,
+     {"save-config", "trace", "trace-format", "drain", "metrics-out", "json"}},
+    {"sweep", cmd_sweep, true, {"from", "to", "steps"}},
+    {"saturation", cmd_saturation, true,
+     {"from", "to", "threshold", "iterations"}},
+    {"faults", cmd_faults, true, {}},
+    {"campaign", cmd_campaign, true,
+     {"algorithms", "rates", "fault-counts", "patterns", "threads", "shard",
+      "resume", "dir", "checkpoint-every", "progress", "metrics-out", "out"}},
+    {"campaign-merge", cmd_campaign_merge, false, {"out"}},
+    {"verify", cmd_verify, true, {"algo", "threads"}},
+    {"audit", cmd_audit, true,
+     {"algo", "patterns", "threads", "max-violations", "json"}},
+    {"reliability", cmd_reliability, false,
+     {"width", "height", "node-prob", "link-prob", "trials", "seed", "json"}},
+    {"algorithms", cmd_algorithms, false, {}},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
+  const std::string cmd = argc < 2 ? "" : argv[1];
+  const Cli cli(argc - 1, argv + 1);
+  if (cmd == "--help" || cli.flag("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
+  const auto it =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&cmd](const Command& c) { return cmd == c.name; });
+  if (it == kCommands.end()) {
+    std::cerr << kUsage;
     return 2;
   }
-  const std::string cmd = argv[1];
-  const Cli cli(argc - 1, argv + 1);
   try {
-    if (cmd == "run") return cmd_run(cli);
-    if (cmd == "sweep") return cmd_sweep(cli);
-    if (cmd == "saturation") return cmd_saturation(cli);
-    if (cmd == "faults") return cmd_faults(cli);
-    if (cmd == "campaign") return cmd_campaign(cli);
-    if (cmd == "campaign-merge") return cmd_campaign_merge(cli);
-    if (cmd == "verify") return cmd_verify(cli);
-    if (cmd == "audit") return cmd_audit(cli);
-    if (cmd == "reliability") return cmd_reliability(cli);
-    if (cmd == "algorithms") return cmd_algorithms();
+    auto known = it->flags;
+    if (it->config_flags) {
+      known.insert(known.end(), kConfigFlags.begin(), kConfigFlags.end());
+    }
+    cli.reject_unknown(known);
+    return it->run(cli);
   } catch (const std::exception& e) {
     std::cerr << "ftmesh: " << e.what() << "\n";
     return 1;
   }
-  usage();
-  return 2;
 }
