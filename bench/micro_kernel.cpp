@@ -49,52 +49,22 @@ void BM_NetworkStepModerateLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkStepModerateLoad);
 
-void BM_NetworkStepModerateLoadFullScan(benchmark::State& state) {
-  // Reference path: exhaustive per-node scans (--scan-mode=full).  The
-  // gap to BM_NetworkStepModerateLoad is what the active sets buy.
-  auto cfg = kernel_config(0.001, 0);
-  cfg.scan_mode = "full";
-  Simulator sim(cfg);
-  for (int i = 0; i < 2000; ++i) sim.step();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-}
-BENCHMARK(BM_NetworkStepModerateLoadFullScan);
-
-SimConfig knee_config() {
+void BM_NetworkStepKnee(benchmark::State& state) {
   // The paper-headline shape: Duato-Nbc, 24 VCs, 100-flit worms, 5 faults,
   // rate 0.002 — near the knee, where almost every router has a sendable
-  // flit every cycle.
+  // flit every cycle.  Skipping idle routers saves little here: the cost
+  // is in the busy routers, where few of the 5 x 24 input VCs have work
+  // and about half of those that do wait on a downstream buffer with no
+  // free slot.  The crossbar collects `switch_ready & ~credit_blocked`, so
+  // such a worm costs a word AND, not a load of its input and output VC.
   auto cfg = kernel_config(0.002, 5);
   cfg.algorithm = "Duato-Nbc";
-  return cfg;
-}
-
-void BM_NetworkStepKnee(benchmark::State& state) {
-  // Skipping idle routers saves little at the knee: the cost is in the
-  // busy routers, where few of the 5 x 24 input VCs have work and about
-  // half of those that do wait on a downstream buffer with no free slot.
-  // The crossbar collects `switch_ready & ~credit_blocked`, so such a
-  // worm costs a word AND, not a load of its input and output VC.
-  Simulator sim(knee_config());
+  Simulator sim(cfg);
   for (int i = 0; i < 2000; ++i) sim.step();
   for (auto _ : state) sim.step();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
 }
 BENCHMARK(BM_NetworkStepKnee);
-
-void BM_NetworkStepKneeFullScan(benchmark::State& state) {
-  // Reference path at the knee: the exhaustive scan visits every input VC
-  // of every router.  The gap to BM_NetworkStepKnee is what the per-VC
-  // ready masks buy where the per-node active sets cannot help.
-  auto cfg = knee_config();
-  cfg.scan_mode = "full";
-  Simulator sim(cfg);
-  for (int i = 0; i < 2000; ++i) sim.step();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-}
-BENCHMARK(BM_NetworkStepKneeFullScan);
 
 void BM_NetworkStepModerateLoadTraceDiscard(benchmark::State& state) {
   // Same load with a discarding trace sink attached: prices the event
@@ -133,31 +103,16 @@ void BM_NetworkStepSaturated(benchmark::State& state) {
 BENCHMARK(BM_NetworkStepSaturated);
 
 void BM_NetworkStepSaturatedRecycled(benchmark::State& state) {
-  // Slot recycling pinned on (also the default): the saturated stepper
-  // works out of a bounded slot table with hot headers in a dense SoA
-  // array.  Paired with ...AppendOnly below, this isolates the recycling
-  // win independent of what the default flag happens to be.
-  auto cfg = kernel_config(-1.0, 0);
-  cfg.recycle_messages = true;
-  Simulator sim(cfg);
+  // The saturated stepper with the slot-table churn in view: worms retire
+  // and recycle their slots every cycle, and hot headers sit in a dense
+  // SoA array.  CI holds its absolute time against the baseline; the
+  // peak_slots counters below hold the bounded-memory claim.
+  Simulator sim(kernel_config(-1.0, 0));
   for (int i = 0; i < 2000; ++i) sim.step();
   for (auto _ : state) sim.step();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
 }
 BENCHMARK(BM_NetworkStepSaturatedRecycled);
-
-void BM_NetworkStepSaturatedAppendOnly(benchmark::State& state) {
-  // Recycling off: retirement keeps every slot, so the message table grows
-  // one entry per message ever created and long saturated runs walk
-  // ever-colder memory.
-  auto cfg = kernel_config(-1.0, 0);
-  cfg.recycle_messages = false;
-  Simulator sim(cfg);
-  for (int i = 0; i < 2000; ++i) sim.step();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-}
-BENCHMARK(BM_NetworkStepSaturatedAppendOnly);
 
 void BM_NetworkLongRunPeakSlots(benchmark::State& state) {
   // Long-run footprint probe: steps a moderate load for as long as the
@@ -253,27 +208,22 @@ void BM_NetworkStepShardedTraceDiscard(benchmark::State& state, int tiles,
 BENCHMARK_CAPTURE(BM_NetworkStepShardedTraceDiscard, t4x4, 4, 4)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_NetworkStepShardedAlloc(benchmark::State& state, bool shard_alloc) {
+void BM_NetworkStepShardedAlloc(benchmark::State& state, int tiles,
+                                int threads) {
   // Allocator-bound variant of the sharded kernel: saturated 64x64 mesh
   // with *short* messages (length 4), so worms retire and are recreated at
-  // the highest possible rate and slot churn dominates the step.  Both
-  // captures run the identical simulation (reports are byte-identical
-  // across the allocator flag); `shard` lets each tile keep up to four
-  // freed slots for its own creations, `serial` sets the keep cap to 0 —
-  // every freed slot goes to the global LIFO and the creation prologue
-  // hands every slot out from there.  CI holds the shard:serial pair ratio.
-  auto cfg = sharded_config(64, 4, 4);
+  // the highest possible rate and slot churn dominates the step.  Each
+  // tile keeps up to four freed slots for its own creations; the global
+  // LIFO takes the spillover.
+  auto cfg = sharded_config(64, tiles, threads);
   cfg.message_length = 4;
-  cfg.shard_alloc = shard_alloc;
   Simulator sim(cfg);
   for (int i = 0; i < 500; ++i) sim.step();  // fill the mesh
   for (auto _ : state) sim.step();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
                           64);
 }
-BENCHMARK_CAPTURE(BM_NetworkStepShardedAlloc, shard_t4x4, true)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_NetworkStepShardedAlloc, serial_t4x4, false)
+BENCHMARK_CAPTURE(BM_NetworkStepShardedAlloc, shard_t4x4, 4, 4)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_NetworkLongRunPeakSlotsSharded(benchmark::State& state) {

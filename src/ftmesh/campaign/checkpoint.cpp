@@ -8,6 +8,7 @@
 
 #include "ftmesh/campaign/csv.hpp"
 #include "ftmesh/campaign/error.hpp"
+#include "ftmesh/core/config_io.hpp"
 #include "ftmesh/report/json.hpp"
 
 namespace ftmesh::campaign {
@@ -24,15 +25,11 @@ std::string hex64(std::uint64_t v) {
 
 std::uint64_t parse_hex64(const std::string& text) {
   if (text.rfind("0x", 0) != 0) throw CampaignError("bad hex value " + text);
-  std::uint64_t v = 0;
-  std::size_t pos = 0;
   try {
-    v = std::stoull(text.substr(2), &pos, 16);
+    return core::parse_number<std::uint64_t>(text.substr(2), 16);
   } catch (const std::exception&) {
     throw CampaignError("bad hex value " + text);
   }
-  if (pos != text.size() - 2) throw CampaignError("bad hex value " + text);
-  return v;
 }
 
 /// Minimal parser for our own flat JSONL records: `{"k":v,...}` where v is
@@ -176,26 +173,27 @@ Manifest read_manifest(const std::string& dir) {
     }
     try {
       if (key == "ftmesh_campaign_manifest") {
-        m.version = std::stoi(value);
+        m.version = core::parse_number<int>(value);
         versioned = true;
       } else if (key == "spec_hash") {
         m.spec_hash = parse_hex64(value);
       } else if (key == "cells") {
-        m.cells = static_cast<std::size_t>(std::stoull(value));
+        m.cells = core::parse_number<std::size_t>(value);
       } else if (key == "shard_index") {
-        m.shard.index = std::stoi(value);
+        m.shard.index = core::parse_number<int>(value);
       } else if (key == "shard_count") {
-        m.shard.count = std::stoi(value);
+        m.shard.count = core::parse_number<int>(value);
       } else if (key == "completed") {
-        m.completed = static_cast<std::size_t>(std::stoull(value));
+        m.completed = core::parse_number<std::size_t>(value);
       } else {
         throw CampaignError("unknown manifest key " + key);
       }
     } catch (const CampaignError&) {
       throw;
-    } catch (const std::exception&) {
+    } catch (const std::exception& e) {
       throw CampaignError("malformed manifest line " +
-                          std::to_string(line_no) + " in " + dir);
+                          std::to_string(line_no) + " in " + dir + ": " +
+                          e.what());
     }
   }
   if (!versioned || m.version != 1) {
@@ -240,7 +238,7 @@ StoredCell decode_record(const std::string& line) {
   }
   StoredCell cell;
   try {
-    cell.index = static_cast<std::size_t>(std::stoull(fields[0].second));
+    cell.index = core::parse_number<std::size_t>(fields[0].second);
   } catch (const std::exception&) {
     throw CampaignError("bad checkpoint record (cell index): " + line);
   }

@@ -34,8 +34,18 @@ void SimConfig::validate() const {
         "injection_rate must be finite and <= injection_vcs (" +
         std::to_string(injection_vcs) + ") messages/node/cycle");
   }
-  if (scan_mode != "active" && scan_mode != "full") {
-    throw std::invalid_argument("scan_mode must be 'active' or 'full'");
+  // Retired kernel switches: their keys still load, at the default only.
+  if (scan_mode != "active") {
+    throw std::invalid_argument(
+        "scan_mode must be 'active': the full reference scan was removed");
+  }
+  if (!recycle_messages) {
+    throw std::invalid_argument(
+        "recycle_messages must be 1: append-only message storage was removed");
+  }
+  if (!shard_alloc) {
+    throw std::invalid_argument(
+        "shard_alloc must be 1: the keep-cap-0 slot allocator was removed");
   }
   if (tiles < 1) throw std::invalid_argument("tiles must be >= 1");
   if (fault_count < 0 || fault_count >= width * height) {

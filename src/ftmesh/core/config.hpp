@@ -58,9 +58,10 @@ struct SimConfig {
   std::uint64_t seed = 1;
   std::uint64_t watchdog_patience = 2000;
 
-  // cycle-kernel scheduling (router/network.hpp): "active" iterates only
-  // occupied state, "full" is the exhaustive cross-checked reference scan.
-  // Both are bit-identical; full exists for A/B validation and debugging.
+  // cycle-kernel scheduling (router/network.hpp)
+  /// Retired: validate() accepts only "active" (the kernel has one scan).
+  /// The key still loads so older saved configs run; the field is deleted
+  /// once perfbench stops reading it (ROADMAP item 1).
   std::string scan_mode = "active";
   bool route_cache = true;  ///< memoize candidate sets per routing state
   /// Spatial shards for the cycle kernel: the mesh is cut into this many
@@ -72,17 +73,13 @@ struct SimConfig {
   /// 1 = serial, <= 0 = hardware concurrency.  Only effective with
   /// tiles > 1; never affects results.
   int step_threads = 1;
-  /// Recycle message slots: finished messages retire into a compact log
-  /// the cycle they complete and their slot is reused, bounding storage at
-  /// O(in-flight) instead of O(delivered).  Byte-identical results either
-  /// way; off = retirement keeps every slot, so the table grows with each
-  /// message ever created (A/B validation).
+  /// Retired: validate() accepts only true (message slots always recycle).
+  /// The key still loads; the field is deleted once perfbench stops
+  /// reading it (ROADMAP item 1).
   bool recycle_messages = true;
-  /// Per-tile keep cap of the slot allocator: on, each tile keeps up to 4
-  /// freed slots for its own creations (the global pool takes the
-  /// spillover); off, tiles keep none and every slot comes from the global
-  /// LIFO pool (A/B validation and the perf baseline).  Results are
-  /// byte-identical either way.
+  /// Retired: validate() accepts only true (the allocator's per-tile keep
+  /// cap is fixed at 4).  The key still loads; the field is deleted once
+  /// perfbench stops reading it (ROADMAP item 1).
   bool shard_alloc = true;
 
   // optional statistics

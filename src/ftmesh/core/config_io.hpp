@@ -25,15 +25,21 @@ namespace ftmesh::core {
 /// stop at the first non-digit ("12abc" reads as 12) and the unsigned ones
 /// wrap a leading '-' ("-1" reads as 4294967295); from_chars rejects both,
 /// and rejects any sign on an unsigned T.  A bool reads as an integer,
-/// nonzero = true.
+/// nonzero = true.  `base` applies to integral T (no "0x" prefix).
 template <typename T>
-T parse_number(const std::string& value) {
+T parse_number(const std::string& value, int base = 10) {
   if constexpr (std::is_same_v<T, bool>) {
-    return parse_number<int>(value) != 0;
+    return parse_number<int>(value, base) != 0;
   } else {
     T out{};
     const char* const end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    const auto [ptr, ec] = [&] {
+      if constexpr (std::is_integral_v<T>) {
+        return std::from_chars(value.data(), end, out, base);
+      } else {
+        return std::from_chars(value.data(), end, out);
+      }
+    }();
     if (ec == std::errc::result_out_of_range) {
       throw std::out_of_range("'" + value + "' is out of range");
     }

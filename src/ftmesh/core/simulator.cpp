@@ -37,13 +37,9 @@ Simulator::Simulator(SimConfig cfg)
   ncfg.buffer_depth = cfg_.buffer_depth;
   ncfg.injection_vcs = cfg_.injection_vcs;
   ncfg.selection = cfg_.selection;
-  ncfg.scan_mode = cfg_.scan_mode == "full" ? router::ScanMode::Full
-                                            : router::ScanMode::Active;
   ncfg.route_cache = cfg_.route_cache;
   ncfg.tiles = cfg_.tiles;
   ncfg.step_threads = cfg_.step_threads;
-  ncfg.recycle_messages = cfg_.recycle_messages;
-  ncfg.shard_alloc = cfg_.shard_alloc;
   ncfg.collect_vc_usage = cfg_.collect_vc_usage;
   ncfg.collect_traffic_map = cfg_.collect_traffic_map;
   ncfg.collect_kernel_stats = cfg_.collect_kernel_stats;

@@ -188,10 +188,10 @@ void write_result_json(std::ostream& os, const core::SimConfig& cfg,
   }
 
   if (r.kernel.enabled) {
-    // Cycle-kernel counters (collect_kernel_stats).  Note scan_mode is
-    // deliberately absent from the report: the counters are maintained
-    // identically in both modes, and the golden determinism corpus relies
-    // on full-vs-active reports being byte-identical.
+    // Cycle-kernel counters (collect_kernel_stats).  Tiles, step threads
+    // and the other scheduling knobs are deliberately absent: the counters
+    // are identical under every setting, and the golden determinism corpus
+    // relies on those reports being byte-identical.
     const auto& k = r.kernel;
     w.key("kernel").begin_object();
     w.key("cache_lookups").value(k.cache_lookups);

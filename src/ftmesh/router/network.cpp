@@ -81,9 +81,20 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
       faults_(&faults),
       algorithm_(&algorithm),
       config_(config),
-      tile_free_keep_(config.shard_alloc ? kTileFreeKeep : 0),
       rng_(rng),
       watchdog_(config.watchdog_patience) {
+  if (config_.scan_mode != ScanMode::Active) {
+    throw std::invalid_argument(
+        "scan_mode full was removed: the kernel has one scan");
+  }
+  if (!config_.recycle_messages) {
+    throw std::invalid_argument(
+        "recycle_messages off was removed: message slots always recycle");
+  }
+  if (!config_.shard_alloc) {
+    throw std::invalid_argument(
+        "shard_alloc off was removed: the per-tile keep cap is fixed");
+  }
   const auto n = static_cast<std::size_t>(mesh.node_count());
   const int vcs = algorithm.layout().total();
   if (config_.injection_vcs < 1 || config_.injection_vcs > vcs) {
@@ -628,7 +639,6 @@ void Network::retire_slot(MessageSlot slot) {
   r.aborted = m.aborted;
   r.ring_user = h.rs.ring.region >= 0;
   retired_.push_back(r);
-  if (!config_.recycle_messages) return;  // the slot and its id stay put
   live_ids_.erase(m.id);
   m = Message{};  // id == kInvalidMessage marks the slot free
   headers_[static_cast<std::size_t>(slot)] = HeaderState{};
@@ -638,7 +648,7 @@ void Network::retire_slot(MessageSlot slot) {
   // the global pool so tile-local churn cannot strand capacity.
   Tile& t = tiles_[slot_tile_[static_cast<std::size_t>(slot)]];
   t.free_slots.push_back(slot);
-  if (t.free_slots.size() > tile_free_keep_) {
+  if (t.free_slots.size() > kTileFreeKeep) {
     free_slots_.push_back(t.free_slots.front());
     t.free_slots.erase(t.free_slots.begin());
   }
@@ -812,18 +822,12 @@ void Network::audit_invariants(int level) const {
       messages_.size() != slot_tile_.size()) {
     fail("slot-table arrays diverged (messages/headers/slot_gen/slot_tile)");
   }
-  // Retirement frees the slot when recycling; otherwise the finished
-  // message stays in place, so exactly the retired messages are finished
-  // occupants.
+  // Retirement frees the slot, so no finished message occupies one.
   std::size_t occupied = 0;
-  std::size_t finished = 0;
   for (const auto& m : messages_) {
     if (m.id == kInvalidMessage) continue;
     ++occupied;
-    if (m.done || m.aborted) ++finished;
-  }
-  if (finished != (config_.recycle_messages ? 0 : retired_.size())) {
-    fail("finished occupants != retirements kept in place");
+    if (m.done || m.aborted) fail("a finished message still occupies its slot");
   }
   // Ids drawn by enqueue_message but not yet materialised into slots count
   // as created-but-not-live; between cycles the list is empty, but the audit
@@ -855,7 +859,7 @@ void Network::audit_invariants(int level) const {
   for (const MessageSlot slot : free_slots_) note_free(slot, "global");
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     const Tile& t = tiles_[i];
-    if (t.free_slots.size() > tile_free_keep_) {
+    if (t.free_slots.size() > kTileFreeKeep) {
       fail("tile free list exceeds the keep cap");
     }
     for (const MessageSlot slot : t.free_slots) {
@@ -879,7 +883,7 @@ void Network::audit_invariants(int level) const {
       fail("live-id map entry does not name its occupant");
     }
   }
-  if (retired_.size() + (occupied - finished) + pending_unslotted !=
+  if (retired_.size() + occupied + pending_unslotted !=
       next_message_id_) {
     fail("message conservation: retired + live + pending != created");
   }
@@ -1134,25 +1138,18 @@ void Network::arrivals_tile(Tile& t) {
   // registers delivering into it — its own flagged mask bits plus a scan
   // of the static boundary list (cross-tile senders may not touch this
   // tile's mask, so those registers are poll-only).
-  if (config_.scan_mode == ScanMode::Active) {
-    for (std::size_t w = 0; w < t.link_mask.size(); ++w) {
-      std::uint64_t word = t.link_mask[w];
-      t.link_mask[w] = 0;
-      for (; word != 0; word &= word - 1) {
-        const std::size_t pos =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        arrive_link(t, t.incoming_all[pos]);
-      }
+  for (std::size_t w = 0; w < t.link_mask.size(); ++w) {
+    std::uint64_t word = t.link_mask[w];
+    t.link_mask[w] = 0;
+    for (; word != 0; word &= word - 1) {
+      const std::size_t pos =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      arrive_link(t, t.incoming_all[pos]);
     }
-    for (const std::size_t idx : t.boundary_in) {
-      if (links_[idx].full) arrive_link(t, idx);
-    }
-    return;
   }
-  for (const std::size_t idx : t.incoming_all) {
+  for (const std::size_t idx : t.boundary_in) {
     if (links_[idx].full) arrive_link(t, idx);
   }
-  std::fill(t.link_mask.begin(), t.link_mask.end(), 0);
 }
 
 void Network::phase_arrivals() {
@@ -1230,17 +1227,10 @@ void Network::phase_injection() {
   // runs serially after the walk (before routing, which may retire a
   // same-cycle src == dst message through the live-id map).
   stage_creations();
-  if (config_.scan_mode == ScanMode::Active) {
-    for_each_tile([this](Tile& t) {
-      materialize_tile_creations(t);
-      walk_mask(t, t.inject_mask, [&](NodeId id) { inject_node(t, id); });
-    });
-  } else {
-    for_each_tile([this](Tile& t) {
-      materialize_tile_creations(t);
-      for (const NodeId id : t.nodes) inject_node(t, id);
-    });
-  }
+  for_each_tile([this](Tile& t) {
+    materialize_tile_creations(t);
+    walk_mask(t, t.inject_mask, [&](NodeId id) { inject_node(t, id); });
+  });
   commit_creations();
   flush_trace();
 }
@@ -1305,7 +1295,7 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
   return e.cands;
 }
 
-void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
+void Network::route_node(Tile& t, NodeId id) {
   const std::uint64_t* ready = ready_words(route_ready_, id);
   const int nivc = kPortCount * vcs_;
   const Coord c = mesh_->coord_of(id);
@@ -1320,26 +1310,12 @@ void Network::route_node(Tile& t, NodeId id, bool exhaustive) {
                          static_cast<std::uint64_t>(nivc)));
   sim::CounterRng sel(
       sim::counter_hash(sel_seed_, cycle_, static_cast<std::uint64_t>(id)));
-  if (!exhaustive) {
-    // The rotated set-bit walk visits the routable VCs in exactly the
-    // (k + offset) % nivc order of the exhaustive scan below.  Routing a
-    // header clears only its own bit, which the walk allows.
-    sim::for_each_set_bit_from(
-        ready, static_cast<std::size_t>(nivc),
-        static_cast<std::size_t>(offset), [&](std::size_t idx) {
-          route_header(t, id, c, rt, idx, sel);
-        });
-    return;
-  }
-  for (int k = 0; k < nivc; ++k) {
-    const auto idx = static_cast<std::size_t>((k + offset) % nivc);
-    const InputVc& ivc = rt.input_at(idx);
-    const bool routable = !ivc.buf.empty() && is_head(ivc.buf.front().type) &&
-                          ivc.stage != IvcStage::Active;
-    assert(routable == test_bit(ready, idx) &&
-           "route_ready_ mask is not exact");
-    if (routable) route_header(t, id, c, rt, idx, sel);
-  }
+  // The rotated set-bit walk visits the routable VCs in (k + offset) %
+  // nivc order.  Routing a header clears only its own bit, which the walk
+  // allows.
+  sim::for_each_set_bit_from(
+      ready, static_cast<std::size_t>(nivc), static_cast<std::size_t>(offset),
+      [&](std::size_t idx) { route_header(t, id, c, rt, idx, sel); });
 }
 
 void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
@@ -1476,16 +1452,9 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
 
 void Network::phase_routing() {
   if (sites_stale_ && config_.route_cache) rebuild_sites();
-  if (config_.scan_mode == ScanMode::Active) {
-    for_each_tile([this](Tile& t) {
-      walk_mask(t, t.route_mask,
-                [&](NodeId id) { route_node(t, id, /*exhaustive=*/false); });
-    });
-  } else {
-    for_each_tile([this](Tile& t) {
-      for (const NodeId id : t.nodes) route_node(t, id, /*exhaustive=*/true);
-    });
-  }
+  for_each_tile([this](Tile& t) {
+    walk_mask(t, t.route_mask, [&](NodeId id) { route_node(t, id); });
+  });
   flush_trace();
 #if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
   for (Tile& t : tiles_) {
@@ -1505,49 +1474,26 @@ void Network::switch_node(Tile& t, NodeId id) {
   Router& rt = routers_[static_cast<std::size_t>(id)];
 
   // Collect requests in the fixed port-major order (the shuffle below
-  // depends on the initial order, so both scan modes must build the same
-  // sequence).  A request is a sendable flit whose output VC has a credit
-  // (or is the ejection port).  Ascending bit order of the ready mask *is*
-  // port-major order, so the Active walk over `ready & ~blocked` builds
-  // the same sequence as the exhaustive scan without touching the input
-  // or output VC of a credit-starved worm; the port follows from the walk
-  // itself, one compare per crossed port boundary.
+  // depends on the initial order).  A request is a sendable flit whose
+  // output VC has a credit (or is the ejection port).  Ascending bit order
+  // of the ready mask *is* port-major order, so the walk over
+  // `ready & ~blocked` never touches the input or output VC of a
+  // credit-starved worm; the port follows from the walk itself, one
+  // compare per crossed port boundary.
   t.requests.clear();
-  if (config_.scan_mode == ScanMode::Active) {
-    int port = 0;
-    std::size_t port_base = 0;
-    for (std::size_t w = 0; w < ready_words_; ++w) {
-      for (std::uint64_t word = ready[w] & ~blocked[w]; word != 0;
-           word &= word - 1) {
-        const std::size_t idx =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        while (idx >= port_base + static_cast<std::size_t>(vcs_)) {
-          ++port;
-          port_base += static_cast<std::size_t>(vcs_);
-        }
-        t.requests.push_back({static_cast<std::int16_t>(port),
-                              static_cast<std::int16_t>(idx - port_base)});
+  int port = 0;
+  std::size_t port_base = 0;
+  for (std::size_t w = 0; w < ready_words_; ++w) {
+    for (std::uint64_t word = ready[w] & ~blocked[w]; word != 0;
+         word &= word - 1) {
+      const std::size_t idx =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      while (idx >= port_base + static_cast<std::size_t>(vcs_)) {
+        ++port;
+        port_base += static_cast<std::size_t>(vcs_);
       }
-    }
-  } else {
-    for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs_; ++vc) {
-        const auto idx = static_cast<std::size_t>(port * vcs_ + vc);
-        const InputVc& ivc = rt.input_at(idx);
-        const bool sendable =
-            ivc.stage == IvcStage::Active && !ivc.buf.empty();
-        const bool starved =
-            ivc.stage == IvcStage::Active && ivc.out_dir != Direction::Local &&
-            rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0;
-        assert(sendable == test_bit(ready, idx) &&
-               "switch_ready_ mask is not exact");
-        assert(starved == test_bit(blocked, idx) &&
-               "credit_blocked_ mask is not exact");
-        if (sendable && !starved) {
-          t.requests.push_back({static_cast<std::int16_t>(port),
-                                static_cast<std::int16_t>(vc)});
-        }
-      }
+      t.requests.push_back({static_cast<std::int16_t>(port),
+                            static_cast<std::int16_t>(idx - port_base)});
     }
   }
   if (t.requests.empty()) return;
@@ -1657,15 +1603,9 @@ void Network::switch_node(Tile& t, NodeId id) {
 }
 
 void Network::phase_switching() {
-  if (config_.scan_mode == ScanMode::Active) {
-    for_each_tile([this](Tile& t) {
-      walk_mask(t, t.switch_mask, [&](NodeId id) { switch_node(t, id); });
-    });
-  } else {
-    for_each_tile([this](Tile& t) {
-      for (const NodeId id : t.nodes) switch_node(t, id);
-    });
-  }
+  for_each_tile([this](Tile& t) {
+    walk_mask(t, t.switch_mask, [&](NodeId id) { switch_node(t, id); });
+  });
   flush_trace();
 }
 
@@ -1674,17 +1614,6 @@ void Network::phase_switching() {
 void Network::phase_sampling() {
   watchdog_.observe(flits_moved_this_cycle_, buffered_flits_);
   if (config_.collect_vc_usage) {
-#ifndef NDEBUG
-    if (config_.scan_mode == ScanMode::Full) {
-      // Reference-path cross-check: the incremental per-VC allocation
-      // counters must agree with a fresh scan of the routers.
-      std::vector<std::uint64_t> check(vc_busy_counts_.size(), 0);
-      for (const auto& rt : routers_) rt.count_allocated_link_vcs(check);
-      for (std::size_t v = 0; v < check.size(); ++v) {
-        assert(check[v] == link_vc_allocated_[v]);
-      }
-    }
-#endif
     for (std::size_t v = 0; v < vc_busy_counts_.size(); ++v) {
       vc_busy_counts_[v] += link_vc_allocated_[v];
     }

@@ -18,12 +18,11 @@
 // (switch-ready) flits and credit-blocked worms, a per-node count of
 // pending injection work, and the set of full link registers, updated at
 // every occupancy-changing point (arrival, injection, route allocation,
-// switch traversal, credit return, tail release, purge).  ScanMode::Active
-// visits only nodes with work and, at those nodes, only the input VCs whose
-// ready bit is set; ScanMode::Full is the exhaustive reference scan that
-// additionally cross-checks the masks in debug builds.  Both modes produce
-// bit-identical results — see docs/performance.md for the invariants and
-// the determinism argument.
+// switch traversal, credit return, tail release, purge).  Each phase visits
+// only nodes with work and, at those nodes, only the input VCs whose ready
+// bit is set; the level-2 audit (audit_invariants) proves every bit against
+// a full recount — see docs/performance.md for the invariants and the
+// determinism argument.
 
 #include <bit>
 #include <cassert>
@@ -50,10 +49,10 @@
 
 namespace ftmesh::router {
 
-/// How the per-cycle phases find work.  Full visits every node/port/VC slot
-/// each cycle (the pre-optimisation behaviour, kept as a cross-checked
-/// reference); Active visits only occupied state via the incremental
-/// worklists.  The two modes are bit-identical by construction.
+/// Retired switch: the kernel has one scan, the occupancy-driven one
+/// (Active).  The Network constructor rejects Full.  The enum and
+/// NetworkConfig::scan_mode stay only while perfbench still assigns them;
+/// ROADMAP item 1's benchmark change deletes both.
 enum class ScanMode : std::uint8_t {
   Full = 0,
   Active = 1,
@@ -70,22 +69,16 @@ struct NetworkConfig {
   int buffer_depth = 2;       ///< flit slots per input VC
   int injection_vcs = 1;      ///< concurrent injection channels per node
   routing::SelectionPolicy selection = routing::SelectionPolicy::Random;
+  /// Retired: must stay Active (the constructor rejects Full).  Deleted
+  /// with ScanMode by ROADMAP item 1's benchmark change.
   ScanMode scan_mode = ScanMode::Active;
   bool route_cache = true;    ///< memoize candidate sets per routing state
-  /// Recycle message slots: a message retires into the compact
-  /// `RetiredMessage` log the cycle its tail is ejected (or it is aborted)
-  /// and its slot returns to the free store, so steady-state storage is
-  /// O(in-flight), not O(delivered).  Off = retirement logs the message
-  /// but keeps its slot (and id lookup) for good, so the table grows with
-  /// every message ever created.  Results are byte-identical either way —
-  /// the stats read the same retirement log in both modes.
+  /// Retired: must stay true (the constructor rejects false).  Message
+  /// slots always recycle.  Deleted by ROADMAP item 1's benchmark change.
   bool recycle_messages = true;
-  /// Per-tile free-list keep cap of the message allocator: on, each tile
-  /// keeps up to kTileFreeKeep freed slots for its own creations; off, it
-  /// keeps none, so every freed slot goes to the global LIFO pool and the
-  /// creation prologue hands every slot out from there.  Creations always
-  /// materialise inside the tile-parallel injection phase.  Slot numbering
-  /// is unobservable, so results are byte-identical either way.
+  /// Retired: must stay true (the constructor rejects false).  The per-tile
+  /// keep cap is always kTileFreeKeep.  Deleted by ROADMAP item 1's
+  /// benchmark change.
   bool shard_alloc = true;
   bool collect_vc_usage = false;
   bool collect_traffic_map = false;
@@ -156,16 +149,15 @@ class Network {
   [[nodiscard]] const NetworkConfig& config() const noexcept { return config_; }
 
   /// Access to a *live* message by its stable id, translated through the
-  /// live-id map (unchecked indexing plus a debug-build assert).  With
-  /// recycling off a finished message stays live here; with it on, calling
+  /// live-id map (unchecked indexing plus a debug-build assert).  Calling
   /// this for a retired id is a contract violation — use
   /// message_finished() / retired_record().
   [[nodiscard]] const Message& message(MessageId id) const {
     return messages_[slot_of(id)];
   }
-  /// The message *slot table* (indexed by slot, not id).  With recycling
-  /// enabled, free slots are marked by `id == kInvalidMessage` and finished
-  /// occupants have already moved to retired(); iterate accordingly.
+  /// The message *slot table* (indexed by slot, not id).  Free slots are
+  /// marked by `id == kInvalidMessage` and finished occupants have already
+  /// moved to retired(); iterate accordingly.
   [[nodiscard]] const std::vector<Message>& messages() const noexcept {
     return messages_;
   }
@@ -179,8 +171,7 @@ class Network {
   }
 
   /// Compact per-message records frozen at retirement (tail ejected or
-  /// aborted), in retirement order.  The stats accumulators read this log
-  /// in both recycling modes, which is what keeps reports byte-identical.
+  /// aborted), in retirement order.  The stats accumulators read this log.
   [[nodiscard]] const std::vector<RetiredMessage>& retired() const noexcept {
     return retired_;
   }
@@ -197,8 +188,7 @@ class Network {
     return next_message_id_;
   }
   /// Current slot-table size: the high-water mark of concurrently live
-  /// messages when recycling is on (grow-only; the long-run memory test
-  /// pins this), the all-time message count when off.
+  /// messages (grow-only; the long-run memory test pins this).
   [[nodiscard]] std::size_t message_slots() const noexcept {
     return messages_.size();
   }
@@ -319,8 +309,7 @@ class Network {
   // begin_measurement() snapshots all three and the cycle; each window
   // accessor below returns the growth past that snapshot (0 before it), so
   // the warm-up window and a metrics interval are the same subtraction.
-  // The counts are maintained identically in both scan modes, at every
-  // tile and thread count.
+  // The counts are identical at every tile and thread count.
 
   /// Whole-run counts (the per-interval time series reads these).
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
@@ -422,8 +411,8 @@ class Network {
   /// honours step_threads) as an untraced one: events from the tile phases
   /// are buffered per tile and handed to the sink after each phase, merged
   /// in node order — the order a serial node-by-node visit would emit them
-  /// — so a trace is byte-identical across scan modes, tile counts and
-  /// thread counts (tests/test_golden_determinism.cpp holds the line).
+  /// — so a trace is byte-identical across tile counts and thread counts
+  /// (tests/test_golden_determinism.cpp holds the line).
   /// The sink itself is only ever called from the stepping thread.
   void set_trace_sink(trace::TraceSink* sink);
   [[nodiscard]] trace::TraceSink* trace_sink() const noexcept { return trace_; }
@@ -578,7 +567,8 @@ class Network {
     /// Static: registers delivering into this tile from another tile
     /// (checked for .full every cycle; O(tile perimeter)).
     std::vector<std::size_t> boundary_in;
-    /// Static: every register delivering into this tile (Full scan).
+    /// Static: every register delivering into this tile; link_mask bit p
+    /// names incoming_all[p].
     std::vector<std::size_t> incoming_all;
     /// Private message free list: slots owned by this tile, reused LIFO by
     /// creations materialising on it.  Bounded by the keep cap between
@@ -619,13 +609,11 @@ class Network {
   void phase_sampling();
   void commit_deferred();
 
-  // Per-node bodies shared by both scan modes and by the serial/parallel
-  // drivers: identical work per visited node, so Active (which skips nodes
-  // and input VCs whose ready bit is clear), Full (which visits everyone)
-  // and any tiling of the node set cannot diverge.
+  // Per-node bodies shared by the serial and parallel drivers: identical
+  // work per visited node, so no tiling of the node set can diverge.
   void arrive_link(Tile& t, std::size_t link_idx);
   void inject_node(Tile& t, topology::NodeId id);
-  void route_node(Tile& t, topology::NodeId id, bool exhaustive);
+  void route_node(Tile& t, topology::NodeId id);
   /// Routes the header fronting input VC `idx` (flat `port * vcs + vc`) of
   /// router `rt` at node `id`: one allocation attempt, tier by tier.
   void route_header(Tile& t, topology::NodeId id, topology::Coord c,
@@ -703,9 +691,9 @@ class Network {
     return it->second;
   }
 
-  /// Freezes the slot's accounting into the retirement log and (when
-  /// recycling) clears the slot, bumps its generation and returns it to
-  /// its tile's free list, trimmed to the keep cap.  Called the cycle the
+  /// Freezes the slot's accounting into the retirement log, clears the
+  /// slot, bumps its generation and returns it to its tile's free list,
+  /// trimmed to the keep cap.  Called the cycle the
   /// tail ejects or the message is aborted — never with flits of the
   /// message still in the network.
   void retire_slot(MessageSlot slot);
@@ -792,7 +780,6 @@ class Network {
   const fault::FaultMap* faults_;
   const routing::RoutingAlgorithm* algorithm_;
   NetworkConfig config_;
-  std::size_t tile_free_keep_;  ///< kTileFreeKeep, or 0 with shard_alloc off
   sim::Rng rng_;
   int vcs_ = 0;                   ///< virtual channels per port
   std::size_t ready_words_ = 0;   ///< words per node in the ready masks
@@ -800,8 +787,7 @@ class Network {
   // from the network seed: route-scan rotation offsets, selection-policy
   // draws, and the crossbar request shuffle.  Every draw in the cycle
   // kernel is a pure function of (seed, cycle, node [, draw index]) — the
-  // property that keeps Full/Active scans, any tile count and any thread
-  // count bit-identical.
+  // property that keeps any tile count and any thread count bit-identical.
   std::uint64_t arb_seed_ = 0;
   std::uint64_t sel_seed_ = 0;
   std::uint64_t shuf_seed_ = 0;
@@ -815,17 +801,14 @@ class Network {
 
   // Message storage: a slot table plus a parallel hot array (SoA split —
   // the route stage touches only headers_); live_ids_ maps stable ids to
-  // their current slot.  With recycling on, finished slots go through
-  // retire_slot() back to the free store and their generation is bumped.
-  // With recycling off a finished message keeps its slot and its live_ids_
-  // entry, so nothing is ever freed.
+  // their current slot.  Finished slots go through retire_slot() back to
+  // the free store and their generation is bumped.
   std::vector<Message> messages_;      // cold accounting, indexed by slot
   std::vector<HeaderState> headers_;   // hot routing state, indexed by slot
   std::vector<std::uint32_t> slot_gen_;
   /// Global free pool, LIFO: the spillover behind the per-tile lists
   /// (tiles trim to the keep cap into it, and staging refills from it
-  /// before appending fresh slots).  With a keep cap of 0 every freed slot
-  /// lands here.
+  /// before appending fresh slots).
   std::vector<MessageSlot> free_slots_;
   /// Owning tile of each slot: the tile whose free list the slot returns
   /// to at retirement.  Assigned when the slot is first appended and
@@ -838,9 +821,8 @@ class Network {
   /// Deferred creations in id order (enqueue_message), drained by the next
   /// injection phase.
   std::vector<PendingCreate> pending_creates_;
-  /// Per-tile free-list keep cap with shard_alloc on: retirement trims
-  /// each list to this many (warmest) slots, spilling the rest to the
-  /// global pool.
+  /// Per-tile free-list keep cap: retirement trims each list to this many
+  /// (warmest) slots, spilling the rest to the global pool.
   static constexpr std::size_t kTileFreeKeep = 4;
 
   std::vector<std::deque<MessageSlot>> queues_;  // per-node source queues
@@ -853,8 +835,7 @@ class Network {
   std::uint64_t flits_moved_this_cycle_ = 0;
   sim::Watchdog watchdog_;
 
-  // Active-set state (maintained in both scan modes; see set_*_ready
-  // above).  The ready masks (ready_words_ words per node) and the inject
+  // Active-set state (see set_*_ready above).  The ready masks (ready_words_ words per node) and the inject
   // counters stay global (indexed by node, each touched only by its owning
   // tile mid-phase); the node occupancy bitmaps live on the tiles,
   // addressed through the node -> tile-local-index map.

@@ -17,14 +17,4 @@ std::uint64_t Router::buffered_flits() const noexcept {
   return n;
 }
 
-void Router::count_allocated_link_vcs(std::vector<std::uint64_t>& counts) const {
-  for (int port = 0; port < topology::kMeshDirections; ++port) {
-    for (int vc = 0; vc < vcs_; ++vc) {
-      if (output(port, vc).allocated) {
-        ++counts[static_cast<std::size_t>(vc)];
-      }
-    }
-  }
-}
-
 }  // namespace ftmesh::router

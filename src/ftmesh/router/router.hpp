@@ -44,10 +44,6 @@ class Router {
   /// Total flits buffered in this router's input VCs.
   [[nodiscard]] std::uint64_t buffered_flits() const noexcept;
 
-  /// Output VCs currently reserved on mesh-link ports, per VC index;
-  /// accumulated into `counts` (size >= vcs).  Feeds the Figure-3 metric.
-  void count_allocated_link_vcs(std::vector<std::uint64_t>& counts) const;
-
  private:
   topology::Coord where_;
   int vcs_ = 0;

@@ -2,8 +2,8 @@
 // Cycle-kernel statistics: route-candidate cache effectiveness and the
 // sizes of the active sets the occupancy-driven scheduler iterates
 // (router/network.hpp).  Collected behind SimConfig::collect_kernel_stats;
-// the underlying counters are maintained identically in both scan modes,
-// so the summary is a property of the workload, not of the scheduler.
+// the underlying counters are exact gauges, identical at every thread
+// count.
 
 #include <cstdint>
 

@@ -3,9 +3,9 @@
 // aggregates cannot give (ring congestion buildup, VC starvation windows,
 // post-fault recovery transients).  The recorder samples the network's
 // cumulative counters every `interval` cycles and stores the interval
-// deltas plus a few instantaneous gauges; the counters it reads are
-// maintained identically in both scan modes, so a metrics series — like
-// every other report — is byte-identical across --scan-mode=full|active.
+// deltas plus a few instantaneous gauges; the counters it reads are exact
+// and independent of the thread count, so a metrics series — like every
+// other report — is byte-identical across --step-threads.
 
 #include <cstdint>
 #include <iosfwd>

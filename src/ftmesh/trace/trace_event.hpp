@@ -1,13 +1,13 @@
 #pragma once
 // Structured message/flit lifecycle events.
 //
-// Every event is emitted from a point where the Full and Active scan modes
-// visit work in the same order (ascending node id within a tile, and the
-// per-tile event buffers are merged by node id after each phase), so a
-// trace — like every other report — is byte-identical across scan modes,
-// tile counts and thread counts.  The arrivals phase is the one place
-// the two modes iterate differently (insertion order vs index order); no
-// event is ever emitted from it.
+// Every event is emitted from a point that visits work in ascending node
+// id within a tile, and the per-tile event buffers are merged by node id
+// after each phase, so a trace — like every other report — is
+// byte-identical across tile counts and thread counts.  The arrivals
+// phase is the one place that visits registers in another order (the
+// tile's link mask, then its boundary list); no event is ever emitted
+// from it.
 
 #include <cstdint>
 #include <string_view>

@@ -1,5 +1,5 @@
 #pragma once
-// The golden corpus shared by test_golden_determinism (kernel modes
+// The golden corpus shared by test_golden_determinism (kernel settings
 // against each other) and test_golden_fingerprints (every case against
 // hashes pinned in tests/golden/fingerprints.txt): the 8x8 base
 // configuration, its four fault scenarios, and helpers that render a run

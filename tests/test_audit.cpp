@@ -258,17 +258,14 @@ TEST(Audit, ReportPrintsSummaryAndWitnesses) {
 // deepest level.  Any drift between the incremental bookkeeping and the
 // ground truth throws AuditError and fails the test.
 void run_audited_traffic(const std::string& algo_name, int fault_count,
-                         bool recycle, int tiles = 1,
-                         bool shard_alloc = true) {
+                         int tiles = 1) {
   const Mesh mesh(6, 6);
   const auto faults = make_faults(mesh, fault_count, 5);
   const FRingSet rings(faults);
   const auto algo =
       ftmesh::routing::make_algorithm(algo_name, mesh, faults, rings);
   NetworkConfig cfg;
-  cfg.recycle_messages = recycle;
   cfg.tiles = tiles;
-  cfg.shard_alloc = shard_alloc;
   Network net(mesh, faults, *algo, cfg, Rng(7));
 
   Rng traffic(21);
@@ -299,15 +296,12 @@ void run_audited_traffic(const std::string& algo_name, int fault_count,
 }
 
 TEST(RuntimeAudit, CleanMeshTrafficKeepsEveryInvariant) {
-  run_audited_traffic("Minimal-Adaptive", 0, /*recycle=*/true);
-}
-
-TEST(RuntimeAudit, AppendOnlySlotTableKeepsEveryInvariant) {
-  run_audited_traffic("Fully-Adaptive", 0, /*recycle=*/false);
+  run_audited_traffic("Minimal-Adaptive", 0);
+  run_audited_traffic("Fully-Adaptive", 0);
 }
 
 TEST(RuntimeAudit, FaultedRingTrafficKeepsEveryInvariant) {
-  run_audited_traffic("Pbc", 3, /*recycle=*/true);
+  run_audited_traffic("Pbc", 3);
 }
 
 TEST(RuntimeAudit, ShardedAllocatorKeepsEveryInvariant) {
@@ -315,20 +309,9 @@ TEST(RuntimeAudit, ShardedAllocatorKeepsEveryInvariant) {
   // per-tile lists and the spillover pool while the level-1 audit walks the
   // whole union every cycle — a cross-tile double-free, a foreign-owned
   // tile entry or an over-full tile list all throw here.
-  run_audited_traffic("Minimal-Adaptive", 0, /*recycle=*/true, /*tiles=*/4);
-  run_audited_traffic("Pbc", 3, /*recycle=*/true, /*tiles=*/4);
-}
-
-TEST(RuntimeAudit, SerialAllocatorUnderTilingKeepsEveryInvariant) {
-  // shard_alloc=false with tiles>1: every slot goes through the global
-  // LIFO, tile lists must stay empty, and the mask-exactness recounts
-  // still hold.
-  run_audited_traffic("Minimal-Adaptive", 0, /*recycle=*/true, /*tiles=*/4,
-                      /*shard_alloc=*/false);
-}
-
-TEST(RuntimeAudit, AppendOnlyTableUnderTilingKeepsEveryInvariant) {
-  run_audited_traffic("Fully-Adaptive", 0, /*recycle=*/false, /*tiles=*/4);
+  run_audited_traffic("Minimal-Adaptive", 0, /*tiles=*/4);
+  run_audited_traffic("Fully-Adaptive", 0, /*tiles=*/4);
+  run_audited_traffic("Pbc", 3, /*tiles=*/4);
 }
 
 #if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2

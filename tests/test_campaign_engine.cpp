@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftmesh/campaign/checkpoint.hpp"
@@ -77,7 +78,8 @@ TEST(CampaignEngine, ShardedKernelDoesNotChangeTheCsv) {
   // The spatially sharded Network::step (base.tiles / base.step_threads) is
   // an execution detail of each cell's simulation: any tiling must leave
   // every campaign CSV byte untouched.  (The keys do enter the spec hash —
-  // like scan_mode, a replayed checkpoint re-runs the exact config.)
+  // like every base-config field, a replayed checkpoint re-runs the exact
+  // config.)
   const auto spec = engine_spec();
   const std::string expected = legacy_csv(spec);
   for (const int tiles : {2, 4}) {
@@ -324,6 +326,50 @@ TEST(CampaignEngine, ResumeRefusesSpecMismatchAndFreshDirRefusesManifest) {
   resume.shard = campaign::Shard{0, 2};
   EXPECT_THROW(campaign::run_streamed(spec, resume, nullptr),
                campaign::CampaignError);
+}
+
+TEST(CampaignEngine, ResumeRefusesManifestNumbersWithTrailingGarbage) {
+  // Manifest numbers are read whole-token: "1junk" is not version 1, and a
+  // fractional shard count is not a count.  Either refuses the resume
+  // instead of reading a prefix.
+  const auto spec = engine_spec();
+  for (const auto& [key, bad] :
+       {std::pair<std::string, std::string>{"ftmesh_campaign_manifest",
+                                            "1junk"},
+        std::pair<std::string, std::string>{"shard_count", "1.9"}}) {
+    SCOPED_TRACE(key + " = " + bad);
+    const auto dir = fresh_dir("manifest_" + key);
+    campaign::StreamOptions options;
+    options.checkpoint_dir = dir;
+    campaign::run_streamed(spec, options, nullptr);
+
+    const auto manifest = std::filesystem::path(dir) / "manifest.txt";
+    std::ifstream in(manifest);
+    std::ostringstream edited;
+    std::string line;
+    bool found = false;
+    while (std::getline(in, line)) {
+      if (line.rfind(key + " =", 0) == 0) {
+        line = key + " = " + bad;
+        found = true;
+      }
+      edited << line << "\n";
+    }
+    in.close();
+    ASSERT_TRUE(found);
+    std::ofstream(manifest) << edited.str();
+
+    campaign::StreamOptions resume = options;
+    resume.resume = true;
+    try {
+      campaign::run_streamed(spec, resume, nullptr);
+      ADD_FAILURE() << "resume accepted the manifest";
+    } catch (const campaign::CampaignError& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed manifest line"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CampaignEngine, RecordRoundTripAndEscaping) {

@@ -4,6 +4,8 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "ftmesh/core/config_io.hpp"
 
@@ -36,7 +38,7 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   cfg.collect_vc_usage = true;
   cfg.collect_traffic_map = true;
   cfg.metrics_interval = 250;
-  cfg.recycle_messages = false;  // non-default: proves the key round-trips
+  cfg.route_cache = false;  // non-default: proves the key round-trips
 
   std::stringstream buffer;
   save_config(buffer, cfg);
@@ -65,7 +67,33 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   EXPECT_EQ(loaded.collect_vc_usage, cfg.collect_vc_usage);
   EXPECT_EQ(loaded.collect_traffic_map, cfg.collect_traffic_map);
   EXPECT_EQ(loaded.metrics_interval, cfg.metrics_interval);
-  EXPECT_EQ(loaded.recycle_messages, cfg.recycle_messages);
+  EXPECT_EQ(loaded.route_cache, cfg.route_cache);
+  EXPECT_EQ(loaded, cfg);
+}
+
+TEST(ConfigIo, RetiredKernelSwitchesLoadOnlyAtTheirDefaults) {
+  // The full scan, append-only message storage and the keep-cap-0 slot
+  // allocator were removed from the kernel.  Configs saved before that
+  // still carry their keys, so the keys load, but validate() accepts only
+  // the defaults and names the removal otherwise.
+  std::stringstream saved(
+      "scan_mode = active\nrecycle_messages = 1\nshard_alloc = 1\n");
+  EXPECT_NO_THROW(load_config(saved).validate());
+  const std::pair<const char*, const char*> retired[] = {
+      {"scan_mode = full\n", "full reference scan was removed"},
+      {"recycle_messages = 0\n", "append-only message storage was removed"},
+      {"shard_alloc = 0\n", "keep-cap-0 slot allocator was removed"}};
+  for (const auto& [line, why] : retired) {
+    std::stringstream in(line);
+    const auto cfg = load_config(in);
+    try {
+      cfg.validate();
+      ADD_FAILURE() << line << " validated";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigIo, ZeroRateWarnsAboutLegacySaturationConvention) {

@@ -1,39 +1,55 @@
 // Golden determinism corpus.
 //
-// The active-set scheduler (router/network.hpp, ScanMode::Active) must be
-// bit-exact against the exhaustive reference scan (ScanMode::Full): the
-// counter-based arbitration hash makes the shared RNG stream independent of
-// which idle routers are skipped, so the full JSON report — every latency
-// percentile, throughput figure and reliability counter — is byte-identical.
-// The same holds for the route-candidate cache (pure memoization, sound by
-// the route_state_key contract), for message slot recycling (external ids
-// stay stable and id-ordered even as slots are reused), and across repeated
-// runs (determinism in (config, seed)).
+// Results depend only on the modelled inputs, never on a performance knob:
+// the full JSON report — every latency percentile, throughput figure and
+// reliability counter — is byte-identical across repeated runs
+// (determinism in (config, seed)) and with the route-candidate cache on or
+// off (pure memoization, sound by the route_state_key contract); so is
+// the JSONL trace.  The absolute results are pinned separately
+// (test_golden_fingerprints).
+//
+// The kernel keeps no reference scan or storage model to compare against,
+// so each case also checks what those comparisons stood for: a drained run
+// leaves no message, pending creation or occupied slot behind (the
+// active-set walks strand no worm; every slot returns to a free list, one
+// tile or four), every message id reads as one well-formed life in the
+// trace although slots are reused, and the one-tile slot table is exactly
+// the peak of concurrently live messages.
 //
 // The matrix deliberately includes a dynamic fault schedule so the
 // cache-invalidation and active-set-rebuild paths are exercised, not just
 // the steady state.
 //
 // The sharded kernel adds two more axes: the tile count (the mesh cut into
-// rectangular shards with deferred boundary commits) and the step thread
-// count (tiles dispatched on the shared pool).  Both must be invisible in
-// reports and traces; the multi-threaded cases double as the TSan target
-// for the parallel step path.
+// rectangular shards with deferred boundary commits, each with its own
+// slot free list) and the step thread count (tiles dispatched on the
+// shared pool).  Both must be invisible in reports and traces; the
+// multi-threaded cases double as the TSan target for the parallel step
+// path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <string>
-#include <utility>
+#include <vector>
 
+#include "ftmesh/trace/trace_sink.hpp"
 #include "golden_corpus.hpp"
 
 namespace {
 
 using ftmesh::core::SimConfig;
+using ftmesh::core::Simulator;
 using ftmesh::golden::base_config;
 using ftmesh::golden::kScenarios;
 using ftmesh::golden::report_for;
 using ftmesh::golden::trace_for;
+using ftmesh::router::kInvalidMessage;
+using ftmesh::trace::Event;
+using ftmesh::trace::EventKind;
+using ftmesh::trace::VectorSink;
 
 const char* const kAlgorithms[] = {"Duato", "Boura-FT", "NHop"};
 
@@ -47,15 +63,6 @@ class GoldenDeterminism
   }
 };
 
-TEST_P(GoldenDeterminism, FullAndActiveScansAreByteIdentical) {
-  auto cfg = config();
-  cfg.scan_mode = "active";
-  const std::string active = report_for(cfg);
-  cfg.scan_mode = "full";
-  const std::string full = report_for(cfg);
-  ASSERT_EQ(active, full);
-}
-
 TEST_P(GoldenDeterminism, RepeatedRunsAreByteIdentical) {
   const auto cfg = config();
   ASSERT_EQ(report_for(cfg), report_for(cfg));
@@ -68,57 +75,6 @@ TEST_P(GoldenDeterminism, RouteCacheDoesNotChangeTheReport) {
   cfg.route_cache = false;
   const std::string uncached = report_for(cfg);
   ASSERT_EQ(cached, uncached);
-}
-
-TEST_P(GoldenDeterminism, RecyclingDoesNotChangeTheReport) {
-  // Slot recycling changes the storage model (message slots are reused the
-  // cycle the tail ejects), but every externally visible id is the stable
-  // monotonic MessageId and the stats pipeline accumulates retired messages
-  // in id order — so the full JSON report must not move by a byte.
-  auto cfg = config();
-  cfg.recycle_messages = true;
-  const std::string recycled = report_for(cfg);
-  cfg.recycle_messages = false;
-  const std::string appendonly = report_for(cfg);
-  ASSERT_EQ(recycled, appendonly);
-}
-
-TEST_P(GoldenDeterminism, TracesAreByteIdenticalAcrossRecyclingModes) {
-  // Trace events carry stable ids, never slot indices, and fault victims
-  // are purged in id order regardless of slot assignment: the whole JSONL
-  // stream must match, including the dynamic-schedule purge/retransmit runs.
-  auto cfg = config();
-  cfg.recycle_messages = true;
-  const std::string recycled = trace_for(cfg);
-  cfg.recycle_messages = false;
-  const std::string appendonly = trace_for(cfg);
-  ASSERT_FALSE(recycled.empty());
-  ASSERT_EQ(recycled, appendonly);
-}
-
-TEST_P(GoldenDeterminism, TracesAreByteIdenticalAcrossScanModes) {
-  // Events are only emitted from phases that visit work in the same order
-  // in both modes (trace/trace_event.hpp), so the whole JSONL stream — not
-  // just the end-of-run aggregates — must match byte for byte.
-  auto cfg = config();
-  cfg.scan_mode = "active";
-  const std::string active = trace_for(cfg);
-  cfg.scan_mode = "full";
-  const std::string full = trace_for(cfg);
-  ASSERT_FALSE(active.empty());
-  ASSERT_EQ(active, full);
-}
-
-TEST_P(GoldenDeterminism, FullScanWithoutCacheMatchesActiveWithCache) {
-  // The two extreme corners of the configuration square.
-  auto cfg = config();
-  cfg.scan_mode = "active";
-  cfg.route_cache = true;
-  const std::string fast = report_for(cfg);
-  cfg.scan_mode = "full";
-  cfg.route_cache = false;
-  const std::string reference = report_for(cfg);
-  ASSERT_EQ(fast, reference);
 }
 
 TEST_P(GoldenDeterminism, ShardedReportsAreByteIdentical) {
@@ -164,69 +120,117 @@ TEST_P(GoldenDeterminism, ShardedTracesAreByteIdentical) {
   }
 }
 
-TEST_P(GoldenDeterminism, ShardedAllocationReportsAreByteIdentical) {
-  // The sharded slot allocator (per-tile free lists with bounded global
-  // spillover) only changes which slot backs a message, never the message
-  // ids, the creation order or any arbitration draw — so the report must
-  // not move by a byte across the full allocator square: sharded/serial
-  // allocation x recycling on/off x tiling/threading.  The dynamic
-  // scenarios run the purge/retransmit churn through the per-tile lists.
+TEST_P(GoldenDeterminism, RouteCacheDoesNotChangeTheTrace) {
+  // The route-candidate cache is memoization only: the whole JSONL stream,
+  // not just the end-of-run aggregates, must match with it off.
   auto cfg = config();
-  cfg.tiles = 1;
-  cfg.step_threads = 1;
-  cfg.shard_alloc = true;
-  const std::string reference = report_for(cfg);
-  for (const bool shard : {true, false}) {
-    for (const bool recycle : {true, false}) {
-      for (const auto& [tiles, threads] : {std::pair{2, 1}, std::pair{4, 4}}) {
-        cfg.shard_alloc = shard;
-        cfg.recycle_messages = recycle;
-        cfg.tiles = tiles;
-        cfg.step_threads = threads;
-        ASSERT_EQ(reference, report_for(cfg))
-            << "shard_alloc=" << shard << " recycle=" << recycle
-            << " tiles=" << tiles << " threads=" << threads;
-      }
-    }
+  cfg.route_cache = true;
+  const std::string cached = trace_for(cfg);
+  ASSERT_FALSE(cached.empty());
+  cfg.route_cache = false;
+  ASSERT_EQ(cached, trace_for(cfg));
+}
+
+/// Runs `cfg`, then drains it, and checks that nothing was left behind:
+/// every id handed out retired (delivered or aborted), no creation is
+/// still pending, and every slot is back on a free list.  The active-set
+/// walks are the only scan, so a ready VC they skipped would strand its
+/// worm and the drain would end in the watchdog instead.
+void expect_drains_clean(const SimConfig& cfg) {
+  Simulator sim(cfg);
+  ASSERT_FALSE(sim.run().deadlock);
+  sim.drain();
+  ASSERT_FALSE(sim.snapshot().deadlock);
+  const auto& net = sim.network();
+  EXPECT_GT(net.messages_created(), 0u);
+  EXPECT_EQ(net.pending_creations(), 0u);
+  EXPECT_EQ(net.retired().size(), net.messages_created());
+  EXPECT_EQ(net.free_message_slots(), net.message_slots());
+  for (const auto& m : net.messages()) {
+    EXPECT_EQ(m.id, kInvalidMessage);
   }
 }
 
-TEST_P(GoldenDeterminism, ShardedAllocationTracesAreByteIdentical) {
-  // Same square, full event stream: Create/Inject/Alloc/Retire events carry
-  // stable ids and Create events are emitted serially in id order before
-  // the tiles materialise the slots, so slot provenance (tile list,
-  // spillover pool, fresh append) must be invisible in the JSONL trace too.
-  // One step thread: threading is ShardedTracesAreByteIdentical's axis, and
-  // on an 8x8 mesh dispatch costs more than the tiles save.
+TEST_P(GoldenDeterminism, DrainLeavesNothingInFlight) {
   auto cfg = config();
-  cfg.tiles = 1;
-  cfg.shard_alloc = true;
-  const std::string reference = trace_for(cfg);
-  ASSERT_FALSE(reference.empty());
-  for (const bool shard : {true, false}) {
-    for (const bool recycle : {true, false}) {
-      cfg.shard_alloc = shard;
-      cfg.recycle_messages = recycle;
-      cfg.tiles = 4;
-      cfg.step_threads = 1;
-      ASSERT_EQ(reference, trace_for(cfg))
-          << "shard_alloc=" << shard << " recycle=" << recycle;
-    }
-  }
-}
-
-TEST_P(GoldenDeterminism, ShardedFullScanMatchesSingleTileActive) {
-  // Cross-axis corner: many tiles + exhaustive scan + threads against the
-  // plain single-tile active-scan kernel.
-  auto cfg = config();
-  cfg.scan_mode = "active";
   cfg.tiles = 1;
   cfg.step_threads = 1;
-  const std::string reference = report_for(cfg);
-  cfg.scan_mode = "full";
+  expect_drains_clean(cfg);
+}
+
+TEST_P(GoldenDeterminism, ShardedDrainLeavesNothingInFlight) {
+  // Four tiles, each with its own slot free list spilling into the global
+  // pool: every slot must still come back, whichever list holds it.
+  auto cfg = config();
   cfg.tiles = 4;
-  cfg.step_threads = 4;
-  ASSERT_EQ(reference, report_for(cfg));
+  cfg.step_threads = 2;
+  expect_drains_clean(cfg);
+}
+
+TEST_P(GoldenDeterminism, EveryMessageHasOneWellFormedLifecycle) {
+  // Slots are reused the cycle a tail ejects, but events carry the stable
+  // id: per id the stream must read as one message's life — one Create
+  // first, ids created in ascending order, nothing after its Eject or
+  // Abort, and one injection per attempt.  After the drain every id has
+  // ended.
+  Simulator sim(config());
+  VectorSink sink;
+  sim.set_trace_sink(&sink);
+  sim.run();
+  sim.drain();
+  const auto created = sim.network().messages_created();
+  ASSERT_GT(created, 0u);
+  std::vector<int> creates(created, 0), injects(created, 0),
+      retransmits(created, 0), ends(created, 0);
+  std::int64_t last_created = -1;
+  for (const Event& e : sink.events()) {
+    ASSERT_LT(e.msg, created);
+    const auto i = static_cast<std::size_t>(e.msg);
+    ASSERT_EQ(ends[i], 0) << to_string(e.kind) << " after the end of msg "
+                          << e.msg;
+    if (e.kind == EventKind::Create) {
+      ASSERT_EQ(creates[i], 0) << "second Create for msg " << e.msg;
+      ASSERT_GT(static_cast<std::int64_t>(e.msg), last_created);
+      last_created = static_cast<std::int64_t>(e.msg);
+      creates[i] = 1;
+      continue;
+    }
+    ASSERT_EQ(creates[i], 1) << to_string(e.kind) << " before Create, msg "
+                             << e.msg;
+    switch (e.kind) {
+      case EventKind::Inject: ++injects[i]; break;
+      case EventKind::Retransmit: ++retransmits[i]; break;
+      case EventKind::Eject:
+      case EventKind::Abort: ends[i] = 1; break;
+      default: break;
+    }
+    ASSERT_LE(injects[i], 1 + retransmits[i]) << "msg " << e.msg;
+  }
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    EXPECT_EQ(creates[i], 1) << "msg " << i;
+    EXPECT_EQ(ends[i], 1) << "msg " << i;
+  }
+}
+
+TEST_P(GoldenDeterminism, SlotTableIsThePeakOfLiveMessages) {
+  // One tile: a retired slot is reused before the table grows, so the
+  // table ends exactly as large as the most messages ever live at once —
+  // counted from the trace, where a message lives from its Create to its
+  // Eject or Abort — however many were created over the run.
+  auto cfg = config();
+  cfg.tiles = 1;
+  cfg.step_threads = 1;
+  Simulator sim(cfg);
+  VectorSink sink;
+  sim.set_trace_sink(&sink);
+  sim.run();
+  std::size_t live = 0, peak = 0;
+  for (const Event& e : sink.events()) {
+    if (e.kind == EventKind::Create) peak = std::max(peak, ++live);
+    if (e.kind == EventKind::Eject || e.kind == EventKind::Abort) --live;
+  }
+  EXPECT_EQ(sim.network().message_slots(), peak);
+  EXPECT_LT(peak, sim.network().messages_created());
 }
 
 std::string param_name(const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
@@ -242,37 +246,5 @@ INSTANTIATE_TEST_SUITE_P(Corpus, GoldenDeterminism,
                          ::testing::Combine(::testing::Range(0, 3),
                                             ::testing::Range(0, 4)),
                          param_name);
-
-// The per-node input-VC ready masks span ceil(5 * total_vcs / 64) words;
-// the corpus above runs the default 24 VCs (two words).  One algorithm on
-// the dynamic-schedule scenario at 8 VCs (one word) and 32 VCs (three
-// words) pins the Active walks against the exhaustive scan at the other
-// word counts, reports and traces both.
-class GoldenMaskWidths : public ::testing::TestWithParam<int> {
- protected:
-  SimConfig config() const {
-    auto cfg = base_config("Duato");
-    cfg.total_vcs = GetParam();
-    kScenarios[2].apply(cfg);  // dynamic-schedule
-    return cfg;
-  }
-};
-
-TEST_P(GoldenMaskWidths, FullAndActiveReportsAndTracesAreByteIdentical) {
-  auto cfg = config();
-  cfg.scan_mode = "active";
-  const std::string active_report = report_for(cfg);
-  const std::string active_trace = trace_for(cfg);
-  cfg.scan_mode = "full";
-  ASSERT_EQ(active_report, report_for(cfg));
-  ASSERT_EQ(active_trace, trace_for(cfg));
-}
-
-std::string vcs_name(const ::testing::TestParamInfo<int>& info) {
-  return "vcs" + std::to_string(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(Corpus, GoldenMaskWidths, ::testing::Values(8, 32),
-                         vcs_name);
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Pinned golden fingerprints.
 //
-// test_golden_determinism compares kernel modes with each other; a change
-// that moves every mode the same way passes it.  This test pins absolute
+// test_golden_determinism compares kernel settings with each other; a
+// change that moves every setting the same way passes it.  This test pins absolute
 // results instead: for every corpus case, a 64-bit FNV-1a hash of
 //   - the JSON report plus a hexfloat dump of the SimResult fields the JSON
 //     omits (adaptivity, traffic split), and
 //   - the JSONL trace of the same configuration,
-// checked against tests/golden/fingerprints.txt.
+// checked against tests/golden/fingerprints.txt.  The sharded kernel
+// (four tiles on two threads) must reproduce each pinned trace hash too.
 //
 // The corpus is every algorithm on the four golden scenarios (8x8 base
-// configuration) plus examples/configs/paper_headline.cfg, all with
+// configuration), Duato on the dynamic schedule at 8 and 32 VCs (the
+// other input-VC ready-mask widths: one and three words, against the
+// default 24 VCs' two), plus examples/configs/paper_headline.cfg, all with
 // kernel stats, VC usage, the traffic map and a 200-cycle metrics series
 // switched on, so every reported counter is covered.
 //
@@ -112,6 +115,12 @@ std::vector<Case> corpus() {
       cases.push_back({algo + "/" + sc.name, cfg});
     }
   }
+  for (const int vcs : {8, 32}) {
+    auto cfg = ftmesh::golden::base_config("Duato");
+    cfg.total_vcs = vcs;
+    ftmesh::golden::kScenarios[2].apply(cfg);  // dynamic-schedule
+    cases.push_back({"Duato/dynamic-schedule/vcs" + std::to_string(vcs), cfg});
+  }
   cases.push_back(
       {"paper_headline.cfg", ftmesh::core::load_config_file(
                                  kSourceDir +
@@ -158,6 +167,23 @@ TEST_P(GoldenFingerprints, MatchPinnedHashes) {
                        << "; if deliberate, the replacement line for "
                        << kFingerprintFile << " is:\n"
                        << c.name << " " << got;
+}
+
+TEST_P(GoldenFingerprints, ShardedTraceMatchesPinnedHash) {
+  // The sharded kernel — four tiles, each with its own slot free list,
+  // stepped on two threads — must emit the pinned trace on every case,
+  // the 8- and 32-VC ready-mask widths and the 10x10 headline included.
+  // Only the trace: each tile keeps its own route-candidate cache, so the
+  // report's kernel cache counters depend on the tiling by design.
+  Case c = cases()[GetParam()];
+  c.cfg.tiles = 4;
+  c.cfg.step_threads = 2;
+  const auto table = pinned();
+  const auto it = table.find(c.name);
+  ASSERT_NE(it, table.end()) << c.name << " has no pinned line";
+  const std::string want = it->second.substr(it->second.find(' ') + 1);
+  EXPECT_EQ(want, hex(trace_fingerprint(c.cfg)))
+      << "the sharded trace moved for " << c.name;
 }
 
 TEST(GoldenFingerprintFile, ListsExactlyTheCorpus) {

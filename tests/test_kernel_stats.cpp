@@ -209,22 +209,4 @@ TEST(KernelStats, CollectingStatsDoesNotPerturbResults) {
   EXPECT_EQ(a.adaptivity.decisions, b.adaptivity.decisions);
 }
 
-TEST(KernelStats, FullScanReportsTheSameKernelNumbers) {
-  // The counters are a property of the workload, not the scheduler: the
-  // exhaustive reference scan maintains them identically.
-  auto cfg = kernel_config();
-  Simulator active(cfg);
-  const auto a = active.run();
-  cfg.scan_mode = "full";
-  Simulator full(cfg);
-  const auto b = full.run();
-  EXPECT_EQ(a.kernel.cache_lookups, b.kernel.cache_lookups);
-  EXPECT_EQ(a.kernel.cache_hits, b.kernel.cache_hits);
-  EXPECT_EQ(a.kernel.samples, b.kernel.samples);
-  EXPECT_DOUBLE_EQ(a.kernel.mean_route_nodes, b.kernel.mean_route_nodes);
-  EXPECT_DOUBLE_EQ(a.kernel.mean_switch_nodes, b.kernel.mean_switch_nodes);
-  EXPECT_DOUBLE_EQ(a.kernel.mean_inject_nodes, b.kernel.mean_inject_nodes);
-  EXPECT_DOUBLE_EQ(a.kernel.mean_link_regs, b.kernel.mean_link_regs);
-}
-
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "ftmesh/router/network.hpp"
@@ -16,13 +17,22 @@ using ftmesh::fault::FRingSet;
 using ftmesh::router::Flit;
 using ftmesh::router::FlitType;
 using ftmesh::router::IvcStage;
+using ftmesh::router::MessageId;
 using ftmesh::router::Network;
 using ftmesh::router::NetworkConfig;
+using ftmesh::router::RetiredMessage;
 using ftmesh::sim::Rng;
 using ftmesh::topology::Coord;
 using ftmesh::topology::Direction;
 using ftmesh::topology::Mesh;
 using ftmesh::topology::port_index;
+
+/// True when every message ever created has been delivered.
+bool all_delivered(const Network& net) {
+  if (net.retired().size() != net.messages_created()) return false;
+  return std::none_of(net.retired().begin(), net.retired().end(),
+                      [](const RetiredMessage& r) { return r.aborted; });
+}
 
 struct NetFixture {
   Mesh mesh{10, 10};
@@ -33,43 +43,45 @@ struct NetFixture {
 
   explicit NetFixture(const std::string& name = "Minimal-Adaptive",
                       NetworkConfig cfg = {}) {
-    // These tests inspect messages by id after delivery (and iterate the
-    // full table), so keep the slot table append-only.
-    cfg.recycle_messages = false;
     algo = ftmesh::routing::make_algorithm(name, mesh, faults, rings);
     net = std::make_unique<Network>(mesh, faults, *algo, cfg, Rng(7));
+  }
+
+  /// Steps until `id` retires or `cycles` pass; its retirement record, or
+  /// nullptr while it is still in flight.
+  const RetiredMessage* deliver(MessageId id, int cycles) {
+    for (int i = 0; i < cycles && !net->message_finished(id); ++i) net->step();
+    return net->retired_record(id);
   }
 };
 
 TEST(Network, SingleMessageIsDelivered) {
   NetFixture f;
   const auto id = f.net->create_message({0, 0}, {5, 5}, 20);
-  for (int i = 0; i < 300 && !f.net->message(id).done; ++i) f.net->step();
-  const auto& m = f.net->message(id);
-  ASSERT_TRUE(m.done);
-  EXPECT_EQ(f.net->route_state(id).hops, 10);  // minimal path, no contention
-  EXPECT_EQ(f.net->route_state(id).misroutes, 0);
+  const RetiredMessage* m = f.deliver(id, 300);
+  ASSERT_NE(m, nullptr);
+  EXPECT_FALSE(m->aborted);
+  EXPECT_EQ(m->hops, 10);  // minimal path, no contention
+  EXPECT_EQ(m->misroutes, 0);
   // Zero-load latency: hops + length - 1 (the first flit moves in its
   // creation cycle) plus small pipeline overheads.
-  EXPECT_GE(m.delivered - m.created, 10u + 20u - 1u);
-  EXPECT_LE(m.delivered - m.created, 10u + 20u + 8u);
+  EXPECT_GE(m->delivered - m->created, 10u + 20u - 1u);
+  EXPECT_LE(m->delivered - m->created, 10u + 20u + 8u);
 }
 
 TEST(Network, ZeroLoadLatencyIsDistancePlusSerialization) {
   NetFixture f;
   const auto id = f.net->create_message({2, 3}, {7, 3}, 50);
-  for (int i = 0; i < 300 && !f.net->message(id).done; ++i) f.net->step();
-  const auto& m = f.net->message(id);
-  ASSERT_TRUE(m.done);
-  const auto latency = m.delivered - m.created;
+  const RetiredMessage* m = f.deliver(id, 300);
+  ASSERT_NE(m, nullptr);
+  const auto latency = m->delivered - m->created;
   EXPECT_NEAR(static_cast<double>(latency), 5 + 50, 6.0);
 }
 
 TEST(Network, SingleFlitMessage) {
   NetFixture f;
   const auto id = f.net->create_message({0, 0}, {1, 0}, 1);
-  for (int i = 0; i < 50 && !f.net->message(id).done; ++i) f.net->step();
-  EXPECT_TRUE(f.net->message(id).done);
+  EXPECT_NE(f.deliver(id, 50), nullptr);
 }
 
 TEST(Network, MessageToSameRowAndColumn) {
@@ -77,8 +89,9 @@ TEST(Network, MessageToSameRowAndColumn) {
   const auto a = f.net->create_message({0, 5}, {9, 5}, 10);
   const auto b = f.net->create_message({5, 0}, {5, 9}, 10);
   for (int i = 0; i < 200; ++i) f.net->step();
-  EXPECT_TRUE(f.net->message(a).done);
-  EXPECT_TRUE(f.net->message(b).done);
+  EXPECT_TRUE(f.net->message_finished(a));
+  EXPECT_TRUE(f.net->message_finished(b));
+  EXPECT_TRUE(all_delivered(*f.net));
 }
 
 TEST(Network, FlitsArriveInOrderWithoutInterleaving) {
@@ -91,10 +104,13 @@ TEST(Network, FlitsArriveInOrderWithoutInterleaving) {
   std::map<ftmesh::router::MessageId, int> eject_node;
   bool violated = false;
   f.net->set_eject_hook([&](const Flit& flit, Coord at) {
-    if (flit.seq != next_seq[flit.msg]) violated = true;
-    ++next_seq[flit.msg];
+    // Flits carry the message's slot; the hook runs before the tail's slot
+    // recycles, so the slot still names the message.
+    const MessageId id = f.net->slot_message(flit.msg).id;
+    if (flit.seq != next_seq[id]) violated = true;
+    ++next_seq[id];
     const int node = f.mesh.id_of(at);
-    auto [it, fresh] = eject_node.emplace(flit.msg, node);
+    auto [it, fresh] = eject_node.emplace(id, node);
     if (!fresh && it->second != node) violated = true;  // split delivery
   });
   // Many concurrent messages to the same destination.
@@ -104,7 +120,7 @@ TEST(Network, FlitsArriveInOrderWithoutInterleaving) {
   }
   for (int i = 0; i < 1500; ++i) f.net->step();
   EXPECT_FALSE(violated);
-  for (const auto& m : f.net->messages()) EXPECT_TRUE(m.done);
+  EXPECT_TRUE(all_delivered(*f.net));
 }
 
 TEST(Network, DrainsCompletely) {
@@ -124,7 +140,7 @@ TEST(Network, DrainsCompletely) {
   }
   // After drain: no flits anywhere, every message done, all VCs released.
   EXPECT_EQ(f.net->flits_in_network(), 0u);
-  for (const auto& m : f.net->messages()) EXPECT_TRUE(m.done);
+  EXPECT_TRUE(all_delivered(*f.net));
   for (int y = 0; y < 10; ++y) {
     for (int x = 0; x < 10; ++x) {
       const auto& rt = f.net->router_at({x, y});
@@ -152,8 +168,8 @@ TEST(Network, DeterministicAcrossRuns) {
       }
       f.net->step();
     }
-    std::vector<std::uint64_t> stamps;
-    for (const auto& m : f.net->messages()) stamps.push_back(m.delivered);
+    std::vector<std::pair<MessageId, std::uint64_t>> stamps;
+    for (const auto& r : f.net->retired()) stamps.emplace_back(r.id, r.delivered);
     return stamps;
   };
   EXPECT_EQ(run(), run());
@@ -167,7 +183,7 @@ TEST(Network, MeasurementWindowCountsOnlyAfterBegin) {
   f.net->begin_measurement();
   const auto id = f.net->create_message({0, 0}, {3, 0}, 10);
   for (int i = 0; i < 60; ++i) f.net->step();
-  EXPECT_TRUE(f.net->message(id).done);
+  EXPECT_TRUE(f.net->message_finished(id));
   EXPECT_EQ(f.net->measured_flits_delivered(), 10u);
   EXPECT_EQ(f.net->measured_messages_delivered(), 1u);
   EXPECT_EQ(f.net->measured_flits_generated(), 10u);
@@ -225,6 +241,22 @@ TEST(Network, InjectionVcsOutOfRangeThrows) {
                std::invalid_argument);
 }
 
+TEST(Network, RetiredKernelSwitchesAreRejected) {
+  // The full scan, append-only storage and the keep-cap-0 allocator were
+  // removed; their NetworkConfig fields accept only the defaults.
+  NetFixture f;
+  NetworkConfig full;
+  full.scan_mode = ftmesh::router::ScanMode::Full;
+  NetworkConfig append_only;
+  append_only.recycle_messages = false;
+  NetworkConfig keep_none;
+  keep_none.shard_alloc = false;
+  for (const NetworkConfig& cfg : {full, append_only, keep_none}) {
+    EXPECT_THROW(Network(f.mesh, f.faults, *f.algo, cfg, Rng(1)),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Network, TwoInjectionVcsInterleaveMessagesFromOneSource) {
   NetworkConfig cfg;
   cfg.injection_vcs = 2;
@@ -236,8 +268,8 @@ TEST(Network, TwoInjectionVcsInterleaveMessagesFromOneSource) {
   EXPECT_GT(f.net->route_state(a).hops, 0);
   EXPECT_GT(f.net->route_state(b).hops, 0);
   for (int i = 0; i < 400; ++i) f.net->step();
-  EXPECT_TRUE(f.net->message(a).done);
-  EXPECT_TRUE(f.net->message(b).done);
+  EXPECT_TRUE(f.net->message_finished(a));
+  EXPECT_TRUE(f.net->message_finished(b));
 }
 
 TEST(Network, VcUsageSamplingAccumulates) {
@@ -260,7 +292,7 @@ TEST(Network, TrafficMapCountsTraversals) {
   f.net->begin_measurement();
   const auto id = f.net->create_message({0, 0}, {4, 0}, 10);
   for (int i = 0; i < 100; ++i) f.net->step();
-  ASSERT_TRUE(f.net->message(id).done);
+  ASSERT_TRUE(f.net->message_finished(id));
   // Every node on the path saw all 10 flits cross its switch.
   std::uint64_t total = 0;
   for (const auto v : f.net->node_traffic()) total += v;
@@ -276,13 +308,14 @@ TEST(Network, DepthOneBuffersStillStreamCorrectly) {
   std::map<ftmesh::router::MessageId, std::uint32_t> next_seq;
   bool violated = false;
   f.net->set_eject_hook([&](const Flit& flit, Coord) {
-    if (flit.seq != next_seq[flit.msg]) violated = true;
-    ++next_seq[flit.msg];
+    const MessageId id = f.net->slot_message(flit.msg).id;
+    if (flit.seq != next_seq[id]) violated = true;
+    ++next_seq[id];
   });
   for (int i = 0; i < 10; ++i) f.net->create_message({i % 10, 0}, {9, 9}, 30);
   for (int i = 0; i < 4000; ++i) f.net->step();
   EXPECT_FALSE(violated);
-  for (const auto& m : f.net->messages()) EXPECT_TRUE(m.done);
+  EXPECT_TRUE(all_delivered(*f.net));
 }
 
 TEST(Network, VeryLongMessageSpansTheWholePath) {
@@ -290,10 +323,9 @@ TEST(Network, VeryLongMessageSpansTheWholePath) {
   // route at once and must still deliver in order.
   NetFixture f;
   const auto id = f.net->create_message({0, 0}, {9, 8}, 400);
-  for (int i = 0; i < 1000 && !f.net->message(id).done; ++i) f.net->step();
-  const auto& m = f.net->message(id);
-  ASSERT_TRUE(m.done);
-  EXPECT_NEAR(static_cast<double>(m.delivered - m.created), 17 + 400, 10.0);
+  const RetiredMessage* m = f.deliver(id, 1000);
+  ASSERT_NE(m, nullptr);
+  EXPECT_NEAR(static_cast<double>(m->delivered - m->created), 17 + 400, 10.0);
 }
 
 TEST(Network, RectangularMeshWorks) {
@@ -302,15 +334,14 @@ TEST(Network, RectangularMeshWorks) {
   const FRingSet rings(faults);
   const auto algo =
       ftmesh::routing::make_algorithm("Nbc", mesh, faults, rings);
-  NetworkConfig cfg;
-  cfg.recycle_messages = false;  // inspect messages by id after delivery
-  Network net(mesh, faults, *algo, cfg, Rng(5));
+  Network net(mesh, faults, *algo, NetworkConfig{}, Rng(5));
   const auto a = net.create_message({0, 0}, {11, 3}, 10);
   const auto b = net.create_message({11, 0}, {0, 3}, 10);
   for (int i = 0; i < 300; ++i) net.step();
-  EXPECT_TRUE(net.message(a).done);
-  EXPECT_TRUE(net.message(b).done);
-  EXPECT_EQ(net.route_state(a).hops, 14);
+  EXPECT_TRUE(all_delivered(net));
+  ASSERT_NE(net.retired_record(a), nullptr);
+  EXPECT_NE(net.retired_record(b), nullptr);
+  EXPECT_EQ(net.retired_record(a)->hops, 14);
 }
 
 TEST(Network, AdaptivityCountersAccumulateWhileMeasuring) {
@@ -350,7 +381,9 @@ TEST(Network, NoWaitCycleAtSaturationWithFaults) {
       if (!(src == dst)) net.create_message(src, dst, 30);
     }
     net.step();
-    if (c % 250 == 0) EXPECT_TRUE(net.find_deadlock_cycle().empty()) << c;
+    if (c % 250 == 0) {
+      EXPECT_TRUE(net.find_deadlock_cycle().empty()) << c;
+    }
   }
 }
 

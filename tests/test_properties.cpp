@@ -117,12 +117,12 @@ TEST_P(AlgorithmProperty, SeedDeterminism) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, AlgorithmProperty, ::testing::ValuesIn(make_cases()),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      std::string name = info.param.algorithm;
+    [](const ::testing::TestParamInfo<Case>& param_info) {
+      std::string name = param_info.param.algorithm;
       for (auto& ch : name) {
         if (ch == '-') ch = '_';
       }
-      return name + "_f" + std::to_string(info.param.faults);
+      return name + "_f" + std::to_string(param_info.param.faults);
     });
 
 // Fault-pattern robustness: many random block patterns, one fast algorithm
@@ -162,8 +162,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{std::string("Duato-Nbc"), 3},
                       std::tuple{std::string("Fully-Adaptive"), 4},
                       std::tuple{std::string("Boura-FT"), 5}),
-    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>& info) {
-      std::string name = std::get<0>(info.param);
+    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>&
+           param_info) {
+      std::string name = std::get<0>(param_info.param);
       for (auto& ch : name) {
         if (ch == '-') ch = '_';
       }

@@ -29,13 +29,10 @@ struct RecyclingFixture {
   std::unique_ptr<ftmesh::routing::RoutingAlgorithm> algo;
   std::unique_ptr<Network> net;
 
-  explicit RecyclingFixture(bool recycle = true, int tiles = 1,
-                            int step_threads = 1, bool shard_alloc = true) {
+  explicit RecyclingFixture(int tiles = 1, int step_threads = 1) {
     NetworkConfig cfg;
-    cfg.recycle_messages = recycle;
     cfg.tiles = tiles;
     cfg.step_threads = step_threads;
-    cfg.shard_alloc = shard_alloc;
     algo = ftmesh::routing::make_algorithm("Minimal-Adaptive", mesh, faults,
                                            rings);
     net = std::make_unique<Network>(mesh, faults, *algo, cfg, Rng(7));
@@ -97,67 +94,44 @@ TEST(Recycling, GenerationTagTrapsStaleHandles) {
   EXPECT_TRUE(f.net->handle_live(fresh));
 }
 
-TEST(Recycling, DisabledKeepsAppendOnlyTable) {
-  RecyclingFixture f(/*recycle=*/false);
-  const auto a = f.deliver_one({0, 0}, {4, 4});
-  const auto b = f.deliver_one({2, 2}, {7, 7});
-  // Legacy storage model: one slot per message ever created, finished
-  // messages stay inspectable in place.
-  EXPECT_EQ(f.net->message_slots(), 2u);
-  EXPECT_EQ(f.net->free_message_slots(), 0u);
-  EXPECT_TRUE(f.net->message(a).done);
-  EXPECT_TRUE(f.net->message(b).done);
-  // The retirement log is written in both modes (single stats path).
-  EXPECT_EQ(f.net->retired().size(), 2u);
-}
-
 TEST(Recycling, ImmediateCreationAfterEnqueueKeepsBothMessages) {
   // create_message after an enqueue_message in the same between-cycles
   // window: both creations go through one staging pass, in id order, so
-  // each message keeps its own slot and record in every allocator mode —
-  // the append-only table included, where two messages need two slots.
-  for (const bool recycle : {false, true}) {
-    for (const bool shard : {false, true}) {
-      for (const int tiles : {1, 4}) {
-        SCOPED_TRACE(testing::Message() << "recycle=" << recycle << " shard="
-                                        << shard << " tiles=" << tiles);
-        RecyclingFixture f(recycle, tiles, /*step_threads=*/1, shard);
-        std::map<MessageId, Coord> ejected_at;  // tail ejections, by id
-        f.net->set_eject_hook([&](const ftmesh::router::Flit& flit, Coord c) {
-          if (ftmesh::router::is_tail(flit.type)) {
-            ejected_at[f.net->slot_message(flit.msg).id] = c;
-          }
-        });
-        const Coord a_dst{0, 7};
-        const Coord b_dst{6, 0};
-        const auto a = f.net->enqueue_message({0, 0}, a_dst, 8);
-        EXPECT_FALSE(f.net->message_finished(a));  // pending, not retired
-        const auto b = f.net->create_message({1, 0}, b_dst, 8);
-        ASSERT_EQ(b, a + 1);
-        EXPECT_EQ(f.net->pending_creations(), 0u);
-        EXPECT_FALSE(f.net->message_finished(a));
-        EXPECT_FALSE(f.net->message_finished(b));
-        for (int i = 0; i < 400 && !(f.net->message_finished(a) &&
-                                     f.net->message_finished(b));
-             ++i) {
-          f.net->step();
-          ASSERT_NO_THROW(f.net->audit_invariants(2)) << "cycle " << i;
-        }
-        ASSERT_TRUE(f.net->message_finished(a));
-        ASSERT_TRUE(f.net->message_finished(b));
-        ASSERT_EQ(ejected_at.size(), 2u);
-        EXPECT_EQ(ejected_at[a], a_dst);
-        EXPECT_EQ(ejected_at[b], b_dst);
-        EXPECT_EQ(f.net->retired().size(), 2u);
-        if (!recycle) {
-          EXPECT_EQ(f.net->message_slots(), 2u);
-          EXPECT_EQ(f.net->message(a).dst, a_dst);
-          EXPECT_EQ(f.net->message(b).dst, b_dst);
-          EXPECT_TRUE(f.net->message(a).done);
-          EXPECT_TRUE(f.net->message(b).done);
-        }
+  // each message keeps its own slot and record, with one tile and with
+  // per-tile free lists.
+  for (const int tiles : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "tiles=" << tiles);
+    RecyclingFixture f(tiles, /*step_threads=*/1);
+    std::map<MessageId, Coord> ejected_at;  // tail ejections, by id
+    f.net->set_eject_hook([&](const ftmesh::router::Flit& flit, Coord c) {
+      if (ftmesh::router::is_tail(flit.type)) {
+        ejected_at[f.net->slot_message(flit.msg).id] = c;
       }
+    });
+    const Coord a_dst{0, 7};
+    const Coord b_dst{6, 0};
+    const auto a = f.net->enqueue_message({0, 0}, a_dst, 8);
+    EXPECT_FALSE(f.net->message_finished(a));  // pending, not retired
+    const auto b = f.net->create_message({1, 0}, b_dst, 8);
+    ASSERT_EQ(b, a + 1);
+    EXPECT_EQ(f.net->pending_creations(), 0u);
+    EXPECT_EQ(f.net->message(a).dst, a_dst);
+    EXPECT_EQ(f.net->message(b).dst, b_dst);
+    EXPECT_NE(f.net->handle_of(a).slot, f.net->handle_of(b).slot);
+    EXPECT_FALSE(f.net->message_finished(a));
+    EXPECT_FALSE(f.net->message_finished(b));
+    for (int i = 0; i < 400 && !(f.net->message_finished(a) &&
+                                 f.net->message_finished(b));
+         ++i) {
+      f.net->step();
+      ASSERT_NO_THROW(f.net->audit_invariants(2)) << "cycle " << i;
     }
+    ASSERT_TRUE(f.net->message_finished(a));
+    ASSERT_TRUE(f.net->message_finished(b));
+    ASSERT_EQ(ejected_at.size(), 2u);
+    EXPECT_EQ(ejected_at[a], a_dst);
+    EXPECT_EQ(ejected_at[b], b_dst);
+    EXPECT_EQ(f.net->retired().size(), 2u);
   }
 }
 
@@ -194,7 +168,7 @@ TEST(Recycling, SlotTableStaysBoundedOverLongRuns) {
 
   // Stationary load, stationary footprint: the table may grow a little past
   // the warm-up watermark while the queues fill, but stays O(in-flight) —
-  // nowhere near the O(delivered) of the append-only model.
+  // nowhere near O(delivered).
   EXPECT_LE(f.net->message_slots(), 2 * high_water);
   EXPECT_LT(f.net->message_slots(), f.net->retired().size() / 10);
   EXPECT_EQ(f.net->messages_created(),
@@ -210,7 +184,7 @@ TEST(Recycling, GenerationTrapSurvivesSlotRangeSharding) {
   // stale handle exactly as in the serial allocator, and the reused slot
   // must carry a fresh generation — across tile boundaries too, since a
   // spillover migration re-stamps the owner without touching the tag.
-  RecyclingFixture f(/*recycle=*/true, /*tiles=*/4, /*step_threads=*/1);
+  RecyclingFixture f(/*tiles=*/4, /*step_threads=*/1);
   const auto a = f.net->create_message({0, 0}, {3, 3}, 8);  // tile 0 traffic
   const MessageHandle stale = f.net->handle_of(a);
   EXPECT_TRUE(f.net->handle_live(stale));
@@ -233,7 +207,7 @@ TEST(Recycling, SlotTableStaysBoundedUnderShardedChurn) {
   // retire/create churn plus spillover migration may keep at most a few
   // spare slots parked per tile (the trim threshold), so the high-water
   // mark stays O(in-flight + tiles), never O(delivered).
-  RecyclingFixture f(/*recycle=*/true, /*tiles=*/4, /*step_threads=*/1);
+  RecyclingFixture f(/*tiles=*/4, /*step_threads=*/1);
   Rng rng(21);
   const auto offer = [&](std::uint64_t cycle) {
     if (cycle % 2 != 0) return;

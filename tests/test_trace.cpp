@@ -182,15 +182,13 @@ TEST(TraceLifecycle, RecoveryEventsMatchReliabilityCounters) {
 
 TEST(TraceDeterminism, JsonlByteStableAcrossSchedulerConfigs) {
   auto cfg = loaded_config();
-  cfg.scan_mode = "active";
   cfg.route_cache = true;
   const std::string fast = jsonl_for(cfg);
   ASSERT_FALSE(fast.empty());
   EXPECT_EQ(fast, jsonl_for(cfg));  // repeatable
-  cfg.scan_mode = "full";
-  const std::string full = jsonl_for(cfg);
-  EXPECT_EQ(fast, full);
   cfg.route_cache = false;
+  EXPECT_EQ(fast, jsonl_for(cfg));
+  cfg.tiles = 4;
   EXPECT_EQ(fast, jsonl_for(cfg));
 }
 
@@ -267,21 +265,24 @@ TEST(Metrics, SampleCountAndDeltasAreConsistent) {
   EXPECT_GE(delivered, r.latency.delivered);
 }
 
-TEST(Metrics, SeriesByteStableAcrossScanModes) {
+TEST(Metrics, SeriesByteStableAcrossStepThreads) {
+  // Each tile owns a route cache, so the cache columns depend on the tile
+  // count; at a fixed tiling the thread count must not move a byte.
   auto cfg = loaded_config();
   cfg.metrics_interval = 200;
-  const auto csv_for = [&](const std::string& mode) {
+  cfg.tiles = 4;
+  const auto csv_for = [&](int threads) {
     auto c = cfg;
-    c.scan_mode = mode;
+    c.step_threads = threads;
     Simulator sim(c);
     const auto r = sim.run();
     std::ostringstream os;
     ftmesh::trace::write_metrics_csv(os, r.metrics);
     return os.str();
   };
-  const auto active = csv_for("active");
-  ASSERT_GT(active.size(), 100u);
-  EXPECT_EQ(active, csv_for("full"));
+  const auto single = csv_for(1);
+  ASSERT_GT(single.size(), 100u);
+  EXPECT_EQ(single, csv_for(4));
 }
 
 TEST(Metrics, AppearsInJsonReport) {

@@ -22,8 +22,7 @@ from the current run (or vice versa) are an error only when watched.
 current[NAME_A] / current[NAME_B] must stay <= MAX_RATIO.  Machine
 speed cancels out, so pair gates hold on any runner without touching
 the checked-in baseline (used to bound the traced-vs-untraced step
-overhead and to require the recycled saturated stepper to be no slower
-than the append-only one).
+overhead and to require a speedup of the tile-parallel step).
 
 --counter-max gates a user counter from the current run against an
 absolute bound: current[NAME].counters[COUNTER] <= MAX.  Counters such

@@ -88,12 +88,9 @@ SimConfig config_from_cli(const Cli& cli, bool faults_is_count = true) {
   cfg.fault_schedule = cli.get("fault-schedule", cfg.fault_schedule);
   override_from(cli, "max-retries", cfg.fault_max_retries);
   override_from(cli, "backoff", cfg.fault_retry_backoff);
-  cfg.scan_mode = cli.get("scan-mode", cfg.scan_mode);
   override_from(cli, "tiles", cfg.tiles);
   override_from(cli, "step-threads", cfg.step_threads);
   override_from(cli, "route-cache", cfg.route_cache);
-  override_from(cli, "recycle-messages", cfg.recycle_messages);
-  override_from(cli, "shard-alloc", cfg.shard_alloc);
   if (cli.flag("kernel-stats")) cfg.collect_kernel_stats = true;
   override_from(cli, "metrics-interval", cfg.metrics_interval);
   for (const auto& w : cfg.warnings()) std::cerr << "warning: " << w << "\n";
@@ -737,7 +734,7 @@ constexpr const char* kUsage = R"(usage: ftmesh <command> [flags]
                     [--save-config f]
                     [--fault-schedule SPEC] [--max-retries N]
                     [--backoff N] [--patience N] [--drain]
-                    [--tiles N] [--step-threads N] [--shard-alloc 0|1]
+                    [--tiles N] [--step-threads N]
                     [--trace f] [--trace-format jsonl|chrome]
                     [--metrics-interval N] [--metrics-out f.csv]
   ftmesh sweep      [--algorithm A] [--from R0] [--to R1] [--steps N] ...
@@ -764,18 +761,16 @@ Every command that simulates or checks a mesh (all but campaign-merge,
 reliability and algorithms) also takes the SimConfig flags: --config
 --algorithm --traffic --width --height --rate --length --vcs --faults
 --link-faults --cycles --warmup --seed --buffer-depth --patience
---fault-schedule --max-retries --backoff --scan-mode --tiles
---step-threads --route-cache --recycle-messages --shard-alloc
---kernel-stats --metrics-interval.
+--fault-schedule --max-retries --backoff --tiles --step-threads
+--route-cache --kernel-stats --metrics-interval.
 )";
 
 /// The flags config_from_cli reads.
 const std::vector<std::string> kConfigFlags = {
     "config", "algorithm", "traffic", "width", "height", "rate", "length",
     "vcs", "faults", "link-faults", "cycles", "warmup", "seed", "buffer-depth",
-    "patience", "fault-schedule", "max-retries", "backoff", "scan-mode",
-    "tiles", "step-threads", "route-cache", "recycle-messages", "shard-alloc",
-    "kernel-stats", "metrics-interval"};
+    "patience", "fault-schedule", "max-retries", "backoff", "tiles",
+    "step-threads", "route-cache", "kernel-stats", "metrics-interval"};
 
 struct Command {
   const char* name;
