@@ -82,18 +82,6 @@ void BM_NetworkStepModerateLoadTraceDiscard(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkStepModerateLoadTraceDiscard);
 
-void BM_NetworkStepSaturatedNoCache(benchmark::State& state) {
-  // Saturated load with the route-candidate cache disabled: isolates
-  // the memoization win at the load level where it matters most.
-  auto cfg = kernel_config(-1.0, 0);
-  cfg.route_cache = false;
-  Simulator sim(cfg);
-  for (int i = 0; i < 2000; ++i) sim.step();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-}
-BENCHMARK(BM_NetworkStepSaturatedNoCache);
-
 void BM_NetworkStepSaturated(benchmark::State& state) {
   Simulator sim(kernel_config(-1.0, 0));
   for (int i = 0; i < 2000; ++i) sim.step();

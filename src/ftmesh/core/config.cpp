@@ -47,6 +47,10 @@ void SimConfig::validate() const {
     throw std::invalid_argument(
         "shard_alloc must be 1: the keep-cap-0 slot allocator was removed");
   }
+  if (!route_cache) {
+    throw std::invalid_argument(
+        "route_cache must be 1: the uncached routing path was removed");
+  }
   if (tiles < 1) throw std::invalid_argument("tiles must be >= 1");
   if (fault_count < 0 || fault_count >= width * height) {
     throw std::invalid_argument("fault_count out of range");

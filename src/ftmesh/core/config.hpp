@@ -63,7 +63,10 @@ struct SimConfig {
   /// The key still loads so older saved configs run; the field is deleted
   /// once perfbench stops reading it (ROADMAP item 1).
   std::string scan_mode = "active";
-  bool route_cache = true;  ///< memoize candidate sets per routing state
+  /// Retired: validate() accepts only true (the route-candidate cache is
+  /// always on).  The key still loads; the field is deleted by ROADMAP
+  /// item 1's benchmark change, once perfbench stops assigning it.
+  bool route_cache = true;
   /// Spatial shards for the cycle kernel: the mesh is cut into this many
   /// rectangular tiles whose phases can run concurrently.  Infeasible
   /// requests are reduced to the nearest feasible count; results are

@@ -130,9 +130,10 @@ SimConfig load_config(std::istream& is) {
       else if (key == "total_cycles") cfg.total_cycles = parse_number<std::uint64_t>(value);
       else if (key == "seed") cfg.seed = parse_number<std::uint64_t>(value);
       else if (key == "watchdog_patience") cfg.watchdog_patience = parse_number<std::uint64_t>(value);
-      // scan_mode, recycle_messages and shard_alloc are retired; their keys
-      // still load so older saved configs (and campaign spec hashes) stay
-      // valid, and validate() names the removal for a non-default value.
+      // scan_mode, route_cache, recycle_messages and shard_alloc are
+      // retired; their keys still load so older saved configs (and campaign
+      // spec hashes) stay valid, and validate() names the removal for a
+      // non-default value.
       else if (key == "scan_mode") cfg.scan_mode = value;
       else if (key == "tiles") cfg.tiles = parse_number<int>(value);
       else if (key == "step_threads") cfg.step_threads = parse_number<int>(value);

@@ -10,7 +10,6 @@
 #include <functional>
 #include <map>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 
 namespace ftmesh::router {
@@ -95,6 +94,10 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
     throw std::invalid_argument(
         "shard_alloc off was removed: the per-tile keep cap is fixed");
   }
+  if (!config_.route_cache) {
+    throw std::invalid_argument(
+        "route_cache off was removed: candidate sets are always memoized");
+  }
   const auto n = static_cast<std::size_t>(mesh.node_count());
   const int vcs = algorithm.layout().total();
   if (config_.injection_vcs < 1 || config_.injection_vcs > vcs) {
@@ -167,8 +170,6 @@ void Network::setup_tiles() {
     }
     if (best_cut >= 0) break;
   }
-  tile_grid_x_ = best_tx;
-  tile_grid_y_ = best_ty;
   tiles_.clear();
   tiles_.resize(static_cast<std::size_t>(best_tx) *
                 static_cast<std::size_t>(best_ty));
@@ -185,7 +186,7 @@ void Network::setup_tiles() {
     tiles_[tile].nodes.push_back(id);
   }
   for (Tile& t : tiles_) {
-    if (config_.route_cache) t.route_cache.resize(kRouteCacheSize);
+    t.route_cache.resize(kRouteCacheSize);
     t.d.vc_alloc.assign(static_cast<std::size_t>(vcs), 0);
     const std::size_t words = mask_words(t.nodes.size());
     t.route_mask.assign(words, 0);
@@ -223,35 +224,20 @@ void Network::setup_tiles() {
 
 // ---- occupancy bookkeeping -----------------------------------------------
 
-void Network::set_route_ready(NodeId node, std::size_t bit, bool ready) {
-  if (!update_ready_bit(ready_words(route_ready_, node), ready_words_, bit,
-                        ready)) {
+void Network::set_ready(std::vector<std::uint64_t>& words,
+                        std::vector<std::uint64_t> TileOccupancy::* mask,
+                        std::int64_t TileOccupancy::* gauge, NodeId node,
+                        std::size_t bit, bool ready) {
+  if (!update_ready_bit(ready_words(words, node), ready_words_, bit, ready)) {
     return;
   }
   const auto sid = static_cast<std::size_t>(node);
   Tile& t = tiles_[tile_of_node_[sid]];
+  t.*gauge += ready ? 1 : -1;
   if (ready) {
-    ++t.active_route;
-    set_bit(t.route_mask, local_of_node_[sid]);
+    set_bit(t.*mask, local_of_node_[sid]);
   } else {
-    --t.active_route;
-    clear_bit(t.route_mask, local_of_node_[sid]);
-  }
-}
-
-void Network::set_switch_ready(NodeId node, std::size_t bit, bool ready) {
-  if (!update_ready_bit(ready_words(switch_ready_, node), ready_words_, bit,
-                        ready)) {
-    return;
-  }
-  const auto sid = static_cast<std::size_t>(node);
-  Tile& t = tiles_[tile_of_node_[sid]];
-  if (ready) {
-    ++t.active_switch;
-    set_bit(t.switch_mask, local_of_node_[sid]);
-  } else {
-    --t.active_switch;
-    clear_bit(t.switch_mask, local_of_node_[sid]);
+    clear_bit(t.*mask, local_of_node_[sid]);
   }
 }
 
@@ -297,42 +283,39 @@ void Network::note_buffer_push(NodeId node, std::size_t bit,
   (void)f;
 }
 
-void Network::rebuild_active_sets() {
-  const int vcs = algorithm_->layout().total();
-  for (Tile& t : tiles_) {
-    std::fill(t.route_mask.begin(), t.route_mask.end(), 0);
-    std::fill(t.switch_mask.begin(), t.switch_mask.end(), 0);
-    std::fill(t.inject_mask.begin(), t.inject_mask.end(), 0);
-    std::fill(t.link_mask.begin(), t.link_mask.end(), 0);
-    t.active_route = 0;
-    t.active_switch = 0;
-    t.active_inject = 0;
-    // Rebuilds happen between cycles; nothing may be pending a commit.
-    assert(t.credits.empty() && t.retires.empty() && t.ejects.empty());
+Network::Occupancy Network::recount_occupancy() const {
+  const auto n = static_cast<std::size_t>(mesh_->node_count());
+  Occupancy o;
+  o.route_ready.assign(n * ready_words_, 0);
+  o.switch_ready.assign(n * ready_words_, 0);
+  o.credit_blocked.assign(n * ready_words_, 0);
+  o.inject_pending.assign(n, 0);
+  o.link_vc_allocated.assign(static_cast<std::size_t>(vcs_), 0);
+  o.tiles.resize(tiles_.size());
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    const std::size_t words = mask_words(tiles_[i].nodes.size());
+    o.tiles[i].route_mask.assign(words, 0);
+    o.tiles[i].switch_mask.assign(words, 0);
+    o.tiles[i].inject_mask.assign(words, 0);
+    o.tiles[i].link_mask.assign(mask_words(tiles_[i].incoming_all.size()), 0);
   }
-  std::fill(link_vc_allocated_.begin(), link_vc_allocated_.end(), 0);
-  queued_messages_ = 0;
-  busy_supplies_ = 0;
-  std::uint64_t flits = 0;
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
-    Tile& t = tiles_[tile_of_node_[sid]];
     const Router& rt = routers_[sid];
-    std::uint64_t* routable = ready_words(route_ready_, id);
-    std::uint64_t* sendable = ready_words(switch_ready_, id);
-    std::uint64_t* blocked = ready_words(credit_blocked_, id);
-    std::fill(routable, routable + ready_words_, 0);
-    std::fill(sendable, sendable + ready_words_, 0);
-    std::fill(blocked, blocked + ready_words_, 0);
+    std::uint64_t* routable = o.route_ready.data() + sid * ready_words_;
+    std::uint64_t* sendable = o.switch_ready.data() + sid * ready_words_;
+    std::uint64_t* blocked = o.credit_blocked.data() + sid * ready_words_;
     for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
+      for (int vc = 0; vc < vcs_; ++vc) {
         const InputVc& ivc = rt.input(port, vc);
-        const auto bit = static_cast<std::size_t>(port * vcs + vc);
+        const auto bit = static_cast<std::size_t>(port * vcs_ + vc);
+        // <= 0, not == 0: a flit sent past a missed block leaves -1, which
+        // the audit then reports as a drifted bit in the same cycle.
         if (ivc.stage == IvcStage::Active && ivc.out_dir != Direction::Local &&
-            rt.output(port_index(ivc.out_dir), ivc.out_vc).credits == 0) {
+            rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0) {
           set_bit(blocked, bit);
         }
-        flits += ivc.buf.size();
+        o.buffered_flits += ivc.buf.size();
         if (ivc.buf.empty()) continue;
         if (ivc.stage == IvcStage::Active) {
           set_bit(sendable, bit);
@@ -342,71 +325,81 @@ void Network::rebuild_active_sets() {
       }
     }
     for (int port = 0; port < kMeshDirections; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
+      for (int vc = 0; vc < vcs_; ++vc) {
         if (rt.output(port, vc).allocated) {
-          ++link_vc_allocated_[static_cast<std::size_t>(vc)];
+          ++o.link_vc_allocated[static_cast<std::size_t>(vc)];
         }
       }
     }
+    TileOccupancy& t = o.tiles[tile_of_node_[sid]];
+    const std::size_t lidx = local_of_node_[sid];
     if (!all_zero(routable, ready_words_)) {
-      set_bit(t.route_mask, local_of_node_[sid]);
+      set_bit(t.route_mask, lidx);
       ++t.active_route;
     }
     if (!all_zero(sendable, ready_words_)) {
-      set_bit(t.switch_mask, local_of_node_[sid]);
+      set_bit(t.switch_mask, lidx);
       ++t.active_switch;
     }
     std::uint32_t busy = 0;
     for (int iv = 0; iv < config_.injection_vcs; ++iv) {
-      if (supply(id, iv).current != kInvalidMessage) ++busy;
+      const Supply& sup = supplies_[sid * static_cast<std::size_t>(
+                                              config_.injection_vcs) +
+                                    static_cast<std::size_t>(iv)];
+      if (sup.current != kInvalidMessage) ++busy;
     }
-    busy_supplies_ += busy;
-    queued_messages_ += queues_[sid].size();
-    inject_pending_[sid] = static_cast<std::uint32_t>(queues_[sid].size()) + busy;
-    if (inject_pending_[sid] > 0) {
-      set_bit(t.inject_mask, local_of_node_[sid]);
+    o.busy_supplies += busy;
+    o.queued_messages += queues_[sid].size();
+    o.inject_pending[sid] = static_cast<std::uint32_t>(queues_[sid].size()) + busy;
+    if (o.inject_pending[sid] > 0) {
+      set_bit(t.inject_mask, lidx);
       ++t.active_inject;
     }
   }
-  full_links_ = 0;
   for (std::size_t idx = 0; idx < links_.size(); ++idx) {
     if (!links_[idx].full) continue;
-    ++full_links_;
-    ++flits;
+    ++o.full_links;
+    ++o.buffered_flits;
     if (!link_intra_[idx]) continue;  // cross-tile: boundary_in finds it
     const auto up = idx / kMeshDirections;
-    set_bit(tiles_[tile_of_node_[up]].link_mask, link_pos_[idx]);
+    set_bit(o.tiles[tile_of_node_[up]].link_mask, link_pos_[idx]);
   }
-  assert(flits == buffered_flits_ && "incremental flit count drifted");
-  buffered_flits_ = flits;
+  return o;
 }
 
-std::uint64_t Network::active_route_nodes() const noexcept {
-  std::uint64_t sum = 0;
-  for (const Tile& t : tiles_) sum += static_cast<std::uint64_t>(t.active_route);
-  return sum;
+void Network::rebuild_active_sets() {
+  Occupancy o = recount_occupancy();
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    // Rebuilds happen between cycles; nothing may be pending a commit.
+    assert(tiles_[i].credits.empty() && tiles_[i].retires.empty() &&
+           tiles_[i].ejects.empty());
+    static_cast<TileOccupancy&>(tiles_[i]) = std::move(o.tiles[i]);
+  }
+  assert(o.buffered_flits == buffered_flits_ &&
+         "incremental flit count drifted");
+  route_ready_ = std::move(o.route_ready);
+  switch_ready_ = std::move(o.switch_ready);
+  credit_blocked_ = std::move(o.credit_blocked);
+  inject_pending_ = std::move(o.inject_pending);
+  link_vc_allocated_ = std::move(o.link_vc_allocated);
+  buffered_flits_ = o.buffered_flits;
+  queued_messages_ = o.queued_messages;
+  busy_supplies_ = o.busy_supplies;
+  full_links_ = o.full_links;
 }
 
-std::uint64_t Network::active_switch_nodes() const noexcept {
+std::uint64_t Network::active_nodes(
+    std::int64_t TileOccupancy::* gauge) const noexcept {
   std::uint64_t sum = 0;
-  for (const Tile& t : tiles_) sum += static_cast<std::uint64_t>(t.active_switch);
-  return sum;
-}
-
-std::uint64_t Network::active_inject_nodes() const noexcept {
-  std::uint64_t sum = 0;
-  for (const Tile& t : tiles_) sum += static_cast<std::uint64_t>(t.active_inject);
+  for (const Tile& t : tiles_) sum += static_cast<std::uint64_t>(t.*gauge);
   return sum;
 }
 
 void Network::on_fault_change() {
-  bool invalidated = false;
   for (Tile& t : tiles_) {
-    if (t.route_cache.empty()) continue;
     for (auto& e : t.route_cache) e.valid = false;
-    invalidated = true;
   }
-  if (invalidated) ++route_cache_invalidations_;
+  ++route_cache_invalidations_;
   // Not rebuilt here: callers notify the algorithm after the network, and
   // uniform_at() may read labels (Boura-FT's unsafe set) that are stale
   // until then.
@@ -890,16 +883,7 @@ void Network::audit_invariants(int level) const {
 
   if (level < 2) return;
 
-  // ---- level 2: full recount of the network ------------------------------
-  const int vcs = algorithm_->layout().total();
-  const auto local = topology::port_index(Direction::Local);
-  std::uint64_t flits = 0;
-  std::uint64_t queued = 0;
-  std::uint64_t busy = 0;
-  std::vector<std::uint32_t> alloc_recount(static_cast<std::size_t>(vcs), 0);
-  std::vector<std::int64_t> active_route_recount(tiles_.size(), 0);
-  std::vector<std::int64_t> active_switch_recount(tiles_.size(), 0);
-  std::vector<std::int64_t> active_inject_recount(tiles_.size(), 0);
+  // ---- level 2: what is not derived, then the occupancy recount ----------
   for (const Tile& t : tiles_) {
     if (!t.credits.empty() || !t.retires.empty() || !t.ejects.empty() ||
         !t.events.empty()) {
@@ -909,98 +893,49 @@ void Network::audit_invariants(int level) const {
         t.d.full_links != 0) {
       fail("per-tile phase deltas not folded between cycles");
     }
+    // A leftover staged index would double-materialise a message.
+    if (!t.creates.empty()) {
+      fail("tile creation bucket not drained between cycles");
+    }
   }
+  const auto local = topology::port_index(Direction::Local);
+  const auto nbits = static_cast<std::size_t>(kPortCount * vcs_);
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
     const Router& rt = routers_[sid];
-    // Every input VC's ready bits are exact: route bit set iff the VC
-    // fronts a routable header, switch bit set iff it holds a sendable
-    // flit, credit-blocked bit set iff it is Active towards a link output
-    // VC with no credit.  Checked per VC, so a bit on the wrong VC cannot
-    // hide behind a correct per-node total.
-    const std::uint64_t* route_words = ready_words(route_ready_, id);
-    const std::uint64_t* switch_words = ready_words(switch_ready_, id);
-    const std::uint64_t* blocked_words = ready_words(credit_blocked_, id);
     for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
+      for (int vc = 0; vc < vcs_; ++vc) {
         const InputVc& ivc = rt.input(port, vc);
-        flits += ivc.buf.size();
         if (port != local &&
             ivc.buf.size() > static_cast<std::size_t>(config_.buffer_depth)) {
           fail("input VC buffer deeper than the credit budget");
         }
-        bool routable = false;
-        bool sendable = false;
-        if (!ivc.buf.empty()) {
-          if (ivc.stage == IvcStage::Active) {
-            sendable = true;
-          } else if (is_head(ivc.buf.front().type)) {
-            routable = true;
-          } else {
-            fail("non-Active input VC fronted by a body flit");
-          }
+        if (!ivc.buf.empty() && ivc.stage != IvcStage::Active &&
+            !is_head(ivc.buf.front().type)) {
+          fail("non-Active input VC fronted by a body flit");
         }
-        const auto bit = static_cast<std::size_t>(port * vcs + vc);
-        if (test_bit(route_words, bit) != routable) {
-          fail("route_ready bit disagrees with the input VC's state");
+        if (ivc.stage != IvcStage::Active || ivc.out_dir == Direction::Local) {
+          continue;
         }
-        if (test_bit(switch_words, bit) != sendable) {
-          fail("switch_ready bit disagrees with the input VC's state");
+        if (ivc.out_vc < 0 || ivc.out_vc >= vcs_) {
+          fail("Active input VC with an out-of-range output VC");
         }
-        bool blocked = false;
-        if (ivc.stage == IvcStage::Active &&
-            ivc.out_dir != Direction::Local) {
-          if (ivc.out_vc < 0 || ivc.out_vc >= vcs) {
-            fail("Active input VC with an out-of-range output VC");
-          }
-          const OutputVc& ovc =
-              rt.output(topology::port_index(ivc.out_dir), ivc.out_vc);
-          if (!ovc.allocated) {
-            fail("Active input VC whose output VC is not reserved");
-          }
-          if (!ivc.buf.empty() && ivc.buf.front().msg != ovc.owner) {
-            fail("flits of one worm on an output VC owned by another");
-          }
-          blocked = ovc.credits == 0;
+        const OutputVc& ovc =
+            rt.output(topology::port_index(ivc.out_dir), ivc.out_vc);
+        if (!ovc.allocated) {
+          fail("Active input VC whose output VC is not reserved");
         }
-        if (test_bit(blocked_words, bit) != blocked) {
-          fail("credit_blocked bit disagrees with the input VC's output "
-               "credits");
+        if (!ivc.buf.empty() && ivc.buf.front().msg != ovc.owner) {
+          fail("flits of one worm on an output VC owned by another");
         }
       }
     }
-    // Bits beyond the last input VC must stay clear (the rotated route
-    // walk relies on it), and the tile occupancy bitmaps are exact images
-    // of the ready words: node bit set if and only if any VC bit is set.
-    const std::size_t nbits = static_cast<std::size_t>(kPortCount * vcs);
-    if ((nbits & 63u) != 0) {
-      const std::uint64_t spare = ~std::uint64_t{0} << (nbits & 63u);
-      if ((route_words[ready_words_ - 1] & spare) != 0 ||
-          (switch_words[ready_words_ - 1] & spare) != 0 ||
-          (blocked_words[ready_words_ - 1] & spare) != 0) {
-        fail("ready mask bit set beyond the last input VC");
-      }
-    }
-    const bool any_routable = !all_zero(route_words, ready_words_);
-    const bool any_sendable = !all_zero(switch_words, ready_words_);
-    const Tile& nt = tiles_[tile_of_node_[sid]];
-    const std::size_t lidx = local_of_node_[sid];
-    if (test_bit(nt.route_mask, lidx) != any_routable) {
-      fail("route mask bit disagrees with the node's route_ready words");
-    }
-    if (test_bit(nt.switch_mask, lidx) != any_sendable) {
-      fail("switch mask bit disagrees with the node's switch_ready words");
-    }
-    if (any_routable) ++active_route_recount[tile_of_node_[sid]];
-    if (any_sendable) ++active_switch_recount[tile_of_node_[sid]];
-
     for (int d = 0; d < kMeshDirections; ++d) {
       const auto nb = mesh_->neighbour(mesh_->coord_of(id),
                                        static_cast<Direction>(d));
-      for (int vc = 0; vc < vcs; ++vc) {
+      for (int vc = 0; vc < vcs_; ++vc) {
         const OutputVc& ovc = rt.output(d, vc);
         if (ovc.allocated) {
-          ++alloc_recount[static_cast<std::size_t>(vc)];
           if (ovc.owner >= messages_.size() ||
               messages_[ovc.owner].id == kInvalidMessage) {
             fail("reserved output VC owned by a vacant message slot");
@@ -1035,76 +970,81 @@ void Network::audit_invariants(int level) const {
         }
       }
     }
-
-    std::uint32_t node_busy = 0;
-    for (int iv = 0; iv < config_.injection_vcs; ++iv) {
-      const auto& sup = supplies_[sid * static_cast<std::size_t>(
-                                            config_.injection_vcs) +
-                                  static_cast<std::size_t>(iv)];
-      if (sup.current != kInvalidMessage) ++node_busy;
-    }
-    busy += node_busy;
-    queued += queues_[sid].size();
-    if (inject_pending_[sid] !=
-        static_cast<std::uint32_t>(queues_[sid].size()) + node_busy) {
-      fail("inject_pending counter drifted from queue + supply state");
-    }
-    if (test_bit(nt.inject_mask, lidx) != (inject_pending_[sid] > 0)) {
-      fail("inject mask bit disagrees with the queue + supply recount");
-    }
-    if (inject_pending_[sid] > 0) ++active_inject_recount[tile_of_node_[sid]];
   }
 
-  std::uint64_t full_recount = 0;
-  for (std::size_t idx = 0; idx < links_.size(); ++idx) {
-    if (links_[idx].full) {
-      ++flits;
-      ++full_recount;
+  // Everything the kernel maintains incrementally must equal the recount,
+  // bit for bit (spare bits beyond the last input VC included); a failure
+  // names the first node, and for a ready word the input VC, that differs.
+  const Occupancy o = recount_occupancy();
+  const auto drifted = [&](const std::string& what, std::uint64_t kept,
+                           std::uint64_t recount) {
+    if (kept == recount) return;
+    fail(what + " drifted from the recount: kept " + std::to_string(kept) +
+         ", recount " + std::to_string(recount));
+  };
+  const auto same_bits = [&](const std::string& what,
+                             const std::vector<std::uint64_t>& kept,
+                             const std::vector<std::uint64_t>& recount,
+                             const auto& where) {
+    for (std::size_t w = 0; w < kept.size(); ++w) {
+      if (kept[w] == recount[w]) continue;
+      const std::uint64_t diff = kept[w] ^ recount[w];
+      const std::size_t b =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(diff));
+      drifted(what + " bit of " + where(b), test_bit(kept, b),
+              test_bit(recount, b));
     }
-    // Link-mask bits are exact: set iff the register is full AND intra-tile
-    // (cross-tile registers are poll-only and must never be flagged).
-    const bool flagged =
-        link_intra_[idx] != 0 &&
-        test_bit(tiles_[tile_of_node_[idx / kMeshDirections]].link_mask,
-                 link_pos_[idx]);
-    if (flagged != (link_intra_[idx] != 0 && links_[idx].full)) {
-      fail("link mask bit disagrees with the register-full recount");
-    }
+  };
+  const auto node_name = [this](std::size_t node) {
+    const Coord c = mesh_->coord_of(static_cast<NodeId>(node));
+    return "node " + std::to_string(node) + " (" + std::to_string(c.x) + "," +
+           std::to_string(c.y) + ")";
+  };
+  const auto input_vc = [&](std::size_t b) {
+    const std::size_t v = b % (ready_words_ * 64);
+    return node_name(b / (ready_words_ * 64)) + ", input port " +
+           std::to_string(v / static_cast<std::size_t>(vcs_)) + " vc " +
+           std::to_string(v % static_cast<std::size_t>(vcs_));
+  };
+  same_bits("route_ready", route_ready_, o.route_ready, input_vc);
+  same_bits("switch_ready", switch_ready_, o.switch_ready, input_vc);
+  same_bits("credit_blocked", credit_blocked_, o.credit_blocked, input_vc);
+  for (std::size_t sid = 0; sid < inject_pending_.size(); ++sid) {
+    if (inject_pending_[sid] == o.inject_pending[sid]) continue;
+    drifted("inject_pending of " + node_name(sid), inject_pending_[sid],
+            o.inject_pending[sid]);
   }
-  if (full_recount != full_links_) {
-    fail("full-link-register gauge drifted from the link state");
+  for (std::size_t vc = 0; vc < link_vc_allocated_.size(); ++vc) {
+    if (link_vc_allocated_[vc] == o.link_vc_allocated[vc]) continue;
+    drifted("link_vc_allocated of vc " + std::to_string(vc),
+            link_vc_allocated_[vc], o.link_vc_allocated[vc]);
   }
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    if (tiles_[i].active_route != active_route_recount[i] ||
-        tiles_[i].active_switch != active_switch_recount[i] ||
-        tiles_[i].active_inject != active_inject_recount[i]) {
-      fail("per-tile active-set gauge drifted from the occupancy state");
-    }
+    const Tile& t = tiles_[i];
+    const TileOccupancy& r = o.tiles[i];
+    const std::string tile = "tile " + std::to_string(i) + " ";
+    const auto local_node = [&](std::size_t b) {
+      return b < t.nodes.size()
+                 ? node_name(static_cast<std::size_t>(t.nodes[b]))
+                 : "spare position " + std::to_string(b);
+    };
+    same_bits(tile + "route_mask", t.route_mask, r.route_mask, local_node);
+    same_bits(tile + "switch_mask", t.switch_mask, r.switch_mask, local_node);
+    same_bits(tile + "inject_mask", t.inject_mask, r.inject_mask, local_node);
+    same_bits(tile + "link_mask", t.link_mask, r.link_mask, [](std::size_t b) {
+      return "incoming register position " + std::to_string(b);
+    });
+    drifted(tile + "active_route", static_cast<std::uint64_t>(t.active_route),
+            static_cast<std::uint64_t>(r.active_route));
+    drifted(tile + "active_switch", static_cast<std::uint64_t>(t.active_switch),
+            static_cast<std::uint64_t>(r.active_switch));
+    drifted(tile + "active_inject", static_cast<std::uint64_t>(t.active_inject),
+            static_cast<std::uint64_t>(r.active_inject));
   }
-
-  if (flits != buffered_flits_) {
-    fail("flit conservation: recount != buffered_flits");
-  }
-  if (queued != queued_messages_) {
-    fail("queued-message total drifted from the source queues");
-  }
-  if (busy != busy_supplies_) {
-    fail("busy-supply total drifted from the injection supplies");
-  }
-  for (int vc = 0; vc < vcs; ++vc) {
-    if (alloc_recount[static_cast<std::size_t>(vc)] !=
-        link_vc_allocated_[static_cast<std::size_t>(vc)]) {
-      fail("per-VC link allocation gauge drifted");
-    }
-  }
-
-  // Staged-creation scratch must be drained between cycles: a leftover
-  // index would double-materialise a message next injection phase.
-  for (const Tile& t : tiles_) {
-    if (!t.creates.empty()) {
-      fail("tile creation bucket not drained between cycles");
-    }
-  }
+  drifted("buffered_flits", buffered_flits_, o.buffered_flits);
+  drifted("queued_messages", queued_messages_, o.queued_messages);
+  drifted("busy_supplies", busy_supplies_, o.busy_supplies);
+  drifted("full_links", full_links_, o.full_links);
 }
 
 // ---- phase 1: arrivals ---------------------------------------------------
@@ -1160,16 +1100,6 @@ void Network::phase_arrivals() {
 
 void Network::inject_node(Tile& t, NodeId id) {
   if (inject_pending_[static_cast<std::size_t>(id)] == 0) return;
-#ifndef NDEBUG
-  {
-    std::uint32_t busy = 0;
-    for (int iv = 0; iv < config_.injection_vcs; ++iv) {
-      if (supply(id, iv).current != kInvalidMessage) ++busy;
-    }
-    assert(inject_pending_[static_cast<std::size_t>(id)] ==
-           queues_[static_cast<std::size_t>(id)].size() + busy);
-  }
-#endif
   const Coord c = mesh_->coord_of(id);
   if (!faults_->active(c)) return;
   const auto local = port_index(Direction::Local);
@@ -1248,11 +1178,6 @@ void Network::set_debug_channel_order(std::vector<std::int32_t> ranks) {
 
 const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
                                                         const HeaderState& m) {
-  if (t.route_cache.empty()) {
-    t.cand.clear();
-    algorithm_->enumerate(mesh_->coord_of(id), m, t.cand);
-    return t.cand;
-  }
   ++t.d.counts.cache_lookups;
   const Coord c = mesh_->coord_of(id);
   const std::uint64_t key = algorithm_->route_state_key(m);
@@ -1272,17 +1197,17 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
   if (e.valid && e.place == place && e.key == key) {
     ++t.d.counts.cache_hits;
 #if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
-    // The site form of the key contract, checked on every shared hit.
-    if (by_site) {
-      t.cand.clear();
-      algorithm_->enumerate(c, m, t.cand);
-      if (!(t.cand == e.cands) && t.route_class_fault.empty()) {
-        t.route_class_fault =
-            "route-class: cached candidates of site " + std::to_string(place) +
-            ", key " + std::to_string(key) + " differ from a fresh "
-            "enumeration at node " + std::to_string(id) + " towards (" +
-            std::to_string(m.dst.x) + "," + std::to_string(m.dst.y) + ")";
-      }
+    // The key contract, in its site form and its (node, dst) form, checked
+    // on every hit against a fresh enumeration.
+    t.cand.clear();
+    algorithm_->enumerate(c, m, t.cand);
+    if (!(t.cand == e.cands) && t.route_class_fault.empty()) {
+      t.route_class_fault =
+          std::string("route-class: cached candidates of ") +
+          (by_site ? "site " : "node-keyed place ") + std::to_string(place) +
+          ", key " + std::to_string(key) + " differ from a fresh "
+          "enumeration at node " + std::to_string(id) + " towards (" +
+          std::to_string(m.dst.x) + "," + std::to_string(m.dst.y) + ")";
     }
 #endif
     return e.cands;
@@ -1451,7 +1376,7 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
 }
 
 void Network::phase_routing() {
-  if (sites_stale_ && config_.route_cache) rebuild_sites();
+  if (sites_stale_) rebuild_sites();
   for_each_tile([this](Tile& t) {
     walk_mask(t, t.route_mask, [&](NodeId id) { route_node(t, id); });
   });
@@ -1871,57 +1796,11 @@ void Network::revalidate_ring_state(const fault::FRingSet& rings) {
 
 // ---- diagnostics ---------------------------------------------------------
 
-std::string Network::debug_stuck_report(std::size_t max_lines) const {
-  std::ostringstream os;
-  const int vcs = algorithm_->layout().total();
-  std::size_t lines = 0;
-  for (NodeId id = 0; id < mesh_->node_count() && lines < max_lines; ++id) {
-    const Coord c = mesh_->coord_of(id);
-    const Router& rt = routers_[static_cast<std::size_t>(id)];
-    for (int port = 0; port < kPortCount && lines < max_lines; ++port) {
-      for (int vc = 0; vc < vcs && lines < max_lines; ++vc) {
-        const InputVc& ivc = rt.input(port, vc);
-        if (ivc.buf.empty()) continue;
-        const auto& f = ivc.buf.front();
-        const auto& m = messages_[f.msg];
-        const auto& h = headers_[f.msg];
-        os << "(" << c.x << "," << c.y << ") in["
-           << topology::to_string(static_cast<Direction>(port)) << "][" << vc
-           << "] msg " << m.id << " seq " << f.seq << " len "
-           << static_cast<int>(ivc.buf.size()) << " stage "
-           << static_cast<int>(ivc.stage) << " -> "
-           << topology::to_string(ivc.out_dir) << "[" << ivc.out_vc << "]"
-           << " src(" << m.src.x << "," << m.src.y << ") dst(" << m.dst.x
-           << "," << m.dst.y << ") hops " << h.rs.hops << " mis "
-           << h.rs.misroutes << " ring "
-           << (h.rs.ring.active ? "Y" : "n");
-        if (ivc.stage == IvcStage::RouteWait && is_head(f.type) &&
-            !(c == h.dst)) {
-          os << " wants:";
-          routing::CandidateList cl;
-          algorithm_->enumerate(c, h, cl);
-          for (std::size_t i = 0; i < cl.size(); ++i) {
-            const auto& cv = cl[i];
-            const auto& ovc = rt.output(port_index(cv.dir), cv.vc);
-            os << " " << topology::to_string(cv.dir) << "[" << cv.vc << "]";
-            if (ovc.allocated) os << "@" << messages_[ovc.owner].id;
-          }
-        }
-        os << "\n";
-        ++lines;
-      }
-    }
-  }
-  return os.str();
-}
-
 std::vector<MessageId> Network::find_deadlock_cycle() const {
-  // Edges: waiting message -> owner of each candidate channel (all tiers;
-  // a wait resolves if ANY candidate frees, so a message is truly stuck
-  // only if every candidate's owner is stuck — we conservatively follow
-  // all edges and then verify the cycle is closed under "all candidates
-  // owned by cycle members" for the strongest claim available without
-  // replaying schedules).  For diagnostics we report any ownership cycle.
+  // Edges: waiting message -> owner of each candidate channel (all tiers).
+  // A wait resolves if ANY candidate frees, so a message is truly stuck
+  // only if every candidate's owner is stuck; no such closure is checked
+  // here — for diagnostics we report any ownership cycle.
   const int vcs = algorithm_->layout().total();
   std::map<MessageSlot, std::vector<MessageSlot>> edges;
   routing::CandidateList cand;

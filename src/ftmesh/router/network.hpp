@@ -20,9 +20,10 @@
 // every occupancy-changing point (arrival, injection, route allocation,
 // switch traversal, credit return, tail release, purge).  Each phase visits
 // only nodes with work and, at those nodes, only the input VCs whose ready
-// bit is set; the level-2 audit (audit_invariants) proves every bit against
-// a full recount — see docs/performance.md for the invariants and the
-// determinism argument.
+// bit is set.  recount_occupancy() is the one from-scratch definition of
+// that state: the rebuild after bulk mutations installs it and the level-2
+// audit (audit_invariants) compares every bit against it — see
+// docs/performance.md for the invariants and the determinism argument.
 
 #include <bit>
 #include <cassert>
@@ -72,7 +73,10 @@ struct NetworkConfig {
   /// Retired: must stay Active (the constructor rejects Full).  Deleted
   /// with ScanMode by ROADMAP item 1's benchmark change.
   ScanMode scan_mode = ScanMode::Active;
-  bool route_cache = true;    ///< memoize candidate sets per routing state
+  /// Retired: must stay true (the constructor rejects false).  Candidate
+  /// sets are always memoized per tile.  Deleted by ROADMAP item 1's
+  /// benchmark change.
+  bool route_cache = true;
   /// Retired: must stay true (the constructor rejects false).  Message
   /// slots always recycle.  Deleted by ROADMAP item 1's benchmark change.
   bool recycle_messages = true;
@@ -387,17 +391,14 @@ class Network {
     return since_mark(&Counters::kernel_link_regs_sum);
   }
 
-  /// Human-readable dump of every non-empty input VC — the wait-for state.
-  /// Debugging aid for watchdog trips; one line per VC.
-  [[nodiscard]] std::string debug_stuck_report(std::size_t max_lines = 200) const;
-
-  /// Exact deadlock detection: builds the message wait-for graph (a header
-  /// in RouteWait waits for the owners of every channel it may use; a
-  /// cycle of such waits can never resolve) and returns one cycle, or an
-  /// empty vector when none exists.  Complements the timeout watchdog:
-  /// the watchdog can fire on pathological slowness, this cannot
-  /// false-positive.  O(messages + edges); intended for diagnostics, not
-  /// the per-cycle path.
+  /// Wait-for cycle search: builds the message wait-for graph (a header at
+  /// a buffer front waits for the owners of every channel it may use) and
+  /// returns one ownership cycle, or an empty vector when none exists.  A
+  /// cycle is evidence, not proof, of deadlock: under adaptive routing a
+  /// header waiting on a cycle member through one candidate can still
+  /// leave through another whose owner is not on the cycle.  An empty
+  /// result does show that no routable header waits in a cycle.
+  /// O(messages + edges); intended for diagnostics, not the per-cycle path.
   [[nodiscard]] std::vector<MessageId> find_deadlock_cycle() const;
 
   /// Observation hook: called for every flit consumed at a destination.
@@ -423,18 +424,19 @@ class Network {
   // O(tile count) per call, independent of how many nodes are active —
   // cheap enough for --kernel-stats to sample every cycle even under the
   // sharded kernel.
-  [[nodiscard]] std::uint64_t active_route_nodes() const noexcept;
-  [[nodiscard]] std::uint64_t active_switch_nodes() const noexcept;
-  [[nodiscard]] std::uint64_t active_inject_nodes() const noexcept;
+  [[nodiscard]] std::uint64_t active_route_nodes() const noexcept {
+    return active_nodes(&TileOccupancy::active_route);
+  }
+  [[nodiscard]] std::uint64_t active_switch_nodes() const noexcept {
+    return active_nodes(&TileOccupancy::active_switch);
+  }
+  [[nodiscard]] std::uint64_t active_inject_nodes() const noexcept {
+    return active_nodes(&TileOccupancy::active_inject);
+  }
   [[nodiscard]] std::uint64_t full_link_registers() const noexcept {
     return full_links_;
   }
 
-  /// Actual tile grid after feasibility reduction (tx * ty tiles laid over
-  /// the mesh; {1, 1} when sharding is off).
-  [[nodiscard]] std::pair<int, int> tile_grid() const noexcept {
-    return {tile_grid_x_, tile_grid_y_};
-  }
   [[nodiscard]] std::size_t tile_count() const noexcept {
     return tiles_.size();
   }
@@ -455,14 +457,13 @@ class Network {
   /// Runtime invariant audit; throws AuditError on the first violation.
   /// Level 1 checks the slot table (free-list uniqueness, generation /
   /// live-id consistency, created == retired + live).  Level 2 additionally
-  /// recounts the whole network: flit conservation across input buffers and
-  /// link registers, per-link credit/occupancy accounting, output-VC
-  /// ownership by live slots, every input VC's route/switch ready and
-  /// credit-blocked bit, every reserved output VC's feeder, the inject
-  /// counters, and the node occupancy masks (bit set iff the node has
-  /// work).  Always compiled (tests drive it directly); builds
-  /// configured with -DFTMESH_AUDIT=1|2 also run it automatically at the
-  /// end of every step().
+  /// checks what is not derived — buffer depths, VC stages, output-VC
+  /// reservations, owners and feeders, per-link credit conservation, the
+  /// drained commit queues — and then compares the whole incrementally
+  /// maintained occupancy state with recount_occupancy(), naming the first
+  /// node and bit that differ.  Always compiled (tests drive it directly);
+  /// builds configured with -DFTMESH_AUDIT=1|2 also run it automatically at
+  /// the end of every step().
   void audit_invariants(int level) const;
 
  private:
@@ -541,13 +542,8 @@ class Network {
     MessageSlot slot = kInvalidMessage;
   };
 
-  /// One rectangular shard of the mesh.  A tile owns its nodes' worklists,
-  /// route cache, scratch buffers, deferred-commit queues and trace buffer;
-  /// during the parallel phases exactly one thread works a tile, and
-  /// everything it writes is either owned by the tile or one of these
-  /// queues.
-  struct Tile {
-    std::vector<topology::NodeId> nodes;  // ascending
+  /// A tile's share of the derived occupancy state (see Occupancy).
+  struct TileOccupancy {
     // Occupancy bitmaps, one bit per tile-local node index (bit i of word
     // i/64 <=> nodes[i]).  A route/switch bit is set exactly while the
     // node's ready words are non-zero, an inject bit while its pending
@@ -564,6 +560,37 @@ class Network {
     /// registers never set a bit: the sender may not touch another tile's
     /// mask, so the downstream tile polls them through boundary_in.
     std::vector<std::uint64_t> link_mask;
+    // Exact gauge counts: nodes whose occupancy mask bit is set.
+    std::int64_t active_route = 0;
+    std::int64_t active_switch = 0;
+    std::int64_t active_inject = 0;
+  };
+
+  /// The occupancy state derived from the routers, link registers, source
+  /// queues and injection supplies — everything the phases' active-set
+  /// walks and the O(1) gauges read.  The kernel keeps it incrementally
+  /// (set_*_ready, bump_inject, note_link_full, the phase deltas);
+  /// recount_occupancy() derives it from scratch.
+  struct Occupancy {
+    std::vector<std::uint64_t> route_ready;     // like route_ready_
+    std::vector<std::uint64_t> switch_ready;    // like switch_ready_
+    std::vector<std::uint64_t> credit_blocked;  // like credit_blocked_
+    std::vector<std::uint32_t> inject_pending;
+    std::vector<std::uint32_t> link_vc_allocated;
+    std::vector<TileOccupancy> tiles;
+    std::uint64_t buffered_flits = 0;
+    std::uint64_t queued_messages = 0;
+    std::uint64_t busy_supplies = 0;
+    std::uint64_t full_links = 0;
+  };
+
+  /// One rectangular shard of the mesh.  A tile owns its nodes' worklists,
+  /// route cache, scratch buffers, deferred-commit queues and trace buffer;
+  /// during the parallel phases exactly one thread works a tile, and
+  /// everything it writes is either owned by the tile or one of these
+  /// queues.
+  struct Tile : TileOccupancy {
+    std::vector<topology::NodeId> nodes;  // ascending
     /// Static: registers delivering into this tile from another tile
     /// (checked for .full every cycle; O(tile perimeter)).
     std::vector<std::size_t> boundary_in;
@@ -578,10 +605,6 @@ class Network {
     std::vector<MessageSlot> free_slots;
     /// Indices into pending_creates_ staged for this tile this cycle.
     std::vector<std::uint32_t> creates;
-    // Exact gauge counts: nodes whose occupancy mask bit is set.
-    std::int64_t active_route = 0;
-    std::int64_t active_switch = 0;
-    std::int64_t active_inject = 0;
     // Deferred commits (drained after the switching barrier).
     std::vector<CreditReturn> credits;
     std::vector<MessageSlot> retires;
@@ -590,14 +613,14 @@ class Network {
     /// node visit order; flush_trace() drains it after every phase.
     std::vector<trace::Event> events;
     PhaseDeltas d;
-    // Route-candidate memoization (empty when disabled) + scratch.
+    // Route-candidate memoization (kRouteCacheSize entries) + scratch.
     std::vector<RouteCacheEntry> route_cache;
 #if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
-    /// First site-keyed hit whose cached list differed from a fresh
-    /// enumeration this phase; phase_routing throws it after the barrier.
+    /// First hit whose cached list differed from a fresh enumeration
+    /// (`cand`) this phase; phase_routing throws it after the barrier.
     std::string route_class_fault;
-#endif
     routing::CandidateList cand;
+#endif
     sim::SmallVec<routing::CandidateVc, 16> free_cands;
     std::vector<Request> requests;
   };
@@ -666,8 +689,8 @@ class Network {
   /// fields, header state, algorithm on_inject.
   void init_created_message(MessageSlot slot, const PendingCreate& pc);
 
-  /// Candidate set for `h`'s header at node `id` — memoized in the tile's
-  /// cache when enabled, enumerated into the tile's scratch otherwise.
+  /// Candidate set for `h`'s header at node `id`, memoized in the tile's
+  /// route cache.  The level-2 audit build re-enumerates every hit.
   const routing::CandidateList& route_candidates(Tile& t, topology::NodeId id,
                                                  const HeaderState& h);
   /// Re-reads every node's site_base_ from the algorithm's uniform_at().
@@ -717,10 +740,18 @@ class Network {
   [[gnu::noinline]] void trace_block(Tile& t, MessageSlot slot,
                                      topology::Coord c);
 
-  /// Recomputes every occupancy counter, worklist and derived total from
-  /// the authoritative router/queue/supply state.  Used after rare bulk
-  /// mutations (purge, reconfiguration) instead of per-item bookkeeping.
+  /// The one from-scratch definition of the occupancy state: every ready
+  /// word, inject count, per-VC allocation gauge, tile mask, tile gauge and
+  /// total, derived from the router, link, queue and supply state.  Reads
+  /// each Active input VC's output VC, so out_vc must be in range.
+  [[nodiscard]] Occupancy recount_occupancy() const;
+  /// Recount and install: replaces the occupancy state with
+  /// recount_occupancy().  Used after rare bulk mutations (purge,
+  /// reconfiguration) instead of per-item bookkeeping.
   void rebuild_active_sets();
+  /// A gauge summed over the tiles (the active_*_nodes accessors).
+  [[nodiscard]] std::uint64_t active_nodes(
+      std::int64_t TileOccupancy::* gauge) const noexcept;
 
   // Occupancy bookkeeping.  The masks and the counter are exact; bit
   // `port * vcs + vc` of a node's ready words names one input VC:
@@ -741,8 +772,20 @@ class Network {
   // allocation onto a creditless output VC and by a non-tail grant that
   // spends the last credit, and cleared by the credit return that lifts
   // the count from 0 (found through OutputVc::feeder).
-  void set_route_ready(topology::NodeId node, std::size_t bit, bool ready);
-  void set_switch_ready(topology::NodeId node, std::size_t bit, bool ready);
+  void set_route_ready(topology::NodeId node, std::size_t bit, bool ready) {
+    set_ready(route_ready_, &TileOccupancy::route_mask,
+              &TileOccupancy::active_route, node, bit, ready);
+  }
+  void set_switch_ready(topology::NodeId node, std::size_t bit, bool ready) {
+    set_ready(switch_ready_, &TileOccupancy::switch_mask,
+              &TileOccupancy::active_switch, node, bit, ready);
+  }
+  /// Flips one node's ready bit in `words` and, on the node's empty <->
+  /// non-empty transition, its bit in the tile `mask` and the tile `gauge`.
+  void set_ready(std::vector<std::uint64_t>& words,
+                 std::vector<std::uint64_t> TileOccupancy::* mask,
+                 std::int64_t TileOccupancy::* gauge, topology::NodeId node,
+                 std::size_t bit, bool ready);
   void bump_inject(topology::NodeId node, int delta);
   /// The node's words in a per-node input-VC ready mask.
   [[nodiscard]] std::uint64_t* ready_words(std::vector<std::uint64_t>& mask,
@@ -860,8 +903,6 @@ class Network {
   /// Position of each incoming register within its downstream tile's
   /// incoming_all (== its bit index in that tile's link_mask).
   std::vector<std::uint32_t> link_pos_;
-  int tile_grid_x_ = 1;
-  int tile_grid_y_ = 1;
 
   // Counts (see the accessors): whole-run, and the begin_measurement()
   // snapshot the window accessors subtract.

@@ -335,6 +335,70 @@ TEST(RuntimeAudit, SiteKeyedHitsAreReEnumerated) {
   };
   EXPECT_THROW(drive(), ftmesh::router::AuditError);
 }
+
+// Uniform nowhere, so every cache entry is keyed by (node, dst); its
+// candidates read the header's source, which route_state_key leaves out.
+// Two headers from sources of different parity that meet at one node on
+// the way to one destination share an entry they must not share.
+class SourceReadingRouting : public ftmesh::routing::RoutingAlgorithm {
+ public:
+  SourceReadingRouting(const Mesh& mesh, const FaultMap& faults)
+      : RoutingAlgorithm(mesh, faults),
+        layout_(ftmesh::routing::VcLayout::adaptive(1, /*ring=*/false,
+                                                    /*xy=*/false)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "Source-Reading";
+  }
+  [[nodiscard]] const ftmesh::routing::VcLayout& layout()
+      const noexcept override {
+    return layout_;
+  }
+  void candidates(Coord at, const ftmesh::router::HeaderState& msg,
+                  ftmesh::routing::CandidateList& out) const override {
+    std::array<Direction, 2> dirs{};
+    const int n = usable_minimal(at, msg.dst, dirs);
+    const bool odd = (msg.src.x + msg.src.y) % 2 != 0;
+    for (int d = 0; d < n; ++d) {
+      if (d == 1 && odd) out.next_tier();
+      out.add(dirs[static_cast<std::size_t>(d)], 0);
+    }
+  }
+  [[nodiscard]] ftmesh::routing::DeadlockArgument deadlock_argument()
+      const noexcept override {
+    return ftmesh::routing::DeadlockArgument::FullCdg;
+  }
+  [[nodiscard]] std::uint64_t route_state_key(
+      const ftmesh::router::HeaderState&) const noexcept override {
+    return 0;
+  }
+  [[nodiscard]] bool uniform_at(Coord) const noexcept override {
+    return false;
+  }
+
+ private:
+  ftmesh::routing::VcLayout layout_;
+};
+
+TEST(RuntimeAudit, NodeKeyedHitsAreReEnumerated) {
+  // The level-2 build re-enumerates every cache hit, the (node, dst)-keyed
+  // ones included: a key that omits a field the candidates read must throw
+  // as soon as two headers sharing a key disagree.
+  const Mesh mesh(6, 6);
+  const FaultMap faults(mesh);
+  const SourceReadingRouting algo(mesh, faults);
+  Network net(mesh, faults, algo, {}, Rng(7));
+  const auto drive = [&] {
+    for (int cycle = 0; cycle < 200; ++cycle) {
+      if (cycle % 2 == 0) {
+        net.create_message({0, 0}, {4, 4}, 4);  // even source: one tier
+        net.create_message({1, 0}, {4, 4}, 4);  // odd source: two tiers
+      }
+      net.step();
+    }
+  };
+  EXPECT_THROW(drive(), ftmesh::router::AuditError);
+}
 #endif
 
 TEST(RuntimeAudit, CreditBlockedWormsSurvivePurgeAndRebuild) {

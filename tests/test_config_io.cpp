@@ -38,7 +38,6 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   cfg.collect_vc_usage = true;
   cfg.collect_traffic_map = true;
   cfg.metrics_interval = 250;
-  cfg.route_cache = false;  // non-default: proves the key round-trips
 
   std::stringstream buffer;
   save_config(buffer, cfg);
@@ -67,20 +66,22 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   EXPECT_EQ(loaded.collect_vc_usage, cfg.collect_vc_usage);
   EXPECT_EQ(loaded.collect_traffic_map, cfg.collect_traffic_map);
   EXPECT_EQ(loaded.metrics_interval, cfg.metrics_interval);
-  EXPECT_EQ(loaded.route_cache, cfg.route_cache);
   EXPECT_EQ(loaded, cfg);
 }
 
 TEST(ConfigIo, RetiredKernelSwitchesLoadOnlyAtTheirDefaults) {
-  // The full scan, append-only message storage and the keep-cap-0 slot
-  // allocator were removed from the kernel.  Configs saved before that
-  // still carry their keys, so the keys load, but validate() accepts only
-  // the defaults and names the removal otherwise.
+  // The full scan, the uncached routing path, append-only message storage
+  // and the keep-cap-0 slot allocator were removed from the kernel.
+  // Configs saved before that still carry their keys, so the keys load,
+  // but validate() accepts only the defaults and names the removal
+  // otherwise.
   std::stringstream saved(
-      "scan_mode = active\nrecycle_messages = 1\nshard_alloc = 1\n");
+      "scan_mode = active\nroute_cache = 1\nrecycle_messages = 1\n"
+      "shard_alloc = 1\n");
   EXPECT_NO_THROW(load_config(saved).validate());
   const std::pair<const char*, const char*> retired[] = {
       {"scan_mode = full\n", "full reference scan was removed"},
+      {"route_cache = 0\n", "uncached routing path was removed"},
       {"recycle_messages = 0\n", "append-only message storage was removed"},
       {"shard_alloc = 0\n", "keep-cap-0 slot allocator was removed"}};
   for (const auto& [line, why] : retired) {

@@ -3,10 +3,12 @@
 // Results depend only on the modelled inputs, never on a performance knob:
 // the full JSON report — every latency percentile, throughput figure and
 // reliability counter — is byte-identical across repeated runs
-// (determinism in (config, seed)) and with the route-candidate cache on or
-// off (pure memoization, sound by the route_state_key contract); so is
-// the JSONL trace.  The absolute results are pinned separately
-// (test_golden_fingerprints).
+// (determinism in (config, seed)) and with the route-candidate cache
+// emptied before every cycle (pure memoization, sound by the
+// route_state_key contract); so is the JSONL trace.  The cold-cache run
+// also recounts and reinstalls the kernel's occupancy state every cycle,
+// so the from-scratch derivation must reproduce the incremental one.  The
+// absolute results are pinned separately (test_golden_fingerprints).
 //
 // The kernel keeps no reference scan or storage model to compare against,
 // so each case also checks what those comparisons stood for: a drained run
@@ -32,6 +34,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -68,13 +71,30 @@ TEST_P(GoldenDeterminism, RepeatedRunsAreByteIdentical) {
   ASSERT_EQ(report_for(cfg), report_for(cfg));
 }
 
+/// Runs `sim` as Simulator::run does, but calls Network::on_fault_change()
+/// before every cycle: the route cache starts each cycle empty, so every
+/// candidate set is enumerated afresh at least once per cycle, and the
+/// occupancy state is recounted and installed from scratch.
+ftmesh::core::SimResult run_cold(Simulator& sim) {
+  while (sim.network().cycle() < sim.config().total_cycles &&
+         !sim.network().watchdog().tripped()) {
+    sim.network().on_fault_change();
+    sim.step();
+  }
+  return sim.snapshot();
+}
+
 TEST_P(GoldenDeterminism, RouteCacheDoesNotChangeTheReport) {
-  auto cfg = config();
-  cfg.route_cache = true;
-  const std::string cached = report_for(cfg);
-  cfg.route_cache = false;
-  const std::string uncached = report_for(cfg);
-  ASSERT_EQ(cached, uncached);
+  const auto cfg = config();
+  Simulator warm(cfg);
+  std::ostringstream cached;
+  ftmesh::report::write_result_json(cached, cfg, warm.run());
+  Simulator cold(cfg);
+  std::ostringstream flushed;
+  ftmesh::report::write_result_json(flushed, cfg, run_cold(cold));
+  ASSERT_EQ(cached.str(), flushed.str());
+  EXPECT_LT(cold.network().route_cache_hits(),
+            warm.network().route_cache_hits());
 }
 
 TEST_P(GoldenDeterminism, ShardedReportsAreByteIdentical) {
@@ -122,13 +142,19 @@ TEST_P(GoldenDeterminism, ShardedTracesAreByteIdentical) {
 
 TEST_P(GoldenDeterminism, RouteCacheDoesNotChangeTheTrace) {
   // The route-candidate cache is memoization only: the whole JSONL stream,
-  // not just the end-of-run aggregates, must match with it off.
-  auto cfg = config();
-  cfg.route_cache = true;
+  // not just the end-of-run aggregates, must match with it emptied before
+  // every cycle.
+  const auto cfg = config();
   const std::string cached = trace_for(cfg);
   ASSERT_FALSE(cached.empty());
-  cfg.route_cache = false;
-  ASSERT_EQ(cached, trace_for(cfg));
+  std::ostringstream flushed;
+  {
+    Simulator sim(cfg);
+    ftmesh::trace::JsonlSink sink(flushed);
+    sim.set_trace_sink(&sink);
+    run_cold(sim);
+  }
+  ASSERT_EQ(cached, flushed.str());
 }
 
 /// Runs `cfg`, then drains it, and checks that nothing was left behind:

@@ -1,10 +1,11 @@
 // Cycle-kernel statistics: the accounting identities tying the route-cache
 // and active-set counters (router/network.hpp) to the rest of the
-// measurement machinery, and the guarantee that collecting them — or
-// turning the cache off — never changes simulation results.
+// measurement machinery, and the guarantee that collecting them never
+// changes simulation results.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -96,20 +97,6 @@ TEST(KernelStats, ActiveSetMeansAreSampledAndBounded) {
   EXPECT_GT(r.kernel.mean_link_regs, 0.0);
 }
 
-TEST(KernelStats, CacheOffZeroesTheCacheCountersOnly) {
-  auto cfg = kernel_config();
-  cfg.route_cache = false;
-  Simulator sim(cfg);
-  const auto r = sim.run();
-  ASSERT_TRUE(r.kernel.enabled);
-  EXPECT_EQ(r.kernel.cache_lookups, 0u);
-  EXPECT_EQ(r.kernel.cache_hits, 0u);
-  EXPECT_DOUBLE_EQ(r.kernel.cache_hit_rate, 0.0);
-  // The active-set counters are independent of the cache.
-  EXPECT_EQ(r.kernel.samples, cfg.total_cycles - cfg.warmup_cycles);
-  EXPECT_GT(r.kernel.mean_switch_nodes, 0.0);
-}
-
 TEST(KernelStats, FaultEventsInvalidateTheCache) {
   auto cfg = kernel_config();
   cfg.fault_schedule = "fail@800:3,3; repair@1500:3,3";
@@ -158,6 +145,15 @@ std::string report_json(const SimConfig& cfg) {
   return os.str();
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 TEST(KernelStats, NewUnsafeLabelsEndSiteSharingBesideThem) {
   // Failing (2,3) and then (4,3) gives (3,3) two faulty neighbours: Boura-
   // FT labels it unsafe, and (3,4) above it — healthy, with healthy
@@ -166,7 +162,10 @@ TEST(KernelStats, NewUnsafeLabelsEndSiteSharingBesideThem) {
   // simulator notifies the network before the algorithm, so a site table
   // rebuilt at notification time would keep (3,4) site-keyed on stale
   // labels and serve candidates through (3,3) that a fresh enumeration no
-  // longer offers in tier 1.
+  // longer offers in tier 1.  The report is pinned by its FNV-1a-64 hash,
+  // taken when an uncached run (every candidate set enumerated afresh)
+  // still existed and produced the same report; the level-2 audit build
+  // re-enumerates every cache hit of this run as well.
   SimConfig cfg;
   cfg.algorithm = "Boura-FT";
   cfg.width = 8;
@@ -190,9 +189,7 @@ TEST(KernelStats, NewUnsafeLabelsEndSiteSharingBesideThem) {
   ASSERT_TRUE(ft.unsafe({3, 3}));
   EXPECT_FALSE(sim.algorithm().uniform_at(beside));
 
-  auto uncached = cfg;
-  uncached.route_cache = false;
-  EXPECT_EQ(report_json(cfg), report_json(uncached));
+  EXPECT_EQ(fnv1a(report_json(cfg)), 0x040be57ef8a8cdcdULL);
 }
 
 TEST(KernelStats, CollectingStatsDoesNotPerturbResults) {

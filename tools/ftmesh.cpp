@@ -90,7 +90,6 @@ SimConfig config_from_cli(const Cli& cli, bool faults_is_count = true) {
   override_from(cli, "backoff", cfg.fault_retry_backoff);
   override_from(cli, "tiles", cfg.tiles);
   override_from(cli, "step-threads", cfg.step_threads);
-  override_from(cli, "route-cache", cfg.route_cache);
   if (cli.flag("kernel-stats")) cfg.collect_kernel_stats = true;
   override_from(cli, "metrics-interval", cfg.metrics_interval);
   for (const auto& w : cfg.warnings()) std::cerr << "warning: " << w << "\n";
@@ -762,7 +761,7 @@ reliability and algorithms) also takes the SimConfig flags: --config
 --algorithm --traffic --width --height --rate --length --vcs --faults
 --link-faults --cycles --warmup --seed --buffer-depth --patience
 --fault-schedule --max-retries --backoff --tiles --step-threads
---route-cache --kernel-stats --metrics-interval.
+--kernel-stats --metrics-interval.
 )";
 
 /// The flags config_from_cli reads.
@@ -770,7 +769,7 @@ const std::vector<std::string> kConfigFlags = {
     "config", "algorithm", "traffic", "width", "height", "rate", "length",
     "vcs", "faults", "link-faults", "cycles", "warmup", "seed", "buffer-depth",
     "patience", "fault-schedule", "max-retries", "backoff", "tiles",
-    "step-threads", "route-cache", "kernel-stats", "metrics-interval"};
+    "step-threads", "kernel-stats", "metrics-interval"};
 
 struct Command {
   const char* name;
