@@ -200,9 +200,9 @@ void BM_NetworkStepShardedAlloc(benchmark::State& state, int tiles,
                                 int threads) {
   // Allocator-bound variant of the sharded kernel: saturated 64x64 mesh
   // with *short* messages (length 4), so worms retire and are recreated at
-  // the highest possible rate and slot churn dominates the step.  Each
-  // tile keeps up to four freed slots for its own creations; the global
-  // LIFO takes the spillover.
+  // the highest possible rate and slot churn dominates the step.  Every
+  // tile's retirements and creations share the one LIFO free list,
+  // serially between the tile phases.
   auto cfg = sharded_config(64, tiles, threads);
   cfg.message_length = 4;
   Simulator sim(cfg);
@@ -215,12 +215,11 @@ BENCHMARK_CAPTURE(BM_NetworkStepShardedAlloc, shard_t4x4, 4, 4)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_NetworkLongRunPeakSlotsSharded(benchmark::State& state) {
-  // The plateau gate for the sharded allocator: same moderate load as
-  // BM_NetworkLongRunPeakSlots but with the mesh cut into 4 tiles and
-  // per-tile free lists on.  The peak may exceed the serial allocator's by
-  // at most the slots parked on tile lists (tiles x trim threshold); CI
-  // holds the counter with bench_compare.py --counter-max so tile-local
-  // churn can never silently reopen the O(delivered) leak.
+  // The plateau gate under the sharded kernel: same moderate load as
+  // BM_NetworkLongRunPeakSlots but with the mesh cut into 4 tiles.  The
+  // tiles share the one slot pool, so the peak equals the one-tile peak of
+  // the same run; CI holds the counter with bench_compare.py --counter-max
+  // so tiled churn can never silently reopen the O(delivered) leak.
   auto cfg = kernel_config(0.001, 0);
   cfg.tiles = 4;
   Simulator sim(cfg);

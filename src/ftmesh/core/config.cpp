@@ -45,7 +45,7 @@ void SimConfig::validate() const {
   }
   if (!shard_alloc) {
     throw std::invalid_argument(
-        "shard_alloc must be 1: the keep-cap-0 slot allocator was removed");
+        "shard_alloc must be 1: message slots come from one pool");
   }
   if (!route_cache) {
     throw std::invalid_argument(

@@ -80,8 +80,8 @@ struct SimConfig {
   /// The key still loads; the field is deleted once perfbench stops
   /// reading it (ROADMAP item 1).
   bool recycle_messages = true;
-  /// Retired: validate() accepts only true (the allocator's per-tile keep
-  /// cap is fixed at 4).  The key still loads; the field is deleted once
+  /// Retired: validate() accepts only true (message slots come from one
+  /// pool).  The key still loads; the field is deleted once
   /// perfbench stops reading it (ROADMAP item 1).
   bool shard_alloc = true;
 

@@ -92,7 +92,7 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   }
   if (!config_.shard_alloc) {
     throw std::invalid_argument(
-        "shard_alloc off was removed: the per-tile keep cap is fixed");
+        "shard_alloc off was removed: message slots come from one pool");
   }
   if (!config_.route_cache) {
     throw std::invalid_argument(
@@ -509,111 +509,46 @@ void Network::trace_block(Tile& t, MessageSlot slot, Coord c) {
 
 // ---- message lifecycle ---------------------------------------------------
 
-void Network::init_created_message(MessageSlot slot, const PendingCreate& pc) {
-  Message& m = messages_[static_cast<std::size_t>(slot)];
-  m = Message{};
-  m.id = pc.id;
-  m.src = pc.src;
-  m.dst = pc.dst;
-  m.length = pc.length;
-  m.created = cycle_;
-  HeaderState& h = headers_[static_cast<std::size_t>(slot)];
-  h = HeaderState{};
-  h.src = pc.src;
-  h.dst = pc.dst;
-  algorithm_->on_inject(h);
-}
-
 MessageId Network::create_message(Coord src, Coord dst, std::uint32_t length) {
-  // The injection phase's own creation steps, run now: any creation
-  // enqueued earlier in this between-cycles window materialises with it,
-  // in id order.
-  const MessageId id = enqueue_message(src, dst, length);
-  stage_creations();
-  for (Tile& t : tiles_) materialize_tile_creations(t);
-  commit_creations();
-  reduce_deltas();
-  return id;
-}
-
-MessageId Network::enqueue_message(Coord src, Coord dst, std::uint32_t length) {
   assert(faults_->active(src) && faults_->active(dst));
   assert(length >= 1);
   const MessageId id = next_message_id_++;
-  pending_creates_.push_back({id, src, dst, length, kInvalidMessage});
-  return id;
-}
-
-void Network::stage_creations() {
-  if (pending_creates_.empty()) return;
+  // The most recently retired slot first (LIFO); a fresh one only when
+  // none is vacant.  Either way its fields are default: retire_slot clears
+  // a slot before listing it.
+  MessageSlot slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    assert(messages_[static_cast<std::size_t>(slot)].id == kInvalidMessage);
+  } else {
+    slot = static_cast<MessageSlot>(messages_.size());
+    messages_.emplace_back();
+    headers_.emplace_back();
+    slot_gen_.push_back(0);
+  }
   if (trace_ != nullptr) {
-    for (const PendingCreate& pc : pending_creates_) {
-      emit(trace::EventKind::Create, pc.id, pc.src, pc.length);
-    }
+    emit(trace::EventKind::Create, id, src, length);
+    trace_blocked_.resize(messages_.size());
+    trace_blocked_[static_cast<std::size_t>(slot)] = 0;
   }
-  // Bucket the creations by tile, then top each tile's private list up to
-  // its demand — spillover pool first, fresh appends last — so the tile
-  // phase can pop without touching shared state (vector growth must not
-  // race the tiles).
-  for (std::size_t i = 0; i < pending_creates_.size(); ++i) {
-    const auto sid =
-        static_cast<std::size_t>(mesh_->id_of(pending_creates_[i].src));
-    tiles_[tile_of_node_[sid]].creates.push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    Tile& t = tiles_[i];
-    while (t.free_slots.size() < t.creates.size()) {
-      MessageSlot slot;
-      if (!free_slots_.empty()) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-        assert(messages_[static_cast<std::size_t>(slot)].id == kInvalidMessage);
-        slot_tile_[static_cast<std::size_t>(slot)] =
-            static_cast<std::uint32_t>(i);
-      } else {
-        slot = static_cast<MessageSlot>(messages_.size());
-        messages_.emplace_back();
-        headers_.emplace_back();
-        slot_gen_.push_back(0);
-        slot_tile_.push_back(static_cast<std::uint32_t>(i));
-        if (trace_ != nullptr) trace_blocked_.push_back(0);
-      }
-      t.free_slots.push_back(slot);
-    }
-  }
-}
-
-void Network::materialize_tile_creations(Tile& t) {
-  for (const std::uint32_t i : t.creates) {
-    PendingCreate& pc = pending_creates_[i];
-    assert(!t.free_slots.empty());  // staged by the prologue
-    pc.slot = t.free_slots.back();
-    t.free_slots.pop_back();
-    assert(messages_[static_cast<std::size_t>(pc.slot)].id == kInvalidMessage);
-    init_created_message(pc.slot, pc);
-    if (trace_ != nullptr) trace_blocked_[static_cast<std::size_t>(pc.slot)] = 0;
-    const auto sid = static_cast<std::size_t>(mesh_->id_of(pc.src));
-    queues_[sid].push_back(pc.slot);
-    ++t.d.queued_messages;
-    bump_inject(static_cast<NodeId>(sid), +1);
-    t.d.counts.flits_generated += pc.length;
-  }
-  t.creates.clear();
-}
-
-void Network::commit_creations() {
-  for (const PendingCreate& pc : pending_creates_) {
-    assert(pc.slot != kInvalidMessage);
-    live_ids_.emplace(pc.id, pc.slot);
-  }
-  pending_creates_.clear();
-}
-
-std::size_t Network::free_message_slots() const noexcept {
-  std::size_t total = free_slots_.size();
-  for (const Tile& t : tiles_) total += t.free_slots.size();
-  return total;
+  Message& m = messages_[static_cast<std::size_t>(slot)];
+  m.id = id;
+  m.src = src;
+  m.dst = dst;
+  m.length = length;
+  m.created = cycle_;
+  HeaderState& h = headers_[static_cast<std::size_t>(slot)];
+  h.src = src;
+  h.dst = dst;
+  algorithm_->on_inject(h);
+  live_ids_.emplace(id, slot);
+  const NodeId src_id = mesh_->id_of(src);
+  queues_[static_cast<std::size_t>(src_id)].push_back(slot);
+  ++queued_messages_;
+  bump_inject(src_id, +1);
+  counters_.flits_generated += length;
+  return id;
 }
 
 void Network::retire_slot(MessageSlot slot) {
@@ -636,15 +571,7 @@ void Network::retire_slot(MessageSlot slot) {
   m = Message{};  // id == kInvalidMessage marks the slot free
   headers_[static_cast<std::size_t>(slot)] = HeaderState{};
   ++slot_gen_[static_cast<std::size_t>(slot)];
-  // The slot returns to its owning tile's list (LIFO — the warmest slot is
-  // reused first), trimmed to the keep cap by spilling the coldest entry to
-  // the global pool so tile-local churn cannot strand capacity.
-  Tile& t = tiles_[slot_tile_[static_cast<std::size_t>(slot)]];
-  t.free_slots.push_back(slot);
-  if (t.free_slots.size() > kTileFreeKeep) {
-    free_slots_.push_back(t.free_slots.front());
-    t.free_slots.erase(t.free_slots.begin());
-  }
+  free_slots_.push_back(slot);
 }
 
 void Network::abort_message(MessageSlot slot) {
@@ -664,11 +591,7 @@ const RetiredMessage* Network::retired_record(MessageId id) const {
 bool Network::message_finished(MessageId id) const {
   assert(id < next_message_id_);
   const auto it = live_ids_.find(id);
-  if (it == live_ids_.end()) {
-    // Retired, or still pending: every id is pending from enqueue_message
-    // until the commit, and the pending list is in id order.
-    return pending_creates_.empty() || id < pending_creates_.front().id;
-  }
+  if (it == live_ids_.end()) return true;  // retired
   const Message& m = messages_[static_cast<std::size_t>(it->second)];
   return m.done || m.aborted;
 }
@@ -809,11 +732,10 @@ void Network::audit_invariants(int level) const {
                      ": " + what);
   };
 
-  // ---- level 1: slot table, free lists, generations, message totals -----
+  // ---- level 1: slot table, free list, live ids, message totals ---------
   if (messages_.size() != headers_.size() ||
-      messages_.size() != slot_gen_.size() ||
-      messages_.size() != slot_tile_.size()) {
-    fail("slot-table arrays diverged (messages/headers/slot_gen/slot_tile)");
+      messages_.size() != slot_gen_.size()) {
+    fail("slot-table arrays diverged (messages/headers/slot_gen)");
   }
   // Retirement frees the slot, so no finished message occupies one.
   std::size_t occupied = 0;
@@ -822,63 +744,30 @@ void Network::audit_invariants(int level) const {
     ++occupied;
     if (m.done || m.aborted) fail("a finished message still occupies its slot");
   }
-  // Ids drawn by enqueue_message but not yet materialised into slots count
-  // as created-but-not-live; between cycles the list is empty, but the audit
-  // must also hold when invoked mid-tick from tests.
-  std::size_t pending_unslotted = 0;
-  for (const PendingCreate& pc : pending_creates_) {
-    if (pc.slot == kInvalidMessage) ++pending_unslotted;
-  }
-  // The free store is the union of the global spillover pool and every
-  // tile's local list.  The union must be a permutation of the vacant
-  // slots: no entry twice (a cross-tile double-free would surface here), no
-  // occupied entry, no vacant slot missing.  Tile-local entries must be
-  // owned by that tile and bounded by the keep cap — retirement spills
-  // anything beyond it back to the global pool.
+  // The free list must be a permutation of the vacant slots: no entry
+  // twice (a double free), no occupied entry, no vacant slot missing.
   std::vector<char> freed(messages_.size(), 0);
-  const auto note_free = [&](MessageSlot slot, const char* where) {
-    if (slot >= messages_.size()) {
-      fail(std::string("free-list entry out of range (") + where + ")");
-    }
-    if (freed[slot] != 0) {
-      fail(std::string("slot appears in the free union twice (") + where +
-           ")");
-    }
+  for (const MessageSlot slot : free_slots_) {
+    if (slot >= messages_.size()) fail("free-list entry out of range");
+    if (freed[slot] != 0) fail("slot appears on the free list twice");
     freed[slot] = 1;
     if (messages_[slot].id != kInvalidMessage) {
-      fail(std::string("free-listed slot is still occupied (") + where + ")");
-    }
-  };
-  for (const MessageSlot slot : free_slots_) note_free(slot, "global");
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const Tile& t = tiles_[i];
-    if (t.free_slots.size() > kTileFreeKeep) {
-      fail("tile free list exceeds the keep cap");
-    }
-    for (const MessageSlot slot : t.free_slots) {
-      note_free(slot, "tile");
-      if (slot_tile_[slot] != static_cast<std::uint32_t>(i)) {
-        fail("tile free list holds a slot owned by another tile");
-      }
+      fail("free-listed slot is still occupied");
     }
   }
-  for (MessageSlot slot = 0; slot < messages_.size(); ++slot) {
-    if (messages_[slot].id == kInvalidMessage && freed[slot] == 0) {
-      fail("vacant slot missing from the free union");
-    }
+  if (occupied + free_slots_.size() != messages_.size()) {
+    fail("vacant slot missing from the free list");
   }
-  if (occupied != live_ids_.size() + (pending_creates_.size() -
-                                      pending_unslotted)) {
-    fail("occupied slot count != live-id map size + staged creations");
+  if (occupied != live_ids_.size()) {
+    fail("occupied slot count != live-id map size");
   }
   for (const auto& [id, slot] : live_ids_) {
     if (slot >= messages_.size() || messages_[slot].id != id) {
       fail("live-id map entry does not name its occupant");
     }
   }
-  if (retired_.size() + occupied + pending_unslotted !=
-      next_message_id_) {
-    fail("message conservation: retired + live + pending != created");
+  if (retired_.size() + occupied != next_message_id_) {
+    fail("message conservation: retired + live != created");
   }
 
   if (level < 2) return;
@@ -892,10 +781,6 @@ void Network::audit_invariants(int level) const {
     if (t.d.buffered_flits != 0 || t.d.flits_moved != 0 ||
         t.d.full_links != 0) {
       fail("per-tile phase deltas not folded between cycles");
-    }
-    // A leftover staged index would double-materialise a message.
-    if (!t.creates.empty()) {
-      fail("tile creation bucket not drained between cycles");
     }
   }
   const auto local = topology::port_index(Direction::Local);
@@ -1149,19 +1034,9 @@ void Network::inject_node(Tile& t, NodeId id) {
 }
 
 void Network::phase_injection() {
-  // Deferred creations materialise first, on their tiles (the serial
-  // prologue only provisions slots and emits the Create events), so a
-  // message enqueued before this step hits its source queue ahead of the
-  // injection walk — where create_message, which runs these same steps
-  // between cycles, would already have put it.  The id -> slot publication
-  // runs serially after the walk (before routing, which may retire a
-  // same-cycle src == dst message through the live-id map).
-  stage_creations();
   for_each_tile([this](Tile& t) {
-    materialize_tile_creations(t);
     walk_mask(t, t.inject_mask, [&](NodeId id) { inject_node(t, id); });
   });
-  commit_creations();
   flush_trace();
 }
 

@@ -80,9 +80,9 @@ struct NetworkConfig {
   /// Retired: must stay true (the constructor rejects false).  Message
   /// slots always recycle.  Deleted by ROADMAP item 1's benchmark change.
   bool recycle_messages = true;
-  /// Retired: must stay true (the constructor rejects false).  The per-tile
-  /// keep cap is always kTileFreeKeep.  Deleted by ROADMAP item 1's
-  /// benchmark change.
+  /// Retired: must stay true (the constructor rejects false).  Message
+  /// slots come from one free list.  Deleted by ROADMAP item 1's benchmark
+  /// change.
   bool shard_alloc = true;
   bool collect_vc_usage = false;
   bool collect_traffic_map = false;
@@ -109,31 +109,13 @@ class Network {
           const routing::RoutingAlgorithm& algorithm, NetworkConfig config,
           sim::Rng rng);
 
-  /// Enqueues a new message at `src`'s source queue now: enqueue_message
-  /// followed by the injection phase's own staging, materialisation and
-  /// commit, so any creation enqueued earlier in this between-cycles
-  /// window materialises with it, in id order.  Both endpoints must be
-  /// active nodes.  Returns the message's stable id — a monotonically
-  /// increasing counter, never a (reusable) slot index.
+  /// Creates a message and appends it to `src`'s source queue; it injects
+  /// from the next step() on.  Called between cycles, so id order is call
+  /// order.  Both endpoints must be active nodes.  Returns the message's
+  /// stable id — a monotonically increasing counter, never a (reusable)
+  /// slot index.
   MessageId create_message(topology::Coord src, topology::Coord dst,
                            std::uint32_t length);
-
-  /// Deferred creation: reserves the next stable id immediately (callers
-  /// run serially between cycles, so id order equals call order, exactly
-  /// as with create_message) but materialises the message — slot, header
-  /// state, source-queue entry — inside the next step()'s injection phase,
-  /// on the owning tile, in parallel with the other tiles.  The message is
-  /// created at the same cycle and injects on the same cycle as an
-  /// immediate create_message call made at the same point, so results are
-  /// byte-identical.
-  MessageId enqueue_message(topology::Coord src, topology::Coord dst,
-                            std::uint32_t length);
-
-  /// Creations enqueued but not yet materialised (drains to zero inside
-  /// the next step()).
-  [[nodiscard]] std::size_t pending_creations() const noexcept {
-    return pending_creates_.size();
-  }
 
   /// Advances the network by one cycle.
   void step();
@@ -183,11 +165,10 @@ class Network {
   /// live.  Linear scan — diagnostics and tests, not the per-cycle path.
   [[nodiscard]] const RetiredMessage* retired_record(MessageId id) const;
   /// True once the message retired (delivered or aborted); false while it
-  /// is live or still pending creation.
+  /// is live.
   [[nodiscard]] bool message_finished(MessageId id) const;
 
-  /// Total ids handed out by enqueue_message / create_message (monotonic,
-  /// never reused).
+  /// Total ids handed out by create_message (monotonic, never reused).
   [[nodiscard]] MessageId messages_created() const noexcept {
     return next_message_id_;
   }
@@ -196,9 +177,10 @@ class Network {
   [[nodiscard]] std::size_t message_slots() const noexcept {
     return messages_.size();
   }
-  /// Free slots across the whole allocator: the global pool plus every
-  /// tile's private list.
-  [[nodiscard]] std::size_t free_message_slots() const noexcept;
+  /// Vacant slots waiting on the free list.
+  [[nodiscard]] std::size_t free_message_slots() const noexcept {
+    return free_slots_.size();
+  }
   /// True when `h` still names the occupant it was taken for: the slot's
   /// generation matches and the slot is occupied.
   [[nodiscard]] bool handle_live(MessageHandle h) const noexcept {
@@ -222,13 +204,12 @@ class Network {
     return queues_[static_cast<std::size_t>(mesh_->id_of(c))].size();
   }
 
-  /// True when no flit is buffered anywhere, every source queue and
-  /// injection supply is idle and no deferred creation is pending — the
-  /// network has fully drained.  O(1): the occupancy totals are maintained
-  /// incrementally.
+  /// True when no flit is buffered anywhere and every source queue and
+  /// injection supply is idle — the network has fully drained.  O(1): the
+  /// occupancy totals are maintained incrementally.
   [[nodiscard]] bool drained() const noexcept {
     return buffered_flits_ == 0 && queued_messages_ == 0 &&
-           busy_supplies_ == 0 && pending_creates_.empty();
+           busy_supplies_ == 0;
   }
 
   [[nodiscard]] std::uint64_t flits_in_network() const noexcept {
@@ -300,12 +281,6 @@ class Network {
   /// next routing phase starts, after both have run.
   void on_fault_change();
 
-  /// Mutable access for recovery bookkeeping (retries / aborted flags).
-  /// Unchecked like message(); live ids only.
-  [[nodiscard]] Message& message_mut(MessageId id) {
-    return messages_[slot_of(id)];
-  }
-
   // ---- counters --------------------------------------------------------
   //
   // The kernel counts every event once, into whole-run Counters (cycle 0
@@ -317,9 +292,6 @@ class Network {
 
   /// Whole-run counts (the per-interval time series reads these).
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
-  [[nodiscard]] std::uint64_t total_messages_delivered() const noexcept {
-    return counters_.messages_delivered;
-  }
   /// Whole-run count of route-cache flushes by fault changes.
   [[nodiscard]] std::uint64_t route_cache_invalidations() const noexcept {
     return route_cache_invalidations_;
@@ -437,9 +409,6 @@ class Network {
     return full_links_;
   }
 
-  [[nodiscard]] std::size_t tile_count() const noexcept {
-    return tiles_.size();
-  }
   /// Per-VC-index count of currently reserved output VCs across all links.
   [[nodiscard]] const std::vector<std::uint32_t>& link_vc_allocated()
       const noexcept {
@@ -455,15 +424,15 @@ class Network {
   void set_debug_channel_order(std::vector<std::int32_t> ranks);
 
   /// Runtime invariant audit; throws AuditError on the first violation.
-  /// Level 1 checks the slot table (free-list uniqueness, generation /
-  /// live-id consistency, created == retired + live).  Level 2 additionally
-  /// checks what is not derived — buffer depths, VC stages, output-VC
-  /// reservations, owners and feeders, per-link credit conservation, the
-  /// drained commit queues — and then compares the whole incrementally
-  /// maintained occupancy state with recount_occupancy(), naming the first
-  /// node and bit that differ.  Always compiled (tests drive it directly);
-  /// builds configured with -DFTMESH_AUDIT=1|2 also run it automatically at
-  /// the end of every step().
+  /// Level 1 checks the slot table (the free list is exactly the vacant
+  /// slots, live-id consistency, created == retired + live).  Level 2
+  /// additionally checks what is not derived — buffer depths, VC stages,
+  /// output-VC reservations, owners and feeders, per-link credit
+  /// conservation, the drained commit queues — and then compares the whole
+  /// incrementally maintained occupancy state with recount_occupancy(),
+  /// naming the first node and bit that differ.  Always compiled (tests
+  /// drive it directly); builds configured with -DFTMESH_AUDIT=1|2 also
+  /// run it automatically at the end of every step().
   void audit_invariants(int level) const;
 
  private:
@@ -531,17 +500,6 @@ class Network {
     std::vector<std::int32_t> vc_alloc;  // per VC index
   };
 
-  /// A creation reserved by enqueue_message, awaiting materialisation in
-  /// the next injection phase.  The id is already final (assigned at
-  /// enqueue time, serially); the slot is assigned during materialisation.
-  struct PendingCreate {
-    MessageId id;
-    topology::Coord src;
-    topology::Coord dst;
-    std::uint32_t length;
-    MessageSlot slot = kInvalidMessage;
-  };
-
   /// A tile's share of the derived occupancy state (see Occupancy).
   struct TileOccupancy {
     // Occupancy bitmaps, one bit per tile-local node index (bit i of word
@@ -597,14 +555,6 @@ class Network {
     /// Static: every register delivering into this tile; link_mask bit p
     /// names incoming_all[p].
     std::vector<std::size_t> incoming_all;
-    /// Private message free list: slots owned by this tile, reused LIFO by
-    /// creations materialising on it.  Bounded by the keep cap between
-    /// cycles — excess cold slots overflow to the global spillover pool so
-    /// per-tile churn cannot strand capacity and peak_slots stays on the
-    /// recycling plateau.
-    std::vector<MessageSlot> free_slots;
-    /// Indices into pending_creates_ staged for this tile this cycle.
-    std::vector<std::uint32_t> creates;
     // Deferred commits (drained after the switching barrier).
     std::vector<CreditReturn> credits;
     std::vector<MessageSlot> retires;
@@ -671,24 +621,6 @@ class Network {
                           [&](std::size_t i) { fn(t.nodes[i]); });
   }
 
-  // ---- message creation (one path: enqueue, stage, materialise, commit) --
-  /// Serial prologue of the injection phase: buckets pending creations by
-  /// owning tile and tops each tile's free list up to its demand — global
-  /// pool first, fresh appends last (vector growth must not race the tile
-  /// phase).  Emits the Create events, in id order.
-  void stage_creations();
-  /// Tile-phase body: pops tile-local slots for this tile's staged
-  /// creations and initialises them (message, header state, source queue,
-  /// occupancy deltas).
-  void materialize_tile_creations(Tile& t);
-  /// Serial epilogue: publishes id -> slot into live_ids_ (in id order)
-  /// and clears the pending list.  Runs before the routing phase, so a
-  /// same-cycle retirement (src == dst) finds the live entry.
-  void commit_creations();
-  /// Fills a freshly popped slot from a pending creation: message
-  /// fields, header state, algorithm on_inject.
-  void init_created_message(MessageSlot slot, const PendingCreate& pc);
-
   /// Candidate set for `h`'s header at node `id`, memoized in the tile's
   /// route cache.  The level-2 audit build re-enumerates every hit.
   const routing::CandidateList& route_candidates(Tile& t, topology::NodeId id,
@@ -715,10 +647,9 @@ class Network {
   }
 
   /// Freezes the slot's accounting into the retirement log, clears the
-  /// slot, bumps its generation and returns it to its tile's free list,
-  /// trimmed to the keep cap.  Called the cycle the
-  /// tail ejects or the message is aborted — never with flits of the
-  /// message still in the network.
+  /// slot, bumps its generation and pushes it onto the free list.  Called
+  /// the cycle the tail ejects or the message is aborted — never with
+  /// flits of the message still in the network.
   void retire_slot(MessageSlot slot);
 
   // Trace emission helpers; called only when trace_ != nullptr.  The
@@ -849,24 +780,13 @@ class Network {
   std::vector<Message> messages_;      // cold accounting, indexed by slot
   std::vector<HeaderState> headers_;   // hot routing state, indexed by slot
   std::vector<std::uint32_t> slot_gen_;
-  /// Global free pool, LIFO: the spillover behind the per-tile lists
-  /// (tiles trim to the keep cap into it, and staging refills from it
-  /// before appending fresh slots).
+  /// Vacant slots, LIFO: creation reuses the most recently retired slot
+  /// and appends a fresh one only when the list is empty, so the table
+  /// ends at the peak of concurrently live messages.
   std::vector<MessageSlot> free_slots_;
-  /// Owning tile of each slot: the tile whose free list the slot returns
-  /// to at retirement.  Assigned when the slot is first appended and
-  /// re-stamped whenever the spillover pool hands the slot to a different
-  /// tile.
-  std::vector<std::uint32_t> slot_tile_;
   std::vector<RetiredMessage> retired_;  // in retirement order
   std::unordered_map<MessageId, MessageSlot> live_ids_;
   MessageId next_message_id_ = 0;
-  /// Deferred creations in id order (enqueue_message), drained by the next
-  /// injection phase.
-  std::vector<PendingCreate> pending_creates_;
-  /// Per-tile free-list keep cap: retirement trims each list to this many
-  /// (warmest) slots, spilling the rest to the global pool.
-  static constexpr std::size_t kTileFreeKeep = 4;
 
   std::vector<std::deque<MessageSlot>> queues_;  // per-node source queues
   std::vector<Supply> supplies_;                 // [node][injection vc]
@@ -928,7 +848,7 @@ class Network {
   /// Per-slot "currently blocked" flag, maintained only while tracing so
   /// Block/Unblock fire on transitions rather than every starved cycle.
   /// Cleared on slot reuse.  Tile phases write only the slots they own at
-  /// that moment: a creation they materialise, a header they route.
+  /// that moment: the headers they route.
   std::vector<char> trace_blocked_;
   std::vector<trace::Event> trace_scratch_;  // flush_trace merge buffer
 

@@ -35,7 +35,7 @@ void Generator::tick(router::Network& net) {
     for (const auto src : sources_) {
       if (net.source_queue_length(src) == 0) {
         if (const auto dst = pattern_->pick(src, rng_)) {
-          net.enqueue_message(src, *dst, length_);
+          net.create_message(src, *dst, length_);
           ++generated_;
         }
       }
@@ -48,7 +48,7 @@ void Generator::tick(router::Network& net) {
     const auto src = sources_[event.payload];
     arrivals_.schedule(event.time + rng_.exponential(rate_), event.payload);
     if (const auto dst = pattern_->pick(src, rng_)) {
-      net.enqueue_message(src, *dst, length_);
+      net.create_message(src, *dst, length_);
       ++generated_;
     }
   }

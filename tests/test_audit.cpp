@@ -281,13 +281,7 @@ void run_audited_traffic(const std::string& algo_name, int fault_count,
       const Coord src = random_live();
       Coord dst = random_live();
       while (dst == src) dst = random_live();
-      // Alternate the creation paths so both the immediate API and the
-      // deferred staged/materialise pipeline run under the recount.
-      if (cycle % 6 == 0) {
-        net.create_message(src, dst, 4);
-      } else {
-        net.enqueue_message(src, dst, 4);
-      }
+      net.create_message(src, dst, 4);
     }
     net.step();
     ASSERT_NO_THROW(net.audit_invariants(2)) << "cycle " << cycle;
@@ -304,11 +298,11 @@ TEST(RuntimeAudit, FaultedRingTrafficKeepsEveryInvariant) {
   run_audited_traffic("Pbc", 3);
 }
 
-TEST(RuntimeAudit, ShardedAllocatorKeepsEveryInvariant) {
-  // The sharded free store: retire/create churn cycles slots through the
-  // per-tile lists and the spillover pool while the level-1 audit walks the
-  // whole union every cycle — a cross-tile double-free, a foreign-owned
-  // tile entry or an over-full tile list all throw here.
+TEST(RuntimeAudit, TiledTrafficKeepsEveryInvariant) {
+  // Four tiles: retirements from every tile and creations at every tile's
+  // nodes churn the one free list while the level-1 audit walks it every
+  // cycle — a double free, an occupied entry or a lost vacant slot all
+  // throw here.
   run_audited_traffic("Minimal-Adaptive", 0, /*tiles=*/4);
   run_audited_traffic("Fully-Adaptive", 0, /*tiles=*/4);
   run_audited_traffic("Pbc", 3, /*tiles=*/4);

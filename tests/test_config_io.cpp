@@ -71,7 +71,7 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
 
 TEST(ConfigIo, RetiredKernelSwitchesLoadOnlyAtTheirDefaults) {
   // The full scan, the uncached routing path, append-only message storage
-  // and the keep-cap-0 slot allocator were removed from the kernel.
+  // and every slot allocator but the one pool were removed from the kernel.
   // Configs saved before that still carry their keys, so the keys load,
   // but validate() accepts only the defaults and names the removal
   // otherwise.
@@ -83,7 +83,7 @@ TEST(ConfigIo, RetiredKernelSwitchesLoadOnlyAtTheirDefaults) {
       {"scan_mode = full\n", "full reference scan was removed"},
       {"route_cache = 0\n", "uncached routing path was removed"},
       {"recycle_messages = 0\n", "append-only message storage was removed"},
-      {"shard_alloc = 0\n", "keep-cap-0 slot allocator was removed"}};
+      {"shard_alloc = 0\n", "message slots come from one pool"}};
   for (const auto& [line, why] : retired) {
     std::stringstream in(line);
     const auto cfg = load_config(in);

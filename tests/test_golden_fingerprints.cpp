@@ -170,8 +170,7 @@ TEST_P(GoldenFingerprints, MatchPinnedHashes) {
 }
 
 TEST_P(GoldenFingerprints, ShardedTraceMatchesPinnedHash) {
-  // The sharded kernel — four tiles, each with its own slot free list,
-  // stepped on two threads — must emit the pinned trace on every case,
+  // The sharded kernel — four tiles stepped on two threads — must emit the pinned trace on every case,
   // the 8- and 32-VC ready-mask widths and the 10x10 headline included.
   // Only the trace: each tile keeps its own route-candidate cache, so the
   // report's kernel cache counters depend on the tiling by design.

@@ -242,19 +242,19 @@ TEST(Network, InjectionVcsOutOfRangeThrows) {
 }
 
 TEST(Network, RetiredKernelSwitchesAreRejected) {
-  // The full scan, the uncached routing path, append-only storage and the
-  // keep-cap-0 allocator were removed; their NetworkConfig fields accept
-  // only the defaults.
+  // The full scan, the uncached routing path, append-only storage and
+  // every slot allocator but the one pool were removed; their NetworkConfig
+  // fields accept only the defaults.
   NetFixture f;
   NetworkConfig full;
   full.scan_mode = ftmesh::router::ScanMode::Full;
   NetworkConfig append_only;
   append_only.recycle_messages = false;
-  NetworkConfig keep_none;
-  keep_none.shard_alloc = false;
+  NetworkConfig unpooled;
+  unpooled.shard_alloc = false;
   NetworkConfig uncached;
   uncached.route_cache = false;
-  for (const NetworkConfig& cfg : {full, append_only, keep_none, uncached}) {
+  for (const NetworkConfig& cfg : {full, append_only, unpooled, uncached}) {
     EXPECT_THROW(Network(f.mesh, f.faults, *f.algo, cfg, Rng(1)),
                  std::invalid_argument);
   }

@@ -94,11 +94,10 @@ TEST(Recycling, GenerationTagTrapsStaleHandles) {
   EXPECT_TRUE(f.net->handle_live(fresh));
 }
 
-TEST(Recycling, ImmediateCreationAfterEnqueueKeepsBothMessages) {
-  // create_message after an enqueue_message in the same between-cycles
-  // window: both creations go through one staging pass, in id order, so
-  // each message keeps its own slot and record, with one tile and with
-  // per-tile free lists.
+TEST(Recycling, TwoCreationsInOneWindowKeepBothMessages) {
+  // Two creations in the same between-cycles window, from nodes of one
+  // tile: each message gets its own slot, id and record, with one tile and
+  // with four.
   for (const int tiles : {1, 4}) {
     SCOPED_TRACE(testing::Message() << "tiles=" << tiles);
     RecyclingFixture f(tiles, /*step_threads=*/1);
@@ -110,11 +109,10 @@ TEST(Recycling, ImmediateCreationAfterEnqueueKeepsBothMessages) {
     });
     const Coord a_dst{0, 7};
     const Coord b_dst{6, 0};
-    const auto a = f.net->enqueue_message({0, 0}, a_dst, 8);
-    EXPECT_FALSE(f.net->message_finished(a));  // pending, not retired
+    const auto a = f.net->create_message({0, 0}, a_dst, 8);
+    EXPECT_FALSE(f.net->message_finished(a));  // live, not retired
     const auto b = f.net->create_message({1, 0}, b_dst, 8);
     ASSERT_EQ(b, a + 1);
-    EXPECT_EQ(f.net->pending_creations(), 0u);
     EXPECT_EQ(f.net->message(a).dst, a_dst);
     EXPECT_EQ(f.net->message(b).dst, b_dst);
     EXPECT_NE(f.net->handle_of(a).slot, f.net->handle_of(b).slot);
@@ -177,13 +175,11 @@ TEST(Recycling, SlotTableStaysBoundedOverLongRuns) {
                                     f.net->free_message_slots())));
 }
 
-TEST(Recycling, GenerationTrapSurvivesSlotRangeSharding) {
-  // With the allocator sharded (tiles=4, per-tile free lists), a retired
-  // slot returns to its owning tile and may be handed to a creation staged
-  // through the deferred per-tile path.  The generation tag must trap the
-  // stale handle exactly as in the serial allocator, and the reused slot
-  // must carry a fresh generation — across tile boundaries too, since a
-  // spillover migration re-stamps the owner without touching the tag.
+TEST(Recycling, GenerationTrapSurvivesCrossTileReuse) {
+  // Four tiles share one free list: a slot retired by traffic on one tile
+  // is handed to the next creation on any other.  The generation tag must
+  // trap the stale handle exactly as with one tile, and the reused slot
+  // must carry a fresh generation.
   RecyclingFixture f(/*tiles=*/4, /*step_threads=*/1);
   const auto a = f.net->create_message({0, 0}, {3, 3}, 8);  // tile 0 traffic
   const MessageHandle stale = f.net->handle_of(a);
@@ -192,21 +188,20 @@ TEST(Recycling, GenerationTrapSurvivesSlotRangeSharding) {
   ASSERT_TRUE(f.net->message_finished(a));
   EXPECT_FALSE(f.net->handle_live(stale));
 
-  // The deferred path: enqueue from the same tile, materialise on step.
-  const auto b = f.net->enqueue_message({1, 1}, {6, 6}, 8);
+  // Created on the opposite tile, then stepped through a cycle there.
+  const auto b = f.net->create_message({6, 6}, {1, 1}, 8);
   f.net->step();
   const MessageHandle fresh = f.net->handle_of(b);
-  EXPECT_EQ(fresh.slot, stale.slot);  // tile-local reuse
+  EXPECT_EQ(fresh.slot, stale.slot);  // cross-tile reuse
   EXPECT_NE(fresh.gen, stale.gen);
   EXPECT_FALSE(f.net->handle_live(stale));
   EXPECT_TRUE(f.net->handle_live(fresh));
 }
 
 TEST(Recycling, SlotTableStaysBoundedUnderShardedChurn) {
-  // The plateau guarantee must survive allocator sharding: tile-local
-  // retire/create churn plus spillover migration may keep at most a few
-  // spare slots parked per tile (the trim threshold), so the high-water
-  // mark stays O(in-flight + tiles), never O(delivered).
+  // The plateau guarantee must survive the tiled kernel: retirements from
+  // four tiles feed the one free list that every creation draws from, so
+  // the high-water mark stays O(in-flight), never O(delivered).
   RecyclingFixture f(/*tiles=*/4, /*step_threads=*/1);
   Rng rng(21);
   const auto offer = [&](std::uint64_t cycle) {
@@ -215,7 +210,7 @@ TEST(Recycling, SlotTableStaysBoundedUnderShardedChurn) {
                     static_cast<int>(rng.next_below(8))};
     const Coord dst{static_cast<int>(rng.next_below(8)),
                     static_cast<int>(rng.next_below(8))};
-    if (!(src == dst)) f.net->enqueue_message(src, dst, 8);
+    if (!(src == dst)) f.net->create_message(src, dst, 8);
   };
 
   for (std::uint64_t c = 0; c < 500; ++c) {
@@ -234,8 +229,8 @@ TEST(Recycling, SlotTableStaysBoundedUnderShardedChurn) {
   ASSERT_GE(f.net->retired().size(), target) << "load never delivered enough";
   EXPECT_LE(f.net->message_slots(), 2 * high_water);
   EXPECT_LT(f.net->message_slots(), f.net->retired().size() / 10);
-  // Conservation across the sharded free store: every slot is either
-  // occupied by an in-flight message or findable in the free union.
+  // Conservation under tiled churn: every slot is either occupied by an
+  // in-flight message or on the free list.
   EXPECT_EQ(f.net->messages_created(),
             static_cast<MessageId>(f.net->retired().size() +
                                    (f.net->message_slots() -

@@ -258,7 +258,7 @@ TEST(Metrics, SampleCountAndDeltasAreConsistent) {
   }
   // The interval deltas cover the whole run (measurement window included),
   // so their sum is the all-time delivery count.
-  EXPECT_EQ(delivered, sim.network().total_messages_delivered());
+  EXPECT_EQ(delivered, sim.network().counters().messages_delivered);
   EXPECT_GE(delivered, r.latency.delivered);
 }
 
