@@ -1,14 +1,14 @@
 #pragma once
-// Shared scaffolding for the figure-reproduction benches.
+// Scale flags, banner and table output of bench/paper_figures' figures.
 //
-// Every bench accepts (numbers parse as whole tokens; "6000x" is an error):
+// Every figure accepts (numbers parse as whole tokens; "6000x" is an error):
 //   --full            paper-scale run (30k cycles, 10k warm-up, 10 fault
 //                     patterns; also via FTMESH_FULL=1)
 //   --cycles N --warmup N --patterns N --seed N   explicit overrides
 //   --csv             emit CSV instead of the aligned table
 //
-// Reduced defaults keep the whole bench suite laptop-friendly; the shape of
-// every series is stable at the reduced scale (see DESIGN.md item 7).
+// Reduced defaults keep every figure laptop-friendly; the shape of every
+// series is stable at the reduced scale (see DESIGN.md item 7).
 
 #include <cstdint>
 #include <iostream>

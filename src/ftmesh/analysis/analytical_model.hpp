@@ -11,7 +11,8 @@
 //   * waiting time           W = T0 * rho / (2 (1 - rho) V)
 // with V virtual channels per physical channel as a contention divisor.
 // It predicts the latency *shape* (flat region + knee) and the saturation
-// point, not exact values; bench/analytic_vs_sim quantifies the gap.
+// point, not exact values; `paper_figures --figures analytic` quantifies
+// the gap.
 
 #include <cstdint>
 

@@ -4,47 +4,50 @@
 
 namespace ftmesh::analysis {
 
-namespace {
-
-double accepted_fraction_at(const core::SimConfig& base, double rate) {
-  core::SimConfig cfg = base;
-  cfg.injection_rate = rate;
-  core::Simulator sim(cfg);
-  return sim.run().throughput.accepted_fraction;
-}
-
-}  // namespace
-
-SaturationResult find_saturation_rate(const core::SimConfig& base,
-                                      const SaturationOptions& opts) {
+SaturationSearch::SaturationSearch(const core::SimConfig& base,
+                                   const SaturationOptions& opts)
+    : base_(base), opts_(opts), lo_(opts.lo), hi_(opts.hi) {
   if (!(opts.lo > 0.0) || !(opts.hi > opts.lo)) {
     throw std::invalid_argument("saturation bracket must satisfy 0 < lo < hi");
   }
-  SaturationResult result;
-  double lo = opts.lo;
-  double hi = opts.hi;
-  double lo_accept = accepted_fraction_at(base, lo);
-  result.simulations = 1;
-  if (lo_accept < opts.threshold) {
+  result_.rate = lo_;
+}
+
+double SaturationSearch::probe_rate() const noexcept {
+  return result_.simulations == 0 ? lo_ : 0.5 * (lo_ + hi_);
+}
+
+core::SimConfig SaturationSearch::probe() const {
+  core::SimConfig cfg = base_;
+  cfg.injection_rate = probe_rate();
+  return cfg;
+}
+
+void SaturationSearch::record(double accepted_fraction) {
+  const double rate = probe_rate();
+  const bool first = result_.simulations++ == 0;
+  if (accepted_fraction >= opts_.threshold) {
+    lo_ = rate;
+    result_.accepted = accepted_fraction;
+  } else if (first) {
     // Already saturated at the bracket floor; report it directly.
-    result.rate = lo;
-    result.accepted = lo_accept;
-    return result;
+    result_.accepted = accepted_fraction;
+    done_ = true;
+  } else {
+    hi_ = rate;
   }
-  for (int i = 0; i < opts.iterations; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double accept = accepted_fraction_at(base, mid);
-    ++result.simulations;
-    if (accept >= opts.threshold) {
-      lo = mid;
-      lo_accept = accept;
-    } else {
-      hi = mid;
-    }
+  result_.rate = lo_;
+  if (result_.simulations > opts_.iterations) done_ = true;
+}
+
+SaturationResult find_saturation_rate(const core::SimConfig& base,
+                                      const SaturationOptions& opts) {
+  SaturationSearch search(base, opts);
+  while (!search.done()) {
+    core::Simulator sim(search.probe());
+    search.record(sim.run().throughput.accepted_fraction);
   }
-  result.rate = lo;
-  result.accepted = lo_accept;
-  return result;
+  return search.result();
 }
 
 }  // namespace ftmesh::analysis

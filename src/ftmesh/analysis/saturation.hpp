@@ -24,6 +24,40 @@ struct SaturationOptions {
   int iterations = 7;      ///< bisection steps
 };
 
+/// The bisection as a stepper, for callers that run the probes themselves
+/// (a pooled driver advances many searches one probe per round):
+///
+///   SaturationSearch s(base, opts);
+///   while (!s.done()) s.record(accepted_fraction_of(s.probe()));
+///   use(s.result());
+///
+/// The first probe is the bracket floor; if it is already saturated the
+/// search stops there, else `iterations` midpoint probes follow.
+class SaturationSearch {
+ public:
+  /// Throws std::invalid_argument unless 0 < opts.lo < opts.hi.
+  SaturationSearch(const core::SimConfig& base, const SaturationOptions& opts);
+
+  [[nodiscard]] bool done() const noexcept { return done_; }
+  /// The config to simulate next: `base` at the next probe rate.
+  [[nodiscard]] core::SimConfig probe() const;
+  /// Feeds back the probe's accepted/offered fraction.
+  void record(double accepted_fraction);
+  [[nodiscard]] const SaturationResult& result() const noexcept {
+    return result_;
+  }
+
+ private:
+  [[nodiscard]] double probe_rate() const noexcept;
+
+  core::SimConfig base_;
+  SaturationOptions opts_;
+  double lo_;
+  double hi_;
+  SaturationResult result_;  ///< rate = lo_, accepted = its fraction
+  bool done_ = false;
+};
+
 /// Bisects on injection rate.  `base.injection_rate` is overwritten per
 /// probe; everything else (mesh, algorithm, faults, cycles, seed) is taken
 /// from `base`.

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "ftmesh/inject/fault_injector.hpp"
 #include "ftmesh/inject/fault_schedule.hpp"
 #include "ftmesh/routing/registry.hpp"
 #include "ftmesh/topology/mesh.hpp"
@@ -65,6 +66,10 @@ void SimConfig::validate() const {
   if (misroute_limit < 0) throw std::invalid_argument("misroute_limit < 0");
   if (fault_max_retries < 0) {
     throw std::invalid_argument("fault_max_retries must be >= 0");
+  }
+  if (fault_max_retries > inject::kMaxRetryBudget) {
+    throw std::invalid_argument("fault_max_retries must be <= " +
+                                std::to_string(inject::kMaxRetryBudget));
   }
   if (fault_retry_backoff < 1) {
     throw std::invalid_argument("fault_retry_backoff must be >= 1");

@@ -49,7 +49,7 @@ struct SimConfig {
   // Empty schedule = static faults only.  See FaultSchedule for the spec
   // grammar ("fail@2000:4,4; random:count=3,rate=0.001").
   std::string fault_schedule;
-  int fault_max_retries = 3;              ///< retransmissions per message
+  int fault_max_retries = 3;              ///< retransmissions per message, 0-64
   std::uint64_t fault_retry_backoff = 64; ///< base retry delay, doubled per retry
 
   // schedule

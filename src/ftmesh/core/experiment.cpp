@@ -29,7 +29,10 @@ double expected_cost(const SimConfig& c) {
 }  // namespace
 
 std::vector<SimResult> run_batch(const std::vector<SimConfig>& configs,
-                                 int threads) {
+                                 int threads, const std::vector<bool>& drain) {
+  if (!drain.empty() && drain.size() != configs.size()) {
+    throw std::invalid_argument("run_batch: one drain flag per config");
+  }
   std::vector<SimResult> results(configs.size());
   // Dispatch longest-expected-first: with self-scheduling workers, a heavy
   // (saturated, faulty) cell picked up last would extend the batch tail by
@@ -48,6 +51,10 @@ std::vector<SimResult> run_batch(const std::vector<SimConfig>& configs,
     try {
       Simulator sim(configs[i]);
       results[i] = sim.run();
+      if (!drain.empty() && drain[i]) {
+        sim.drain();
+        results[i] = sim.snapshot();
+      }
     } catch (const std::runtime_error&) {
       // Undrawable fault pattern: leave the default (cycles_run == 0)
       // marker; aggregate() skips it.

@@ -14,9 +14,13 @@ namespace ftmesh::core {
 /// Runs one simulation per config, in parallel (threads <= 0 = all cores).
 /// The i-th result corresponds to the i-th config.  A config whose fault
 /// pattern cannot be drawn (disconnection after max retries) yields a
-/// default-constructed result with cycles_run == 0.
+/// default-constructed result with cycles_run == 0.  When `drain` is given
+/// (one entry per config), a run with drain[i] set is followed by
+/// Simulator::drain() and its result is the snapshot() after the drain:
+/// the accounting check of a dynamic-fault run.
 std::vector<SimResult> run_batch(const std::vector<SimConfig>& configs,
-                                 int threads = 0);
+                                 int threads = 0,
+                                 const std::vector<bool>& drain = {});
 
 /// Seed of the i-th fault pattern for a campaign cell: a pure function of
 /// (base seed, fault count, pattern index).  Pattern 0 keeps the base seed

@@ -18,6 +18,8 @@
 // re-injection happen between network cycles, never mid-phase.
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "ftmesh/inject/fault_schedule.hpp"
 #include "ftmesh/inject/reconfigurator.hpp"
@@ -26,8 +28,12 @@
 
 namespace ftmesh::inject {
 
+/// The largest retry budget: retry r waits retry_backoff << (r - 1), a
+/// 64-bit shift, so a budget above 64 would shift past the word.
+inline constexpr int kMaxRetryBudget = 64;
+
 struct InjectConfig {
-  int max_retries = 3;               ///< retransmissions per message
+  int max_retries = 3;               ///< retransmissions per message, <= 64
   std::uint64_t retry_backoff = 64;  ///< base delay, doubled per retry
 };
 
@@ -53,7 +59,12 @@ class FaultInjector {
                 fault::FRingSet& rings, InjectConfig config)
       : schedule_(std::move(schedule)),
         reconfig_(map, rings),
-        config_(config) {}
+        config_(config) {
+    if (config_.max_retries > kMaxRetryBudget) {
+      throw std::invalid_argument("max_retries must be <= " +
+                                  std::to_string(kMaxRetryBudget));
+    }
+  }
 
   /// Applies every due retransmission and fault event at the network's
   /// current cycle.  Returns true when the topology changed (the caller

@@ -83,6 +83,26 @@ TEST(Experiment, BatchMatchesSerialRuns) {
   }
 }
 
+TEST(Experiment, BatchDrainsFlaggedRuns) {
+  auto dynamic = tiny();
+  dynamic.injection_rate = 0.01;  // leaves worms in flight at the end
+  dynamic.fault_schedule = "fail@200:2,2";
+  const std::vector<SimConfig> cfgs = {dynamic, dynamic};
+  const auto results = ftmesh::core::run_batch(cfgs, 2, {false, true});
+  ftmesh::core::Simulator sim(dynamic);
+  const auto plain = sim.run();
+  sim.drain();
+  const auto drained = sim.snapshot();
+  ASSERT_GT(drained.cycles_run, plain.cycles_run);
+  EXPECT_EQ(results[0].cycles_run, plain.cycles_run);
+  EXPECT_EQ(results[0].reliability.in_flight_end,
+            plain.reliability.in_flight_end);
+  EXPECT_EQ(results[1].cycles_run, drained.cycles_run);
+  EXPECT_EQ(results[1].reliability.in_flight_end, 0u);
+  EXPECT_EQ(results[1].reliability.delivered, drained.reliability.delivered);
+  EXPECT_THROW(ftmesh::core::run_batch(cfgs, 2, {true}), std::invalid_argument);
+}
+
 TEST(Experiment, AggregateAveragesScalars) {
   ftmesh::core::SimResult a, b;
   a.cycles_run = b.cycles_run = 100;

@@ -509,6 +509,20 @@ TEST(FaultInjector, RejectedFailureStrandsNoRepair) {
   EXPECT_EQ(inj.log().events_rejected, 1);
 }
 
+TEST(FaultInjector, BoundsRetryBudget) {
+  const Mesh m(8, 8);
+  FaultMap map(m);
+  FRingSet rings(map);
+  using ftmesh::inject::FaultInjector;
+  using ftmesh::inject::InjectConfig;
+  EXPECT_NO_THROW(FaultInjector({}, map, rings, InjectConfig{64, 64}));
+  for (const int retries : {65, 100}) {
+    EXPECT_THROW(FaultInjector({}, map, rings, InjectConfig{retries, 64}),
+                 std::invalid_argument)
+        << retries;
+  }
+}
+
 TEST(FaultInjector, CountsLinkEventsSeparately) {
   const Mesh m(8, 8);
   FaultMap map(m);
@@ -581,6 +595,13 @@ TEST(SimConfigDynamic, ValidatesScheduleSpec) {
   cfg = dynamic_config();
   cfg.fault_max_retries = -1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // The backoff shift stays inside 64 bits up to a budget of 64.
+  cfg.fault_max_retries = 64;
+  EXPECT_NO_THROW(cfg.validate());
+  for (const int retries : {65, 100}) {
+    cfg.fault_max_retries = retries;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << retries;
+  }
   cfg = dynamic_config();
   cfg.fault_retry_backoff = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
