@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "ftmesh/campaign/checkpoint.hpp"
 #include "ftmesh/campaign/csv.hpp"
@@ -38,23 +36,7 @@ core::SimResult simulate_run(const CampaignSpec& spec, const CellPlan& plan,
   cfg.injection_rate = plan.rate;
   cfg.fault_count = plan.fault_count;
   cfg.seed = core::pattern_seed(spec.base.seed, plan.fault_count, pattern);
-  try {
-    core::Simulator sim(cfg);
-    return sim.run();
-  } catch (const std::runtime_error&) {
-    // Undrawable fault pattern (disconnection after max retries): the
-    // legacy cycles_run == 0 marker; aggregate() skips it.
-    return core::SimResult{};
-  }
-}
-
-int resolve_workers(int threads, std::size_t run_count) {
-  int n = threads;
-  if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-  n = std::max(1, n);
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(n),
-                            std::max<std::size_t>(run_count, 1)));
+  return core::run_one(cfg);
 }
 
 }  // namespace
@@ -154,11 +136,10 @@ StreamStats run_streamed(const CampaignSpec& spec,
   }
   runs_total = runs.size();
 
-  const int workers = resolve_workers(options.threads, runs.size());
-  const std::size_t window =
-      options.window_cells > 0
-          ? options.window_cells
-          : std::max<std::size_t>(8, 4 * static_cast<std::size_t>(workers));
+  const std::size_t workers = std::min(
+      static_cast<std::size_t>(core::resolve_threads(options.threads)),
+      runs.size());
+  const std::size_t window = std::max<std::size_t>(8, 4 * workers);
   const int checkpoint_every = std::max(1, options.checkpoint_every);
 
   // ---- shared streaming state -------------------------------------------
@@ -168,7 +149,7 @@ StreamStats run_streamed(const CampaignSpec& spec,
   std::size_t emit_cursor = 0;        // states[] positions fully retired
   std::size_t retained = 0;           // per-pattern results currently held
   std::size_t cells_since_manifest = 0;
-  std::exception_ptr failure;
+  bool failed = false;  // a worker threw: the others stop claiming runs
 
   // Retire every completed cell at the front of the reorder window, in
   // cell order: finalize, checkpoint, hand to the sink, free the runs.
@@ -225,36 +206,22 @@ StreamStats run_streamed(const CampaignSpec& spec,
     emit_ready();
   }
 
-  const auto worker = [&] {
-    std::unique_lock lock(mutex);
+  const auto work = [&](std::unique_lock<std::mutex>& lock) {
     for (;;) {
       cv.wait(lock, [&] {
-        return failure != nullptr || next_run >= runs.size() ||
+        return failed || next_run >= runs.size() ||
                runs[next_run].cell_pos < emit_cursor + window;
       });
-      if (failure != nullptr || next_run >= runs.size()) return;
+      if (failed || next_run >= runs.size()) return;
       const RunRef run = runs[next_run++];
       CellState& cell = states[run.cell_pos];
       if (cell.results.empty()) {
         cell.results.resize(static_cast<std::size_t>(cell.plan.patterns));
       }
       lock.unlock();
-      core::SimResult result;
-      bool run_failed = false;
-      std::exception_ptr run_error;
-      try {
-        result = simulate_run(spec, cell.plan, run.pattern);
-      } catch (...) {
-        run_failed = true;
-        run_error = std::current_exception();
-      }
+      core::SimResult result = simulate_run(spec, cell.plan, run.pattern);
       lock.lock();
-      if (run_failed) {
-        if (failure == nullptr) failure = run_error;
-        cv.notify_all();
-        return;
-      }
-      if (failure != nullptr) return;  // another worker failed meanwhile
+      if (failed) return;  // another worker failed meanwhile
       cell.results[static_cast<std::size_t>(run.pattern)] = std::move(result);
       ++cell.filled;
       ++stats.runs_executed;
@@ -266,43 +233,25 @@ StreamStats run_streamed(const CampaignSpec& spec,
         options.progress(Progress{emit_cursor, states.size(),
                                   stats.runs_executed, runs_total});
       }
-      try {
-        emit_ready();
-      } catch (...) {
-        if (failure == nullptr) failure = std::current_exception();
-        cv.notify_all();
-        return;
-      }
+      emit_ready();
       cv.notify_all();
     }
   };
-
-  if (!runs.empty()) {
-    if (workers <= 1) {
-      worker();
-    } else {
-      // The caller is worker 0; the shared persistent pool supplies the
-      // rest.  Completion is tracked locally (same pattern as
-      // parallel_for) so concurrent campaigns never wait on each other.
-      core::ThreadPool& pool = core::ThreadPool::shared();
-      pool.ensure_threads(workers - 1);
-      std::mutex done_mutex;
-      std::condition_variable done_cv;
-      int active = workers - 1;
-      for (int w = 1; w < workers; ++w) {
-        pool.submit([&] {
-          worker();
-          std::lock_guard lock(done_mutex);
-          if (--active == 0) done_cv.notify_one();
-        });
-      }
-      worker();
-      std::unique_lock lock(done_mutex);
-      done_cv.wait(lock, [&] { return active == 0; });
+  // A worker that throws (a run, the sink or a hook) wakes its peers, which
+  // return; parallel_for rethrows the first exception on the caller.
+  const auto worker = [&] {
+    std::unique_lock lock(mutex);
+    try {
+      work(lock);
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      failed = true;
+      cv.notify_all();
+      throw;
     }
-  }
-
-  if (failure != nullptr) std::rethrow_exception(failure);
+  };
+  core::parallel_for(workers, static_cast<int>(workers),
+                     [&](std::size_t) { worker(); });
   return stats;
 }
 

@@ -6,15 +6,16 @@
 // Execution model
 // ---------------
 // Runs (one per fault pattern of each owned cell) are claimed from a
-// shared cursor in matrix order by self-scheduling workers on the
-// persistent thread pool.  Per-pattern SimResults accumulate into their
-// cell; when a cell's last pattern lands, completed cells retire *in cell
-// order* (out-of-order completions wait in a small reorder buffer) and
-// are handed to the sink, after which their per-pattern results are
+// shared cursor in matrix order by self-scheduling workers (one
+// core::parallel_for index each).  Per-pattern SimResults accumulate into
+// their cell; when a cell's last pattern lands, completed cells retire *in
+// cell order* (out-of-order completions wait in a small reorder buffer)
+// and are handed to the sink, after which their per-pattern results are
 // freed.  A claim window keeps any worker from running more than
-// `window_cells` cells ahead of the retirement cursor, so the peak number
-// of retained per-pattern results is O(threads x patterns) regardless of
-// campaign size — the property the BM_CampaignStreamed counter gate pins.
+// max(8, 4 x workers) cells ahead of the retirement cursor, so the peak
+// number of retained per-pattern results is O(threads x patterns)
+// regardless of campaign size — the property the BM_CampaignStreamed
+// counter gate pins.
 //
 // Determinism: every run's randomness is a pure function of
 // (config, pattern_seed), and retirement order is cell order, so the sink
@@ -67,9 +68,6 @@ struct StreamOptions {
   bool resume = false;
   /// Manifest rewrite cadence, in retired cells.
   int checkpoint_every = 32;
-  /// Claim window in cells ahead of the retirement cursor; 0 = auto
-  /// (4 x worker count, minimum 8).
-  std::size_t window_cells = 0;
   /// Optional progress hook, called under the engine lock after every run
   /// retirement and cell emission.
   std::function<void(const Progress&)> progress;

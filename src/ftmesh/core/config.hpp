@@ -72,7 +72,7 @@ struct SimConfig {
   /// requests are reduced to the nearest feasible count; results are
   /// byte-identical for every value.  See docs/performance.md.
   int tiles = 1;
-  /// Worker threads for the tiled phases (ThreadPool::shared()):
+  /// Worker threads for the tiled phases (core::parallel_for):
   /// 1 = serial, <= 0 = hardware concurrency.  Only effective with
   /// tiles > 1; never affects results.
   int step_threads = 1;

@@ -28,6 +28,18 @@ double expected_cost(const SimConfig& c) {
 
 }  // namespace
 
+SimResult run_one(const SimConfig& config, bool drain) {
+  try {
+    Simulator sim(config);
+    SimResult result = sim.run();
+    if (!drain) return result;
+    sim.drain();
+    return sim.snapshot();
+  } catch (const std::runtime_error&) {
+    return SimResult{};  // undrawable fault pattern
+  }
+}
+
 std::vector<SimResult> run_batch(const std::vector<SimConfig>& configs,
                                  int threads, const std::vector<bool>& drain) {
   if (!drain.empty() && drain.size() != configs.size()) {
@@ -48,18 +60,7 @@ std::vector<SimResult> run_batch(const std::vector<SimConfig>& configs,
                    });
   parallel_for(configs.size(), threads, [&](std::size_t k) {
     const std::size_t i = order[k];
-    try {
-      Simulator sim(configs[i]);
-      results[i] = sim.run();
-      if (!drain.empty() && drain[i]) {
-        sim.drain();
-        results[i] = sim.snapshot();
-      }
-    } catch (const std::runtime_error&) {
-      // Undrawable fault pattern: leave the default (cycles_run == 0)
-      // marker; aggregate() skips it.
-      results[i] = SimResult{};
-    }
+    results[i] = run_one(configs[i], !drain.empty() && drain[i]);
   });
   return results;
 }

@@ -11,13 +11,19 @@
 
 namespace ftmesh::core {
 
-/// Runs one simulation per config, in parallel (threads <= 0 = all cores).
-/// The i-th result corresponds to the i-th config.  A config whose fault
-/// pattern cannot be drawn (disconnection after max retries) yields a
-/// default-constructed result with cycles_run == 0.  When `drain` is given
-/// (one entry per config), a run with drain[i] set is followed by
-/// Simulator::drain() and its result is the snapshot() after the drain:
-/// the accounting check of a dynamic-fault run.
+/// One run of a batch: simulates `config` and returns its result.  With
+/// `drain` set the run is followed by Simulator::drain() and the result is
+/// the snapshot() after the drain: the accounting check of a dynamic-fault
+/// run.  A config whose fault pattern cannot be drawn (disconnection after
+/// max retries, a std::runtime_error) yields a default-constructed result
+/// with cycles_run == 0, which aggregate() skips; any other exception (an
+/// invalid config) propagates.
+SimResult run_one(const SimConfig& config, bool drain = false);
+
+/// run_one() for every config, in parallel (threads <= 0 = all cores).
+/// The i-th result corresponds to the i-th config; `drain`, when given,
+/// holds one flag per config.  The first exception a run throws is
+/// rethrown here.
 std::vector<SimResult> run_batch(const std::vector<SimConfig>& configs,
                                  int threads = 0,
                                  const std::vector<bool>& drain = {});

@@ -1,90 +1,37 @@
 #pragma once
-// A small thread pool used by the experiment harness to run independent
-// simulations (one per fault pattern / sweep point) in parallel.  Results
-// stay deterministic because every simulation derives its randomness from
-// its own (seed, index) pair, never from scheduling.
+// parallel_for: the one way ftmesh runs work in parallel — batches of
+// independent simulations (one per fault pattern / sweep point), campaign
+// workers, and the sharded kernel's per-tile phases.  Results stay
+// deterministic because every simulation derives its randomness from its
+// own (seed, index) pair, never from scheduling.
 //
-// parallel_for() runs on a process-lifetime shared pool (ThreadPool::
-// shared()) instead of constructing a pool per call: campaign batches are
-// issued back-to-back, and spawning/joining a full complement of OS
-// threads per batch was a measurable fixed cost.  The shared pool starts
-// with zero workers and grows on demand, never shrinking; the calling
-// thread always participates as one of the workers, so `threads == 1`
-// never touches the pool (or any lock) at all.
+// The helpers come from a process-lifetime pool private to
+// thread_pool.cpp: campaign batches are issued back-to-back, and
+// spawning/joining a full complement of OS threads per batch was a
+// measurable fixed cost.  The pool starts with zero workers and grows on
+// demand, never shrinking; the calling thread always participates as one
+// of the workers, so `threads == 1` never touches the pool (or any lock)
+// at all.
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace ftmesh::core {
 
-class ThreadPool {
- public:
-  /// `threads` <= 0 selects hardware_concurrency (min 1).
-  explicit ThreadPool(int threads = 0);
-  ~ThreadPool();
+/// The worker count parallel_for runs with for `threads`: `threads` itself
+/// when positive, otherwise every core (at least 1).
+[[nodiscard]] int resolve_threads(int threads);
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// The process-lifetime pool behind parallel_for().  Constructed empty
-  /// on first use (no threads are spawned until some caller asks for
-  /// parallelism) and torn down at process exit.
-  static ThreadPool& shared();
-
-  /// Grows the pool to at least `threads` workers (never shrinks).
-  /// Thread-safe against concurrent submit/ensure calls.
-  void ensure_threads(int threads);
-
-  /// Enqueues a task.  Exceptions escaping tasks terminate (tasks are
-  /// expected to capture-and-store their own errors).
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
-  /// Pops and runs one queued task on the calling thread; returns false
-  /// if the queue was empty.  This is how a parallel_for caller waits
-  /// without deadlocking when its helpers are queued behind other
-  /// blocked callers (nested parallel_for: campaign workers stepping
-  /// sharded networks) — a waiter that drains the queue guarantees
-  /// global progress.
-  bool try_run_one();
-
-  /// Current worker count.  Reads an atomic mirror of workers_.size():
-  /// callers probe this while ensure_threads() may be growing the pool
-  /// from another thread, and vector::size() is not safe to read
-  /// concurrently with push_back.
-  [[nodiscard]] int thread_count() const noexcept {
-    return thread_count_.load(std::memory_order_acquire);
-  }
-
- private:
-  struct SharedTag {};  ///< selects the empty (grow-on-demand) constructor
-  explicit ThreadPool(SharedTag) {}
-
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::atomic<int> thread_count_{0};  // == workers_.size(), lock-free mirror
-  std::deque<std::function<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-};
-
-/// Runs fn(i) for i in [0, count) across `threads` workers (<= 0 selects
-/// hardware_concurrency) and waits.  The caller participates as one of the
-/// workers; the remaining threads come from the shared persistent pool.
-/// Work is claimed through a shared atomic counter (self-scheduling), so
-/// uneven task durations balance automatically.
+/// Runs fn(i) for i in [0, count) across min(resolve_threads(threads),
+/// count) workers and waits.  The caller participates as one of the
+/// workers.  Work is claimed through a shared atomic counter
+/// (self-scheduling), so uneven task durations balance automatically.
+///
+/// The first exception fn throws, on any worker, is rethrown on the caller
+/// once every helper has returned; after it, workers claim no further
+/// indices (calls already running finish).  Nested calls — fn itself
+/// calling parallel_for — are safe: a waiting caller runs queued pool
+/// tasks instead of sleeping.
 void parallel_for(std::size_t count, int threads,
                   const std::function<void(std::size_t)>& fn);
 

@@ -69,27 +69,38 @@ std::vector<T> parse_flag_list(const std::string& name, const std::string& text)
   return out;
 }
 
+/// The text a numeric getter parses: `fallback` when --name is absent; a
+/// flag given without a value throws.
+std::string number_text(const Cli& cli, const std::string& name,
+                        const std::string& fallback) {
+  if (!cli.flag(name)) return fallback;
+  auto v = cli.get(name, "");
+  if (v.empty()) throw std::invalid_argument("missing value for --" + name);
+  return v;
+}
+
 }  // namespace
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto v = get(name, "");
+  const auto v = number_text(*this, name, "");
   if (v.empty()) return fallback;
   return parse_flag<std::int64_t>(name, v);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
-  const auto v = get(name, "");
+  const auto v = number_text(*this, name, "");
   if (v.empty()) return fallback;
   return parse_flag<double>(name, v);
 }
 
 std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
                                             const std::string& fallback) const {
-  return parse_flag_list<std::int64_t>(name, get(name, fallback));
+  return parse_flag_list<std::int64_t>(name,
+                                       number_text(*this, name, fallback));
 }
 
 std::vector<double> Cli::get_double_list(const std::string& name) const {
-  return parse_flag_list<double>(name, get(name, ""));
+  return parse_flag_list<double>(name, number_text(*this, name, ""));
 }
 
 void Cli::reject_unknown(const std::vector<std::string>& known) const {

@@ -17,11 +17,14 @@ class Cli {
   /// True when `--name` was passed.
   [[nodiscard]] bool flag(const std::string& name) const;
 
+  /// --name's value; `fallback` when absent or given without a value
+  /// (bare switches such as --resume read as the empty string).
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
 
   /// Numbers parse as one whole token (core::parse_number): "2x" and "1e"
-  /// throw std::invalid_argument("bad value for --name: ...").
+  /// throw std::invalid_argument("bad value for --name: ...").  A numeric
+  /// flag given without a value throws ("missing value for --name").
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;

@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <functional>
-#include <map>
 #include <span>
 #include <stdexcept>
 
@@ -1667,78 +1665,6 @@ void Network::revalidate_ring_state(const fault::FRingSet& rings) {
       if (nb) check(reg.flit.msg, *nb);
     }
   }
-}
-
-// ---- diagnostics ---------------------------------------------------------
-
-std::vector<MessageId> Network::find_deadlock_cycle() const {
-  // Edges: waiting message -> owner of each candidate channel (all tiers).
-  // A wait resolves if ANY candidate frees, so a message is truly stuck
-  // only if every candidate's owner is stuck; no such closure is checked
-  // here — for diagnostics we report any ownership cycle.
-  const int vcs = algorithm_->layout().total();
-  std::map<MessageSlot, std::vector<MessageSlot>> edges;
-  routing::CandidateList cand;
-  for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-    const Coord c = mesh_->coord_of(id);
-    const Router& rt = routers_[static_cast<std::size_t>(id)];
-    for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
-        const InputVc& ivc = rt.input(port, vc);
-        if (ivc.buf.empty()) continue;
-        const Flit& front = ivc.buf.front();
-        if (!is_head(front.type) || ivc.stage == IvcStage::Active) continue;
-        const HeaderState& m = headers_[front.msg];
-        if (c == m.dst) continue;
-        cand.clear();
-        algorithm_->enumerate(c, m, cand);
-        auto& out = edges[front.msg];
-        for (std::size_t i = 0; i < cand.size(); ++i) {
-          const auto& cv = cand[i];
-          const auto& ovc = rt.output(port_index(cv.dir), cv.vc);
-          if (ovc.allocated && ovc.owner != front.msg) {
-            out.push_back(ovc.owner);
-          }
-        }
-      }
-    }
-  }
-  // DFS cycle search over the wait graph (slot-addressed; the returned
-  // cycle is translated to stable ids below).
-  std::map<MessageSlot, int> state;  // 0 unvisited, 1 on stack, 2 done
-  std::vector<MessageSlot> stack;
-  std::vector<MessageSlot> cycle;
-  const std::function<bool(MessageSlot)> dfs = [&](MessageSlot u) {
-    state[u] = 1;
-    stack.push_back(u);
-    const auto it = edges.find(u);
-    if (it != edges.end()) {
-      for (const MessageId v : it->second) {
-        const int vs = state.count(v) ? state[v] : 0;
-        if (vs == 1) {
-          // Found a back edge: extract the cycle from the stack.
-          auto begin = std::find(stack.begin(), stack.end(), v);
-          cycle.assign(begin, stack.end());
-          return true;
-        }
-        if (vs == 0 && dfs(v)) return true;
-      }
-    }
-    state[u] = 2;
-    stack.pop_back();
-    return false;
-  };
-  for (const auto& [msg, _] : edges) {
-    if ((state.count(msg) ? state[msg] : 0) == 0 && dfs(msg)) {
-      std::vector<MessageId> ids;
-      ids.reserve(cycle.size());
-      for (const MessageSlot s : cycle) {
-        ids.push_back(messages_[static_cast<std::size_t>(s)].id);
-      }
-      return ids;
-    }
-  }
-  return {};
 }
 
 }  // namespace ftmesh::router

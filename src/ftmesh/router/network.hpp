@@ -97,7 +97,7 @@ struct NetworkConfig {
   /// phase barrier, and every arbitration draw is a counter hash of
   /// (seed, cycle, node).  See docs/performance.md, "Sharded kernel".
   int tiles = 1;
-  /// Worker threads for the per-tile phases, on ThreadPool::shared().
+  /// Worker threads for the per-tile phases, on core::parallel_for.
   /// 1 = serial (no pool, no locks); <= 0 = hardware concurrency.  Only
   /// effective with tiles > 1; determinism does not depend on it.
   int step_threads = 1;
@@ -362,16 +362,6 @@ class Network {
   [[nodiscard]] std::uint64_t kernel_link_regs_sum() const noexcept {
     return since_mark(&Counters::kernel_link_regs_sum);
   }
-
-  /// Wait-for cycle search: builds the message wait-for graph (a header at
-  /// a buffer front waits for the owners of every channel it may use) and
-  /// returns one ownership cycle, or an empty vector when none exists.  A
-  /// cycle is evidence, not proof, of deadlock: under adaptive routing a
-  /// header waiting on a cycle member through one candidate can still
-  /// leave through another whose owner is not on the cycle.  An empty
-  /// result does show that no routable header waits in a cycle.
-  /// O(messages + edges); intended for diagnostics, not the per-cycle path.
-  [[nodiscard]] std::vector<MessageId> find_deadlock_cycle() const;
 
   /// Observation hook: called for every flit consumed at a destination.
   /// Used by tests (wormhole ordering invariants) and trace examples.

@@ -92,6 +92,31 @@ TEST(CampaignEngine, ShardedKernelDoesNotChangeTheCsv) {
   }
 }
 
+TEST(CampaignEngine, ThreadedShardedKernelPastTheClaimWindowCompletes) {
+  // Campaign workers each stepping a tile-parallel network nest
+  // parallel_for.  A waiting step once ran queued pool tasks, among them a
+  // whole campaign worker, which then blocked on the claim window held by
+  // the suspended step's own unfinished cell: with more cells than the
+  // window (16 at 4 workers) this hung in most runs.
+  campaign::CampaignSpec spec;
+  spec.base.width = spec.base.height = 6;
+  spec.base.message_length = 8;
+  spec.base.warmup_cycles = 300;
+  spec.base.total_cycles = 1200;
+  spec.base.seed = 9;
+  spec.algorithms = {"Nbc", "Duato-Nbc", "PHop"};
+  spec.rates = {0.002, 0.004, 0.006};
+  spec.fault_counts = {0, 3};
+  spec.patterns = 3;
+  const std::string expected = legacy_csv(spec);
+  auto sharded = spec;
+  sharded.base.tiles = 4;
+  sharded.base.step_threads = 2;
+  campaign::StreamOptions options;
+  options.threads = 4;
+  EXPECT_EQ(streamed_csv(sharded, options), expected);
+}
+
 TEST(CampaignEngine, CellIdsAreStableUniqueAndContentAddressed) {
   const auto spec = engine_spec();
   const auto cells = campaign::enumerate_cells(spec);
@@ -390,30 +415,32 @@ TEST(CampaignEngine, RecordRoundTripAndEscaping) {
 }
 
 TEST(CampaignEngine, PeakRetainedResultsStaysFlat) {
-  // A long, cheap campaign: 40 cells on one algorithm.  With a 4-cell
-  // claim window the engine must never hold more than ~window x patterns
-  // per-pattern results, however many cells the matrix has.
+  // A long campaign, five times the claim window (max(8, 4 x workers) = 16
+  // cells at 4 threads), led by one slow saturated cell: while two workers
+  // sit on its patterns the other two race ahead through cheap cells until
+  // the window stops them, so the engine never holds more than window x
+  // patterns per-pattern results, however many cells the matrix has.
   campaign::CampaignSpec spec;
-  spec.base.width = spec.base.height = 4;
-  spec.base.message_length = 2;
-  spec.base.warmup_cycles = 20;
-  spec.base.total_cycles = 80;
+  spec.base.width = spec.base.height = 6;
+  spec.base.message_length = 8;
+  spec.base.warmup_cycles = 100;
+  spec.base.total_cycles = 1500;
   spec.base.seed = 5;
   spec.algorithms = {"PHop"};
-  for (int i = 0; i < 20; ++i) spec.rates.push_back(0.001 + 0.0001 * i);
-  spec.fault_counts = {0, 2};
+  spec.rates.push_back(0.2);
+  for (int i = 1; i < 80; ++i) spec.rates.push_back(0.0001 * i);
+  spec.fault_counts = {2};
   spec.patterns = 2;
 
   campaign::StreamOptions options;
   options.threads = 4;
-  options.window_cells = 4;
+  const std::size_t window = 16;
   campaign::StreamStats stats;
   streamed_csv(spec, options, &stats);
-  EXPECT_EQ(stats.cells_owned, 40u);
-  EXPECT_EQ(stats.cells_completed, 40u);
+  EXPECT_EQ(stats.cells_owned, 80u);
+  EXPECT_EQ(stats.cells_completed, 80u);
   EXPECT_LE(stats.peak_retained_results,
-            options.window_cells * static_cast<std::size_t>(spec.patterns));
-  EXPECT_LT(stats.peak_retained_results, stats.cells_owned);
+            window * static_cast<std::size_t>(spec.patterns));
 }
 
 TEST(CampaignEngine, ProgressLineFormat) {

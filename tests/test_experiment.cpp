@@ -1,47 +1,14 @@
-// Tests for the thread pool and the multi-run experiment harness.
+// Tests for the multi-run experiment harness.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "ftmesh/core/experiment.hpp"
-#include "ftmesh/core/thread_pool.hpp"
 
 namespace {
 
 using ftmesh::core::SimConfig;
-
-TEST(ThreadPool, RunsAllTasks) {
-  ftmesh::core::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ftmesh::core::ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, DefaultsToHardwareConcurrency) {
-  ftmesh::core::ThreadPool pool(0);
-  EXPECT_GE(pool.thread_count(), 1);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(500);
-  ftmesh::core::parallel_for(500, 8, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, ZeroCountIsNoop) {
-  ftmesh::core::parallel_for(0, 4, [](std::size_t) { FAIL(); });
-}
 
 SimConfig tiny() {
   SimConfig cfg;
@@ -101,6 +68,33 @@ TEST(Experiment, BatchDrainsFlaggedRuns) {
   EXPECT_EQ(results[1].reliability.in_flight_end, 0u);
   EXPECT_EQ(results[1].reliability.delivered, drained.reliability.delivered);
   EXPECT_THROW(ftmesh::core::run_batch(cfgs, 2, {true}), std::invalid_argument);
+}
+
+TEST(Experiment, UndrawablePatternYieldsTheSkipMarker) {
+  auto cfg = tiny();
+  cfg.width = cfg.height = 3;
+  cfg.fault_count = 8;  // one active node left: never admissible
+  EXPECT_EQ(ftmesh::core::run_one(cfg).cycles_run, 0u);
+  const auto results = ftmesh::core::run_batch({cfg, tiny()}, 2);
+  EXPECT_EQ(results[0].cycles_run, 0u);
+  EXPECT_EQ(results[1].cycles_run, tiny().total_cycles);
+}
+
+// An invalid config is not an undrawable pattern: its std::invalid_argument
+// reaches the caller at every thread count (on pool threads it once called
+// std::terminate).
+TEST(Experiment, BatchRethrowsAnInvalidConfig) {
+  auto bad = tiny();
+  bad.message_length = 0;
+  const std::vector<SimConfig> cfgs = {tiny(), bad, tiny(), tiny()};
+  for (const int threads : {1, 4}) {
+    try {
+      (void)ftmesh::core::run_batch(cfgs, threads);
+      FAIL() << "invalid config accepted at threads " << threads;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "message_length must be >= 1");
+    }
+  }
 }
 
 TEST(Experiment, AggregateAveragesScalars) {

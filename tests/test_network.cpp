@@ -9,6 +9,8 @@
 #include "ftmesh/routing/registry.hpp"
 #include "ftmesh/routing/vc_layout.hpp"
 #include "ftmesh/routing/xy.hpp"
+#include "ftmesh/verify/broken_demo.hpp"
+#include "ftmesh/verify/wait_cycle.hpp"
 
 namespace {
 
@@ -365,7 +367,7 @@ TEST(Network, NoWaitCycleOnHealthyTraffic) {
   NetFixture f;
   for (int i = 0; i < 20; ++i) f.net->create_message({i % 10, 1}, {9, 8}, 20);
   for (int i = 0; i < 300; ++i) f.net->step();
-  EXPECT_TRUE(f.net->find_deadlock_cycle().empty());
+  EXPECT_TRUE(ftmesh::verify::find_wait_cycle(*f.net).empty());
 }
 
 TEST(Network, NoWaitCycleAtSaturationWithFaults) {
@@ -385,9 +387,82 @@ TEST(Network, NoWaitCycleAtSaturationWithFaults) {
     }
     net.step();
     if (c % 250 == 0) {
-      EXPECT_TRUE(net.find_deadlock_cycle().empty()) << c;
+      EXPECT_TRUE(ftmesh::verify::find_wait_cycle(net).empty()) << c;
     }
   }
+}
+
+/// True when live message `a`'s header waits, unrouted at a buffer front,
+/// for a channel that live message `b` holds at the same router.
+bool waits_on(const Network& net, MessageId a, MessageId b) {
+  const auto slot_of = [&](MessageId id) {
+    for (std::size_t s = 0; s < net.messages().size(); ++s) {
+      if (net.messages()[s].id == id) return s;
+    }
+    return net.messages().size();
+  };
+  const std::size_t sa = slot_of(a);
+  const std::size_t sb = slot_of(b);
+  const auto& algo = net.algorithm();
+  ftmesh::routing::CandidateList cand;
+  for (int id = 0; id < net.mesh().node_count(); ++id) {
+    const Coord c = net.mesh().coord_of(id);
+    const auto& rt = net.router_at(c);
+    for (int port = 0; port < ftmesh::topology::kPortCount; ++port) {
+      for (int vc = 0; vc < algo.layout().total(); ++vc) {
+        const auto& ivc = rt.input(port, vc);
+        if (ivc.buf.empty() || ivc.buf.front().msg != sa ||
+            ivc.stage == IvcStage::Active) {
+          continue;
+        }
+        cand.clear();
+        algo.enumerate(c, net.headers()[sa], cand);
+        for (std::size_t i = 0; i < cand.size(); ++i) {
+          const auto& ovc = rt.output(port_index(cand[i].dir), cand[i].vc);
+          if (ovc.allocated && ovc.owner == sb) return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+// The broken demo's deadlock (verify/broken_demo.hpp): four worms, each
+// from a corner of a unit square to the opposite corner on one VC.  When
+// every first hop turns the same way round the square, each worm holds
+// the channel the next one needs and the wait-for graph closes a cycle of
+// all four; any other choice drains.  The first hops are random draws, so
+// the test tries seeds until both outcomes have been seen.
+TEST(Network, WaitCycleNamesTheBrokenDemoDeadlock) {
+  const Mesh mesh(2, 2);
+  const FaultMap faults(mesh);
+  const ftmesh::verify::BrokenDemoRouting algo(mesh, faults);
+  const Coord corners[] = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
+  int deadlocked = 0;
+  int drained = 0;
+  for (std::uint64_t seed = 1; seed <= 64 && (deadlocked < 2 || drained < 2);
+       ++seed) {
+    Network net(mesh, faults, algo, NetworkConfig{}, Rng(seed));
+    for (int k = 0; k < 4; ++k) {
+      net.create_message(corners[k], corners[(k + 2) % 4], 8);
+    }
+    for (int i = 0; i < 100; ++i) net.step();
+    const auto cycle = ftmesh::verify::find_wait_cycle(net);
+    if (cycle.empty()) {
+      EXPECT_TRUE(all_delivered(net)) << "seed " << seed;
+      ++drained;
+      continue;
+    }
+    EXPECT_FALSE(net.drained()) << "seed " << seed;
+    ASSERT_EQ(cycle.size(), 4u) << "seed " << seed;
+    for (std::size_t i = 0; i < cycle.size(); ++i) {
+      EXPECT_TRUE(waits_on(net, cycle[i], cycle[(i + 1) % cycle.size()]))
+          << "seed " << seed << " member " << i;
+    }
+    ++deadlocked;
+  }
+  EXPECT_GE(deadlocked, 2);
+  EXPECT_GE(drained, 2);
 }
 
 TEST(Network, CreditStarvedWormWaitsForItsCreditThenSends) {

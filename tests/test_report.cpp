@@ -142,6 +142,26 @@ TEST(Cli, NumbersParseAsWholeTokens) {
   }
 }
 
+TEST(Cli, NumericFlagWithoutValueThrows) {
+  // A bare numeric flag used to read as absent, so `--cycles` silently ran
+  // at the default; bare string flags (--resume, --progress) stay legal.
+  const char* argv[] = {"prog", "--cycles", "--rates", "--resume", "--n="};
+  const Cli cli(5, argv);
+  try {
+    (void)cli.get_int("cycles", 8000);
+    FAIL() << "bare --cycles accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "missing value for --cycles");
+  }
+  EXPECT_THROW((void)cli.get_double("cycles", 1.0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double_list("rates"), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int_list("rates", "1"), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("n", 0), std::invalid_argument);
+  EXPECT_TRUE(cli.flag("resume"));
+  EXPECT_EQ(cli.get("resume", ""), "");
+  EXPECT_EQ(cli.get_int("absent", 7), 7);
+}
+
 TEST(Cli, RejectsUnknownFlags) {
   const char* argv[] = {"prog", "--cycles", "30", "--bogus-flag", "1", "pos"};
   const Cli cli(6, argv);

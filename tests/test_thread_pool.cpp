@@ -1,8 +1,9 @@
-// Tests for the shared thread pool behind parallel_for.
+// Tests for parallel_for, the one parallel loop (its pool is private).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -10,10 +11,9 @@
 
 namespace {
 
-using ftmesh::core::ThreadPool;
 using ftmesh::core::parallel_for;
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 257;
   std::vector<std::atomic<int>> hits(kCount);
   parallel_for(kCount, 4, [&](std::size_t i) {
@@ -24,44 +24,44 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, SingleThreadRunsInline) {
+TEST(ParallelFor, ZeroCountIsNoop) {
+  parallel_for(0, 4, [](std::size_t) { FAIL(); });
+}
+
+TEST(ParallelFor, SingleThreadRunsInline) {
   const auto caller = std::this_thread::get_id();
   parallel_for(16, 1, [&](std::size_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
 }
 
-TEST(ThreadPool, EnsureThreadsGrowsAndNeverShrinks) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.thread_count(), 1);
-  pool.ensure_threads(3);
-  EXPECT_EQ(pool.thread_count(), 3);
-  pool.ensure_threads(2);
-  EXPECT_EQ(pool.thread_count(), 3);
+TEST(ParallelFor, ResolvesThreadCount) {
+  EXPECT_EQ(ftmesh::core::resolve_threads(3), 3);
+  EXPECT_GE(ftmesh::core::resolve_threads(0), 1);  // every core
+  EXPECT_GE(ftmesh::core::resolve_threads(-2), 1);
 }
 
-// Regression: thread_count() used to read workers_.size() with no
-// synchronisation while ensure_threads() was push_back-ing from another
-// thread — a data race TSan flags (and a torn size read in practice).
-// Hammer the pair from two threads; under -DFTMESH_SANITIZE=thread this
-// test fails if the counter ever goes back to racing the vector.
-TEST(ThreadPool, ThreadCountIsSafeAgainstConcurrentGrowth) {
-  ThreadPool pool(1);
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    int last = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      const int n = pool.thread_count();
-      EXPECT_GE(n, last);  // monotone: the pool never shrinks
-      last = n;
+// An exception from fn on any worker reaches the caller after every helper
+// returned; it once escaped a pool task and terminated the process.  The
+// throwing index stops further claims, so far fewer than all 10000 run.
+TEST(ParallelFor, RethrowsTheFirstExceptionOnTheCaller) {
+  for (const int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    try {
+      parallel_for(10000, threads, [&](std::size_t i) {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        if (i == 3) throw std::invalid_argument("index 3");
+      });
+      FAIL() << "no exception at threads " << threads;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "index 3");
     }
-  });
-  for (int target = 2; target <= 8; ++target) {
-    pool.ensure_threads(target);
+    EXPECT_LT(ran.load(), 10000) << threads;
   }
-  done.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(pool.thread_count(), 8);
+  // The pool is still usable afterwards.
+  std::atomic<int> total{0};
+  parallel_for(64, 4, [&](std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 64);
 }
 
 // Regression: nested parallel_for from threads that are themselves pool
@@ -73,7 +73,7 @@ TEST(ThreadPool, ThreadCountIsSafeAgainstConcurrentGrowth) {
 // the waiters, so this must always complete.  The repro is only
 // deterministic while the shared pool is still small, but the fix makes
 // the shape safe at any pool size.
-TEST(ThreadPool, NestedParallelForFromPoolWorkersCompletes) {
+TEST(ParallelFor, NestedParallelForFromPoolWorkersCompletes) {
   std::atomic<int> total{0};
   parallel_for(2, 2, [&](std::size_t) {
     parallel_for(4, 2, [&](std::size_t) {
@@ -81,6 +81,17 @@ TEST(ThreadPool, NestedParallelForFromPoolWorkersCompletes) {
     });
   });
   EXPECT_EQ(total.load(), 8);
+}
+
+// A nested call that throws unwinds through the outer call to the caller.
+TEST(ParallelFor, NestedExceptionReachesTheOuterCaller) {
+  EXPECT_THROW(parallel_for(4, 2,
+                            [&](std::size_t) {
+                              parallel_for(4, 2, [&](std::size_t j) {
+                                if (j == 2) throw std::runtime_error("inner");
+                              });
+                            }),
+               std::runtime_error);
 }
 
 }  // namespace
