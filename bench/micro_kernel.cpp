@@ -90,18 +90,6 @@ void BM_NetworkStepSaturated(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkStepSaturated);
 
-void BM_NetworkStepSaturatedRecycled(benchmark::State& state) {
-  // The saturated stepper with the slot-table churn in view: worms retire
-  // and recycle their slots every cycle, and hot headers sit in a dense
-  // SoA array.  CI holds its absolute time against the baseline; the
-  // peak_slots counters below hold the bounded-memory claim.
-  Simulator sim(kernel_config(-1.0, 0));
-  for (int i = 0; i < 2000; ++i) sim.step();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-}
-BENCHMARK(BM_NetworkStepSaturatedRecycled);
-
 void BM_NetworkLongRunPeakSlots(benchmark::State& state) {
   // Long-run footprint probe: steps a moderate load for as long as the
   // benchmark harness asks and reports the slot-table high-water mark next

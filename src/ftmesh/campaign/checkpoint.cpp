@@ -126,26 +126,22 @@ void init_checkpoint_dir(const std::string& dir, const CampaignSpec& spec,
     if (!os) throw CampaignError("cannot write " + spec_path(dir));
     os << serialize_spec(spec);
   }
-  write_manifest(dir, manifest);
-}
-
-void write_manifest(const std::string& dir, const Manifest& m) {
+  // manifest.tmp then rename: a kill mid-write leaves no manifest, so the
+  // directory is not mistaken for a campaign.
   const std::string tmp = (fs::path(dir) / "manifest.tmp").string();
   {
     std::ofstream os(tmp, std::ios::trunc);
     if (!os) throw CampaignError("cannot write " + tmp);
-    os << "ftmesh_campaign_manifest = " << m.version << "\n"
-       << "spec_hash = " << hex64(m.spec_hash) << "\n"
-       << "cells = " << m.cells << "\n"
-       << "shard_index = " << m.shard.index << "\n"
-       << "shard_count = " << m.shard.count << "\n"
-       << "completed = " << m.completed << "\n";
+    os << "ftmesh_campaign_manifest = " << manifest.version << "\n"
+       << "spec_hash = " << hex64(manifest.spec_hash) << "\n"
+       << "cells = " << manifest.cells << "\n"
+       << "shard_index = " << manifest.shard.index << "\n"
+       << "shard_count = " << manifest.shard.count << "\n";
     os.flush();
     if (!os) throw CampaignError("cannot write " + tmp);
   }
-  std::error_code ec;
   fs::rename(tmp, manifest_path(dir), ec);
-  if (ec) throw CampaignError("cannot replace " + manifest_path(dir));
+  if (ec) throw CampaignError("cannot write " + manifest_path(dir));
 }
 
 Manifest read_manifest(const std::string& dir) {
@@ -184,7 +180,7 @@ Manifest read_manifest(const std::string& dir) {
       } else if (key == "shard_count") {
         m.shard.count = core::parse_number<int>(value);
       } else if (key == "completed") {
-        m.completed = core::parse_number<std::size_t>(value);
+        core::parse_number<std::size_t>(value);  // older builds' progress
       } else {
         throw CampaignError("unknown manifest key " + key);
       }

@@ -5,8 +5,9 @@
 //   spec.txt       canonical serialize_spec() text, for human inspection
 //   results.jsonl  one JSON object per *completed* cell, appended (and
 //                  flushed) the moment the cell retires, in cell order
-//   manifest.txt   spec hash + matrix size + shard identity + progress,
-//                  rewritten atomically (tmp + rename) every few cells
+//   manifest.txt   spec hash + matrix size + shard identity, written
+//                  atomically (tmp + rename) once, when the directory is
+//                  created
 //
 // The JSONL is the source of truth: resume re-reads it, tolerates a
 // truncated final line (the signature of a kill mid-append), rewrites the
@@ -33,7 +34,6 @@ struct Manifest {
   std::uint64_t spec_hash = 0;
   std::size_t cells = 0;  ///< total matrix size (all shards)
   Shard shard;
-  std::size_t completed = 0;  ///< informational; results.jsonl is the truth
 };
 
 /// One cell restored from (or destined for) results.jsonl.
@@ -53,10 +53,9 @@ std::string spec_path(const std::string& dir);
 void init_checkpoint_dir(const std::string& dir, const CampaignSpec& spec,
                          const Manifest& manifest);
 
-/// Atomic manifest rewrite: manifest.tmp then rename.
-void write_manifest(const std::string& dir, const Manifest& manifest);
-
-/// Throws CampaignError when missing or malformed.
+/// Throws CampaignError when missing or malformed.  A `completed = N` line
+/// (a progress count older builds rewrote as cells retired) is accepted
+/// and ignored, so their checkpoint directories still resume.
 Manifest read_manifest(const std::string& dir);
 
 /// The JSONL line (without trailing newline) for one completed cell.

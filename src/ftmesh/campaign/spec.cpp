@@ -134,9 +134,9 @@ std::string serialize_spec(const CampaignSpec& spec) {
   std::ostringstream os;
   os << "# ftmesh campaign spec v1\n";
   core::save_config(os, spec.base);
-  // The base config prints injection_rate at stream precision; append the
-  // exact bit pattern so two specs differing past the sixth significant
-  // digit never hash equal.
+  // The exact bit pattern of the base rate.  The config text above
+  // round-trips it too, but it once printed six significant digits only;
+  // the line stays so existing spec hashes do not move.
   os << "base_injection_rate_bits = " << hex64(double_bits(spec.base.injection_rate))
      << "\n";
   os << "algorithms =";

@@ -140,7 +140,6 @@ StreamStats run_streamed(const CampaignSpec& spec,
       static_cast<std::size_t>(core::resolve_threads(options.threads)),
       runs.size());
   const std::size_t window = std::max<std::size_t>(8, 4 * workers);
-  const int checkpoint_every = std::max(1, options.checkpoint_every);
 
   // ---- shared streaming state -------------------------------------------
   std::mutex mutex;
@@ -148,11 +147,11 @@ StreamStats run_streamed(const CampaignSpec& spec,
   std::size_t next_run = 0;
   std::size_t emit_cursor = 0;        // states[] positions fully retired
   std::size_t retained = 0;           // per-pattern results currently held
-  std::size_t cells_since_manifest = 0;
   bool failed = false;  // a worker threw: the others stop claiming runs
 
   // Retire every completed cell at the front of the reorder window, in
-  // cell order: finalize, checkpoint, hand to the sink, free the runs.
+  // cell order: finalize, append to results.jsonl, hand to the sink, free
+  // the runs.
   // Caller holds `mutex`.
   const auto emit_ready = [&] {
     while (emit_cursor < states.size() && states[emit_cursor].done) {
@@ -178,19 +177,6 @@ StreamStats run_streamed(const CampaignSpec& spec,
         stats.cells_completed += 1;
       }
       ++emit_cursor;
-      if (checkpointed) {
-        if (++cells_since_manifest >=
-                static_cast<std::size_t>(checkpoint_every) ||
-            emit_cursor == states.size()) {
-          Manifest manifest;
-          manifest.spec_hash = hash;
-          manifest.cells = all_cells.size();
-          manifest.shard = options.shard;
-          manifest.completed = emit_cursor;
-          write_manifest(options.checkpoint_dir, manifest);
-          cells_since_manifest = 0;
-        }
-      }
       if (sink != nullptr) sink->on_cell(record);
       if (options.progress) {
         options.progress(Progress{emit_cursor, states.size(),

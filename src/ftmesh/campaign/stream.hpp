@@ -66,8 +66,6 @@ struct StreamOptions {
   /// reload completed cells (replaying them to the sink as `restored`)
   /// and execute only the remainder.
   bool resume = false;
-  /// Manifest rewrite cadence, in retired cells.
-  int checkpoint_every = 32;
   /// Optional progress hook, called under the engine lock after every run
   /// retirement and cell emission.
   std::function<void(const Progress&)> progress;

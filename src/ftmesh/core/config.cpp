@@ -15,7 +15,7 @@ void SimConfig::validate() const {
   if (width < 2 || height < 2) {
     throw std::invalid_argument("mesh sides must be >= 2");
   }
-  if (total_vcs < 1 || total_vcs > 256) {
+  if (total_vcs < 1 || total_vcs > routing::kMaxVcs) {
     throw std::invalid_argument("total_vcs out of range");
   }
   if (!routing::is_algorithm_name(algorithm)) {

@@ -1,5 +1,6 @@
 #include "ftmesh/core/config_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -23,6 +24,25 @@ std::string blocks_to_string(const std::vector<fault::Rect>& blocks) {
        << blocks[i].y1;
   }
   return os.str();
+}
+
+/// `v` as text that parses back to exactly `v`: the stream's default
+/// six-significant-digit form where that round-trips — so configs and
+/// campaign spec hashes written with it stay the same — else the shortest
+/// form that does.
+std::string double_to_string(double v) {
+  std::ostringstream os;
+  os << v;
+  std::string text = os.str();
+  double back = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), back);
+  if (ec == std::errc{} && end == text.data() + text.size() && back == v) {
+    return text;
+  }
+  char buf[32];
+  const auto out = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, out.ptr);
 }
 
 std::vector<fault::Rect> blocks_from_string(const std::string& text) {
@@ -62,7 +82,7 @@ void save_config(std::ostream& os, const SimConfig& cfg) {
      << "buffer_depth = " << cfg.buffer_depth << "\n"
      << "injection_vcs = " << cfg.injection_vcs << "\n"
      << "traffic = " << cfg.traffic << "\n"
-     << "injection_rate = " << cfg.injection_rate << "\n"
+     << "injection_rate = " << double_to_string(cfg.injection_rate) << "\n"
      << "message_length = " << cfg.message_length << "\n"
      << "fault_count = " << cfg.fault_count << "\n"
      << "link_fault_count = " << cfg.link_fault_count << "\n"

@@ -56,6 +56,8 @@ T parse_number(const std::string& value, int base = 10) {
 }
 
 /// Writes every field of `cfg` (including defaults) as key = value lines.
+/// Every value parses back to the same field: load_config(save_config(c))
+/// simulates exactly what `c` does.
 void save_config(std::ostream& os, const SimConfig& cfg);
 void save_config_file(const std::string& path, const SimConfig& cfg);
 

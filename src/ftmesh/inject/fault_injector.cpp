@@ -1,13 +1,9 @@
 #include "ftmesh/inject/fault_injector.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "ftmesh/trace/trace_event.hpp"
 
 namespace ftmesh::inject {
 
-using router::MessageHandle;
 using router::MessageId;
 using router::MessageSlot;
 
@@ -29,25 +25,23 @@ void trace_abort(router::Network& net, MessageId id, topology::Coord src) {
 bool FaultInjector::tick(router::Network& net) {
   const double now = static_cast<double>(net.cycle());
 
-  // 1. Due retransmissions re-enter their source queue.  A message whose
-  //    endpoint died while it waited out its backoff is aborted here (the
-  //    recovery pass only sees messages holding network resources).  A
-  //    stale handle means the message was aborted after this entry was
-  //    scheduled (its slot retired, possibly already reused): skip it.
+  // 1. Due retransmissions re-enter their source queue.  A retired id
+  //    means the message was aborted after this entry was scheduled (the
+  //    recovery pass aborts every live message whose endpoint died): skip
+  //    it.  Ids are never reused, so the entry cannot name the slot's next
+  //    occupant.  The endpoint check below guards requeue_message's
+  //    precondition.
   while (retransmits_.due(now)) {
-    const MessageHandle h = retransmits_.pop().payload;
-    if (!net.handle_live(h)) continue;
-    const auto& m = net.slot_message(h.slot);
-    if (m.done || m.aborted) continue;  // recycling off: retired in place
+    const MessageId id = retransmits_.pop().payload;
+    if (net.message_finished(id)) continue;
+    const auto& m = net.message(id);
     if (!net.faults().active(m.src) || !net.faults().active(m.dst)) {
-      const MessageId id = m.id;
-      const topology::Coord src = m.src;
       ++log_.aborts;
-      trace_abort(net, id, src);
-      net.abort_message(h.slot);
+      trace_abort(net, id, m.src);
+      net.abort_message(id);
       continue;
     }
-    net.requeue_message(h.slot);
+    net.requeue_message(id);
   }
 
   // 2. Due fault events reconfigure the live fault map.
@@ -92,39 +86,20 @@ bool FaultInjector::tick(router::Network& net) {
 void FaultInjector::recover(router::Network& net) {
   const double now = static_cast<double>(net.cycle());
 
-  // Victims holding network resources the new map invalidates...
-  std::vector<MessageSlot> victims = net.collect_fault_victims();
-  log_.messages_flushed += victims.size();
+  // Resource holders and endpoint-dead messages, in id order.
+  const router::Network::FaultVictims victims = net.collect_fault_victims();
+  log_.messages_flushed += victims.flushed;
 
-  // ...plus undelivered messages whose endpoints died: they may hold
-  // nothing (still queued at a dead source) but can never complete.
-  const auto& slots = net.messages();
-  for (MessageSlot s = 0; s < slots.size(); ++s) {
-    const auto& m = slots[s];
-    if (m.id == router::kInvalidMessage || m.done || m.aborted) continue;
-    if (!net.faults().active(m.src) || !net.faults().active(m.dst)) {
-      victims.push_back(s);
-    }
-  }
-  // Dedupe on slots, then order by stable id so purge-trace emission and
-  // the retransmit schedule are independent of slot assignment.
-  std::sort(victims.begin(), victims.end());
-  victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-  std::sort(victims.begin(), victims.end(), [&](MessageSlot a, MessageSlot b) {
-    return net.slot_message(a).id < net.slot_message(b).id;
-  });
+  net.purge_messages(victims.slots);
 
-  net.purge_messages(victims);
-
-  for (const MessageSlot slot : victims) {
+  for (const MessageSlot slot : victims.slots) {
     const auto& m = net.slot_message(slot);
-    if (m.id == router::kInvalidMessage || m.done || m.aborted) continue;
     const bool endpoint_dead =
         !net.faults().active(m.src) || !net.faults().active(m.dst);
     if (endpoint_dead || m.retries >= config_.max_retries) {
       ++log_.aborts;
       trace_abort(net, m.id, m.src);
-      net.abort_message(slot);
+      net.abort_message(m.id);
       continue;
     }
     net.slot_message_mut(slot).retries++;
@@ -132,7 +107,7 @@ void FaultInjector::recover(router::Network& net) {
     const double delay =
         static_cast<double>(config_.retry_backoff)
         * static_cast<double>(1ULL << (m.retries - 1));
-    retransmits_.schedule(now + delay, net.slot_handle(slot));
+    retransmits_.schedule(now + delay, m.id);
   }
 }
 

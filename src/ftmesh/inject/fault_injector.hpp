@@ -11,7 +11,7 @@
 //   3. retransmit or abort — victims with live endpoints and retry budget
 //      left are re-injected from their source after an exponential backoff
 //      (delay = retry_backoff << retries); endpoint-dead or budget-
-//      exhausted messages are marked aborted.
+//      exhausted messages are aborted.
 //
 // The injector keeps its own retransmission event queue; `tick` is called
 // once per cycle *before* the traffic generator so reconfiguration and
@@ -93,11 +93,11 @@ class FaultInjector {
   FaultSchedule schedule_;
   Reconfigurator reconfig_;
   InjectConfig config_;
-  /// Pending retransmissions carry generation-tagged handles, not raw
-  /// slots: a message aborted while waiting out its backoff frees (and may
-  /// recycle) its slot, and the stale entry must be detected when popped
-  /// rather than alias the slot's new occupant.
-  sim::EventQueue<router::MessageHandle> retransmits_;
+  /// Pending retransmissions carry stable message ids, not slots: a
+  /// message aborted while waiting out its backoff frees (and may recycle)
+  /// its slot, and its id — never reused — is then simply no longer live
+  /// when the entry pops.
+  sim::EventQueue<router::MessageId> retransmits_;
   InjectLog log_;
 };
 

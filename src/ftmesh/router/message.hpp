@@ -70,9 +70,11 @@ struct HeaderState {
   RouteState rs;
 };
 
-/// Cold accounting record for a message occupying a slot.  Endpoints are
-/// duplicated from `HeaderState` so stats and traffic bookkeeping never
-/// touch the hot array.
+/// Cold accounting record for a message occupying a slot.  A message is
+/// live exactly while it occupies one: delivery and abort retire it into a
+/// RetiredMessage and free the slot.  Endpoints are duplicated from
+/// `HeaderState` so stats and traffic bookkeeping never touch the hot
+/// array.
 struct Message {
   MessageId id = kInvalidMessage;  ///< stable monotonic id (never a slot)
   topology::Coord src;
@@ -82,15 +84,13 @@ struct Message {
   std::uint64_t created = 0;    ///< cycle the message entered the source queue
   std::uint64_t injected = 0;   ///< cycle the header entered the injection VC
   std::uint64_t delivered = 0;  ///< cycle the tail was ejected at dst
-  bool done = false;
 
   // Dynamic-fault recovery bookkeeping (inject/).  A message flushed by a
   // runtime fault event is retransmitted from its source with bounded
-  // retries; `aborted` marks messages given up on (endpoint lost, or the
-  // retry budget exhausted).  `created` is never rewritten, so the latency
-  // of a recovered message includes every aborted attempt.
+  // retries, or aborted (endpoint lost, or the retry budget exhausted).
+  // `created` is never rewritten, so the latency of a recovered message
+  // includes every aborted attempt.
   std::uint16_t retries = 0;  ///< retransmissions performed so far
-  bool aborted = false;       ///< permanently given up (never delivered)
 };
 
 /// Everything the stats accumulators need from a finished message, frozen
@@ -108,16 +108,6 @@ struct RetiredMessage {
   std::uint16_t retries = 0;
   bool aborted = false;
   bool ring_user = false;  ///< ever entered an f-ring (rs.ring.region >= 0)
-};
-
-/// Generation-tagged reference to a message slot.  A slot's generation is
-/// bumped every time it is recycled, so a handle held across a retirement
-/// (e.g. a pending retransmission for a message aborted in the meantime)
-/// can be detected as stale instead of silently aliasing the slot's new
-/// occupant.
-struct MessageHandle {
-  MessageSlot slot = kInvalidMessage;
-  std::uint32_t gen = 0;
 };
 
 }  // namespace ftmesh::router

@@ -47,7 +47,7 @@ inline bool all_zero(const std::uint64_t* words, std::size_t n) {
 
 /// Sets (`on`) or clears input-VC bit `bit` in one node's `n` ready words.
 /// Returns true when the node's words went empty -> non-empty or back —
-/// the transitions its tile mask bit and gauge follow.
+/// the transitions its tile mask bit follows.
 inline bool update_ready_bit(std::uint64_t* words, std::size_t n,
                              std::size_t bit, bool on) {
   std::uint64_t& word = words[bit >> 6];
@@ -129,7 +129,6 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   route_ready_.assign(n * ready_words_, 0);
   switch_ready_.assign(n * ready_words_, 0);
   credit_blocked_.assign(n * ready_words_, 0);
-  inject_pending_.assign(n, 0);
   link_vc_allocated_.assign(static_cast<std::size_t>(vcs), 0);
   // The arbitration seeds come off derived streams (not the shared one),
   // so each is a pure function of the network seed.
@@ -224,14 +223,12 @@ void Network::setup_tiles() {
 
 void Network::set_ready(std::vector<std::uint64_t>& words,
                         std::vector<std::uint64_t> TileOccupancy::* mask,
-                        std::int64_t TileOccupancy::* gauge, NodeId node,
-                        std::size_t bit, bool ready) {
+                        NodeId node, std::size_t bit, bool ready) {
   if (!update_ready_bit(ready_words(words, node), ready_words_, bit, ready)) {
     return;
   }
   const auto sid = static_cast<std::size_t>(node);
   Tile& t = tiles_[tile_of_node_[sid]];
-  t.*gauge += ready ? 1 : -1;
   if (ready) {
     set_bit(t.*mask, local_of_node_[sid]);
   } else {
@@ -239,20 +236,17 @@ void Network::set_ready(std::vector<std::uint64_t>& words,
   }
 }
 
-void Network::bump_inject(NodeId node, int delta) {
+void Network::mark_inject(NodeId node) {
   const auto sid = static_cast<std::size_t>(node);
-  auto& p = inject_pending_[sid];
-  assert(delta >= 0 || p >= static_cast<std::uint32_t>(-delta));
-  const bool was_zero = p == 0;
-  p = static_cast<std::uint32_t>(static_cast<int>(p) + delta);
-  Tile& t = tiles_[tile_of_node_[sid]];
-  if (was_zero && p > 0) {
-    ++t.active_inject;
-    set_bit(t.inject_mask, local_of_node_[sid]);
-  } else if (!was_zero && p == 0) {
-    --t.active_inject;
-    clear_bit(t.inject_mask, local_of_node_[sid]);
-  }
+  set_bit(tiles_[tile_of_node_[sid]].inject_mask, local_of_node_[sid]);
+}
+
+bool Network::supplies_idle(NodeId node) const {
+  const auto ivs = static_cast<std::size_t>(config_.injection_vcs);
+  const std::span<const Supply> node_supplies(
+      supplies_.data() + static_cast<std::size_t>(node) * ivs, ivs);
+  return std::all_of(node_supplies.begin(), node_supplies.end(),
+                     [](const Supply& s) { return s.current == kInvalidMessage; });
 }
 
 void Network::note_link_full(Tile& t, std::size_t link_idx) {
@@ -287,7 +281,6 @@ Network::Occupancy Network::recount_occupancy() const {
   o.route_ready.assign(n * ready_words_, 0);
   o.switch_ready.assign(n * ready_words_, 0);
   o.credit_blocked.assign(n * ready_words_, 0);
-  o.inject_pending.assign(n, 0);
   o.link_vc_allocated.assign(static_cast<std::size_t>(vcs_), 0);
   o.tiles.resize(tiles_.size());
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
@@ -331,27 +324,10 @@ Network::Occupancy Network::recount_occupancy() const {
     }
     TileOccupancy& t = o.tiles[tile_of_node_[sid]];
     const std::size_t lidx = local_of_node_[sid];
-    if (!all_zero(routable, ready_words_)) {
-      set_bit(t.route_mask, lidx);
-      ++t.active_route;
-    }
-    if (!all_zero(sendable, ready_words_)) {
-      set_bit(t.switch_mask, lidx);
-      ++t.active_switch;
-    }
-    std::uint32_t busy = 0;
-    for (int iv = 0; iv < config_.injection_vcs; ++iv) {
-      const Supply& sup = supplies_[sid * static_cast<std::size_t>(
-                                              config_.injection_vcs) +
-                                    static_cast<std::size_t>(iv)];
-      if (sup.current != kInvalidMessage) ++busy;
-    }
-    o.busy_supplies += busy;
-    o.queued_messages += queues_[sid].size();
-    o.inject_pending[sid] = static_cast<std::uint32_t>(queues_[sid].size()) + busy;
-    if (o.inject_pending[sid] > 0) {
+    if (!all_zero(routable, ready_words_)) set_bit(t.route_mask, lidx);
+    if (!all_zero(sendable, ready_words_)) set_bit(t.switch_mask, lidx);
+    if (!queues_[sid].empty() || !supplies_idle(id)) {
       set_bit(t.inject_mask, lidx);
-      ++t.active_inject;
     }
   }
   for (std::size_t idx = 0; idx < links_.size(); ++idx) {
@@ -378,18 +354,19 @@ void Network::rebuild_active_sets() {
   route_ready_ = std::move(o.route_ready);
   switch_ready_ = std::move(o.switch_ready);
   credit_blocked_ = std::move(o.credit_blocked);
-  inject_pending_ = std::move(o.inject_pending);
   link_vc_allocated_ = std::move(o.link_vc_allocated);
   buffered_flits_ = o.buffered_flits;
-  queued_messages_ = o.queued_messages;
-  busy_supplies_ = o.busy_supplies;
   full_links_ = o.full_links;
 }
 
-std::uint64_t Network::active_nodes(
-    std::int64_t TileOccupancy::* gauge) const noexcept {
+std::uint64_t Network::marked_nodes(
+    std::vector<std::uint64_t> TileOccupancy::* mask) const noexcept {
   std::uint64_t sum = 0;
-  for (const Tile& t : tiles_) sum += static_cast<std::uint64_t>(t.*gauge);
+  for (const Tile& t : tiles_) {
+    for (const std::uint64_t w : t.*mask) {
+      sum += static_cast<std::uint64_t>(std::popcount(w));
+    }
+  }
   return sum;
 }
 
@@ -523,7 +500,6 @@ MessageId Network::create_message(Coord src, Coord dst, std::uint32_t length) {
     slot = static_cast<MessageSlot>(messages_.size());
     messages_.emplace_back();
     headers_.emplace_back();
-    slot_gen_.push_back(0);
   }
   if (trace_ != nullptr) {
     emit(trace::EventKind::Create, id, src, length);
@@ -543,16 +519,15 @@ MessageId Network::create_message(Coord src, Coord dst, std::uint32_t length) {
   live_ids_.emplace(id, slot);
   const NodeId src_id = mesh_->id_of(src);
   queues_[static_cast<std::size_t>(src_id)].push_back(slot);
-  ++queued_messages_;
-  bump_inject(src_id, +1);
+  mark_inject(src_id);
   counters_.flits_generated += length;
   return id;
 }
 
-void Network::retire_slot(MessageSlot slot) {
+void Network::retire_slot(MessageSlot slot, bool aborted) {
   Message& m = messages_[static_cast<std::size_t>(slot)];
   const HeaderState& h = headers_[static_cast<std::size_t>(slot)];
-  assert(m.id != kInvalidMessage && (m.done || m.aborted));
+  assert(m.id != kInvalidMessage);
   RetiredMessage r;
   r.id = m.id;
   r.created = m.created;
@@ -562,21 +537,17 @@ void Network::retire_slot(MessageSlot slot) {
   r.hops = h.rs.hops;
   r.misroutes = h.rs.misroutes;
   r.retries = m.retries;
-  r.aborted = m.aborted;
+  r.aborted = aborted;
   r.ring_user = h.rs.ring.region >= 0;
   retired_.push_back(r);
   live_ids_.erase(m.id);
   m = Message{};  // id == kInvalidMessage marks the slot free
   headers_[static_cast<std::size_t>(slot)] = HeaderState{};
-  ++slot_gen_[static_cast<std::size_t>(slot)];
   free_slots_.push_back(slot);
 }
 
-void Network::abort_message(MessageSlot slot) {
-  Message& m = messages_[static_cast<std::size_t>(slot)];
-  assert(m.id != kInvalidMessage && !m.done && !m.aborted);
-  m.aborted = true;
-  retire_slot(slot);
+void Network::abort_message(MessageId id) {
+  retire_slot(slot_of(id), /*aborted=*/true);
 }
 
 const RetiredMessage* Network::retired_record(MessageId id) const {
@@ -588,10 +559,7 @@ const RetiredMessage* Network::retired_record(MessageId id) const {
 
 bool Network::message_finished(MessageId id) const {
   assert(id < next_message_id_);
-  const auto it = live_ids_.find(id);
-  if (it == live_ids_.end()) return true;  // retired
-  const Message& m = messages_[static_cast<std::size_t>(it->second)];
-  return m.done || m.aborted;
+  return !live_ids_.contains(id);
 }
 
 void Network::begin_measurement() {
@@ -643,10 +611,6 @@ void Network::reduce_deltas() {
     PhaseDeltas& d = t.d;
     buffered_flits_ = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(buffered_flits_) + d.buffered_flits);
-    queued_messages_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(queued_messages_) + d.queued_messages);
-    busy_supplies_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(busy_supplies_) + d.busy_supplies);
     full_links_ = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(full_links_) + d.full_links);
     flits_moved_this_cycle_ += d.flits_moved;
@@ -718,7 +682,9 @@ void Network::commit_deferred() {
                        messages_[static_cast<std::size_t>(b)].id;
               });
   }
-  for (const MessageSlot slot : retire_scratch_) retire_slot(slot);
+  for (const MessageSlot slot : retire_scratch_) {
+    retire_slot(slot, /*aborted=*/false);
+  }
 }
 
 // ---- runtime invariant audit ---------------------------------------------
@@ -731,17 +697,13 @@ void Network::audit_invariants(int level) const {
   };
 
   // ---- level 1: slot table, free list, live ids, message totals ---------
-  if (messages_.size() != headers_.size() ||
-      messages_.size() != slot_gen_.size()) {
-    fail("slot-table arrays diverged (messages/headers/slot_gen)");
+  if (messages_.size() != headers_.size()) {
+    fail("slot-table arrays diverged (messages/headers)");
   }
-  // Retirement frees the slot, so no finished message occupies one.
-  std::size_t occupied = 0;
-  for (const auto& m : messages_) {
-    if (m.id == kInvalidMessage) continue;
-    ++occupied;
-    if (m.done || m.aborted) fail("a finished message still occupies its slot");
-  }
+  const auto occupied = static_cast<std::size_t>(
+      std::count_if(messages_.begin(), messages_.end(), [](const Message& m) {
+        return m.id != kInvalidMessage;
+      }));
   // The free list must be a permutation of the vacant slots: no entry
   // twice (a double free), no occupied entry, no vacant slot missing.
   std::vector<char> freed(messages_.size(), 0);
@@ -892,11 +854,6 @@ void Network::audit_invariants(int level) const {
   same_bits("route_ready", route_ready_, o.route_ready, input_vc);
   same_bits("switch_ready", switch_ready_, o.switch_ready, input_vc);
   same_bits("credit_blocked", credit_blocked_, o.credit_blocked, input_vc);
-  for (std::size_t sid = 0; sid < inject_pending_.size(); ++sid) {
-    if (inject_pending_[sid] == o.inject_pending[sid]) continue;
-    drifted("inject_pending of " + node_name(sid), inject_pending_[sid],
-            o.inject_pending[sid]);
-  }
   for (std::size_t vc = 0; vc < link_vc_allocated_.size(); ++vc) {
     if (link_vc_allocated_[vc] == o.link_vc_allocated[vc]) continue;
     drifted("link_vc_allocated of vc " + std::to_string(vc),
@@ -917,16 +874,8 @@ void Network::audit_invariants(int level) const {
     same_bits(tile + "link_mask", t.link_mask, r.link_mask, [](std::size_t b) {
       return "incoming register position " + std::to_string(b);
     });
-    drifted(tile + "active_route", static_cast<std::uint64_t>(t.active_route),
-            static_cast<std::uint64_t>(r.active_route));
-    drifted(tile + "active_switch", static_cast<std::uint64_t>(t.active_switch),
-            static_cast<std::uint64_t>(r.active_switch));
-    drifted(tile + "active_inject", static_cast<std::uint64_t>(t.active_inject),
-            static_cast<std::uint64_t>(r.active_inject));
   }
   drifted("buffered_flits", buffered_flits_, o.buffered_flits);
-  drifted("queued_messages", queued_messages_, o.queued_messages);
-  drifted("busy_supplies", busy_supplies_, o.busy_supplies);
   drifted("full_links", full_links_, o.full_links);
 }
 
@@ -982,7 +931,6 @@ void Network::phase_arrivals() {
 // ---- phase 2: injection --------------------------------------------------
 
 void Network::inject_node(Tile& t, NodeId id) {
-  if (inject_pending_[static_cast<std::size_t>(id)] == 0) return;
   const Coord c = mesh_->coord_of(id);
   if (!faults_->active(c)) return;
   const auto local = port_index(Direction::Local);
@@ -994,8 +942,6 @@ void Network::inject_node(Tile& t, NodeId id) {
       sup.current = queue.front();
       queue.pop_front();
       sup.next_seq = 0;
-      --t.d.queued_messages;
-      ++t.d.busy_supplies;  // inject_pending_ is unchanged: queue -1, busy +1
     }
     const auto bit = static_cast<std::size_t>(local * vcs_ + iv);
     InputVc& ivc = router_mut(c).input_at(bit);
@@ -1025,8 +971,10 @@ void Network::inject_node(Tile& t, NodeId id) {
     if (sup.next_seq == m.length) {
       sup.current = kInvalidMessage;
       sup.next_seq = 0;
-      --t.d.busy_supplies;
-      bump_inject(id, -1);
+      // The node's last pending work just finished: nothing to inject.
+      if (queue.empty() && supplies_idle(id)) {
+        clear_bit(t.inject_mask, local_of_node_[static_cast<std::size_t>(id)]);
+      }
     }
   }
 }
@@ -1337,7 +1285,6 @@ void Network::switch_node(Tile& t, NodeId id) {
       if (tail) {
         Message& m = messages_[flit.msg];
         m.delivered = cycle_;
-        m.done = true;
         ++t.d.counts.messages_delivered;
         t.d.counts.flits_delivered += m.length;
         t.d.counts.latency_sum += cycle_ - m.created;
@@ -1418,9 +1365,8 @@ void Network::phase_sampling() {
     ++counters_.vc_usage_samples;
   }
   if (config_.collect_kernel_stats) {
-    // O(tiles) gauges — exact counts maintained on the zero <-> positive
-    // pending transitions, so sampling every cycle costs nothing even on
-    // huge sharded meshes.
+    // Mask popcounts: O(nodes / 64) words, cheap enough to sample every
+    // cycle even on large sharded meshes.
     counters_.kernel_route_nodes_sum += active_route_nodes();
     counters_.kernel_switch_nodes_sum += active_switch_nodes();
     counters_.kernel_inject_nodes_sum += active_inject_nodes();
@@ -1431,8 +1377,16 @@ void Network::phase_sampling() {
 
 // ---- dynamic-fault recovery ----------------------------------------------
 
-std::vector<MessageSlot> Network::collect_fault_victims() const {
-  std::vector<MessageSlot> out;
+Network::FaultVictims Network::collect_fault_victims() const {
+  // Per-slot victim flags; `flushed` counts the resource holders as they
+  // are first flagged.
+  std::vector<char> hit(messages_.size(), 0);
+  FaultVictims out;
+  const auto flag = [&](MessageSlot s) {
+    if (hit[s] != 0) return;
+    hit[s] = 1;
+    ++out.flushed;
+  };
   const int vcs = algorithm_->layout().total();
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const Coord c = mesh_->coord_of(id);
@@ -1444,9 +1398,9 @@ std::vector<MessageSlot> Network::collect_fault_victims() const {
       // from it (their remaining flits can never be supplied).
       for (int port = 0; port < kPortCount; ++port) {
         for (int vc = 0; vc < vcs; ++vc) {
-          for (const Flit& f : rt.input(port, vc).buf) out.push_back(f.msg);
+          for (const Flit& f : rt.input(port, vc).buf) flag(f.msg);
           const OutputVc& ovc = rt.output(port, vc);
-          if (ovc.allocated) out.push_back(ovc.owner);
+          if (ovc.allocated) flag(ovc.owner);
         }
       }
       for (int iv = 0; iv < config_.injection_vcs; ++iv) {
@@ -1454,7 +1408,7 @@ std::vector<MessageSlot> Network::collect_fault_victims() const {
             supplies_[static_cast<std::size_t>(id) *
                           static_cast<std::size_t>(config_.injection_vcs) +
                       static_cast<std::size_t>(iv)];
-        if (s.current != kInvalidMessage) out.push_back(s.current);
+        if (s.current != kInvalidMessage) flag(s.current);
       }
     }
     for (int d = 0; d < kMeshDirections; ++d) {
@@ -1471,27 +1425,36 @@ std::vector<MessageSlot> Network::collect_fault_victims() const {
       const LinkReg& reg =
           links_[static_cast<std::size_t>(id) * kMeshDirections +
                  static_cast<std::size_t>(d)];
-      if (reg.full) out.push_back(reg.flit.msg);
+      if (reg.full) flag(reg.flit.msg);
       if (!dead && (nb_dead || link_dead)) {
         // A healthy router's reservation pointing into the dead neighbour
         // or over the dead channel: the owner's path crosses the fault
         // even if no flit is there yet.
         for (int vc = 0; vc < vcs; ++vc) {
           const OutputVc& ovc = rt.output(port_index(dir), vc);
-          if (ovc.allocated) out.push_back(ovc.owner);
+          if (ovc.allocated) flag(ovc.owner);
         }
       }
     }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  // Plus every live message whose endpoint died: it may hold nothing
+  // (still queued, or waiting out a retransmit backoff) but can never
+  // complete.
+  for (MessageSlot s = 0; s < messages_.size(); ++s) {
+    const Message& m = messages_[s];
+    if (m.id == kInvalidMessage) continue;
+    if (hit[s] != 0 || !faults_->active(m.src) || !faults_->active(m.dst)) {
+      out.slots.push_back(s);
+    }
+  }
   // Order by stable id, not slot: trace Purge emission and retransmit
   // scheduling iterate this list, and their byte-exact order must not
   // depend on which slots the victims happen to occupy.
-  std::sort(out.begin(), out.end(), [this](MessageSlot a, MessageSlot b) {
-    return messages_[static_cast<std::size_t>(a)].id <
-           messages_[static_cast<std::size_t>(b)].id;
-  });
+  std::sort(out.slots.begin(), out.slots.end(),
+            [this](MessageSlot a, MessageSlot b) {
+              return messages_[static_cast<std::size_t>(a)].id <
+                     messages_[static_cast<std::size_t>(b)].id;
+            });
   return out;
 }
 
@@ -1604,17 +1567,16 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
   rebuild_active_sets();
 }
 
-void Network::requeue_message(MessageSlot slot) {
-  Message& m = messages_[static_cast<std::size_t>(slot)];
-  assert(m.id != kInvalidMessage && !m.done && !m.aborted);
+void Network::requeue_message(MessageId id) {
+  const MessageSlot slot = slot_of(id);
+  const Message& m = messages_[static_cast<std::size_t>(slot)];
   assert(faults_->active(m.src) && faults_->active(m.dst));
   HeaderState& h = headers_[static_cast<std::size_t>(slot)];
   h.rs = RouteState{};
   algorithm_->on_inject(h);
   const NodeId src_id = mesh_->id_of(m.src);
   queues_[static_cast<std::size_t>(src_id)].push_back(slot);
-  ++queued_messages_;
-  bump_inject(src_id, +1);
+  mark_inject(src_id);
   if (trace_ != nullptr) {
     emit(trace::EventKind::Retransmit, m.id, m.src,
          static_cast<std::uint32_t>(m.retries));

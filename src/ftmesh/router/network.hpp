@@ -15,7 +15,7 @@
 //
 // Scheduling: the per-cycle phases are occupancy-driven.  The network keeps
 // exact per-node input-VC bitmasks of routable headers, sendable
-// (switch-ready) flits and credit-blocked worms, a per-node count of
+// (switch-ready) flits and credit-blocked worms, the set of nodes with
 // pending injection work, and the set of full link registers, updated at
 // every occupancy-changing point (arrival, injection, route allocation,
 // switch traversal, credit return, tail release, purge).  Each phase visits
@@ -181,20 +181,6 @@ class Network {
   [[nodiscard]] std::size_t free_message_slots() const noexcept {
     return free_slots_.size();
   }
-  /// True when `h` still names the occupant it was taken for: the slot's
-  /// generation matches and the slot is occupied.
-  [[nodiscard]] bool handle_live(MessageHandle h) const noexcept {
-    return h.slot < messages_.size() && slot_gen_[h.slot] == h.gen &&
-           messages_[h.slot].id != kInvalidMessage;
-  }
-  /// Generation-tagged handle for a live message.
-  [[nodiscard]] MessageHandle handle_of(MessageId id) const {
-    return slot_handle(slot_of(id));
-  }
-  [[nodiscard]] MessageHandle slot_handle(MessageSlot slot) const {
-    assert(slot < messages_.size());
-    return {slot, slot_gen_[slot]};
-  }
 
   [[nodiscard]] const Router& router_at(topology::Coord c) const {
     return routers_[static_cast<std::size_t>(mesh_->id_of(c))];
@@ -203,13 +189,16 @@ class Network {
   [[nodiscard]] std::size_t source_queue_length(topology::Coord c) const {
     return queues_[static_cast<std::size_t>(mesh_->id_of(c))].size();
   }
+  /// True while one of `c`'s injection supplies is mid-message.
+  [[nodiscard]] bool injecting(topology::Coord c) const {
+    return !supplies_idle(mesh_->id_of(c));
+  }
 
   /// True when no flit is buffered anywhere and every source queue and
-  /// injection supply is idle — the network has fully drained.  O(1): the
-  /// occupancy totals are maintained incrementally.
+  /// injection supply is idle (no node has its inject bit set) — the
+  /// network has fully drained.  O(mask words).
   [[nodiscard]] bool drained() const noexcept {
-    return buffered_flits_ == 0 && queued_messages_ == 0 &&
-           busy_supplies_ == 0;
+    return buffered_flits_ == 0 && active_inject_nodes() == 0;
   }
 
   [[nodiscard]] std::uint64_t flits_in_network() const noexcept {
@@ -229,12 +218,22 @@ class Network {
   // Boppana-Chalasani dynamic-fault recovery protocol on top of it: flush
   // every worm the event severed, then retransmit from the source.
 
-  /// Messages that the *current* fault map invalidates: any message with a
-  /// flit buffered in (or a channel reserved at / into) a blocked node.
-  /// Duplicate-free slots, sorted by stable id, so downstream trace
-  /// emission and retransmit scheduling never depend on slot assignment.
-  /// Cheap when nothing changed: long-blocked nodes hold no flits.
-  [[nodiscard]] std::vector<MessageSlot> collect_fault_victims() const;
+  /// The messages the *current* fault map invalidates.
+  struct FaultVictims {
+    /// Every live message with a flit buffered in (or a channel reserved
+    /// at / into) a blocked node or a dead link, or mid-injection from a
+    /// blocked node, plus every live message whose source or destination
+    /// is no longer active.  Duplicate-free slots, sorted by stable id, so
+    /// downstream trace emission and retransmit scheduling never depend on
+    /// slot assignment.
+    std::vector<MessageSlot> slots;
+    /// How many of `slots` hold network resources (the flushed count);
+    /// the rest only lost an endpoint.
+    std::size_t flushed = 0;
+  };
+  /// Cheap in the network scan when nothing changed (long-blocked nodes
+  /// hold no flits); the endpoint check visits every slot.
+  [[nodiscard]] FaultVictims collect_fault_victims() const;
 
   /// Removes every flit of the given messages from input buffers and link
   /// registers, releases their channel reservations and injection supplies,
@@ -245,15 +244,15 @@ class Network {
   /// tracking every removal).
   void purge_messages(const std::vector<MessageSlot>& slots);
 
-  /// Re-enqueues a previously purged message at its source with fresh
-  /// routing state.  Both endpoints must be active again.
-  void requeue_message(MessageSlot slot);
+  /// Re-enqueues a previously purged live message at its source with
+  /// fresh routing state.  Both endpoints must be active again.
+  void requeue_message(MessageId id);
 
-  /// Permanently gives up on a live (already purged) message: marks it
-  /// aborted and retires it, recycling the slot.  The caller does its own
-  /// abort accounting/trace emission first — the slot's fields are gone
+  /// Permanently gives up on a live (already purged) message: retires it
+  /// as aborted, recycling the slot.  The caller does its own abort
+  /// accounting/trace emission first — the slot's fields are gone
   /// afterwards.
-  void abort_message(MessageSlot slot);
+  void abort_message(MessageId id);
 
   /// Slot-addressed access for the recovery path, which works on purge
   /// victims (slots) directly.
@@ -380,20 +379,18 @@ class Network {
   void set_trace_sink(trace::TraceSink* sink);
   [[nodiscard]] trace::TraceSink* trace_sink() const noexcept { return trace_; }
 
-  // Instantaneous active-set gauges.  Exact counters maintained on the
-  // empty <-> non-empty transitions of the per-node ready masks and inject
-  // counts (and a dedicated full-register count), summed over the tiles:
-  // O(tile count) per call, independent of how many nodes are active —
-  // cheap enough for --kernel-stats to sample every cycle even under the
-  // sharded kernel.
+  // Instantaneous active-set gauges: the popcount of the tile route,
+  // switch and inject masks, O(nodes / 64) words per call — cheap enough
+  // for --kernel-stats to sample every cycle even on large meshes — and
+  // the exact full-register count.
   [[nodiscard]] std::uint64_t active_route_nodes() const noexcept {
-    return active_nodes(&TileOccupancy::active_route);
+    return marked_nodes(&TileOccupancy::route_mask);
   }
   [[nodiscard]] std::uint64_t active_switch_nodes() const noexcept {
-    return active_nodes(&TileOccupancy::active_switch);
+    return marked_nodes(&TileOccupancy::switch_mask);
   }
   [[nodiscard]] std::uint64_t active_inject_nodes() const noexcept {
-    return active_nodes(&TileOccupancy::active_inject);
+    return marked_nodes(&TileOccupancy::inject_mask);
   }
   [[nodiscard]] std::uint64_t full_link_registers() const noexcept {
     return full_links_;
@@ -482,8 +479,6 @@ class Network {
   /// atomics on the hot path).
   struct PhaseDeltas {
     std::int64_t buffered_flits = 0;
-    std::int64_t queued_messages = 0;
-    std::int64_t busy_supplies = 0;
     std::int64_t full_links = 0;
     std::uint64_t flits_moved = 0;
     Counters counts;
@@ -494,11 +489,13 @@ class Network {
   struct TileOccupancy {
     // Occupancy bitmaps, one bit per tile-local node index (bit i of word
     // i/64 <=> nodes[i]).  A route/switch bit is set exactly while the
-    // node's ready words are non-zero, an inject bit while its pending
-    // count is positive — set_*_ready / bump_inject maintain the
-    // equivalence on the empty <-> non-empty transitions — and the
+    // node's ready words are non-zero — set_*_ready maintain the
+    // equivalence on the empty <-> non-empty transitions — and an inject
+    // bit while the node's source queue is non-empty or one of its
+    // injection supplies is mid-message: enqueueing sets it, inject_node
+    // clears it when the last supply finishes on an empty queue.  The
     // consuming phase walks set bits via count-trailing-zeros, which
-    // visits nodes in ascending order for free.
+    // visits nodes in ascending order for free; the gauges popcount them.
     std::vector<std::uint64_t> route_mask;
     std::vector<std::uint64_t> switch_mask;
     std::vector<std::uint64_t> inject_mask;
@@ -508,27 +505,20 @@ class Network {
     /// registers never set a bit: the sender may not touch another tile's
     /// mask, so the downstream tile polls them through boundary_in.
     std::vector<std::uint64_t> link_mask;
-    // Exact gauge counts: nodes whose occupancy mask bit is set.
-    std::int64_t active_route = 0;
-    std::int64_t active_switch = 0;
-    std::int64_t active_inject = 0;
   };
 
   /// The occupancy state derived from the routers, link registers, source
   /// queues and injection supplies — everything the phases' active-set
-  /// walks and the O(1) gauges read.  The kernel keeps it incrementally
-  /// (set_*_ready, bump_inject, note_link_full, the phase deltas);
-  /// recount_occupancy() derives it from scratch.
+  /// walks and the gauges read.  The kernel keeps it incrementally
+  /// (set_*_ready, the inject-bit updates, note_link_full, the phase
+  /// deltas); recount_occupancy() derives it from scratch.
   struct Occupancy {
     std::vector<std::uint64_t> route_ready;     // like route_ready_
     std::vector<std::uint64_t> switch_ready;    // like switch_ready_
     std::vector<std::uint64_t> credit_blocked;  // like credit_blocked_
-    std::vector<std::uint32_t> inject_pending;
     std::vector<std::uint32_t> link_vc_allocated;
     std::vector<TileOccupancy> tiles;
     std::uint64_t buffered_flits = 0;
-    std::uint64_t queued_messages = 0;
-    std::uint64_t busy_supplies = 0;
     std::uint64_t full_links = 0;
   };
 
@@ -636,11 +626,11 @@ class Network {
     return it->second;
   }
 
-  /// Freezes the slot's accounting into the retirement log, clears the
-  /// slot, bumps its generation and pushes it onto the free list.  Called
-  /// the cycle the tail ejects or the message is aborted — never with
-  /// flits of the message still in the network.
-  void retire_slot(MessageSlot slot);
+  /// Freezes the slot's accounting into the retirement log (`aborted`:
+  /// given up rather than delivered), clears the slot and pushes it onto
+  /// the free list.  Called the cycle the tail ejects or the message is
+  /// aborted — never with flits of the message still in the network.
+  void retire_slot(MessageSlot slot, bool aborted);
 
   // Trace emission helpers; called only when trace_ != nullptr.  The
   // serial overload records straight to the sink (creation, purge,
@@ -662,19 +652,24 @@ class Network {
                                      topology::Coord c);
 
   /// The one from-scratch definition of the occupancy state: every ready
-  /// word, inject count, per-VC allocation gauge, tile mask, tile gauge and
-  /// total, derived from the router, link, queue and supply state.  Reads
-  /// each Active input VC's output VC, so out_vc must be in range.
+  /// word, per-VC allocation gauge, tile mask and total, derived from the
+  /// router, link, queue and supply state.  Reads each Active input VC's
+  /// output VC, so out_vc must be in range.
   [[nodiscard]] Occupancy recount_occupancy() const;
   /// Recount and install: replaces the occupancy state with
   /// recount_occupancy().  Used after rare bulk mutations (purge,
   /// reconfiguration) instead of per-item bookkeeping.
   void rebuild_active_sets();
-  /// A gauge summed over the tiles (the active_*_nodes accessors).
-  [[nodiscard]] std::uint64_t active_nodes(
-      std::int64_t TileOccupancy::* gauge) const noexcept;
+  /// Set bits of one tile node mask, summed over the tiles (the
+  /// active_*_nodes accessors).
+  [[nodiscard]] std::uint64_t marked_nodes(
+      std::vector<std::uint64_t> TileOccupancy::* mask) const noexcept;
+  /// True when none of `node`'s injection supplies is mid-message.
+  [[nodiscard]] bool supplies_idle(topology::NodeId node) const;
+  /// Sets `node`'s inject bit: its source queue just grew.
+  void mark_inject(topology::NodeId node);
 
-  // Occupancy bookkeeping.  The masks and the counter are exact; bit
+  // Occupancy bookkeeping.  The masks are exact; bit
   // `port * vcs + vc` of a node's ready words names one input VC:
   //   route_ready_  bit set <=> that VC has a header flit at the front and
   //                             stage != Active (a routable header)
@@ -684,30 +679,25 @@ class Network {
   //                             Local and its reserved output VC has
   //                             credits == 0 (the VC cannot send, whether
   //                             or not it holds a flit)
-  //   inject_pending_[n] = source-queue length + busy injection supplies
-  // A node's bit in its tile's occupancy mask is set exactly while its
-  // route/switch ready words are non-zero (resp. the counter is positive):
-  // the setters set it on the empty -> non-empty transition and clear it
-  // on the way back.  set_*_ready asserts the VC bit actually changes
-  // state.  credit_blocked_ has no tile mask or gauge: it is set by route
-  // allocation onto a creditless output VC and by a non-tail grant that
-  // spends the last credit, and cleared by the credit return that lifts
-  // the count from 0 (found through OutputVc::feeder).
+  // A node's bit in its tile's route/switch mask is set exactly while its
+  // route/switch ready words are non-zero: the setters set it on the
+  // empty -> non-empty transition and clear it on the way back.
+  // set_*_ready asserts the VC bit actually changes state.
+  // credit_blocked_ has no tile mask: it is set by route allocation onto
+  // a creditless output VC and by a non-tail grant that spends the last
+  // credit, and cleared by the credit return that lifts the count from 0
+  // (found through OutputVc::feeder).
   void set_route_ready(topology::NodeId node, std::size_t bit, bool ready) {
-    set_ready(route_ready_, &TileOccupancy::route_mask,
-              &TileOccupancy::active_route, node, bit, ready);
+    set_ready(route_ready_, &TileOccupancy::route_mask, node, bit, ready);
   }
   void set_switch_ready(topology::NodeId node, std::size_t bit, bool ready) {
-    set_ready(switch_ready_, &TileOccupancy::switch_mask,
-              &TileOccupancy::active_switch, node, bit, ready);
+    set_ready(switch_ready_, &TileOccupancy::switch_mask, node, bit, ready);
   }
   /// Flips one node's ready bit in `words` and, on the node's empty <->
-  /// non-empty transition, its bit in the tile `mask` and the tile `gauge`.
+  /// non-empty transition, its bit in the tile `mask`.
   void set_ready(std::vector<std::uint64_t>& words,
                  std::vector<std::uint64_t> TileOccupancy::* mask,
-                 std::int64_t TileOccupancy::* gauge, topology::NodeId node,
-                 std::size_t bit, bool ready);
-  void bump_inject(topology::NodeId node, int delta);
+                 topology::NodeId node, std::size_t bit, bool ready);
   /// The node's words in a per-node input-VC ready mask.
   [[nodiscard]] std::uint64_t* ready_words(std::vector<std::uint64_t>& mask,
                                            topology::NodeId node) {
@@ -765,11 +755,12 @@ class Network {
 
   // Message storage: a slot table plus a parallel hot array (SoA split —
   // the route stage touches only headers_); live_ids_ maps stable ids to
-  // their current slot.  Finished slots go through retire_slot() back to
-  // the free store and their generation is bumped.
+  // their current slot.  A message is live exactly while it occupies a
+  // slot; finished slots go through retire_slot() back to the free store.
+  // Ids are never reused, so an id held across a retirement (a pending
+  // retransmission) can never alias the slot's next occupant.
   std::vector<Message> messages_;      // cold accounting, indexed by slot
   std::vector<HeaderState> headers_;   // hot routing state, indexed by slot
-  std::vector<std::uint32_t> slot_gen_;
   /// Vacant slots, LIFO: creation reuses the most recently retired slot
   /// and appends a fresh one only when the list is empty, so the table
   /// ends at the peak of concurrently live messages.
@@ -783,19 +774,16 @@ class Network {
 
   std::uint64_t cycle_ = 0;
   std::uint64_t buffered_flits_ = 0;  // input buffers + link registers
-  std::uint64_t queued_messages_ = 0; // source-queue entries, all nodes
-  std::uint64_t busy_supplies_ = 0;   // injection supplies mid-message
   std::uint64_t flits_moved_this_cycle_ = 0;
   sim::Watchdog watchdog_;
 
-  // Active-set state (see set_*_ready above).  The ready masks (ready_words_ words per node) and the inject
-  // counters stay global (indexed by node, each touched only by its owning
-  // tile mid-phase); the node occupancy bitmaps live on the tiles,
-  // addressed through the node -> tile-local-index map.
+  // Active-set state (see set_*_ready above).  The ready masks
+  // (ready_words_ words per node) stay global (indexed by node, each
+  // touched only by its owning tile mid-phase); the node occupancy bitmaps
+  // live on the tiles, addressed through the node -> tile-local-index map.
   std::vector<std::uint64_t> route_ready_;
   std::vector<std::uint64_t> switch_ready_;
   std::vector<std::uint64_t> credit_blocked_;
-  std::vector<std::uint32_t> inject_pending_;
   std::vector<std::uint32_t> link_vc_allocated_;  // per VC index, link ports
   std::uint64_t full_links_ = 0;  ///< exact count of full link registers
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "ftmesh/routing/boppana_chalasani.hpp"
 #include "ftmesh/routing/boura.hpp"
@@ -73,6 +74,11 @@ std::unique_ptr<RoutingAlgorithm> make_algorithm(std::string_view name,
   const int total = opts.total_vcs;
   if (total < min_vcs_required(name, mesh)) {
     throw std::invalid_argument("VC budget too small for " + std::string(name));
+  }
+  if (total > kMaxVcs) {
+    throw std::invalid_argument("VC budget too large for " + std::string(name) +
+                                ": at most " + std::to_string(kMaxVcs) +
+                                " VCs per channel");
   }
 
   if (name == "PHop" || name == "Pbc" || name == "NHop" || name == "Nbc") {

@@ -29,7 +29,8 @@ const std::vector<std::string>& algorithm_names();
 bool is_algorithm_name(std::string_view name);
 
 /// Builds the named algorithm against (mesh, faults, rings).
-/// Throws std::invalid_argument for unknown names or infeasible VC budgets.
+/// Throws std::invalid_argument for unknown names or infeasible VC budgets
+/// (below min_vcs_required, or above kMaxVcs).
 std::unique_ptr<RoutingAlgorithm> make_algorithm(
     std::string_view name, const topology::Mesh& mesh,
     const fault::FaultMap& faults, const fault::FRingSet& rings,

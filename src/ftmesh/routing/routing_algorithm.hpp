@@ -38,6 +38,10 @@ struct CandidateVc {
   friend constexpr bool operator==(const CandidateVc&, const CandidateVc&) = default;
 };
 
+/// The most VCs per physical channel: CandidateList stores each VC index
+/// in a byte.  make_algorithm refuses a larger budget.
+inline constexpr int kMaxVcs = 256;
+
 /// Tiered candidate set.  Tier boundaries express preferences such as
 /// Duato's "use class I; fall back to class II only when class I is busy"
 /// and Fully-Adaptive's "misroute only when every minimal channel is busy".
@@ -57,7 +61,7 @@ class CandidateList {
     tiers_.clear();
   }
   void add(topology::Direction dir, int vc) {
-    assert(vc >= 0 && vc < 256 && "VC index exceeds the SoA byte layout");
+    assert(vc >= 0 && vc < kMaxVcs && "VC index exceeds the SoA byte layout");
     dirs_.push_back(static_cast<std::uint8_t>(dir));
     vcs_.push_back(static_cast<std::uint8_t>(vc));
   }

@@ -26,8 +26,7 @@ LatencySummary summarize_latency(const router::Network& net,
   double hop_sum = 0.0;
   double misroute_sum = 0.0;
   std::uint64_t ring_users = 0;
-  // Finished messages live in the retirement log (both recycling modes).
-  // Accumulate in stable-id order — the order the legacy full-table scan
+  // Finished messages live in the retirement log.  Accumulate in stable-id order — the order the legacy full-table scan
   // used — so the floating-point sums, and therefore the report, are
   // byte-identical regardless of retirement (i.e. delivery) order.
   const auto& retired = net.retired();
@@ -51,10 +50,9 @@ LatencySummary summarize_latency(const router::Network& net,
     if (r.ring_user) ++ring_users;
   }
   // Messages still in flight at the end of the run: integer counters only.
-  // Free slots carry id == kInvalidMessage; finished slots (recycling off
-  // keeps them in the table) are already counted through the log above.
+  // Free slots carry id == kInvalidMessage; an occupied slot is live.
   for (const auto& m : net.messages()) {
-    if (m.id == router::kInvalidMessage || m.done || m.aborted) continue;
+    if (m.id == router::kInvalidMessage) continue;
     if (m.created >= warmup) {
       ++s.generated;
       ++s.undelivered;

@@ -24,9 +24,8 @@ ReliabilitySummary summarize_reliability(const router::Network& net,
 
   std::vector<double> recovery;
   std::uint64_t post_fault_flits = 0;
-  // Finished messages come from the retirement log (identical in both
-  // recycling modes); collection order is irrelevant here — every float
-  // reduction below happens after a sort.
+  // Finished messages come from the retirement log; collection order is
+  // irrelevant here — every float reduction below happens after a sort.
   for (const auto& r : net.retired()) {
     ++out.generated;
     if (!r.aborted) {
@@ -44,7 +43,7 @@ ReliabilitySummary summarize_reliability(const router::Network& net,
   }
   // Live slots: anything not yet retired was still in flight at the end.
   for (const auto& m : net.messages()) {
-    if (m.id == router::kInvalidMessage || m.done || m.aborted) continue;
+    if (m.id == router::kInvalidMessage) continue;
     ++out.generated;
     ++out.in_flight_end;
   }

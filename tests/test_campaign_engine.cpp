@@ -268,8 +268,7 @@ TEST(CampaignEngine, ResumeAfterSinkAbortIsByteIdentical) {
 
   campaign::StreamOptions options;
   options.threads = 2;
-  options.checkpoint_dir = dir;
-  options.checkpoint_every = 1;  // persist every cell before dying
+  options.checkpoint_dir = dir;  // results.jsonl is flushed per cell
   EXPECT_THROW(campaign::run_streamed(spec, options, &aborting),
                std::runtime_error);
 
@@ -395,6 +394,26 @@ TEST(CampaignEngine, ResumeRefusesManifestNumbersWithTrailingGarbage) {
           << e.what();
     }
   }
+}
+
+TEST(CampaignEngine, ResumeAcceptsAnOlderManifestProgressLine) {
+  // Older builds rewrote a `completed = N` progress line into the manifest
+  // as cells retired; their checkpoint directories must still resume.
+  const auto spec = engine_spec();
+  const std::string expected = legacy_csv(spec);
+  const auto dir = fresh_dir("manifest_completed");
+  campaign::StreamOptions options;
+  options.threads = 2;
+  options.checkpoint_dir = dir;
+  campaign::run_streamed(spec, options, nullptr);
+  std::ofstream(std::filesystem::path(dir) / "manifest.txt", std::ios::app)
+      << "completed = 8\n";
+
+  campaign::StreamOptions resume = options;
+  resume.resume = true;
+  campaign::StreamStats stats;
+  EXPECT_EQ(streamed_csv(spec, resume, &stats), expected);
+  EXPECT_EQ(stats.cells_restored, 8u);
 }
 
 TEST(CampaignEngine, RecordRoundTripAndEscaping) {

@@ -69,6 +69,34 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   EXPECT_EQ(loaded, cfg);
 }
 
+TEST(ConfigIo, RatesRoundTripBitExactly) {
+  // A rate past six significant digits must come back as the same double
+  // (it once saved as 0.00123457, and the replay simulated another rate);
+  // a rate that six digits already carry keeps its old text, so existing
+  // config files and campaign spec hashes stay put.
+  const std::pair<double, std::string> cases[] = {
+      {0.00123456789, "injection_rate = 0.00123456789\n"},
+      {0.1 + 0.2, "injection_rate = 0.30000000000000004\n"},
+      {0.002, "injection_rate = 0.002\n"},
+      {-1.0, "injection_rate = -1\n"},
+      {1e-7, "injection_rate = 1e-07\n"},
+      {std::numeric_limits<double>::denorm_min(), ""},
+  };
+  for (const auto& [rate, line] : cases) {
+    SCOPED_TRACE(line);
+    SimConfig cfg;
+    cfg.injection_rate = rate;
+    std::stringstream buffer;
+    save_config(buffer, cfg);
+    if (!line.empty()) {
+      EXPECT_NE(buffer.str().find(line), std::string::npos) << buffer.str();
+    }
+    const SimConfig loaded = load_config(buffer);
+    EXPECT_EQ(loaded.injection_rate, rate);  // bit-exact, not DOUBLE_EQ
+    EXPECT_EQ(loaded, cfg);
+  }
+}
+
 TEST(ConfigIo, RetiredKernelSwitchesLoadOnlyAtTheirDefaults) {
   // The full scan, the uncached routing path, append-only message storage
   // and every slot allocator but the one pool were removed from the kernel.

@@ -547,6 +547,65 @@ TEST(FaultInjector, CountsLinkEventsSeparately) {
   EXPECT_TRUE(map.blocked({6, 6}));
 }
 
+TEST(FaultInjector, StaleRetransmissionSkipsTheSlotsNextOccupant) {
+  // A purged message waits out its backoff; its destination dies in the
+  // meantime, so the recovery pass aborts it and frees its slot; the next
+  // creation takes that slot.  When the stale retransmission comes due it
+  // must be skipped: requeueing the slot's new occupant would inject that
+  // worm twice.
+  const Mesh m(8, 8);
+  FaultMap map(m);
+  FRingSet rings(map);
+  auto algo = ftmesh::routing::make_algorithm("Minimal-Adaptive", m, map, rings);
+  ftmesh::router::Network net(m, map, *algo, {}, Rng(7));
+  const auto step = [&](ftmesh::inject::FaultInjector& inj) {
+    if (inj.tick(net)) {
+      net.revalidate_ring_state(rings);
+      net.on_fault_change();
+      algo->on_fault_change();
+    }
+    net.step();
+    ASSERT_NO_THROW(net.audit_invariants(2)) << "cycle " << net.cycle();
+  };
+
+  FaultSchedule sched;
+  sched.add(6, FaultEvent{FaultEventKind::Fail, {2, 2}});   // on a's path
+  sched.add(20, FaultEvent{FaultEventKind::Fail, {5, 2}});  // a's destination
+  ftmesh::inject::FaultInjector inj(std::move(sched), map, rings,
+                                    {/*max_retries=*/3, /*retry_backoff=*/64});
+
+  // a's only minimal path runs along row 2 through (2,2).
+  const auto a = net.create_message({1, 2}, {5, 2}, 32);
+  while (net.cycle() < 7) step(inj);
+  ASSERT_EQ(inj.log().retransmissions, 1u);  // purged, due at cycle 70
+  ASSERT_FALSE(net.message_finished(a));
+  while (net.cycle() < 21) step(inj);
+  ASSERT_EQ(inj.log().events_applied, 2);
+  ASSERT_TRUE(net.message_finished(a));  // endpoint lost: aborted
+  ASSERT_EQ(inj.log().aborts, 1u);
+  ASSERT_FALSE(inj.quiescent());  // the stale entry is still pending
+
+  // b takes a's recycled slot and is still in flight at cycle 70.
+  const auto b = net.create_message({0, 7}, {7, 7}, 200);
+  ASSERT_EQ(net.message_slots(), 1u);
+  while (net.cycle() < 72) step(inj);
+  EXPECT_TRUE(inj.quiescent());  // the stale entry popped...
+  ASSERT_FALSE(net.message_finished(b));
+  EXPECT_EQ(net.message(b).retries, 0);  // ...and was skipped
+  EXPECT_EQ(net.source_queue_length({0, 7}), 0u);
+  EXPECT_EQ(inj.log().retransmissions, 1u);
+  EXPECT_EQ(inj.log().aborts, 1u);
+
+  // b is delivered exactly once: a second copy of its worm would have
+  // left flits behind after the tail.
+  while (!net.message_finished(b) && net.cycle() < 600) step(inj);
+  ASSERT_TRUE(net.message_finished(b));
+  for (int i = 0; i < 20; ++i) step(inj);
+  EXPECT_TRUE(net.drained());
+  EXPECT_EQ(net.retired().size(), 2u);
+  EXPECT_FALSE(net.retired_record(b)->aborted);
+}
+
 // ----------------------------------- verifier satellite: post-event safety
 
 TEST(PostEventVerification, AllAlgorithmsStayDeadlockFreeAfterEvents) {

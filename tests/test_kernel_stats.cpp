@@ -97,6 +97,84 @@ TEST(KernelStats, ActiveSetMeansAreSampledAndBounded) {
   EXPECT_GT(r.kernel.mean_link_regs, 0.0);
 }
 
+TEST(KernelStats, GaugesAndDrainMatchABruteForceCountEveryCycle) {
+  // The active-set gauges popcount the tile masks and drained() reads the
+  // inject mask.  Both must equal a count taken straight from the routers,
+  // source queues and injection supplies on every cycle of a tiled run
+  // through node and link faults, a repair, and the drain.
+  SimConfig cfg = kernel_config();
+  cfg.width = 10;
+  cfg.height = 10;
+  cfg.algorithm = "Nbc";
+  cfg.tiles = 4;
+  cfg.injection_rate = 0.006;
+  cfg.message_length = 12;
+  cfg.warmup_cycles = 100;
+  cfg.total_cycles = 1500;
+  cfg.fault_schedule =
+      "fail@300:4,4; fail-link@500:6,2,E; fail@700:5,7; repair@1000:4,4";
+  Simulator sim(cfg);
+  const auto& net = sim.network();
+
+  std::uint64_t cycles = 0;
+  std::uint64_t busy_inject = 0;
+  bool drained_seen = false;
+  const auto check = [&] {
+    std::uint64_t route = 0;
+    std::uint64_t sw = 0;
+    std::uint64_t inject = 0;
+    bool idle = net.flits_in_network() == 0;
+    for (int y = 0; y < cfg.height; ++y) {
+      for (int x = 0; x < cfg.width; ++x) {
+        const Coord c{x, y};
+        const auto& rt = net.router_at(c);
+        bool routable = false;
+        bool sendable = false;
+        for (int port = 0; port < ftmesh::topology::kPortCount; ++port) {
+          for (int vc = 0; vc < rt.vcs(); ++vc) {
+            const auto& ivc = rt.input(port, vc);
+            if (ivc.buf.empty()) continue;
+            if (ivc.stage == ftmesh::router::IvcStage::Active) {
+              sendable = true;
+            } else if (ftmesh::router::is_head(ivc.buf.front().type)) {
+              routable = true;
+            }
+          }
+        }
+        const bool pending =
+            net.source_queue_length(c) > 0 || net.injecting(c);
+        route += routable ? 1 : 0;
+        sw += sendable ? 1 : 0;
+        inject += pending ? 1 : 0;
+        busy_inject += net.injecting(c) ? 1 : 0;
+        idle = idle && !pending;
+      }
+    }
+    ASSERT_EQ(net.active_route_nodes(), route) << "cycle " << net.cycle();
+    ASSERT_EQ(net.active_switch_nodes(), sw) << "cycle " << net.cycle();
+    ASSERT_EQ(net.active_inject_nodes(), inject) << "cycle " << net.cycle();
+    ASSERT_EQ(net.drained(), idle) << "cycle " << net.cycle();
+    drained_seen = drained_seen || idle;
+    ++cycles;
+  };
+  while (net.cycle() < cfg.total_cycles) {
+    sim.step();
+    check();
+    if (HasFatalFailure()) return;
+  }
+  while (sim.drain(1) == 1) {
+    check();
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_NE(sim.injector(), nullptr);
+  EXPECT_EQ(sim.injector()->log().events_applied, 4);
+  EXPECT_GT(sim.injector()->log().messages_flushed, 0u);
+  EXPECT_GT(busy_inject, 0u);
+  EXPECT_TRUE(net.drained());
+  EXPECT_TRUE(drained_seen);
+  EXPECT_FALSE(net.watchdog().tripped());
+}
+
 TEST(KernelStats, FaultEventsInvalidateTheCache) {
   auto cfg = kernel_config();
   cfg.fault_schedule = "fail@800:3,3; repair@1500:3,3";

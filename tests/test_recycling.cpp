@@ -1,5 +1,5 @@
-// Message slot recycling: free-list reuse, generation-tagged handles, and
-// the bounded-memory guarantee (slot table stays O(in-flight) while the
+// Message slot recycling: free-list reuse, stable ids that outlive their
+// slot, and the bounded-memory guarantee (slot table stays O(in-flight) while the
 // delivered count grows without bound).
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@ namespace {
 using ftmesh::fault::FaultMap;
 using ftmesh::fault::FRingSet;
 using ftmesh::router::kInvalidMessage;
-using ftmesh::router::MessageHandle;
 using ftmesh::router::MessageId;
 using ftmesh::router::Network;
 using ftmesh::router::NetworkConfig;
@@ -74,24 +73,26 @@ TEST(Recycling, RetiredRecordSurvivesSlotReuse) {
   EXPECT_EQ(f.net->messages_created(), 2u);
 }
 
-TEST(Recycling, GenerationTagTrapsStaleHandles) {
+TEST(Recycling, RetiredIdStaysFinishedAfterSlotReuse) {
+  // An id held across a retirement (a pending retransmission, say) must
+  // keep naming the retired message, never the slot's next occupant.
   RecyclingFixture f;
   const auto a = f.net->create_message({0, 0}, {4, 4}, 8);
-  const MessageHandle stale = f.net->handle_of(a);
-  EXPECT_TRUE(f.net->handle_live(stale));
-
+  EXPECT_FALSE(f.net->message_finished(a));
   for (int i = 0; i < 400 && !f.net->message_finished(a); ++i) f.net->step();
   ASSERT_TRUE(f.net->message_finished(a));
-  EXPECT_FALSE(f.net->handle_live(stale));  // retirement bumps the generation
 
-  // A fresh message in the recycled slot gets a fresh generation: the old
-  // handle stays dead, the new one is live.
+  // The next message takes the recycled slot under a fresh id: the old id
+  // stays finished, the new one is live and names its own message.
   const auto b = f.net->create_message({1, 1}, {6, 6}, 8);
-  const MessageHandle fresh = f.net->handle_of(b);
-  EXPECT_EQ(fresh.slot, stale.slot);
-  EXPECT_NE(fresh.gen, stale.gen);
-  EXPECT_FALSE(f.net->handle_live(stale));
-  EXPECT_TRUE(f.net->handle_live(fresh));
+  EXPECT_EQ(f.net->message_slots(), 1u);  // the one slot, reused
+  EXPECT_NE(b, a);
+  EXPECT_TRUE(f.net->message_finished(a));
+  EXPECT_FALSE(f.net->message_finished(b));
+  EXPECT_EQ(f.net->message(b).id, b);
+  EXPECT_EQ(f.net->message(b).src, (Coord{1, 1}));
+  ASSERT_NE(f.net->retired_record(a), nullptr);
+  EXPECT_EQ(f.net->retired_record(b), nullptr);
 }
 
 TEST(Recycling, TwoCreationsInOneWindowKeepBothMessages) {
@@ -115,7 +116,7 @@ TEST(Recycling, TwoCreationsInOneWindowKeepBothMessages) {
     ASSERT_EQ(b, a + 1);
     EXPECT_EQ(f.net->message(a).dst, a_dst);
     EXPECT_EQ(f.net->message(b).dst, b_dst);
-    EXPECT_NE(f.net->handle_of(a).slot, f.net->handle_of(b).slot);
+    EXPECT_EQ(f.net->message_slots(), 2u);  // one slot each
     EXPECT_FALSE(f.net->message_finished(a));
     EXPECT_FALSE(f.net->message_finished(b));
     for (int i = 0; i < 400 && !(f.net->message_finished(a) &&
@@ -175,27 +176,25 @@ TEST(Recycling, SlotTableStaysBoundedOverLongRuns) {
                                     f.net->free_message_slots())));
 }
 
-TEST(Recycling, GenerationTrapSurvivesCrossTileReuse) {
+TEST(Recycling, RetiredIdStaysFinishedAfterCrossTileReuse) {
   // Four tiles share one free list: a slot retired by traffic on one tile
-  // is handed to the next creation on any other.  The generation tag must
-  // trap the stale handle exactly as with one tile, and the reused slot
-  // must carry a fresh generation.
+  // is handed to the next creation on any other.  The retired id must stay
+  // finished exactly as with one tile, and the reused slot must answer to
+  // the new id only.
   RecyclingFixture f(/*tiles=*/4, /*step_threads=*/1);
   const auto a = f.net->create_message({0, 0}, {3, 3}, 8);  // tile 0 traffic
-  const MessageHandle stale = f.net->handle_of(a);
-  EXPECT_TRUE(f.net->handle_live(stale));
   for (int i = 0; i < 400 && !f.net->message_finished(a); ++i) f.net->step();
   ASSERT_TRUE(f.net->message_finished(a));
-  EXPECT_FALSE(f.net->handle_live(stale));
 
   // Created on the opposite tile, then stepped through a cycle there.
   const auto b = f.net->create_message({6, 6}, {1, 1}, 8);
   f.net->step();
-  const MessageHandle fresh = f.net->handle_of(b);
-  EXPECT_EQ(fresh.slot, stale.slot);  // cross-tile reuse
-  EXPECT_NE(fresh.gen, stale.gen);
-  EXPECT_FALSE(f.net->handle_live(stale));
-  EXPECT_TRUE(f.net->handle_live(fresh));
+  EXPECT_EQ(f.net->message_slots(), 1u);  // cross-tile reuse of the one slot
+  EXPECT_TRUE(f.net->message_finished(a));
+  EXPECT_FALSE(f.net->message_finished(b));
+  EXPECT_EQ(f.net->message(b).id, b);
+  EXPECT_EQ(f.net->message(b).src, (Coord{6, 6}));
+  ASSERT_NO_THROW(f.net->audit_invariants(2));
 }
 
 TEST(Recycling, SlotTableStaysBoundedUnderShardedChurn) {

@@ -186,6 +186,26 @@ TEST(Registry, RejectsInsufficientVcBudget) {
       std::invalid_argument);
 }
 
+TEST(Registry, RejectsVcBudgetAboveByteRange) {
+  // Candidate lists store each VC index in a byte: 256 VCs is the most
+  // every algorithm accepts, 257 the least each refuses.
+  const Mesh mesh(3, 3);
+  const FaultMap faults(mesh);
+  const FRingSet rings(faults);
+  ftmesh::routing::RoutingOptions opts;
+  for (const auto& name : ftmesh::routing::algorithm_names()) {
+    opts.total_vcs = ftmesh::routing::kMaxVcs;
+    EXPECT_NO_THROW(
+        ftmesh::routing::make_algorithm(name, mesh, faults, rings, opts))
+        << name;
+    opts.total_vcs = ftmesh::routing::kMaxVcs + 1;
+    EXPECT_THROW(
+        ftmesh::routing::make_algorithm(name, mesh, faults, rings, opts),
+        std::invalid_argument)
+        << name;
+  }
+}
+
 TEST(Registry, MinVcsMatchesPaperAccounting) {
   const Mesh m(10, 10);
   EXPECT_EQ(ftmesh::routing::min_vcs_required("PHop", m), 23);

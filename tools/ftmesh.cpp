@@ -367,8 +367,6 @@ int cmd_campaign(const Cli& cli) {
   } else {
     options.checkpoint_dir = dir;
   }
-  options.checkpoint_every =
-      static_cast<int>(cli.get_int("checkpoint-every", 32));
 
   // --progress: heartbeat on TTY stderr; --progress=force prints even when
   // stderr is redirected (throttled for logs).
@@ -743,7 +741,7 @@ constexpr const char* kUsage = R"(usage: ftmesh <command> [flags]
                     [--fault-counts 0,5,10] [--patterns N] [--out f.csv]
                     [--threads N] [--metrics-interval N] [--metrics-out f.csv]
                     [--dir DIR] [--resume DIR] [--shard i/N]
-                    [--checkpoint-every N] [--progress[=force]]
+                    [--progress[=force]]
   ftmesh campaign-merge [--out f.csv] DIR [DIR...]
   ftmesh verify     [--algo A|all|broken-demo] [--faults 0,5,10]
                     [--link-faults N] [--seed S] [--width W] [--height H]
@@ -787,7 +785,7 @@ const std::vector<Command> kCommands = {
     {"faults", cmd_faults, true, {}},
     {"campaign", cmd_campaign, true,
      {"algorithms", "rates", "fault-counts", "patterns", "threads", "shard",
-      "resume", "dir", "checkpoint-every", "progress", "metrics-out", "out"}},
+      "resume", "dir", "progress", "metrics-out", "out"}},
     {"campaign-merge", cmd_campaign_merge, false, {"out"}},
     {"verify", cmd_verify, true, {"algo", "threads"}},
     {"audit", cmd_audit, true,
