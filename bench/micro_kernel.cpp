@@ -5,12 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <bit>
 #include <vector>
 
 #include "ftmesh/campaign/stream.hpp"
 #include "ftmesh/core/simulator.hpp"
-#include "ftmesh/routing/candidate_score.hpp"
 #include "ftmesh/trace/trace_sink.hpp"
 
 namespace {
@@ -272,89 +270,6 @@ void BM_FRingConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FRingConstruction);
-
-// ---- candidate-scoring kernel (routing/candidate_score.hpp) -------------
-//
-// The route stage must turn per-candidate output-VC occupancy into the
-// ordered free subset of each tier.  These two benchmarks price exactly
-// that inner loop over randomized occupancy (so the scalar version's
-// branches mispredict like they do under real load): the `Scalar` capture
-// replays the pre-vectorization branchy scan, the plain one the shipped
-// mask fold + ctz walk.  Both produce the identical output sequence; CI
-// holds the mask:scalar pair ratio.
-constexpr std::size_t kScorePatterns = 4096;
-constexpr std::size_t kScoreCands = 24;  // 4 directions x 6 VCs
-constexpr std::size_t kScoreTiers = 3;   // 8 candidates per tier
-
-std::vector<ftmesh::routing::CandidateScoreScratch> score_patterns() {
-  std::vector<ftmesh::routing::CandidateScoreScratch> ps(kScorePatterns);
-  ftmesh::sim::Rng rng(17);
-  for (auto& p : ps) {
-    for (std::size_t i = 0; i < ftmesh::routing::kMaxScoredCandidates; ++i) {
-      p.busy[i] = static_cast<std::uint8_t>(rng.next_below(2));
-    }
-    ftmesh::routing::pad_busy(p, kScoreCands);
-  }
-  return ps;
-}
-
-void BM_CandidateScoreScalar(benchmark::State& state) {
-  const auto patterns = score_patterns();
-  ftmesh::sim::SmallVec<std::uint8_t, 16> free_cands;
-  std::size_t k = 0;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    const auto& p = patterns[k++ & (kScorePatterns - 1)];
-    for (std::size_t tier = 0; tier < kScoreTiers; ++tier) {
-      const std::size_t begin = tier * (kScoreCands / kScoreTiers);
-      const std::size_t end = begin + kScoreCands / kScoreTiers;
-      free_cands.clear();
-      for (std::size_t i = begin; i < end; ++i) {
-        if (p.busy[i] == 0) {
-          free_cands.push_back(static_cast<std::uint8_t>(i));
-        }
-      }
-      if (!free_cands.empty()) {
-        sink += free_cands.size() + free_cands[0];
-        break;
-      }
-    }
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kScoreCands);
-}
-BENCHMARK(BM_CandidateScoreScalar);
-
-void BM_CandidateScore(benchmark::State& state) {
-  const auto patterns = score_patterns();
-  ftmesh::sim::SmallVec<std::uint8_t, 16> free_cands;
-  std::size_t k = 0;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    const auto& p = patterns[k++ & (kScorePatterns - 1)];
-    const std::uint64_t mask =
-        ftmesh::routing::free_mask_from_busy(p, kScoreCands);
-    for (std::size_t tier = 0; tier < kScoreTiers; ++tier) {
-      const std::size_t begin = tier * (kScoreCands / kScoreTiers);
-      const std::size_t end = begin + kScoreCands / kScoreTiers;
-      const std::uint64_t window =
-          ftmesh::routing::tier_window(mask, begin, end);
-      if (window == 0) continue;
-      free_cands.clear();
-      for (std::uint64_t bits = window; bits != 0; bits &= bits - 1) {
-        free_cands.push_back(
-            static_cast<std::uint8_t>(std::countr_zero(bits)));
-      }
-      sink += free_cands.size() + free_cands[0];
-      break;
-    }
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kScoreCands);
-}
-BENCHMARK(BM_CandidateScore);
 
 void BM_CandidateEnumeration(benchmark::State& state) {
   const ftmesh::topology::Mesh mesh(10, 10);

@@ -26,22 +26,15 @@ bool FaultInjector::tick(router::Network& net) {
   const double now = static_cast<double>(net.cycle());
 
   // 1. Due retransmissions re-enter their source queue.  A retired id
-  //    means the message was aborted after this entry was scheduled (the
-  //    recovery pass aborts every live message whose endpoint died): skip
+  //    means the message was aborted after this entry was scheduled: skip
   //    it.  Ids are never reused, so the entry cannot name the slot's next
-  //    occupant.  The endpoint check below guards requeue_message's
-  //    precondition.
+  //    occupant.  A live id has both endpoints active — requeue_message's
+  //    precondition — because the fault map changes only in step 2, and
+  //    the recovery pass after it aborts every live message whose endpoint
+  //    died.
   while (retransmits_.due(now)) {
     const MessageId id = retransmits_.pop().payload;
-    if (net.message_finished(id)) continue;
-    const auto& m = net.message(id);
-    if (!net.faults().active(m.src) || !net.faults().active(m.dst)) {
-      ++log_.aborts;
-      trace_abort(net, id, m.src);
-      net.abort_message(id);
-      continue;
-    }
-    net.requeue_message(id);
+    if (!net.message_finished(id)) net.requeue_message(id);
   }
 
   // 2. Due fault events reconfigure the live fault map.

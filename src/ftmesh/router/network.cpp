@@ -2,7 +2,6 @@
 
 #include "ftmesh/core/thread_pool.hpp"
 #include "ftmesh/router/channel_id.hpp"
-#include "ftmesh/routing/candidate_score.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -1083,117 +1082,86 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
     return;
   }
   const routing::CandidateList& cand = route_candidates(t, id, m);
-  bool allocated = false;
-  // Branchless scoring: gather each candidate's output-VC occupancy into
-  // a byte vector (no data-dependent branch per candidate) and fold it
-  // into one free-bit mask; every per-tier decision below is then shifts
-  // and popcount.  Ascending set bits reproduce the scalar scan's
-  // candidate order exactly, so the selection RNG sees the same spans.
-  // Recomputed per header — allocations earlier in this node's scan
-  // change the occupancy.
-  // Wide lists (deep hop-class layouts under faults can exceed the
-  // one-word mask) take a scalar per-tier scan that visits candidates in
-  // the same ascending order; both paths feed select_candidate identical
-  // spans, so the draw sequence cannot differ between them.
+  // One in-order compaction scores every list, whatever its width: each
+  // candidate is written to the next free slot of the scratch, and the
+  // slot advances only when its output VC is unallocated — no branch on
+  // the occupancy.  Tier boundaries become offsets into the compacted
+  // array, so the first non-empty tier is the span the selection RNG sees,
+  // in candidate order.  Recomputed per header: allocations earlier in
+  // this node's scan change the occupancy.
   const std::size_t ncand = cand.size();
-  const bool wide = ncand > routing::kMaxScoredCandidates;
-  routing::CandidateScoreScratch score;
-  std::uint64_t free_mask = 0;
-  if (!wide) {
-    const std::uint8_t* dirs = cand.dirs_data();
-    const std::uint8_t* cvcs = cand.vcs_data();
-    for (std::size_t i = 0; i < ncand; ++i) {
-      assert(static_cast<Direction>(dirs[i]) != Direction::Local);
-      assert(mesh_->neighbour(c, static_cast<Direction>(dirs[i]))
-                 .has_value());
-      score.busy[i] = static_cast<std::uint8_t>(
-          rt.output(port_index(static_cast<Direction>(dirs[i])),
-                    static_cast<int>(cvcs[i]))
-              .allocated);
+  if (t.free_cands.size() < ncand) t.free_cands.resize(ncand);
+  routing::CandidateVc* const out = t.free_cands.data();
+  std::size_t nfree = 0;
+  std::size_t pick_begin = 0;
+  std::size_t pick_end = 0;
+  for (std::size_t tier = 0; tier < cand.tier_count(); ++tier) {
+    const auto [begin, end] = cand.tier_range(tier);
+    const std::size_t tier_begin = nfree;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Direction d = cand.dir(i);
+      const int vc = cand.vc(i);
+      assert(d != Direction::Local && mesh_->neighbour(c, d).has_value());
+      out[nfree] = {d, vc};
+      nfree += static_cast<std::size_t>(
+          !rt.output(port_index(d), vc).allocated);
     }
-    routing::pad_busy(score, ncand);
-    free_mask = routing::free_mask_from_busy(score, ncand);
+    if (pick_begin == pick_end) {
+      pick_begin = tier_begin;
+      pick_end = nfree;
+    }
   }
   ++t.d.counts.route_decisions;
   t.d.counts.candidates_offered += ncand;
-  if (!wide) {
-    t.d.counts.candidates_free +=
-        static_cast<std::uint64_t>(std::popcount(free_mask));
-  } else {
-    for (std::size_t i = 0; i < ncand; ++i) {
-      t.d.counts.candidates_free += static_cast<std::uint64_t>(
-          !rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated);
-    }
+  t.d.counts.candidates_free += nfree;
+  if (pick_begin == pick_end) {
+    if (trace_ != nullptr) trace_block(t, front.msg, c);
+    return;
   }
-  for (std::size_t tier = 0; tier < cand.tier_count(); ++tier) {
-    const auto [begin, end] = cand.tier_range(tier);
-    t.free_cands.clear();
-    if (!wide) {
-      const std::uint64_t window =
-          routing::tier_window(free_mask, begin, end);
-      if (window == 0) continue;
-      for (std::uint64_t bits = window; bits != 0; bits &= bits - 1) {
-        const auto i = static_cast<std::size_t>(std::countr_zero(bits));
-        t.free_cands.push_back({cand.dir(i), cand.vc(i)});
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (!rt.output(port_index(cand.dir(i)), cand.vc(i)).allocated) {
-          t.free_cands.push_back({cand.dir(i), cand.vc(i)});
-        }
-      }
-      if (t.free_cands.empty()) continue;
-    }
-    const auto pick = routing::select_candidate(
-        config_.selection,
-        std::span<const routing::CandidateVc>(t.free_cands.data(),
-                                              t.free_cands.size()),
-        [&](std::size_t i) {
-          const auto& cv = t.free_cands[i];
-          return rt.output(port_index(cv.dir), cv.vc).credits;
-        },
-        sel);
-    const auto& chosen = t.free_cands[pick];
+  const std::span<const routing::CandidateVc> choices(out + pick_begin,
+                                                      pick_end - pick_begin);
+  const routing::CandidateVc chosen = choices[routing::select_candidate(
+      config_.selection, choices,
+      [&](std::size_t i) {
+        return rt.output(port_index(choices[i].dir), choices[i].vc).credits;
+      },
+      sel)];
 #ifndef NDEBUG
-    const int port = static_cast<int>(idx) / vcs_;
-    const int vc = static_cast<int>(idx) % vcs_;
-    if (!debug_channel_order_.empty() && port != port_index(Direction::Local)) {
-      // The held channel is the upstream router's output feeding this
-      // input port (see channel_id.hpp).  On ranked -> ranked moves the
-      // verified dependency order must strictly increase.
-      const auto in_dir = static_cast<Direction>(port);
-      const NodeId up = mesh_->id_of(c.step(in_dir));
-      const auto held = static_cast<std::size_t>(
-          channel_id(up, opposite(in_dir), vc, vcs_));
-      const auto next = static_cast<std::size_t>(
-          channel_id(id, chosen.dir, chosen.vc, vcs_));
-      assert(debug_channel_order_[held] < 0 ||
-             debug_channel_order_[next] < 0 ||
-             debug_channel_order_[held] < debug_channel_order_[next]);
-    }
-#endif
-    // Output-VC ownership is the *slot*: the purge/victim machinery
-    // indexes its flag arrays by slot, and the owner is always live
-    // while the reservation is held.  A reservation taken while the
-    // downstream buffer is still full starts out credit-blocked.
-    OutputVc& ovc = rt.output(port_index(chosen.dir), chosen.vc);
-    ovc.allocate(front.msg, static_cast<std::uint16_t>(idx));
-    if (ovc.credits == 0) set_bit(ready_words(credit_blocked_, id), idx);
-    ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
-    ivc.out_dir = chosen.dir;
-    ivc.out_vc = chosen.vc;
-    ivc.stage = IvcStage::Active;
-    set_route_ready(id, idx, false);
-    set_switch_ready(id, idx, true);
-    if (trace_ != nullptr) {
-      trace_alloc(t, c, front.msg, chosen.dir, chosen.vc);
-    } else {
-      algorithm_->on_hop(c, chosen.dir, chosen.vc, m);
-    }
-    allocated = true;
-    break;
+  const int port = static_cast<int>(idx) / vcs_;
+  const int vc = static_cast<int>(idx) % vcs_;
+  if (!debug_channel_order_.empty() && port != port_index(Direction::Local)) {
+    // The held channel is the upstream router's output feeding this
+    // input port (see channel_id.hpp).  On ranked -> ranked moves the
+    // verified dependency order must strictly increase.
+    const auto in_dir = static_cast<Direction>(port);
+    const NodeId up = mesh_->id_of(c.step(in_dir));
+    const auto held = static_cast<std::size_t>(
+        channel_id(up, opposite(in_dir), vc, vcs_));
+    const auto next = static_cast<std::size_t>(
+        channel_id(id, chosen.dir, chosen.vc, vcs_));
+    assert(debug_channel_order_[held] < 0 ||
+           debug_channel_order_[next] < 0 ||
+           debug_channel_order_[held] < debug_channel_order_[next]);
   }
-  if (trace_ != nullptr && !allocated) trace_block(t, front.msg, c);
+#endif
+  // Output-VC ownership is the *slot*: the purge/victim machinery
+  // indexes its flag arrays by slot, and the owner is always live
+  // while the reservation is held.  A reservation taken while the
+  // downstream buffer is still full starts out credit-blocked.
+  OutputVc& ovc = rt.output(port_index(chosen.dir), chosen.vc);
+  ovc.allocate(front.msg, static_cast<std::uint16_t>(idx));
+  if (ovc.credits == 0) set_bit(ready_words(credit_blocked_, id), idx);
+  ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
+  ivc.out_dir = chosen.dir;
+  ivc.out_vc = chosen.vc;
+  ivc.stage = IvcStage::Active;
+  set_route_ready(id, idx, false);
+  set_switch_ready(id, idx, true);
+  if (trace_ != nullptr) {
+    trace_alloc(t, c, front.msg, chosen.dir, chosen.vc);
+  } else {
+    algorithm_->on_hop(c, chosen.dir, chosen.vc, m);
+  }
 }
 
 void Network::phase_routing() {

@@ -44,7 +44,6 @@
 #include "ftmesh/routing/selection.hpp"
 #include "ftmesh/sim/bit_walk.hpp"
 #include "ftmesh/sim/rng.hpp"
-#include "ftmesh/sim/small_vec.hpp"
 #include "ftmesh/sim/watchdog.hpp"
 #include "ftmesh/trace/trace_event.hpp"
 
@@ -551,7 +550,8 @@ class Network {
     std::string route_class_fault;
     routing::CandidateList cand;
 #endif
-    sim::SmallVec<routing::CandidateVc, 16> free_cands;
+    /// route_header's compaction target; grows to the widest list seen.
+    std::vector<routing::CandidateVc> free_cands;
     std::vector<Request> requests;
   };
 

@@ -48,11 +48,11 @@ inline constexpr int kMaxVcs = 256;
 /// The router tries tiers in order and allocates from the first tier with a
 /// free channel.
 ///
-/// Storage is a flat SoA split (parallel direction / VC byte arrays) so the
-/// router's free-channel scoring can gather per-candidate occupancy into a
-/// contiguous byte vector and evaluate it branchlessly (see
-/// routing/candidate_score.hpp); operator[] materialises a CandidateVc by
-/// value for the cold consumers (verifier, audit, diagnostics).
+/// Storage is two parallel byte arrays (direction, VC) with 16 inline
+/// entries each: two bytes per candidate, so a route-cache entry holds a
+/// typical list without a heap allocation.  dir(i) / vc(i) read one field;
+/// operator[] materialises a CandidateVc by value for the cold consumers
+/// (verifier, audit, diagnostics).
 class CandidateList {
  public:
   void clear() noexcept {
@@ -86,13 +86,6 @@ class CandidateList {
   [[nodiscard]] int vc(std::size_t i) const {
     assert(i < vcs_.size());
     return static_cast<int>(vcs_[i]);
-  }
-  /// Raw SoA views for the branchless scoring path.
-  [[nodiscard]] const std::uint8_t* dirs_data() const noexcept {
-    return dirs_.data();
-  }
-  [[nodiscard]] const std::uint8_t* vcs_data() const noexcept {
-    return vcs_.data();
   }
 
   /// Number of tier ranges (boundaries + 1).  Zero when no candidate was

@@ -7,7 +7,6 @@
 // credits) for the ablation study A2 in DESIGN.md.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string_view>
@@ -26,15 +25,17 @@ std::string_view to_string(SelectionPolicy p) noexcept;
 SelectionPolicy selection_from_string(std::string_view s);
 
 /// Picks one index into `candidates`.  `credits(i)` reports the downstream
-/// credit count of candidate i (higher = emptier downstream buffer).
-/// Templated over the generator so the sequential sim::Rng and the
-/// counter-based sim::CounterRng (used by the sharded kernel, where every
-/// node draws from its own per-cycle stream) share one implementation.
-template <typename Rng>
+/// credit count of candidate i (higher = emptier downstream buffer); only
+/// LeastCongested calls it.  Templated over the credit reader, so the
+/// router's per-allocation lambda is called directly rather than through a
+/// type-erased wrapper, and over the generator, so the sequential sim::Rng
+/// and the counter-based sim::CounterRng (used by the sharded kernel, where
+/// every node draws from its own per-cycle stream) share one
+/// implementation.
+template <typename Credits, typename Rng>
 std::size_t select_candidate(SelectionPolicy policy,
                              std::span<const CandidateVc> candidates,
-                             const std::function<int(std::size_t)>& credits,
-                             Rng& rng) {
+                             const Credits& credits, Rng& rng) {
   if (candidates.empty()) {
     throw std::logic_error("select_candidate: empty set");
   }

@@ -524,6 +524,118 @@ TEST(Network, CreditStarvedWormWaitsForItsCreditThenSends) {
   EXPECT_EQ(ivc.buf.front().seq, front + 1);
 }
 
+/// Routes every header east along row 0 on an 80-VC layout.  Blockers
+/// (bound for kBlockerDst) offer XPlus VCs 0..7 in one tier.  The probe
+/// (any other destination) offers an 80-candidate list at kProbeAt: tier 0
+/// is the eight blocker VCs, tier 1 holds 70 candidates in which every
+/// fifth names a blocker VC again and the rest name VCs 8..77, so tier 1's
+/// free candidates lie on both sides of list position 64; tier 2 names
+/// VCs 78 and 79, free but never to be chosen while tier 1 has a free VC.
+class WideListRouting : public ftmesh::routing::RoutingAlgorithm {
+ public:
+  static constexpr Coord kBlockerDst{9, 0};
+  static constexpr Coord kProbeAt{1, 0};
+  static constexpr int kBlockerVcs = 8;
+  static constexpr int kTier1 = 70;
+
+  WideListRouting(const Mesh& mesh, const FaultMap& faults)
+      : RoutingAlgorithm(mesh, faults),
+        layout_(ftmesh::routing::VcLayout::adaptive(80, false, false)) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "Wide-List";
+  }
+  [[nodiscard]] const ftmesh::routing::VcLayout& layout()
+      const noexcept override {
+    return layout_;
+  }
+  void candidates(Coord at, const ftmesh::router::HeaderState& msg,
+                  ftmesh::routing::CandidateList& out) const override {
+    for (int vc = 0; vc < kBlockerVcs; ++vc) out.add(Direction::XPlus, vc);
+    if (msg.dst == kBlockerDst || at != kProbeAt) return;
+    out.next_tier();
+    for (int k = 0; k < kTier1; ++k) {
+      out.add(Direction::XPlus, k % 5 == 0 ? (k / 5) % kBlockerVcs : 8 + k);
+    }
+    out.next_tier();
+    out.add(Direction::XPlus, 78);
+    out.add(Direction::XPlus, 79);
+  }
+  // Lists depend on the destination, not just the route site: keep the
+  // route cache node-keyed.
+  [[nodiscard]] bool uniform_at(Coord) const noexcept override {
+    return false;
+  }
+
+ private:
+  ftmesh::routing::VcLayout layout_;
+};
+
+TEST(Network, ListsLongerThan64AllocateFromTheFirstTierWithAFreeVc) {
+  const Mesh mesh(10, 2);
+  const FaultMap faults(mesh);
+  const WideListRouting algo(mesh, faults);
+  NetworkConfig cfg;
+  cfg.injection_vcs = WideListRouting::kBlockerVcs;
+  Network net(mesh, faults, algo, cfg, Rng(7));
+  const auto& rt = net.router_at(WideListRouting::kProbeAt);
+  const int east = port_index(Direction::XPlus);
+
+  // Eight long blockers from (0,0) take every tier-0 VC east out of (1,0)
+  // and hold them while their heads eject at (9,0).
+  for (int i = 0; i < WideListRouting::kBlockerVcs; ++i) {
+    net.create_message({0, 0}, WideListRouting::kBlockerDst, 400);
+  }
+  for (int i = 0; i < 200; ++i) {
+    net.step();
+    ASSERT_NO_THROW(net.audit_invariants(2));
+  }
+  for (int vc = 0; vc < WideListRouting::kBlockerVcs; ++vc) {
+    ASSERT_TRUE(rt.output(east, vc).allocated) << "blocker VC " << vc;
+  }
+
+  // Only the probe routes in the measurement window, so its one decision
+  // must count exactly the free candidates of its list.
+  net.begin_measurement();
+  ftmesh::router::HeaderState probe;
+  probe.src = WideListRouting::kProbeAt;
+  probe.dst = {5, 0};
+  net.create_message(probe.src, probe.dst, 4);
+  ftmesh::routing::CandidateList list;
+  algo.enumerate(WideListRouting::kProbeAt, probe, list);
+  ASSERT_GT(list.size(), 64u);
+  ASSERT_EQ(list.tier_count(), 3u);
+  std::uint64_t free_now = 0;
+  for (int i = 0; i < 10 && net.measured_route_decisions() == 0; ++i) {
+    free_now = 0;
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      free_now += rt.output(east, list.vc(k)).allocated ? 0 : 1;
+    }
+    net.step();
+    ASSERT_NO_THROW(net.audit_invariants(2));
+  }
+  ASSERT_EQ(net.measured_route_decisions(), 1u);
+  EXPECT_EQ(net.measured_candidates_offered(), list.size());
+  EXPECT_EQ(free_now, 58u);  // tiers 1 and 2 minus tier 1's 14 repeats
+  EXPECT_EQ(net.measured_candidates_free(), free_now);
+
+  // The probe sits in one of (1,0)'s injection VCs with a free output VC
+  // from tier 1, the first tier that had one.
+  const auto [begin, end] = list.tier_range(1);
+  int routed = 0;
+  for (int iv = 0; iv < cfg.injection_vcs; ++iv) {
+    const auto& ivc = rt.input(port_index(Direction::Local), iv);
+    if (ivc.stage != IvcStage::Active) continue;
+    ++routed;
+    EXPECT_EQ(ivc.out_dir, Direction::XPlus);
+    EXPECT_GE(ivc.out_vc, WideListRouting::kBlockerVcs);
+    bool listed = false;
+    for (std::size_t k = begin; k < end; ++k) listed |= list.vc(k) == ivc.out_vc;
+    EXPECT_TRUE(listed) << "VC " << ivc.out_vc;
+  }
+  EXPECT_EQ(routed, 1);
+}
+
 TEST(Network, WatchdogStaysQuietOnHealthyTraffic) {
   NetFixture f;
   for (int i = 0; i < 30; ++i) {
