@@ -54,7 +54,9 @@ void BM_NetworkStepKnee(benchmark::State& state) {
   // is in the busy routers, where few of the 5 x 24 input VCs have work
   // and about half of those that do wait on a downstream buffer with no
   // free slot.  The crossbar collects `switch_ready & ~credit_blocked`, so
-  // such a worm costs a word AND, not a load of its input and output VC.
+  // such a worm costs a word AND, not a load of its input and output VC;
+  // a credited request reads its output port from the route table, so one
+  // that loses the match loads no input VC either.
   auto cfg = kernel_config(0.002, 5);
   cfg.algorithm = "Duato-Nbc";
   Simulator sim(cfg);

@@ -6,6 +6,7 @@
 
 #include "ftmesh/inject/fault_injector.hpp"
 #include "ftmesh/inject/fault_schedule.hpp"
+#include "ftmesh/router/flit_ring.hpp"
 #include "ftmesh/routing/registry.hpp"
 #include "ftmesh/topology/mesh.hpp"
 
@@ -22,6 +23,11 @@ void SimConfig::validate() const {
     throw std::invalid_argument("unknown algorithm: " + algorithm);
   }
   if (buffer_depth < 1) throw std::invalid_argument("buffer_depth must be >= 1");
+  // Input buffers index their flits in 16 bits (router::FlitRing).
+  if (buffer_depth > router::FlitRing::kMaxCapacity) {
+    throw std::invalid_argument("buffer_depth must be <= " +
+                                std::to_string(router::FlitRing::kMaxCapacity));
+  }
   if (injection_vcs < 1 || injection_vcs > total_vcs) {
     throw std::invalid_argument("injection_vcs out of range");
   }

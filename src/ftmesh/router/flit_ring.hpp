@@ -9,6 +9,12 @@
 // them allocation-free and contiguous is a measurable share of the cycle
 // kernel (see docs/performance.md).
 //
+// Layout: four inline 12-byte flits (48 bytes), the heap pointer (8) and
+// three 16-bit indices (6) make 62 bytes, padded to 64 — the whole of an
+// InputVc, which is cache-line aligned, so a ring never straddles two
+// lines.  The 16-bit indices bound the capacity at kMaxCapacity; the
+// configuration refuses deeper buffers before any ring is built.
+//
 // Buffered flits reference their message by *slot* (Flit::msg): a slot is
 // recycled only after the tail flit has left every ring in the network
 // (retirement happens at ejection), so a flit sitting here always refers
@@ -26,13 +32,15 @@ class FlitRing {
  public:
   /// Depths up to this many flits need no heap allocation.
   static constexpr int kInlineCapacity = 4;
+  /// Largest capacity the 16-bit indices address.
+  static constexpr int kMaxCapacity = 0xffff;
 
   FlitRing() = default;
 
   /// Sets the fixed capacity and empties the ring.  Called once per input
   /// VC at router construction (capacity == buffer depth).
   void reset_capacity(int capacity) {
-    assert(capacity >= 1);
+    assert(capacity >= 1 && capacity <= kMaxCapacity);
     cap_ = static_cast<std::uint16_t>(capacity);
     head_ = 0;
     count_ = 0;
@@ -65,7 +73,7 @@ class FlitRing {
   /// i-th flit from the front (0 == front()).
   [[nodiscard]] const Flit& operator[](std::size_t i) const noexcept {
     assert(i < count_);
-    return slots()[wrap(head_ + static_cast<std::uint16_t>(i))];
+    return slots()[wrap(head_ + static_cast<std::uint32_t>(i))];
   }
 
   /// Removes every flit matching `pred`, preserving the order of survivors.
@@ -110,8 +118,10 @@ class FlitRing {
   [[nodiscard]] const_iterator end() const noexcept { return {this, count_}; }
 
  private:
-  [[nodiscard]] std::uint16_t wrap(std::uint16_t i) const noexcept {
-    return i >= cap_ ? static_cast<std::uint16_t>(i - cap_) : i;
+  /// Folds `i` < 2 * capacity back into [0, capacity).  Takes 32 bits:
+  /// head + count reaches 2 * 65535 - 1, past the 16-bit range.
+  [[nodiscard]] std::uint16_t wrap(std::uint32_t i) const noexcept {
+    return static_cast<std::uint16_t>(i >= cap_ ? i - cap_ : i);
   }
   [[nodiscard]] Flit* slots() noexcept {
     return heap_ ? heap_.get() : inline_;

@@ -103,6 +103,12 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   if (kPortCount * vcs > 0xffff) {
     throw std::invalid_argument("too many VCs for a 16-bit input-VC index");
   }
+  if (config_.buffer_depth < 1 ||
+      config_.buffer_depth > FlitRing::kMaxCapacity) {
+    throw std::invalid_argument(
+        "buffer_depth must be in [1, 65535]: input buffers index flits in "
+        "16 bits");
+  }
   routers_.reserve(n);
   for (NodeId id = 0; id < mesh.node_count(); ++id) {
     routers_.emplace_back(mesh.coord_of(id), vcs, config_.buffer_depth);
@@ -124,7 +130,14 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   vc_busy_counts_.assign(static_cast<std::size_t>(vcs), 0);
   node_traffic_.assign(n, 0);
   vcs_ = vcs;
-  ready_words_ = mask_words(static_cast<std::size_t>(kPortCount * vcs));
+  nivc_ = static_cast<std::size_t>(kPortCount * vcs);
+  input_routes_.assign(n * nivc_, InputRoute{});
+  port_of_bit_.resize(nivc_);
+  for (std::size_t bit = 0; bit < nivc_; ++bit) {
+    port_of_bit_[bit] =
+        static_cast<std::uint8_t>(bit / static_cast<std::size_t>(vcs));
+  }
+  ready_words_ = mask_words(nivc_);
   route_ready_.assign(n * ready_words_, 0);
   switch_ready_.assign(n * ready_words_, 0);
   credit_blocked_.assign(n * ready_words_, 0);
@@ -184,6 +197,7 @@ void Network::setup_tiles() {
   for (Tile& t : tiles_) {
     t.route_cache.resize(kRouteCacheSize);
     t.d.vc_alloc.assign(static_cast<std::size_t>(vcs), 0);
+    t.requests.resize(static_cast<std::size_t>(kPortCount * vcs));
     const std::size_t words = mask_words(t.nodes.size());
     t.route_mask.assign(words, 0);
     t.switch_mask.assign(words, 0);
@@ -257,18 +271,18 @@ void Network::note_link_full(Tile& t, std::size_t link_idx) {
   set_bit(t.link_mask, link_pos_[link_idx]);
 }
 
-void Network::note_buffer_push(NodeId node, std::size_t bit,
-                               const InputVc& ivc, const Flit& f,
+void Network::note_buffer_push(NodeId node, std::size_t bit, const Flit& f,
                                bool was_empty) {
   if (!was_empty) return;  // the VC's front, hence its readiness, is unchanged
-  if (ivc.stage == IvcStage::Active) {
+  const IvcStage stage = routes(node)[bit].stage;
+  if (stage == IvcStage::Active) {
     // A worm owns the VC and its buffer was dry: the new flit is sendable.
     set_switch_ready(node, bit, true);
     return;
   }
   // Not Active and the buffer was empty: wormhole ordering guarantees the
   // arriving flit is the next worm's header (RouteWait implies non-empty).
-  assert(ivc.stage == IvcStage::Idle);
+  assert(stage == IvcStage::Idle);
   assert(is_head(f.type) && "body flit arrived into an idle empty VC");
   set_route_ready(node, bit, true);
   (void)f;
@@ -295,23 +309,22 @@ Network::Occupancy Network::recount_occupancy() const {
     std::uint64_t* routable = o.route_ready.data() + sid * ready_words_;
     std::uint64_t* sendable = o.switch_ready.data() + sid * ready_words_;
     std::uint64_t* blocked = o.credit_blocked.data() + sid * ready_words_;
-    for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs_; ++vc) {
-        const InputVc& ivc = rt.input(port, vc);
-        const auto bit = static_cast<std::size_t>(port * vcs_ + vc);
-        // <= 0, not == 0: a flit sent past a missed block leaves -1, which
-        // the audit then reports as a drifted bit in the same cycle.
-        if (ivc.stage == IvcStage::Active && ivc.out_dir != Direction::Local &&
-            rt.output(port_index(ivc.out_dir), ivc.out_vc).credits <= 0) {
-          set_bit(blocked, bit);
-        }
-        o.buffered_flits += ivc.buf.size();
-        if (ivc.buf.empty()) continue;
-        if (ivc.stage == IvcStage::Active) {
-          set_bit(sendable, bit);
-        } else if (is_head(ivc.buf.front().type)) {
-          set_bit(routable, bit);
-        }
+    const InputRoute* route = routes(id);
+    for (std::size_t bit = 0; bit < nivc_; ++bit) {
+      const InputVc& ivc = rt.input_at(bit);
+      const InputRoute& r = route[bit];
+      // <= 0, not == 0: a flit sent past a missed block leaves -1, which
+      // the audit then reports as a drifted bit in the same cycle.
+      if (r.active() && r.dir() != Direction::Local &&
+          rt.output(r.port, r.vc).credits <= 0) {
+        set_bit(blocked, bit);
+      }
+      o.buffered_flits += ivc.buf.size();
+      if (ivc.buf.empty()) continue;
+      if (r.active()) {
+        set_bit(sendable, bit);
+      } else if (is_head(ivc.buf.front().type)) {
+        set_bit(routable, bit);
       }
     }
     for (int port = 0; port < kMeshDirections; ++port) {
@@ -747,25 +760,25 @@ void Network::audit_invariants(int level) const {
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
     const Router& rt = routers_[sid];
+    const InputRoute* route = routes(id);
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs_; ++vc) {
         const InputVc& ivc = rt.input(port, vc);
+        const InputRoute& r = route[port * vcs_ + vc];
         if (port != local &&
             ivc.buf.size() > static_cast<std::size_t>(config_.buffer_depth)) {
           fail("input VC buffer deeper than the credit budget");
         }
-        if (!ivc.buf.empty() && ivc.stage != IvcStage::Active &&
+        if (!ivc.buf.empty() && !r.active() &&
             !is_head(ivc.buf.front().type)) {
           fail("non-Active input VC fronted by a body flit");
         }
-        if (ivc.stage != IvcStage::Active || ivc.out_dir == Direction::Local) {
-          continue;
+        if (!r.active()) continue;
+        if (r.port >= kPortCount || r.vc >= vcs_) {
+          fail("Active input VC with an out-of-range output port or VC");
         }
-        if (ivc.out_vc < 0 || ivc.out_vc >= vcs_) {
-          fail("Active input VC with an out-of-range output VC");
-        }
-        const OutputVc& ovc =
-            rt.output(topology::port_index(ivc.out_dir), ivc.out_vc);
+        if (r.dir() == Direction::Local) continue;
+        const OutputVc& ovc = rt.output(r.port, r.vc);
         if (!ovc.allocated) {
           fail("Active input VC whose output VC is not reserved");
         }
@@ -789,10 +802,8 @@ void Network::audit_invariants(int level) const {
           if (ovc.feeder >= nbits) {
             fail("reserved output VC with an out-of-range feeder");
           }
-          const InputVc& feeder = rt.input_at(ovc.feeder);
-          if (feeder.stage != IvcStage::Active ||
-              feeder.out_dir != static_cast<Direction>(d) ||
-              feeder.out_vc != vc) {
+          const InputRoute& feeder = route[ovc.feeder];
+          if (!feeder.active() || feeder.port != d || feeder.vc != vc) {
             fail("output VC feeder does not name the input VC holding it");
           }
         }
@@ -897,7 +908,7 @@ void Network::arrive_link(Tile& t, std::size_t link_idx) {
          "credit protocol violated");
   const bool was_empty = ivc.buf.empty();
   ivc.buf.push_back(reg.flit);
-  note_buffer_push(down_id, bit, ivc, reg.flit, was_empty);
+  note_buffer_push(down_id, bit, reg.flit, was_empty);
   reg.full = false;
   --t.d.full_links;
 }
@@ -965,7 +976,7 @@ void Network::inject_node(Tile& t, NodeId id) {
     const bool was_empty = ivc.buf.empty();
     ivc.buf.push_back(flit);
     ++t.d.buffered_flits;
-    note_buffer_push(id, bit, ivc, flit, was_empty);
+    note_buffer_push(id, bit, flit, was_empty);
     ++sup.next_seq;
     if (sup.next_seq == m.length) {
       sup.current = kInvalidMessage;
@@ -1065,18 +1076,18 @@ void Network::route_node(Tile& t, NodeId id) {
 
 void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
                            std::size_t idx, sim::CounterRng& sel) {
-  InputVc& ivc = rt.input_at(idx);
-  assert(!ivc.buf.empty() && is_head(ivc.buf.front().type) &&
-         ivc.stage != IvcStage::Active);
+  const InputVc& ivc = rt.input_at(idx);
+  InputRoute& route = routes(id)[idx];
+  assert(!ivc.buf.empty() && is_head(ivc.buf.front().type) && !route.active());
   const Flit& front = ivc.buf.front();
-  ivc.stage = IvcStage::RouteWait;
+  route.stage = IvcStage::RouteWait;
   // SoA: the route stage reads/writes only the hot header array; the
   // cold accounting record is untouched until ejection.
   HeaderState& m = headers_[front.msg];
   if (c == m.dst) {
-    ivc.out_dir = Direction::Local;
-    ivc.out_vc = static_cast<int>(idx) % vcs_;
-    ivc.stage = IvcStage::Active;
+    route = {IvcStage::Active,
+             static_cast<std::uint8_t>(port_index(Direction::Local)),
+             static_cast<std::uint16_t>(idx % static_cast<std::size_t>(vcs_))};
     set_route_ready(id, idx, false);
     set_switch_ready(id, idx, true);
     return;
@@ -1152,9 +1163,8 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
   ovc.allocate(front.msg, static_cast<std::uint16_t>(idx));
   if (ovc.credits == 0) set_bit(ready_words(credit_blocked_, id), idx);
   ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
-  ivc.out_dir = chosen.dir;
-  ivc.out_vc = chosen.vc;
-  ivc.stage = IvcStage::Active;
+  route = {IvcStage::Active, static_cast<std::uint8_t>(port_index(chosen.dir)),
+           static_cast<std::uint16_t>(chosen.vc)};
   set_route_ready(id, idx, false);
   set_switch_ready(id, idx, true);
   if (trace_ != nullptr) {
@@ -1186,55 +1196,51 @@ void Network::switch_node(Tile& t, NodeId id) {
   const std::uint64_t* blocked = ready_words(credit_blocked_, id);
   const auto local = port_index(Direction::Local);
   Router& rt = routers_[static_cast<std::size_t>(id)];
+  InputRoute* const route = routes(id);
 
   // Collect requests in the fixed port-major order (the shuffle below
   // depends on the initial order).  A request is a sendable flit whose
   // output VC has a credit (or is the ejection port).  Ascending bit order
   // of the ready mask *is* port-major order, so the walk over
-  // `ready & ~blocked` never touches the input or output VC of a
-  // credit-starved worm; the port follows from the walk itself, one
-  // compare per crossed port boundary.
-  t.requests.clear();
-  int port = 0;
-  std::size_t port_base = 0;
+  // `ready & ~blocked` never touches a credit-starved worm; each request's
+  // input port comes from a table and its output port from the route
+  // table, so collecting loads no input VC either.
+  CrossbarRequest* const reqs = t.requests.data();
+  std::size_t n = 0;
   for (std::size_t w = 0; w < ready_words_; ++w) {
     for (std::uint64_t word = ready[w] & ~blocked[w]; word != 0;
          word &= word - 1) {
-      const std::size_t idx =
+      const std::size_t bit =
           (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      while (idx >= port_base + static_cast<std::size_t>(vcs_)) {
-        ++port;
-        port_base += static_cast<std::size_t>(vcs_);
-      }
-      t.requests.push_back({static_cast<std::int16_t>(port),
-                            static_cast<std::int16_t>(idx - port_base)});
+      reqs[n++] = {port_of_bit_[bit], route[bit].port,
+                   static_cast<std::uint16_t>(bit)};
     }
   }
-  if (t.requests.empty()) return;
+  if (n == 0) return;
 
   // Random conflict resolution (paper): shuffle, then greedy matching
   // under the one-flit-per-input-port / per-output-port crossbar limits.
   // The shuffle draws from a (seed, cycle, node) counter stream — node-
   // local randomness, like the routing draws above.  A single request
   // draws nothing, so its stream is not even seeded.
-  if (t.requests.size() > 1) {
+  if (n > 1) {
     sim::CounterRng shuf(
         sim::counter_hash(shuf_seed_, cycle_, static_cast<std::uint64_t>(id)));
-    for (std::size_t i = t.requests.size(); i > 1; --i) {
+    for (std::size_t i = n; i > 1; --i) {
       const auto j = shuf.next_below(i);
-      std::swap(t.requests[i - 1], t.requests[j]);
+      std::swap(reqs[i - 1], reqs[j]);
     }
   }
-  bool used_in[kPortCount] = {};
-  bool used_out[kPortCount] = {};
-  for (const auto& req : t.requests) {
-    InputVc& ivc = rt.input(req.port, req.vc);
-    const int out_port = port_index(ivc.out_dir);
-    if (used_in[req.port] || used_out[out_port]) continue;
-    used_in[req.port] = true;
-    used_out[out_port] = true;
-
-    const auto bit = static_cast<std::size_t>(req.port * vcs_ + req.vc);
+  // The greedy match reads only each request's (input port, output port),
+  // which no grant changes, so the winners are picked first — in shuffled
+  // order, exactly the requests a grant-as-you-go loop would have granted —
+  // and only they are granted.
+  const std::size_t won = match_crossbar({reqs, n});
+  for (std::size_t k = 0; k < won; ++k) {
+    const CrossbarRequest req = reqs[k];
+    const std::size_t bit = req.bit;
+    InputVc& ivc = rt.input_at(bit);
+    InputRoute& r = route[bit];
     const Flit flit = ivc.buf.front();
     ivc.buf.pop_front();
     --t.d.buffered_flits;
@@ -1244,7 +1250,7 @@ void Network::switch_node(Tile& t, NodeId id) {
     }
     const bool tail = is_tail(flit.type);
 
-    if (ivc.out_dir == Direction::Local) {
+    if (req.out == local) {
       // The observation hook and the slot recycle both touch global state,
       // so they are deferred to the ordered commit after the barrier; the
       // message's own accounting (only this node's worm touches it) and
@@ -1267,19 +1273,19 @@ void Network::switch_node(Tile& t, NodeId id) {
         t.retires.push_back(flit.msg);
       }
     } else {
-      OutputVc& ovc = rt.output(out_port, ivc.out_vc);
+      OutputVc& ovc = rt.output(req.out, r.vc);
       --ovc.credits;
-      LinkReg& reg = link(id, out_port);
+      LinkReg& reg = link(id, req.out);
       assert(!reg.full && "one flit per link per cycle");
       reg.flit = flit;
-      reg.vc = ivc.out_vc;
+      reg.vc = r.vc;
       reg.full = true;
       ++t.d.buffered_flits;
       note_link_full(t, static_cast<std::size_t>(id) * kMeshDirections +
-                            static_cast<std::size_t>(out_port));
+                            static_cast<std::size_t>(req.out));
       if (tail) {
         ovc.release();
-        --t.d.vc_alloc[static_cast<std::size_t>(ivc.out_vc)];
+        --t.d.vc_alloc[r.vc];
       } else if (ovc.credits == 0) {
         // The worm spent the last downstream slot: it stays blocked until
         // the commit that returns a credit to this output VC.
@@ -1290,18 +1296,18 @@ void Network::switch_node(Tile& t, NodeId id) {
     // Credit return to the upstream router for the vacated buffer slot —
     // deferred to the commit, so a freed slot becomes visible upstream on
     // the next cycle no matter which tile (or visit order) freed it.
-    if (req.port != local) {
+    if (req.in != local) {
       t.credits.push_back(
           {neighbour_id_[static_cast<std::size_t>(id) * kMeshDirections +
-                         static_cast<std::size_t>(req.port)],
+                         req.in],
            static_cast<std::int16_t>(
-               port_index(opposite(static_cast<Direction>(req.port)))),
-           req.vc});
+               port_index(opposite(static_cast<Direction>(req.in)))),
+           static_cast<std::int16_t>(static_cast<int>(bit) - req.in * vcs_)});
       assert(t.credits.back().node >= 0);
     }
 
     if (tail) {
-      ivc.release();
+      r = InputRoute{};
       set_switch_ready(id, bit, false);
       if (!ivc.buf.empty()) {
         // The flit behind a tail is always the next worm's header.
@@ -1467,17 +1473,17 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
         InputVc& ivc = rt.input(port, vc);
+        InputRoute& route = routes(id)[port * vcs + vc];
         if (ivc.buf.empty()) {
           // A worm holds its input-VC claim even while the buffer is
           // momentarily empty (flits streamed ahead of the tail).  The
           // claimant is identified through its reserved output VC; a stale
           // claim must be released here or the next header arriving on this
           // VC would be forwarded as body flits of the purged worm.
-          if (ivc.stage == IvcStage::Active && ivc.out_vc >= 0) {
-            const OutputVc& ovc =
-                rt.output(port_index(ivc.out_dir), ivc.out_vc);
+          if (route.active()) {
+            const OutputVc& ovc = rt.output(route.port, route.vc);
             if (ovc.allocated && purge[static_cast<std::size_t>(ovc.owner)]) {
-              ivc.release();
+              route = InputRoute{};
             }
           }
           continue;
@@ -1496,7 +1502,7 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
           router_mut(*up).output(port_index(opposite(updir)), vc).credits +=
               static_cast<int>(removed);
         }
-        if (ivc.buf.empty() || front_purged) ivc.release();
+        if (ivc.buf.empty() || front_purged) route = InputRoute{};
       }
     }
   }

@@ -38,6 +38,7 @@
 
 #include "ftmesh/fault/fault_model.hpp"
 #include "ftmesh/router/counters.hpp"
+#include "ftmesh/router/crossbar.hpp"
 #include "ftmesh/router/message.hpp"
 #include "ftmesh/router/router.hpp"
 #include "ftmesh/routing/routing_algorithm.hpp"
@@ -183,6 +184,12 @@ class Network {
 
   [[nodiscard]] const Router& router_at(topology::Coord c) const {
     return routers_[static_cast<std::size_t>(mesh_->id_of(c))];
+  }
+  /// Stage and reserved output of input VC (`port`, `vc`) at `c`: the
+  /// route-table entry the kernel routes and switches by.
+  [[nodiscard]] const InputRoute& input_route(topology::Coord c, int port,
+                                              int vc) const {
+    return routes(mesh_->id_of(c))[port * vcs_ + vc];
   }
 
   [[nodiscard]] std::size_t source_queue_length(topology::Coord c) const {
@@ -431,10 +438,6 @@ class Network {
     MessageSlot current = kInvalidMessage;
     std::uint32_t next_seq = 0;
   };
-  struct Request {
-    std::int16_t port;
-    std::int16_t vc;
-  };
   /// One direct-mapped memoization slot: the candidate set the algorithm
   /// enumerated for (place, route_state_key).  The place is the header's
   /// route site (routing::route_site, < kSitePlaces) at a uniform node for
@@ -552,7 +555,8 @@ class Network {
 #endif
     /// route_header's compaction target; grows to the widest list seen.
     std::vector<routing::CandidateVc> free_cands;
-    std::vector<Request> requests;
+    /// switch_node's request list, sized once to a node's input VCs.
+    std::vector<CrossbarRequest> requests;
   };
 
   void phase_arrivals();
@@ -571,6 +575,11 @@ class Network {
   /// router `rt` at node `id`: one allocation attempt, tier by tier.
   void route_header(Tile& t, topology::NodeId id, topology::Coord c,
                     Router& rt, std::size_t idx, sim::CounterRng& sel);
+  /// The crossbar at node `id`, in four steps: collect the sendable,
+  /// credited input VCs from the ready words and the route table (no input
+  /// VC is loaded), shuffle them, pick the winners (match_crossbar), and
+  /// grant the winners only — the one step that touches input and output
+  /// VCs, link registers and credits.
   void switch_node(Tile& t, topology::NodeId id);
 
   void arrivals_tile(Tile& t);
@@ -653,8 +662,8 @@ class Network {
 
   /// The one from-scratch definition of the occupancy state: every ready
   /// word, per-VC allocation gauge, tile mask and total, derived from the
-  /// router, link, queue and supply state.  Reads each Active input VC's
-  /// output VC, so out_vc must be in range.
+  /// router, route table, link, queue and supply state.  Reads each Active
+  /// input VC's reserved output VC, so its route entry must be in range.
   [[nodiscard]] Occupancy recount_occupancy() const;
   /// Recount and install: replaces the occupancy state with
   /// recount_occupancy().  Used after rare bulk mutations (purge,
@@ -675,10 +684,10 @@ class Network {
   //                             stage != Active (a routable header)
   //   switch_ready_ bit set <=> that VC has stage == Active and a non-empty
   //                             buffer (a sendable flit)
-  //   credit_blocked_ bit set <=> that VC has stage == Active, out_dir !=
-  //                             Local and its reserved output VC has
-  //                             credits == 0 (the VC cannot send, whether
-  //                             or not it holds a flit)
+  //   credit_blocked_ bit set <=> that VC has stage == Active, a route
+  //                             port other than Local and its reserved
+  //                             output VC has credits == 0 (the VC cannot
+  //                             send, whether or not it holds a flit)
   // A node's bit in its tile's route/switch mask is set exactly while its
   // route/switch ready words are non-zero: the setters set it on the
   // empty -> non-empty transition and clear it on the way back.
@@ -712,10 +721,18 @@ class Network {
   /// sender's tile only when the downstream node is also in it, otherwise
   /// the downstream tile discovers it through its boundary_in scan.
   void note_link_full(Tile& t, std::size_t link_idx);
-  /// Applies the occupancy effect of pushing `f` into `ivc` — flat input
-  /// index `bit` — at `node`.
-  void note_buffer_push(topology::NodeId node, std::size_t bit,
-                        const InputVc& ivc, const Flit& f, bool was_empty);
+  /// Applies the occupancy effect of pushing `f` into the input VC with
+  /// flat index `bit` at `node`.
+  void note_buffer_push(topology::NodeId node, std::size_t bit, const Flit& f,
+                        bool was_empty);
+
+  /// `node`'s row of the route table: one entry per input VC, by flat index.
+  [[nodiscard]] InputRoute* routes(topology::NodeId node) {
+    return input_routes_.data() + static_cast<std::size_t>(node) * nivc_;
+  }
+  [[nodiscard]] const InputRoute* routes(topology::NodeId node) const {
+    return input_routes_.data() + static_cast<std::size_t>(node) * nivc_;
+  }
 
   Router& router_mut(topology::Coord c) {
     return routers_[static_cast<std::size_t>(mesh_->id_of(c))];
@@ -736,6 +753,7 @@ class Network {
   NetworkConfig config_;
   sim::Rng rng_;
   int vcs_ = 0;                   ///< virtual channels per port
+  std::size_t nivc_ = 0;          ///< input VCs per node (kPortCount * vcs_)
   std::size_t ready_words_ = 0;   ///< words per node in the ready masks
   // Counter-based arbitration seeds, all derived (order-independently)
   // from the network seed: route-scan rotation offsets, selection-policy
@@ -747,6 +765,11 @@ class Network {
   std::uint64_t shuf_seed_ = 0;
 
   std::vector<Router> routers_;
+  /// The route table: [node][flat input VC], the stage and reserved output
+  /// of every input VC (see InputRoute).
+  std::vector<InputRoute> input_routes_;
+  /// Input port of each flat input-VC index (`bit / vcs_`, tabulated).
+  std::vector<std::uint8_t> port_of_bit_;
   std::vector<LinkReg> links_;  // [node][direction]
   /// Mesh neighbour of each node per link direction, -1 off the edge;
   /// indexed like links_, so a register's downstream node is

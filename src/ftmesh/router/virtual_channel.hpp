@@ -1,9 +1,10 @@
 #pragma once
 // Per-virtual-channel state of the wormhole router.
 //
-// Input VCs hold a FIFO flit buffer plus the head message's pipeline stage;
-// output VCs track downstream ownership (wormhole reservation from header
-// until tail) and credit-based flow control.
+// Input VCs hold a FIFO flit buffer; the head message's pipeline stage and
+// reserved output live apart from it, in the network's per-node route
+// table (InputRoute).  Output VCs track downstream ownership (wormhole
+// reservation from header until tail) and credit-based flow control.
 
 #include <cstdint>
 
@@ -20,20 +21,32 @@ enum class IvcStage : std::uint8_t {
   Active = 2,     ///< output VC reserved; flits stream through the switch
 };
 
-struct InputVc {
-  FlitRing buf;
+/// One input VC's stage and, while Active, the output it reserved: a link
+/// port and VC, or the ejection port (Local) at the worm's destination.
+/// The Network keeps one per input VC in a flat per-node table
+/// (Network::input_route), the only home of these facts, so the crossbar
+/// match reads a request's output port from four bytes and loads the input
+/// VC's buffer only for a winner.
+struct InputRoute {
   IvcStage stage = IvcStage::Idle;
-  topology::Direction out_dir = topology::Direction::Local;
-  int out_vc = -1;
+  std::uint8_t port = 0;  ///< output port index (port_index); Active only
+  std::uint16_t vc = 0;   ///< output VC; Active only
 
-  [[nodiscard]] bool empty() const noexcept { return buf.empty(); }
-
-  void release() noexcept {
-    stage = IvcStage::Idle;
-    out_vc = -1;
-    out_dir = topology::Direction::Local;
+  [[nodiscard]] bool active() const noexcept { return stage == IvcStage::Active; }
+  [[nodiscard]] topology::Direction dir() const noexcept {
+    return static_cast<topology::Direction>(port);
   }
 };
+
+/// An input VC is its flit buffer, one cache line at 64-byte alignment:
+/// the switch phase touches it only to move a granted flit.
+struct alignas(64) InputVc {
+  FlitRing buf;
+
+  [[nodiscard]] bool empty() const noexcept { return buf.empty(); }
+};
+static_assert(sizeof(InputVc) == 64 && alignof(InputVc) == 64,
+              "an input VC must fill exactly one cache line");
 
 struct OutputVc {
   bool allocated = false;

@@ -23,7 +23,7 @@ std::vector<router::MessageId> find_wait_cycle(const router::Network& net) {
         if (ivc.buf.empty()) continue;
         const router::Flit& front = ivc.buf.front();
         if (!router::is_head(front.type) ||
-            ivc.stage == router::IvcStage::Active) {
+            net.input_route(c, port, vc).active()) {
           continue;
         }
         const router::HeaderState& header = net.headers()[front.msg];

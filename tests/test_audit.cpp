@@ -423,13 +423,12 @@ TEST(RuntimeAudit, CreditBlockedWormsSurvivePurgeAndRebuild) {
       const auto& rt = net.router_at(c);
       for (int port = 0; port < ftmesh::topology::kPortCount; ++port) {
         for (int vc = 0; vc < vcs; ++vc) {
-          const auto& ivc = rt.input(port, vc);
-          if (ivc.stage != IvcStage::Active ||
-              ivc.out_dir == Direction::Local) {
+          const auto& route = net.input_route(c, port, vc);
+          if (route.stage != IvcStage::Active ||
+              route.dir() == Direction::Local) {
             continue;
           }
-          const int out = ftmesh::topology::port_index(ivc.out_dir);
-          if (rt.output(out, ivc.out_vc).credits == 0) return true;
+          if (rt.output(route.port, route.vc).credits == 0) return true;
         }
       }
     }

@@ -125,6 +125,25 @@ TEST(FlitRing, DeepBufferUsesHeapTransparently) {
   EXPECT_TRUE(ring.empty());
 }
 
+TEST(FlitRing, WrapsAtTheLargestCapacity) {
+  // head + count passes 65535 here: the wrap must not fold it in 16 bits,
+  // or the second push below overwrites the flit the first one stored.
+  FlitRing ring;
+  ring.reset_capacity(FlitRing::kMaxCapacity);
+  const auto cap = static_cast<std::uint32_t>(FlitRing::kMaxCapacity);
+  for (std::uint32_t i = 0; i < cap; ++i) ring.push_back(make_flit(i));
+  for (std::uint32_t i = 0; i + 1 < cap; ++i) ring.pop_front();
+  ring.push_back(make_flit(cap));
+  ring.push_back(make_flit(cap + 1));
+  ASSERT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring[1].seq, cap);
+  for (std::uint32_t i = cap - 1; i <= cap + 1; ++i) {
+    EXPECT_EQ(ring.front().seq, i);
+    ring.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
 TEST(FlitRing, RemoveIfPreservesSurvivorOrder) {
   FlitRing ring;
   ring.reset_capacity(8);

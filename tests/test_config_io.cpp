@@ -170,6 +170,26 @@ TEST(ConfigIo, RateAboveInjectionCapacityIsRejected) {
   EXPECT_THROW(loaded.validate(), std::invalid_argument);
 }
 
+TEST(ConfigIo, BufferDepthAbove65535IsRejected) {
+  // Input buffers index their flits in 16 bits; a deeper buffer once wrapped
+  // the ring's capacity silently (70000 read back as 4464), so validate()
+  // refuses it, from a flag as from the config key.
+  SimConfig cfg;
+  cfg.buffer_depth = 65535;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.buffer_depth = 65536;
+  try {
+    cfg.validate();
+    FAIL() << "buffer_depth 65536 validated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "buffer_depth must be <= 65535");
+  }
+  std::stringstream in("buffer_depth = 70000\n");
+  const auto loaded = load_config(in);
+  EXPECT_EQ(loaded.buffer_depth, 70000);
+  EXPECT_THROW(loaded.validate(), std::invalid_argument);
+}
+
 TEST(ConfigIo, CommentsAndBlanksIgnored) {
   std::stringstream in(
       "# full-line comment\n"

@@ -134,7 +134,7 @@ TEST(KernelStats, GaugesAndDrainMatchABruteForceCountEveryCycle) {
           for (int vc = 0; vc < rt.vcs(); ++vc) {
             const auto& ivc = rt.input(port, vc);
             if (ivc.buf.empty()) continue;
-            if (ivc.stage == ftmesh::router::IvcStage::Active) {
+            if (net.input_route(c, port, vc).active()) {
               sendable = true;
             } else if (ftmesh::router::is_head(ivc.buf.front().type)) {
               routable = true;

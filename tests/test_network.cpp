@@ -262,6 +262,19 @@ TEST(Network, RetiredKernelSwitchesAreRejected) {
   }
 }
 
+TEST(Network, BufferDepthOutsideTheRingRangeIsRejected) {
+  // The constructor refuses a depth the 16-bit ring indices cannot address
+  // before it builds a single router.
+  NetFixture f;
+  for (const int depth : {0, 65536, 70000}) {
+    NetworkConfig cfg;
+    cfg.buffer_depth = depth;
+    EXPECT_THROW(Network(f.mesh, f.faults, *f.algo, cfg, Rng(1)),
+                 std::invalid_argument)
+        << depth;
+  }
+}
+
 TEST(Network, TwoInjectionVcsInterleaveMessagesFromOneSource) {
   NetworkConfig cfg;
   cfg.injection_vcs = 2;
@@ -412,7 +425,7 @@ bool waits_on(const Network& net, MessageId a, MessageId b) {
       for (int vc = 0; vc < algo.layout().total(); ++vc) {
         const auto& ivc = rt.input(port, vc);
         if (ivc.buf.empty() || ivc.buf.front().msg != sa ||
-            ivc.stage == IvcStage::Active) {
+            net.input_route(c, port, vc).active()) {
           continue;
         }
         cand.clear();
@@ -486,13 +499,14 @@ TEST(Network, CreditStarvedWormWaitsForItsCreditThenSends) {
   const int in_port = port_index(Direction::XMinus);
   const int out_port = port_index(Direction::XPlus);
   const auto& ivc = net.router_at(up).input(in_port, vc);
+  const auto& route = net.input_route(up, in_port, vc);
   const auto& ovc = net.router_at(up).output(out_port, vc);
   net.create_message({3, 0}, {9, 0}, 20);  // X
   net.create_message({0, 0}, {8, 0}, 20);  // W
 
   int cycle = 0;
   for (; cycle < 100; ++cycle) {
-    if (ivc.stage == IvcStage::Active && ovc.credits == 0 &&
+    if (route.stage == IvcStage::Active && ovc.credits == 0 &&
         ivc.buf.size() == 2) {
       break;
     }
@@ -624,14 +638,15 @@ TEST(Network, ListsLongerThan64AllocateFromTheFirstTierWithAFreeVc) {
   const auto [begin, end] = list.tier_range(1);
   int routed = 0;
   for (int iv = 0; iv < cfg.injection_vcs; ++iv) {
-    const auto& ivc = rt.input(port_index(Direction::Local), iv);
-    if (ivc.stage != IvcStage::Active) continue;
+    const auto& route =
+        net.input_route(WideListRouting::kProbeAt, port_index(Direction::Local), iv);
+    if (route.stage != IvcStage::Active) continue;
     ++routed;
-    EXPECT_EQ(ivc.out_dir, Direction::XPlus);
-    EXPECT_GE(ivc.out_vc, WideListRouting::kBlockerVcs);
+    EXPECT_EQ(route.dir(), Direction::XPlus);
+    EXPECT_GE(route.vc, WideListRouting::kBlockerVcs);
     bool listed = false;
-    for (std::size_t k = begin; k < end; ++k) listed |= list.vc(k) == ivc.out_vc;
-    EXPECT_TRUE(listed) << "VC " << ivc.out_vc;
+    for (std::size_t k = begin; k < end; ++k) listed |= list.vc(k) == route.vc;
+    EXPECT_TRUE(listed) << "VC " << route.vc;
   }
   EXPECT_EQ(routed, 1);
 }
