@@ -131,127 +131,6 @@ void BM_NetworkStepLinkFaults(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkStepLinkFaults);
 
-SimConfig sharded_config(int mesh, int tiles, int threads) {
-  SimConfig cfg;
-  cfg.width = cfg.height = mesh;
-  cfg.message_length = 100;
-  cfg.total_vcs = 24;
-  cfg.injection_rate = -1.0;  // saturated
-  cfg.warmup_cycles = 1;
-  cfg.total_cycles = 1u << 30;  // stepped manually
-  cfg.seed = 3;
-  cfg.tiles = tiles;
-  cfg.step_threads = threads;
-  return cfg;
-}
-
-void BM_NetworkStepSharded(benchmark::State& state, int tiles, int threads) {
-  // The sharded step kernel on a saturated 64x64 mesh.  Because reports
-  // are byte-identical across tile and thread counts, every variant steps
-  // the exact same simulation state sequence — the timing ratio between
-  // captures is pure kernel overhead/speedup.  CI holds the t4x4:t1x1
-  // pair ratio (tools/bench_compare.py --pair) to prove the 4-thread
-  // scaling claim; t4x1 prices the tiling bookkeeping alone.  Capture
-  // suffixes stay colon-free so they can appear in --pair specs.
-  Simulator sim(sharded_config(64, tiles, threads));
-  for (int i = 0; i < 500; ++i) sim.step();  // fill the mesh
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
-                          64);
-}
-BENCHMARK_CAPTURE(BM_NetworkStepSharded, t1x1, 1, 1)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_NetworkStepSharded, t4x1, 4, 1)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_NetworkStepSharded, t4x4, 4, 4)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_NetworkStepShardedTraceDiscard(benchmark::State& state, int tiles,
-                                       int threads) {
-  // BM_NetworkStepSharded with a discarding trace sink attached: a traced
-  // step keeps the tile-parallel drivers, so this prices the per-tile event
-  // buffers plus the node-order merge after each phase.  CI holds the ratio
-  // to the untraced capture with the same tiling (--pair).
-  Simulator sim(sharded_config(64, tiles, threads));
-  ftmesh::trace::CountingSink sink;
-  sim.set_trace_sink(&sink);
-  for (int i = 0; i < 500; ++i) sim.step();  // fill the mesh
-  for (auto _ : state) sim.step();
-  benchmark::DoNotOptimize(sink.total());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
-                          64);
-}
-BENCHMARK_CAPTURE(BM_NetworkStepShardedTraceDiscard, t4x4, 4, 4)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_NetworkStepShardedAlloc(benchmark::State& state, int tiles,
-                                int threads) {
-  // Allocator-bound variant of the sharded kernel: saturated 64x64 mesh
-  // with *short* messages (length 4), so worms retire and are recreated at
-  // the highest possible rate and slot churn dominates the step.  Every
-  // tile's retirements and creations share the one LIFO free list,
-  // serially between the tile phases.
-  auto cfg = sharded_config(64, tiles, threads);
-  cfg.message_length = 4;
-  Simulator sim(cfg);
-  for (int i = 0; i < 500; ++i) sim.step();  // fill the mesh
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
-                          64);
-}
-BENCHMARK_CAPTURE(BM_NetworkStepShardedAlloc, shard_t4x4, 4, 4)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_NetworkLongRunPeakSlotsSharded(benchmark::State& state) {
-  // The plateau gate under the sharded kernel: same moderate load as
-  // BM_NetworkLongRunPeakSlots but with the mesh cut into 4 tiles.  The
-  // tiles share the one slot pool, so the peak equals the one-tile peak of
-  // the same run; CI holds the counter with bench_compare.py --counter-max
-  // so tiled churn can never silently reopen the O(delivered) leak.
-  auto cfg = kernel_config(0.001, 0);
-  cfg.tiles = 4;
-  Simulator sim(cfg);
-  std::size_t peak = 0;
-  for (auto _ : state) {
-    sim.step();
-    peak = std::max(peak, sim.network().message_slots());
-  }
-  state.counters["peak_slots"] = static_cast<double>(peak);
-  state.counters["messages_retired"] =
-      static_cast<double>(sim.network().retired().size());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-}
-BENCHMARK(BM_NetworkLongRunPeakSlotsSharded);
-
-void BM_ShardedScalingCurve(benchmark::State& state) {
-  // Mesh-size x tile-count scaling curve (docs/performance.md): args are
-  // {mesh edge, tiles, step threads}.  Deliberately named outside the CI
-  // perf-smoke filter (BM_Network...) — the curve is for local/manual
-  // scaling studies up to the huge-mesh regime, not a per-commit gate.
-  const int mesh = static_cast<int>(state.range(0));
-  const int tiles = static_cast<int>(state.range(1));
-  const int threads = static_cast<int>(state.range(2));
-  Simulator sim(sharded_config(mesh, tiles, threads));
-  const int fill = std::max(100, 16000 / mesh);
-  for (int i = 0; i < fill; ++i) sim.step();
-  for (auto _ : state) sim.step();
-  state.counters["nodes"] = static_cast<double>(mesh) * mesh;
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          mesh * mesh);
-}
-BENCHMARK(BM_ShardedScalingCurve)
-    ->Args({32, 1, 1})
-    ->Args({32, 4, 4})
-    ->Args({64, 1, 1})
-    ->Args({64, 4, 4})
-    ->Args({64, 8, 8})
-    ->Args({128, 1, 1})
-    ->Args({128, 4, 4})
-    ->Args({128, 8, 8})
-    ->Args({256, 1, 1})
-    ->Args({256, 8, 8})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_RandomFaultMap(benchmark::State& state) {
   const ftmesh::topology::Mesh mesh(10, 10);
   ftmesh::sim::Rng rng(5);

@@ -31,6 +31,11 @@
 // stops asking for that pass, so planning and pooling repeat until a pass
 // asks for nothing new.  Then the rendering pass prints the tables from the
 // pooled results.
+//
+// A run whose watchdog tripped stopped early and would pull its figure's
+// means towards a stalled network, so each one is named on stderr (figure,
+// algorithm, rate, faulty nodes, seed) and the driver exits 1, at any
+// scale; stdout is the same either way.
 
 #include <algorithm>
 #include <optional>
@@ -57,7 +62,10 @@ struct Pool {
   std::vector<SimConfig> distinct;
   std::vector<bool> drained;       ///< per distinct config: drain() after run()
   std::vector<SimResult> results;  ///< of distinct[0, results.size())
-  bool failed = false;             ///< a figure's invariant failed: exit 1
+  /// Per distinct config: the --figures names that asked for it.
+  std::vector<std::string> figures;
+  const char* figure = "";  ///< the figure whose requests are being answered
+  bool failed = false;      ///< a figure's invariant failed: exit 1
 
   std::optional<SimResult> find(const SimConfig& c, bool drain = false) {
     std::size_t i = 0;
@@ -68,8 +76,36 @@ struct Pool {
     if (i == distinct.size()) {
       distinct.push_back(c);
       drained.push_back(drain);
+      figures.emplace_back();
     }
+    note_figure(i);
     return std::nullopt;
+  }
+
+  /// Adds the current figure to the names that asked for config `i`.
+  void note_figure(std::size_t i) {
+    std::string& names = figures[i];
+    if (("," + names + ",").find("," + std::string(figure) + ",") ==
+        std::string::npos) {
+      names += (names.empty() ? "" : ",") + std::string(figure);
+    }
+  }
+
+  /// Prints every run whose watchdog tripped to `err`, one line each;
+  /// true if there was one.  A tripped run stopped early, so the figures'
+  /// means include a stalled network.
+  bool report_stalls(std::ostream& err) const {
+    bool any = false;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (!results[i].deadlock) continue;
+      const SimConfig& c = distinct[i];
+      err << "paper_figures: watchdog tripped: figure " << figures[i] << ", "
+          << c.algorithm << ", rate " << c.injection_rate << ", "
+          << results[i].faulty_nodes << " faulty nodes, seed " << c.seed
+          << "\n";
+      any = true;
+    }
+    return any;
   }
 
   /// find(), with an empty result standing in until the config has run.
@@ -789,9 +825,10 @@ void reliability(const Cli& cli, Pool& pool, std::ostream& out) {
 }
 
 using FigureFn = void (*)(const Cli&, Pool&, std::ostream&);
+using Figure = std::pair<const char*, FigureFn>;
 
 /// The names --figures takes, in the order the usage lists them.
-constexpr std::pair<const char*, FigureFn> kFigures[] = {
+constexpr Figure kFigures[] = {
     {"1", figure1},           {"2", figure2},
     {"3", figure3},           {"4", figure4},
     {"5", figure5},           {"6", figure6},
@@ -802,8 +839,8 @@ constexpr std::pair<const char*, FigureFn> kFigures[] = {
     {"adaptivity", adaptivity}, {"reliability", reliability}};
 
 /// --figures as a comma list of names (empty items skipped).
-std::vector<FigureFn> parse_figures(const Cli& cli) {
-  std::vector<FigureFn> figures;
+std::vector<Figure> parse_figures(const Cli& cli) {
+  std::vector<Figure> figures;
   std::istringstream list(cli.get("figures", "1,2,3,4,5,6"));
   for (std::string name; std::getline(list, name, ',');) {
     if (name.empty()) continue;
@@ -818,7 +855,7 @@ std::vector<FigureFn> parse_figures(const Cli& cli) {
       throw std::invalid_argument("bad value for --figures: " + name +
                                   " is not one of " + known);
     }
-    figures.push_back(it->second);
+    figures.push_back(*it);
   }
   if (figures.empty()) {
     throw std::invalid_argument("--figures names no figure");
@@ -838,12 +875,16 @@ int main(int argc, char** argv) {
     Pool pool;
     std::ostream planning(nullptr);  // discards the planning passes' output
     do {
-      for (const auto figure : figures) figure(cli, pool, planning);
+      for (const auto& [name, figure] : figures) {
+        pool.figure = name;
+        figure(cli, pool, planning);
+      }
     } while (pool.run_pending());
     std::cerr << "paper_figures: " << pool.distinct.size()
               << " distinct simulations\n";
-    for (const auto figure : figures) figure(cli, pool, std::cout);
-    return pool.failed ? 1 : 0;
+    const bool stalled = pool.report_stalls(std::cerr);
+    for (const auto& [name, figure] : figures) figure(cli, pool, std::cout);
+    return pool.failed || stalled ? 1 : 0;
   } catch (const std::exception& e) {
     std::cerr << "paper_figures: " << e.what() << "\n";
     return 1;

@@ -16,6 +16,13 @@ void SimConfig::validate() const {
   if (width < 2 || height < 2) {
     throw std::invalid_argument("mesh sides must be >= 2");
   }
+  // Bounds the int arithmetic on node and link counts below, and the
+  // per-node target pool a random fault schedule builds to validate.
+  constexpr long long kMaxNodes = 1LL << 20;
+  if (static_cast<long long>(width) * height > kMaxNodes) {
+    throw std::invalid_argument("mesh must have at most " +
+                                std::to_string(kMaxNodes) + " nodes");
+  }
   if (total_vcs < 1 || total_vcs > routing::kMaxVcs) {
     throw std::invalid_argument("total_vcs out of range");
   }
@@ -94,6 +101,11 @@ std::vector<std::string> SimConfig::warnings() const {
         "injection_rate is 0, which now means an idle network (no offered "
         "traffic); legacy configs used 0 for saturated sources — use a "
         "negative rate for saturation");
+  }
+  if (tiles != 1 || step_threads != 1) {
+    out.push_back(
+        "tiles and step_threads are retired and ignored: the kernel steps "
+        "the whole mesh on the calling thread");
   }
   return out;
 }

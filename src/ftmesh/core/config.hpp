@@ -67,14 +67,12 @@ struct SimConfig {
   /// always on).  The key still loads; the field is deleted by ROADMAP
   /// item 1's benchmark change, once perfbench stops assigning it.
   bool route_cache = true;
-  /// Spatial shards for the cycle kernel: the mesh is cut into this many
-  /// rectangular tiles whose phases can run concurrently.  Infeasible
-  /// requests are reduced to the nearest feasible count; results are
-  /// byte-identical for every value.  See docs/performance.md.
+  /// Retired: the kernel steps the whole mesh as one unit on the calling
+  /// thread and ignores both fields; warnings() names any other value and
+  /// validate() still rejects tiles < 1.  The keys still load and save, so
+  /// saved configs and campaign spec hashes stay as they were; the fields
+  /// are deleted once perfbench stops assigning them (ROADMAP item 1).
   int tiles = 1;
-  /// Worker threads for the tiled phases (core::parallel_for):
-  /// 1 = serial, <= 0 = hardware concurrency.  Only effective with
-  /// tiles > 1; never affects results.
   int step_threads = 1;
   /// Retired: validate() accepts only true (message slots always recycle).
   /// The key still loads; the field is deleted once perfbench stops
@@ -99,10 +97,11 @@ struct SimConfig {
   /// Throws std::invalid_argument on inconsistent settings.
   void validate() const;
 
-  /// Non-fatal configuration smells, one human-readable line each.  Today
-  /// this flags injection_rate == 0: before the saturated-source rework
-  /// that value meant "saturated", now it means "idle" — a silently
-  /// different experiment when replaying an old config.
+  /// Non-fatal configuration smells, one human-readable line each: an
+  /// injection_rate of 0 (before the saturated-source rework that value
+  /// meant "saturated", now it means "idle" — a silently different
+  /// experiment when replaying an old config), and a retired tiles or
+  /// step_threads value other than 1, which the kernel ignores.
   [[nodiscard]] std::vector<std::string> warnings() const;
 };
 

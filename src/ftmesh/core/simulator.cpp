@@ -38,8 +38,6 @@ Simulator::Simulator(SimConfig cfg)
   ncfg.injection_vcs = cfg_.injection_vcs;
   ncfg.selection = cfg_.selection;
   ncfg.route_cache = cfg_.route_cache;
-  ncfg.tiles = cfg_.tiles;
-  ncfg.step_threads = cfg_.step_threads;
   ncfg.collect_vc_usage = cfg_.collect_vc_usage;
   ncfg.collect_traffic_map = cfg_.collect_traffic_map;
   ncfg.collect_kernel_stats = cfg_.collect_kernel_stats;

@@ -1,7 +1,7 @@
 #pragma once
 // parallel_for: the one way ftmesh runs work in parallel — batches of
-// independent simulations (one per fault pattern / sweep point), campaign
-// workers, and the sharded kernel's per-tile phases.  Results stay
+// independent simulations (one per fault pattern / sweep point) and
+// campaign workers; a single simulation steps on one thread.  Results stay
 // deterministic because every simulation derives its randomness from its
 // own (seed, index) pair, never from scheduling.
 //

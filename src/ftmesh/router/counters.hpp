@@ -33,12 +33,11 @@ struct Counters {
   std::uint64_t kernel_inject_nodes_sum = 0;
   std::uint64_t kernel_link_regs_sum = 0;
 
-  Counters& operator+=(const Counters& o) noexcept;
   /// The growth from snapshot `b` to snapshot `a`.
   friend Counters operator-(Counters a, const Counters& b) noexcept;
 };
 
-/// Every field of Counters, for the element-wise operators.
+/// Every field of Counters, for the element-wise difference.
 inline constexpr std::uint64_t Counters::* kCounterFields[] = {
     &Counters::flits_generated,         &Counters::flits_delivered,
     &Counters::messages_delivered,      &Counters::latency_sum,
@@ -52,11 +51,6 @@ inline constexpr std::uint64_t Counters::* kCounterFields[] = {
 static_assert(sizeof(Counters) ==
                   std::size(kCounterFields) * sizeof(std::uint64_t),
               "kCounterFields must list every Counters field");
-
-inline Counters& Counters::operator+=(const Counters& o) noexcept {
-  for (const auto f : kCounterFields) this->*f += o.*f;
-  return *this;
-}
 
 inline Counters operator-(Counters a, const Counters& b) noexcept {
   for (const auto f : kCounterFields) a.*f -= b.*f;

@@ -1,6 +1,5 @@
 #include "ftmesh/router/network.hpp"
 
-#include "ftmesh/core/thread_pool.hpp"
 #include "ftmesh/router/channel_id.hpp"
 
 #include <algorithm>
@@ -19,8 +18,8 @@ using topology::NodeId;
 
 namespace {
 
-// One-bit occupancy helpers for the tile bitmaps and the per-node ready
-// words (bit i of word i/64).
+// One-bit occupancy helpers for the node and link masks and the per-node
+// ready words (bit i of word i/64).
 inline void set_bit(std::uint64_t* words, std::size_t i) {
   words[i >> 6] |= std::uint64_t{1} << (i & 63u);
 }
@@ -46,7 +45,7 @@ inline bool all_zero(const std::uint64_t* words, std::size_t n) {
 
 /// Sets (`on`) or clears input-VC bit `bit` in one node's `n` ready words.
 /// Returns true when the node's words went empty -> non-empty or back —
-/// the transitions its tile mask bit follows.
+/// the transitions its node mask bit follows.
 inline bool update_ready_bit(std::uint64_t* words, std::size_t n,
                              std::size_t bit, bool on) {
   std::uint64_t& word = words[bit >> 6];
@@ -59,13 +58,6 @@ inline bool update_ready_bit(std::uint64_t* words, std::size_t n,
   }
   word &= ~m;
   return word == 0 && all_zero(words, n);
-}
-
-/// Balanced contiguous partition: chunk index of `x` when [0, extent) is
-/// split into `chunks` pieces covering [i*extent/chunks, (i+1)*extent/chunks).
-int chunk_of(int x, int extent, int chunks) {
-  return static_cast<int>(
-      (static_cast<long long>(x + 1) * chunks - 1) / extent);
 }
 
 }  // namespace
@@ -141,117 +133,38 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   route_ready_.assign(n * ready_words_, 0);
   switch_ready_.assign(n * ready_words_, 0);
   credit_blocked_.assign(n * ready_words_, 0);
+  route_mask_.assign(mask_words(n), 0);
+  switch_mask_.assign(mask_words(n), 0);
+  inject_mask_.assign(mask_words(n), 0);
+  link_mask_.assign(mask_words(links_.size()), 0);
   link_vc_allocated_.assign(static_cast<std::size_t>(vcs), 0);
+  route_cache_.resize(kRouteCacheSize);
+  requests_.resize(nivc_);
   // The arbitration seeds come off derived streams (not the shared one),
   // so each is a pure function of the network seed.
   arb_seed_ = rng_.derive(0xa7b17ULL)();
   sel_seed_ = rng_.derive(0x5e1ec7ULL)();
   shuf_seed_ = rng_.derive(0x5bf1eULL)();
-  setup_tiles();
-}
-
-void Network::setup_tiles() {
-  const int width = mesh_->width();
-  const int height = mesh_->height();
-  const auto n = static_cast<std::size_t>(mesh_->node_count());
-  const int vcs = algorithm_->layout().total();
-  // Reduce the request to a feasible count, then pick the divisor pair
-  // (tx across x, ty across y) with the shortest total cut length —
-  // boundary registers are the only cross-tile traffic, so minimum
-  // perimeter means minimum commit work.
-  int want = std::max(1, config_.tiles);
-  want = std::min(want, width * height);
-  int best_tx = 1;
-  int best_ty = 1;
-  for (; want >= 1; --want) {
-    long long best_cut = -1;
-    for (int tx = 1; tx <= want; ++tx) {
-      if (want % tx != 0) continue;
-      const int ty = want / tx;
-      if (tx > width || ty > height) continue;
-      const long long cut = static_cast<long long>(tx - 1) * height +
-                            static_cast<long long>(ty - 1) * width;
-      if (best_cut < 0 || cut < best_cut) {
-        best_cut = cut;
-        best_tx = tx;
-        best_ty = ty;
-      }
-    }
-    if (best_cut >= 0) break;
-  }
-  tiles_.clear();
-  tiles_.resize(static_cast<std::size_t>(best_tx) *
-                static_cast<std::size_t>(best_ty));
-  tile_of_node_.assign(n, 0);
-  local_of_node_.assign(n, 0);
-  for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-    const Coord c = mesh_->coord_of(id);
-    const int tx = chunk_of(c.x, width, best_tx);
-    const int ty = chunk_of(c.y, height, best_ty);
-    const auto tile = static_cast<std::uint32_t>(ty * best_tx + tx);
-    tile_of_node_[static_cast<std::size_t>(id)] = tile;
-    local_of_node_[static_cast<std::size_t>(id)] =
-        static_cast<std::uint32_t>(tiles_[tile].nodes.size());
-    tiles_[tile].nodes.push_back(id);
-  }
-  for (Tile& t : tiles_) {
-    t.route_cache.resize(kRouteCacheSize);
-    t.d.vc_alloc.assign(static_cast<std::size_t>(vcs), 0);
-    t.requests.resize(static_cast<std::size_t>(kPortCount * vcs));
-    const std::size_t words = mask_words(t.nodes.size());
-    t.route_mask.assign(words, 0);
-    t.switch_mask.assign(words, 0);
-    t.inject_mask.assign(words, 0);
-  }
-  // Static incoming-register lists, from the downstream side: the register
-  // delivering into `id` from direction d is the neighbour's outgoing
-  // register back towards `id`.
-  link_intra_.assign(n * kMeshDirections, 0);
-  link_pos_.assign(n * kMeshDirections, 0);
-  for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-    Tile& t = tiles_[tile_of_node_[static_cast<std::size_t>(id)]];
-    for (int d = 0; d < kMeshDirections; ++d) {
-      const auto dir = static_cast<Direction>(d);
-      const NodeId up = neighbour_id_[static_cast<std::size_t>(id) *
-                                          kMeshDirections +
-                                      static_cast<std::size_t>(d)];
-      if (up < 0) continue;
-      const auto idx =
-          static_cast<std::size_t>(up) * kMeshDirections +
-          static_cast<std::size_t>(port_index(opposite(dir)));
-      link_pos_[idx] = static_cast<std::uint32_t>(t.incoming_all.size());
-      t.incoming_all.push_back(idx);
-      if (tile_of_node_[static_cast<std::size_t>(up)] !=
-          tile_of_node_[static_cast<std::size_t>(id)]) {
-        t.boundary_in.push_back(idx);
-      } else {
-        link_intra_[idx] = 1;
-      }
-    }
-  }
-  for (Tile& t : tiles_) t.link_mask.assign(mask_words(t.incoming_all.size()), 0);
 }
 
 // ---- occupancy bookkeeping -----------------------------------------------
 
 void Network::set_ready(std::vector<std::uint64_t>& words,
-                        std::vector<std::uint64_t> TileOccupancy::* mask,
-                        NodeId node, std::size_t bit, bool ready) {
+                        std::vector<std::uint64_t>& mask, NodeId node,
+                        std::size_t bit, bool ready) {
   if (!update_ready_bit(ready_words(words, node), ready_words_, bit, ready)) {
     return;
   }
   const auto sid = static_cast<std::size_t>(node);
-  Tile& t = tiles_[tile_of_node_[sid]];
   if (ready) {
-    set_bit(t.*mask, local_of_node_[sid]);
+    set_bit(mask, sid);
   } else {
-    clear_bit(t.*mask, local_of_node_[sid]);
+    clear_bit(mask, sid);
   }
 }
 
 void Network::mark_inject(NodeId node) {
-  const auto sid = static_cast<std::size_t>(node);
-  set_bit(tiles_[tile_of_node_[sid]].inject_mask, local_of_node_[sid]);
+  set_bit(inject_mask_, static_cast<std::size_t>(node));
 }
 
 bool Network::supplies_idle(NodeId node) const {
@@ -262,13 +175,9 @@ bool Network::supplies_idle(NodeId node) const {
                      [](const Supply& s) { return s.current == kInvalidMessage; });
 }
 
-void Network::note_link_full(Tile& t, std::size_t link_idx) {
-  ++t.d.full_links;
-  // Only intra-tile registers set a mask bit: the sender may not touch
-  // another tile's mask, so a cross-tile register is found by the
-  // downstream tile's boundary_in scan instead.
-  if (!link_intra_[link_idx]) return;
-  set_bit(t.link_mask, link_pos_[link_idx]);
+void Network::note_link_full(std::size_t link_idx) {
+  ++full_links_;
+  set_bit(link_mask_, link_idx);
 }
 
 void Network::note_buffer_push(NodeId node, std::size_t bit, const Flit& f,
@@ -294,15 +203,11 @@ Network::Occupancy Network::recount_occupancy() const {
   o.route_ready.assign(n * ready_words_, 0);
   o.switch_ready.assign(n * ready_words_, 0);
   o.credit_blocked.assign(n * ready_words_, 0);
+  o.route_mask.assign(mask_words(n), 0);
+  o.switch_mask.assign(mask_words(n), 0);
+  o.inject_mask.assign(mask_words(n), 0);
+  o.link_mask.assign(mask_words(links_.size()), 0);
   o.link_vc_allocated.assign(static_cast<std::size_t>(vcs_), 0);
-  o.tiles.resize(tiles_.size());
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const std::size_t words = mask_words(tiles_[i].nodes.size());
-    o.tiles[i].route_mask.assign(words, 0);
-    o.tiles[i].switch_mask.assign(words, 0);
-    o.tiles[i].inject_mask.assign(words, 0);
-    o.tiles[i].link_mask.assign(mask_words(tiles_[i].incoming_all.size()), 0);
-  }
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
     const Router& rt = routers_[sid];
@@ -334,58 +239,50 @@ Network::Occupancy Network::recount_occupancy() const {
         }
       }
     }
-    TileOccupancy& t = o.tiles[tile_of_node_[sid]];
-    const std::size_t lidx = local_of_node_[sid];
-    if (!all_zero(routable, ready_words_)) set_bit(t.route_mask, lidx);
-    if (!all_zero(sendable, ready_words_)) set_bit(t.switch_mask, lidx);
+    if (!all_zero(routable, ready_words_)) set_bit(o.route_mask, sid);
+    if (!all_zero(sendable, ready_words_)) set_bit(o.switch_mask, sid);
     if (!queues_[sid].empty() || !supplies_idle(id)) {
-      set_bit(t.inject_mask, lidx);
+      set_bit(o.inject_mask, sid);
     }
   }
   for (std::size_t idx = 0; idx < links_.size(); ++idx) {
     if (!links_[idx].full) continue;
     ++o.full_links;
     ++o.buffered_flits;
-    if (!link_intra_[idx]) continue;  // cross-tile: boundary_in finds it
-    const auto up = idx / kMeshDirections;
-    set_bit(o.tiles[tile_of_node_[up]].link_mask, link_pos_[idx]);
+    set_bit(o.link_mask, idx);
   }
   return o;
 }
 
 void Network::rebuild_active_sets() {
   Occupancy o = recount_occupancy();
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    // Rebuilds happen between cycles; nothing may be pending a commit.
-    assert(tiles_[i].credits.empty() && tiles_[i].retires.empty() &&
-           tiles_[i].ejects.empty());
-    static_cast<TileOccupancy&>(tiles_[i]) = std::move(o.tiles[i]);
-  }
+  // Rebuilds happen between cycles; nothing may be pending a commit.
+  assert(credits_.empty() && retires_.empty());
   assert(o.buffered_flits == buffered_flits_ &&
          "incremental flit count drifted");
   route_ready_ = std::move(o.route_ready);
   switch_ready_ = std::move(o.switch_ready);
   credit_blocked_ = std::move(o.credit_blocked);
+  route_mask_ = std::move(o.route_mask);
+  switch_mask_ = std::move(o.switch_mask);
+  inject_mask_ = std::move(o.inject_mask);
+  link_mask_ = std::move(o.link_mask);
   link_vc_allocated_ = std::move(o.link_vc_allocated);
   buffered_flits_ = o.buffered_flits;
   full_links_ = o.full_links;
 }
 
 std::uint64_t Network::marked_nodes(
-    std::vector<std::uint64_t> TileOccupancy::* mask) const noexcept {
+    const std::vector<std::uint64_t>& mask) noexcept {
   std::uint64_t sum = 0;
-  for (const Tile& t : tiles_) {
-    for (const std::uint64_t w : t.*mask) {
-      sum += static_cast<std::uint64_t>(std::popcount(w));
-    }
+  for (const std::uint64_t w : mask) {
+    sum += static_cast<std::uint64_t>(std::popcount(w));
   }
   return sum;
 }
 
 void Network::on_fault_change() {
-  for (Tile& t : tiles_) {
-    for (auto& e : t.route_cache) e.valid = false;
-  }
+  for (auto& e : route_cache_) e.valid = false;
   ++route_cache_invalidations_;
   // Not rebuilt here: callers notify the algorithm after the network, and
   // uniform_at() may read labels (Boura-FT's unsafe set) that are stale
@@ -433,34 +330,7 @@ void Network::emit(trace::EventKind kind, MessageId msg, Coord node,
   trace_->record(make_event(cycle_, kind, msg, node, a, b));
 }
 
-void Network::emit(Tile& t, trace::EventKind kind, MessageId msg, Coord node,
-                   std::uint32_t a, std::uint32_t b) {
-  t.events.push_back(make_event(cycle_, kind, msg, node, a, b));
-}
-
-void Network::flush_trace() {
-  if (trace_ == nullptr) return;
-  // One tile visits its nodes in ascending order, so its buffer is already
-  // in serial order.
-  const std::vector<trace::Event>* merged = &tiles_.front().events;
-  if (tiles_.size() > 1) {
-    trace_scratch_.clear();
-    for (const Tile& t : tiles_) {
-      trace_scratch_.insert(trace_scratch_.end(), t.events.begin(),
-                            t.events.end());
-    }
-    std::stable_sort(trace_scratch_.begin(), trace_scratch_.end(),
-                     [this](const trace::Event& a, const trace::Event& b) {
-                       return mesh_->id_of(a.node) < mesh_->id_of(b.node);
-                     });
-    merged = &trace_scratch_;
-  }
-  for (const trace::Event& e : *merged) trace_->record(e);
-  for (Tile& t : tiles_) t.events.clear();
-}
-
-void Network::trace_alloc(Tile& t, Coord c, MessageSlot slot, Direction dir,
-                          int vc) {
+void Network::trace_alloc(Coord c, MessageSlot slot, Direction dir, int vc) {
   HeaderState& h = headers_[static_cast<std::size_t>(slot)];
   const MessageId id = messages_[static_cast<std::size_t>(slot)].id;
   const bool ring_was = h.rs.ring.active;
@@ -468,28 +338,28 @@ void Network::trace_alloc(Tile& t, Coord c, MessageSlot slot, Direction dir,
   algorithm_->on_hop(c, dir, vc, h);
   if (trace_blocked_[static_cast<std::size_t>(slot)]) {
     trace_blocked_[static_cast<std::size_t>(slot)] = 0;
-    emit(t, trace::EventKind::Unblock, id, c);
+    emit(trace::EventKind::Unblock, id, c);
   }
   trace::Event e = make_event(cycle_, trace::EventKind::VcAlloc, id, c, 0, 0);
   e.dir = dir;
   e.vc = static_cast<std::int16_t>(vc);
-  t.events.push_back(e);
+  trace_->record(e);
   if (!ring_was && h.rs.ring.active) {
-    emit(t, trace::EventKind::RingEnter, id, c,
+    emit(trace::EventKind::RingEnter, id, c,
          static_cast<std::uint32_t>(h.rs.ring.region), h.rs.ring.entry_distance);
   } else if (ring_was && !h.rs.ring.active) {
-    emit(t, trace::EventKind::RingExit, id, c,
+    emit(trace::EventKind::RingExit, id, c,
          static_cast<std::uint32_t>(h.rs.ring.region));
   }
   if (h.rs.misroutes > mis_was) {
-    emit(t, trace::EventKind::Misroute, id, c, h.rs.misroutes);
+    emit(trace::EventKind::Misroute, id, c, h.rs.misroutes);
   }
 }
 
-void Network::trace_block(Tile& t, MessageSlot slot, Coord c) {
+void Network::trace_block(MessageSlot slot, Coord c) {
   if (!trace_blocked_[static_cast<std::size_t>(slot)]) {
     trace_blocked_[static_cast<std::size_t>(slot)] = 1;
-    emit(t, trace::EventKind::Block,
+    emit(trace::EventKind::Block,
          messages_[static_cast<std::size_t>(slot)].id, c);
   }
 }
@@ -606,97 +476,38 @@ void Network::step() {
   ++cycle_;
 }
 
-// ---- tile drivers and the post-barrier commit ----------------------------
-
-template <typename Fn>
-void Network::for_each_tile(Fn&& fn) {
-  if (config_.step_threads != 1 && tiles_.size() > 1) {
-    core::parallel_for(tiles_.size(), config_.step_threads,
-                       [&](std::size_t i) { fn(tiles_[i]); });
-    return;
-  }
-  for (Tile& t : tiles_) fn(t);
-}
-
-void Network::reduce_deltas() {
-  for (Tile& t : tiles_) {
-    PhaseDeltas& d = t.d;
-    buffered_flits_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(buffered_flits_) + d.buffered_flits);
-    full_links_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(full_links_) + d.full_links);
-    flits_moved_this_cycle_ += d.flits_moved;
-    counters_ += d.counts;
-    for (std::size_t v = 0; v < d.vc_alloc.size(); ++v) {
-      link_vc_allocated_[v] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(link_vc_allocated_[v]) + d.vc_alloc[v]);
-    }
-    // Reset every field but keep vc_alloc's buffer: zeroed in place and
-    // moved back, so the per-cycle reset allocates nothing.
-    std::vector<std::int32_t> vc_alloc = std::move(d.vc_alloc);
-    std::fill(vc_alloc.begin(), vc_alloc.end(), 0);
-    d = PhaseDeltas{};
-    d.vc_alloc = std::move(vc_alloc);
-  }
-}
+// ---- the deferred commit ------------------------------------------------
 
 void Network::commit_deferred() {
-  reduce_deltas();
-  // Eject hooks, ascending node id: the crossbar moves at most one flit to
-  // each Local output per cycle, so this order is unique and equals the
-  // legacy serial kernel's visit order.
-  if (eject_hook_) {
-    eject_scratch_.clear();
-    for (Tile& t : tiles_) {
-      eject_scratch_.insert(eject_scratch_.end(), t.ejects.begin(),
-                            t.ejects.end());
-    }
-    std::sort(eject_scratch_.begin(), eject_scratch_.end(),
-              [](const DeferredEject& a, const DeferredEject& b) {
-                return a.node < b.node;
-              });
-    for (const DeferredEject& e : eject_scratch_) {
-      eject_hook_(e.flit, mesh_->coord_of(e.node));
-    }
+  // Credit returns: every one lands here, after the whole switch phase, so
+  // a freed buffer slot becomes visible upstream on the next cycle no
+  // matter which node freed it or when in the phase.  A return that lifts
+  // a reserved output VC from 0 credits unblocks the input VC feeding it.
+  // The clear is branchless (an AND with an all-ones mask when nothing
+  // unblocks): the 0 -> 1 outcome is close to a coin flip at the knee.
+  for (const CreditReturn& cr : credits_) {
+    OutputVc& ovc =
+        routers_[static_cast<std::size_t>(cr.node)].output(cr.port, cr.vc);
+    const std::uint64_t unblock =
+        static_cast<std::uint64_t>((ovc.credits == 0) & ovc.allocated);
+    ++ovc.credits;
+    ready_words(credit_blocked_, cr.node)[ovc.feeder >> 6] &=
+        ~(unblock << (ovc.feeder & 63u));
   }
-  for (Tile& t : tiles_) t.ejects.clear();
-  // Credit returns: increments commute, so per-tile order is fine.  Every
-  // credit lands here — even a same-tile one — which is what makes a freed
-  // buffer slot visible uniformly on the next cycle instead of depending
-  // on the switch phase's node visit order.  A return that lifts a reserved
-  // output VC from 0 credits unblocks the input VC feeding it.  The clear
-  // is branchless (an AND with an all-ones mask when nothing unblocks): the
-  // 0 -> 1 outcome is close to a coin flip at the knee.
-  for (Tile& t : tiles_) {
-    for (const CreditReturn& cr : t.credits) {
-      OutputVc& ovc =
-          routers_[static_cast<std::size_t>(cr.node)].output(cr.port, cr.vc);
-      const std::uint64_t unblock =
-          static_cast<std::uint64_t>((ovc.credits == 0) & ovc.allocated);
-      ++ovc.credits;
-      ready_words(credit_blocked_, cr.node)[ovc.feeder >> 6] &=
-          ~(unblock << (ovc.feeder & 63u));
-    }
-    t.credits.clear();
-  }
-  // Retirements: stable-id order, so the retired_ log (and the free-list
-  // order feeding slot reuse) is identical for every tiling.
-  retire_scratch_.clear();
-  for (Tile& t : tiles_) {
-    retire_scratch_.insert(retire_scratch_.end(), t.retires.begin(),
-                           t.retires.end());
-    t.retires.clear();
-  }
-  if (retire_scratch_.size() > 1) {
-    std::sort(retire_scratch_.begin(), retire_scratch_.end(),
+  credits_.clear();
+  // Retirements: stable-id order, so the retired_ log and the free-list
+  // order feeding slot reuse do not depend on the node visit order.
+  if (retires_.size() > 1) {
+    std::sort(retires_.begin(), retires_.end(),
               [this](MessageSlot a, MessageSlot b) {
                 return messages_[static_cast<std::size_t>(a)].id <
                        messages_[static_cast<std::size_t>(b)].id;
               });
   }
-  for (const MessageSlot slot : retire_scratch_) {
+  for (const MessageSlot slot : retires_) {
     retire_slot(slot, /*aborted=*/false);
   }
+  retires_.clear();
 }
 
 // ---- runtime invariant audit ---------------------------------------------
@@ -745,15 +556,8 @@ void Network::audit_invariants(int level) const {
   if (level < 2) return;
 
   // ---- level 2: what is not derived, then the occupancy recount ----------
-  for (const Tile& t : tiles_) {
-    if (!t.credits.empty() || !t.retires.empty() || !t.ejects.empty() ||
-        !t.events.empty()) {
-      fail("deferred commit queue not drained between cycles");
-    }
-    if (t.d.buffered_flits != 0 || t.d.flits_moved != 0 ||
-        t.d.full_links != 0) {
-      fail("per-tile phase deltas not folded between cycles");
-    }
+  if (!credits_.empty() || !retires_.empty()) {
+    fail("deferred commit list not drained between cycles");
   }
   const auto local = topology::port_index(Direction::Local);
   const auto nbits = static_cast<std::size_t>(kPortCount * vcs_);
@@ -869,37 +673,29 @@ void Network::audit_invariants(int level) const {
     drifted("link_vc_allocated of vc " + std::to_string(vc),
             link_vc_allocated_[vc], o.link_vc_allocated[vc]);
   }
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const Tile& t = tiles_[i];
-    const TileOccupancy& r = o.tiles[i];
-    const std::string tile = "tile " + std::to_string(i) + " ";
-    const auto local_node = [&](std::size_t b) {
-      return b < t.nodes.size()
-                 ? node_name(static_cast<std::size_t>(t.nodes[b]))
-                 : "spare position " + std::to_string(b);
-    };
-    same_bits(tile + "route_mask", t.route_mask, r.route_mask, local_node);
-    same_bits(tile + "switch_mask", t.switch_mask, r.switch_mask, local_node);
-    same_bits(tile + "inject_mask", t.inject_mask, r.inject_mask, local_node);
-    same_bits(tile + "link_mask", t.link_mask, r.link_mask, [](std::size_t b) {
-      return "incoming register position " + std::to_string(b);
-    });
-  }
+  const auto mask_node = [&](std::size_t b) {
+    return b < routers_.size() ? node_name(b)
+                               : "spare position " + std::to_string(b);
+  };
+  same_bits("route_mask", route_mask_, o.route_mask, mask_node);
+  same_bits("switch_mask", switch_mask_, o.switch_mask, mask_node);
+  same_bits("inject_mask", inject_mask_, o.inject_mask, mask_node);
+  same_bits("link_mask", link_mask_, o.link_mask, [&](std::size_t b) {
+    return "link register " + std::to_string(b % kMeshDirections) + " of " +
+           mask_node(b / kMeshDirections);
+  });
   drifted("buffered_flits", buffered_flits_, o.buffered_flits);
   drifted("full_links", full_links_, o.full_links);
 }
 
 // ---- phase 1: arrivals ---------------------------------------------------
 
-void Network::arrive_link(Tile& t, std::size_t link_idx) {
+void Network::arrive_link(std::size_t link_idx) {
   LinkReg& reg = links_[link_idx];
   assert(reg.full);
   const auto dir = static_cast<Direction>(link_idx % kMeshDirections);
   const NodeId down_id = neighbour_id_[link_idx];
   assert(down_id >= 0 && "flit sent off-mesh");
-  assert(tile_of_node_[static_cast<std::size_t>(down_id)] ==
-             static_cast<std::uint32_t>(&t - tiles_.data()) &&
-         "arrival processed by a tile that does not own the consumer");
   Router& down = routers_[static_cast<std::size_t>(down_id)];
   const auto bit =
       static_cast<std::size_t>(port_index(opposite(dir)) * vcs_ + reg.vc);
@@ -910,37 +706,24 @@ void Network::arrive_link(Tile& t, std::size_t link_idx) {
   ivc.buf.push_back(reg.flit);
   note_buffer_push(down_id, bit, reg.flit, was_empty);
   reg.full = false;
-  --t.d.full_links;
-}
-
-void Network::arrivals_tile(Tile& t) {
-  // Every full register drains each cycle, so the mask is consumed whole;
-  // ordering is irrelevant (registers target disjoint input VCs).
-  // Arrivals are partitioned by the *consumer*: a tile drains exactly the
-  // registers delivering into it — its own flagged mask bits plus a scan
-  // of the static boundary list (cross-tile senders may not touch this
-  // tile's mask, so those registers are poll-only).
-  for (std::size_t w = 0; w < t.link_mask.size(); ++w) {
-    std::uint64_t word = t.link_mask[w];
-    t.link_mask[w] = 0;
-    for (; word != 0; word &= word - 1) {
-      const std::size_t pos =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      arrive_link(t, t.incoming_all[pos]);
-    }
-  }
-  for (const std::size_t idx : t.boundary_in) {
-    if (links_[idx].full) arrive_link(t, idx);
-  }
+  --full_links_;
 }
 
 void Network::phase_arrivals() {
-  for_each_tile([this](Tile& t) { arrivals_tile(t); });
+  // Every full register drains each cycle, so the mask is consumed whole;
+  // ordering is irrelevant (registers target disjoint input VCs).
+  for (std::size_t w = 0; w < link_mask_.size(); ++w) {
+    std::uint64_t word = link_mask_[w];
+    link_mask_[w] = 0;
+    for (; word != 0; word &= word - 1) {
+      arrive_link((w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
+    }
+  }
 }
 
 // ---- phase 2: injection --------------------------------------------------
 
-void Network::inject_node(Tile& t, NodeId id) {
+void Network::inject_node(NodeId id) {
   const Coord c = mesh_->coord_of(id);
   if (!faults_->active(c)) return;
   const auto local = port_index(Direction::Local);
@@ -971,11 +754,11 @@ void Network::inject_node(Tile& t, NodeId id) {
     }
     if (sup.next_seq == 0) {
       m.injected = cycle_;
-      if (trace_ != nullptr) emit(t, trace::EventKind::Inject, m.id, c);
+      if (trace_ != nullptr) emit(trace::EventKind::Inject, m.id, c);
     }
     const bool was_empty = ivc.buf.empty();
     ivc.buf.push_back(flit);
-    ++t.d.buffered_flits;
+    ++buffered_flits_;
     note_buffer_push(id, bit, flit, was_empty);
     ++sup.next_seq;
     if (sup.next_seq == m.length) {
@@ -983,17 +766,21 @@ void Network::inject_node(Tile& t, NodeId id) {
       sup.next_seq = 0;
       // The node's last pending work just finished: nothing to inject.
       if (queue.empty() && supplies_idle(id)) {
-        clear_bit(t.inject_mask, local_of_node_[static_cast<std::size_t>(id)]);
+        clear_bit(inject_mask_, static_cast<std::size_t>(id));
       }
     }
   }
 }
 
+// The phase walks below snapshot one mask word at a time: a node body may
+// clear its own node's bit (work exhausted) but never sets a bit in the
+// mask being walked, so the walk cannot skip or repeat work.
+
 void Network::phase_injection() {
-  for_each_tile([this](Tile& t) {
-    walk_mask(t, t.inject_mask, [&](NodeId id) { inject_node(t, id); });
-  });
-  flush_trace();
+  sim::for_each_set_bit(inject_mask_.data(), inject_mask_.size(),
+                        [&](std::size_t id) {
+                          inject_node(static_cast<NodeId>(id));
+                        });
 }
 
 // ---- phase 3: routing ----------------------------------------------------
@@ -1007,9 +794,9 @@ void Network::set_debug_channel_order(std::vector<std::int32_t> ranks) {
   debug_channel_order_ = std::move(ranks);
 }
 
-const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
+const routing::CandidateList& Network::route_candidates(NodeId id,
                                                         const HeaderState& m) {
-  ++t.d.counts.cache_lookups;
+  ++counters_.cache_lookups;
   const Coord c = mesh_->coord_of(id);
   const std::uint64_t key = algorithm_->route_state_key(m);
   // Away from faults and off the rings the candidate set depends only on
@@ -1024,21 +811,22 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
   const std::size_t slot =
       static_cast<std::size_t>(sim::counter_hash(key, place, 0)) &
       (kRouteCacheSize - 1);
-  RouteCacheEntry& e = t.route_cache[slot];
+  RouteCacheEntry& e = route_cache_[slot];
   if (e.valid && e.place == place && e.key == key) {
-    ++t.d.counts.cache_hits;
+    ++counters_.cache_hits;
 #if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
     // The key contract, in its site form and its (node, dst) form, checked
     // on every hit against a fresh enumeration.
-    t.cand.clear();
-    algorithm_->enumerate(c, m, t.cand);
-    if (!(t.cand == e.cands) && t.route_class_fault.empty()) {
-      t.route_class_fault =
-          std::string("route-class: cached candidates of ") +
+    audit_cands_.clear();
+    algorithm_->enumerate(c, m, audit_cands_);
+    if (!(audit_cands_ == e.cands)) {
+      throw AuditError(
+          "cycle " + std::to_string(cycle_) +
+          ", route-class: cached candidates of " +
           (by_site ? "site " : "node-keyed place ") + std::to_string(place) +
           ", key " + std::to_string(key) + " differ from a fresh "
           "enumeration at node " + std::to_string(id) + " towards (" +
-          std::to_string(m.dst.x) + "," + std::to_string(m.dst.y) + ")";
+          std::to_string(m.dst.x) + "," + std::to_string(m.dst.y) + ")");
     }
 #endif
     return e.cands;
@@ -1051,16 +839,15 @@ const routing::CandidateList& Network::route_candidates(Tile& t, NodeId id,
   return e.cands;
 }
 
-void Network::route_node(Tile& t, NodeId id) {
+void Network::route_node(NodeId id) {
   const std::uint64_t* ready = ready_words(route_ready_, id);
   const int nivc = kPortCount * vcs_;
   const Coord c = mesh_->coord_of(id);
   Router& rt = routers_[static_cast<std::size_t>(id)];
   // Random rotation keeps allocation fair without a full shuffle.  The
   // offset — like every other draw below — is a counter-based hash, a pure
-  // function of (seed, cycle, node): skipping idle routers, retiling the
-  // mesh or rescheduling threads cannot shift anyone's randomness, which
-  // is what keeps every execution mode bit-identical.
+  // function of (seed, cycle, node): skipping idle routers cannot shift
+  // anyone's randomness.
   const int offset = static_cast<int>(
       sim::counter_below(arb_seed_, cycle_, static_cast<std::uint64_t>(id),
                          static_cast<std::uint64_t>(nivc)));
@@ -1071,11 +858,11 @@ void Network::route_node(Tile& t, NodeId id) {
   // allows.
   sim::for_each_set_bit_from(
       ready, static_cast<std::size_t>(nivc), static_cast<std::size_t>(offset),
-      [&](std::size_t idx) { route_header(t, id, c, rt, idx, sel); });
+      [&](std::size_t idx) { route_header(id, c, rt, idx, sel); });
 }
 
-void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
-                           std::size_t idx, sim::CounterRng& sel) {
+void Network::route_header(NodeId id, Coord c, Router& rt, std::size_t idx,
+                           sim::CounterRng& sel) {
   const InputVc& ivc = rt.input_at(idx);
   InputRoute& route = routes(id)[idx];
   assert(!ivc.buf.empty() && is_head(ivc.buf.front().type) && !route.active());
@@ -1092,7 +879,7 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
     set_switch_ready(id, idx, true);
     return;
   }
-  const routing::CandidateList& cand = route_candidates(t, id, m);
+  const routing::CandidateList& cand = route_candidates(id, m);
   // One in-order compaction scores every list, whatever its width: each
   // candidate is written to the next free slot of the scratch, and the
   // slot advances only when its output VC is unallocated — no branch on
@@ -1101,8 +888,8 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
   // in candidate order.  Recomputed per header: allocations earlier in
   // this node's scan change the occupancy.
   const std::size_t ncand = cand.size();
-  if (t.free_cands.size() < ncand) t.free_cands.resize(ncand);
-  routing::CandidateVc* const out = t.free_cands.data();
+  if (free_cands_.size() < ncand) free_cands_.resize(ncand);
+  routing::CandidateVc* const out = free_cands_.data();
   std::size_t nfree = 0;
   std::size_t pick_begin = 0;
   std::size_t pick_end = 0;
@@ -1122,11 +909,11 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
       pick_end = nfree;
     }
   }
-  ++t.d.counts.route_decisions;
-  t.d.counts.candidates_offered += ncand;
-  t.d.counts.candidates_free += nfree;
+  ++counters_.route_decisions;
+  counters_.candidates_offered += ncand;
+  counters_.candidates_free += nfree;
   if (pick_begin == pick_end) {
-    if (trace_ != nullptr) trace_block(t, front.msg, c);
+    if (trace_ != nullptr) trace_block(front.msg, c);
     return;
   }
   const std::span<const routing::CandidateVc> choices(out + pick_begin,
@@ -1162,13 +949,13 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
   OutputVc& ovc = rt.output(port_index(chosen.dir), chosen.vc);
   ovc.allocate(front.msg, static_cast<std::uint16_t>(idx));
   if (ovc.credits == 0) set_bit(ready_words(credit_blocked_, id), idx);
-  ++t.d.vc_alloc[static_cast<std::size_t>(chosen.vc)];
+  ++link_vc_allocated_[static_cast<std::size_t>(chosen.vc)];
   route = {IvcStage::Active, static_cast<std::uint8_t>(port_index(chosen.dir)),
            static_cast<std::uint16_t>(chosen.vc)};
   set_route_ready(id, idx, false);
   set_switch_ready(id, idx, true);
   if (trace_ != nullptr) {
-    trace_alloc(t, c, front.msg, chosen.dir, chosen.vc);
+    trace_alloc(c, front.msg, chosen.dir, chosen.vc);
   } else {
     algorithm_->on_hop(c, chosen.dir, chosen.vc, m);
   }
@@ -1176,22 +963,15 @@ void Network::route_header(Tile& t, NodeId id, Coord c, Router& rt,
 
 void Network::phase_routing() {
   if (sites_stale_) rebuild_sites();
-  for_each_tile([this](Tile& t) {
-    walk_mask(t, t.route_mask, [&](NodeId id) { route_node(t, id); });
-  });
-  flush_trace();
-#if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
-  for (Tile& t : tiles_) {
-    if (t.route_class_fault.empty()) continue;
-    throw AuditError("cycle " + std::to_string(cycle_) + ", " +
-                     t.route_class_fault);
-  }
-#endif
+  sim::for_each_set_bit(route_mask_.data(), route_mask_.size(),
+                        [&](std::size_t id) {
+                          route_node(static_cast<NodeId>(id));
+                        });
 }
 
 // ---- phase 4: switching --------------------------------------------------
 
-void Network::switch_node(Tile& t, NodeId id) {
+void Network::switch_node(NodeId id) {
   const std::uint64_t* ready = ready_words(switch_ready_, id);
   const std::uint64_t* blocked = ready_words(credit_blocked_, id);
   const auto local = port_index(Direction::Local);
@@ -1205,7 +985,7 @@ void Network::switch_node(Tile& t, NodeId id) {
   // `ready & ~blocked` never touches a credit-starved worm; each request's
   // input port comes from a table and its output port from the route
   // table, so collecting loads no input VC either.
-  CrossbarRequest* const reqs = t.requests.data();
+  CrossbarRequest* const reqs = requests_.data();
   std::size_t n = 0;
   for (std::size_t w = 0; w < ready_words_; ++w) {
     for (std::uint64_t word = ready[w] & ~blocked[w]; word != 0;
@@ -1243,34 +1023,30 @@ void Network::switch_node(Tile& t, NodeId id) {
     InputRoute& r = route[bit];
     const Flit flit = ivc.buf.front();
     ivc.buf.pop_front();
-    --t.d.buffered_flits;
-    ++t.d.flits_moved;
+    --buffered_flits_;
+    ++flits_moved_this_cycle_;
     if (config_.collect_traffic_map) {
       ++node_traffic_[static_cast<std::size_t>(id)];
     }
     const bool tail = is_tail(flit.type);
 
     if (req.out == local) {
-      // The observation hook and the slot recycle both touch global state,
-      // so they are deferred to the ordered commit after the barrier; the
-      // message's own accounting (only this node's worm touches it) and
-      // the per-tile counters happen here.
-      if (eject_hook_) t.ejects.push_back({id, flit});
+      if (eject_hook_) eject_hook_(flit, mesh_->coord_of(id));
       if (tail) {
         Message& m = messages_[flit.msg];
         m.delivered = cycle_;
-        ++t.d.counts.messages_delivered;
-        t.d.counts.flits_delivered += m.length;
-        t.d.counts.latency_sum += cycle_ - m.created;
+        ++counters_.messages_delivered;
+        counters_.flits_delivered += m.length;
+        counters_.latency_sum += cycle_ - m.created;
         if (trace_ != nullptr) {
           const HeaderState& h = headers_[flit.msg];
-          emit(t, trace::EventKind::Eject, m.id, mesh_->coord_of(id),
+          emit(trace::EventKind::Eject, m.id, mesh_->coord_of(id),
                static_cast<std::uint32_t>(h.rs.hops),
                static_cast<std::uint32_t>(h.rs.misroutes));
         }
         // The tail is out: the slot recycles in the commit this same
         // cycle — storage stays bounded at O(in-flight).
-        t.retires.push_back(flit.msg);
+        retires_.push_back(flit.msg);
       }
     } else {
       OutputVc& ovc = rt.output(req.out, r.vc);
@@ -1280,12 +1056,12 @@ void Network::switch_node(Tile& t, NodeId id) {
       reg.flit = flit;
       reg.vc = r.vc;
       reg.full = true;
-      ++t.d.buffered_flits;
-      note_link_full(t, static_cast<std::size_t>(id) * kMeshDirections +
-                            static_cast<std::size_t>(req.out));
+      ++buffered_flits_;
+      note_link_full(static_cast<std::size_t>(id) * kMeshDirections +
+                     static_cast<std::size_t>(req.out));
       if (tail) {
         ovc.release();
-        --t.d.vc_alloc[r.vc];
+        --link_vc_allocated_[r.vc];
       } else if (ovc.credits == 0) {
         // The worm spent the last downstream slot: it stays blocked until
         // the commit that returns a credit to this output VC.
@@ -1293,17 +1069,16 @@ void Network::switch_node(Tile& t, NodeId id) {
       }
     }
 
-    // Credit return to the upstream router for the vacated buffer slot —
-    // deferred to the commit, so a freed slot becomes visible upstream on
-    // the next cycle no matter which tile (or visit order) freed it.
+    // Credit return to the upstream router for the vacated buffer slot,
+    // deferred to the commit (next-cycle visibility).
     if (req.in != local) {
-      t.credits.push_back(
+      credits_.push_back(
           {neighbour_id_[static_cast<std::size_t>(id) * kMeshDirections +
                          req.in],
            static_cast<std::int16_t>(
                port_index(opposite(static_cast<Direction>(req.in)))),
            static_cast<std::int16_t>(static_cast<int>(bit) - req.in * vcs_)});
-      assert(t.credits.back().node >= 0);
+      assert(credits_.back().node >= 0);
     }
 
     if (tail) {
@@ -1322,10 +1097,10 @@ void Network::switch_node(Tile& t, NodeId id) {
 }
 
 void Network::phase_switching() {
-  for_each_tile([this](Tile& t) {
-    walk_mask(t, t.switch_mask, [&](NodeId id) { switch_node(t, id); });
-  });
-  flush_trace();
+  sim::for_each_set_bit(switch_mask_.data(), switch_mask_.size(),
+                        [&](std::size_t id) {
+                          switch_node(static_cast<NodeId>(id));
+                        });
 }
 
 // ---- phase 5: sampling ---------------------------------------------------
@@ -1340,7 +1115,7 @@ void Network::phase_sampling() {
   }
   if (config_.collect_kernel_stats) {
     // Mask popcounts: O(nodes / 64) words, cheap enough to sample every
-    // cycle even on large sharded meshes.
+    // cycle even on large meshes.
     counters_.kernel_route_nodes_sum += active_route_nodes();
     counters_.kernel_switch_nodes_sum += active_switch_nodes();
     counters_.kernel_inject_nodes_sum += active_inject_nodes();

@@ -11,7 +11,10 @@
 //   5. sampling   — watchdog + optional VC-usage / traffic-map accumulation
 //
 // Timing model: one flit per link per cycle; single-cycle routers; random
-// resolution of all conflicts (per the paper).
+// resolution of all conflicts (per the paper).  A step walks the whole
+// mesh on the calling thread.  Credit returns and tail retirements are
+// deferred to a commit after switching, so a freed buffer slot is seen
+// upstream on the next cycle.
 //
 // Scheduling: the per-cycle phases are occupancy-driven.  The network keeps
 // exact per-node input-VC bitmasks of routable headers, sendable
@@ -74,8 +77,8 @@ struct NetworkConfig {
   /// with ScanMode by ROADMAP item 1's benchmark change.
   ScanMode scan_mode = ScanMode::Active;
   /// Retired: must stay true (the constructor rejects false).  Candidate
-  /// sets are always memoized per tile.  Deleted by ROADMAP item 1's
-  /// benchmark change.
+  /// sets are always memoized.  Deleted by ROADMAP item 1's benchmark
+  /// change.
   bool route_cache = true;
   /// Retired: must stay true (the constructor rejects false).  Message
   /// slots always recycle.  Deleted by ROADMAP item 1's benchmark change.
@@ -88,18 +91,10 @@ struct NetworkConfig {
   bool collect_traffic_map = false;
   bool collect_kernel_stats = false;  ///< cache hit rate + active-set sizes
   std::uint64_t watchdog_patience = 2000;
-  /// Spatial shards for the cycle kernel: the mesh is cut into this many
-  /// rectangular tiles, each owning its nodes' worklists, route cache and
-  /// scratch.  Requested counts that do not factor onto the mesh are
-  /// reduced to the nearest feasible count (1 always fits).  Results are
-  /// byte-identical for every tile count — cross-tile effects (credits,
-  /// retirements, eject hooks) are deferred to an ordered commit after the
-  /// phase barrier, and every arbitration draw is a counter hash of
-  /// (seed, cycle, node).  See docs/performance.md, "Sharded kernel".
+  /// Retired: the kernel steps the whole mesh as one unit on the calling
+  /// thread and ignores both fields.  They stay only while perfbench still
+  /// assigns them; ROADMAP item 1's benchmark change deletes them.
   int tiles = 1;
-  /// Worker threads for the per-tile phases, on core::parallel_for.
-  /// 1 = serial (no pool, no locks); <= 0 = hardware concurrency.  Only
-  /// effective with tiles > 1; determinism does not depend on it.
   int step_threads = 1;
 };
 
@@ -293,7 +288,6 @@ class Network {
   // begin_measurement() snapshots all three and the cycle; each window
   // accessor below returns the growth past that snapshot (0 before it), so
   // the warm-up window and a metrics interval are the same subtraction.
-  // The counts are identical at every tile and thread count.
 
   /// Whole-run counts (the per-interval time series reads these).
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
@@ -368,35 +362,33 @@ class Network {
     return since_mark(&Counters::kernel_link_regs_sum);
   }
 
-  /// Observation hook: called for every flit consumed at a destination.
-  /// Used by tests (wormhole ordering invariants) and trace examples.
+  /// Observation hook: called for every flit consumed at a destination,
+  /// from the switch phase in ascending node order (at most one ejection
+  /// per node per cycle), before an ejected tail's slot recycles.  Used by
+  /// tests (wormhole ordering invariants) and trace examples.
   using EjectHook = std::function<void(const Flit&, topology::Coord)>;
   void set_eject_hook(EjectHook hook) { eject_hook_ = std::move(hook); }
 
   /// Attaches a lifecycle-event sink (trace/); nullptr detaches.  The null
   /// pointer is the tracing-off fast path: each emission point costs one
-  /// predictable branch.  A traced step runs the same tile drivers (and
-  /// honours step_threads) as an untraced one: events from the tile phases
-  /// are buffered per tile and handed to the sink after each phase, merged
-  /// in node order — the order a serial node-by-node visit would emit them
-  /// — so a trace is byte-identical across tile counts and thread counts
-  /// (tests/test_golden_determinism.cpp holds the line).
-  /// The sink itself is only ever called from the stepping thread.
+  /// predictable branch.  A traced step runs the same phases as an
+  /// untraced one and records each event straight to the sink, in node
+  /// order within a phase.
   void set_trace_sink(trace::TraceSink* sink);
   [[nodiscard]] trace::TraceSink* trace_sink() const noexcept { return trace_; }
 
-  // Instantaneous active-set gauges: the popcount of the tile route,
-  // switch and inject masks, O(nodes / 64) words per call — cheap enough
-  // for --kernel-stats to sample every cycle even on large meshes — and
-  // the exact full-register count.
+  // Instantaneous active-set gauges: the popcount of the route, switch
+  // and inject node masks, O(nodes / 64) words per call — cheap enough for
+  // --kernel-stats to sample every cycle even on large meshes — and the
+  // exact full-register count.
   [[nodiscard]] std::uint64_t active_route_nodes() const noexcept {
-    return marked_nodes(&TileOccupancy::route_mask);
+    return marked_nodes(route_mask_);
   }
   [[nodiscard]] std::uint64_t active_switch_nodes() const noexcept {
-    return marked_nodes(&TileOccupancy::switch_mask);
+    return marked_nodes(switch_mask_);
   }
   [[nodiscard]] std::uint64_t active_inject_nodes() const noexcept {
-    return marked_nodes(&TileOccupancy::inject_mask);
+    return marked_nodes(inject_mask_);
   }
   [[nodiscard]] std::uint64_t full_link_registers() const noexcept {
     return full_links_;
@@ -421,7 +413,7 @@ class Network {
   /// slots, live-id consistency, created == retired + live).  Level 2
   /// additionally checks what is not derived — buffer depths, VC stages,
   /// output-VC reservations, owners and feeders, per-link credit
-  /// conservation, the drained commit queues — and then compares the whole
+  /// conservation, the drained commit lists — and then compares the whole
   /// incrementally maintained occupancy state with recount_occupancy(),
   /// naming the first node and bit that differ.  Always compiled (tests
   /// drive it directly); builds configured with -DFTMESH_AUDIT=1|2 also
@@ -459,104 +451,31 @@ class Network {
   static constexpr std::uint8_t kNotUniform = 0xFF;
 
   /// A deferred credit return: +1 credit on `node`'s output (port, vc),
-  /// applied after the switching barrier.  Deferring makes the cycle a
-  /// credit sees its freed slot uniform (always the next cycle) instead of
-  /// depending on node visit order — the property that lets tiles run
-  /// concurrently without changing results.
+  /// applied in the commit after the switch phase.  The paper's timing: a
+  /// freed buffer slot becomes visible upstream on the next cycle, never in
+  /// the cycle that freed it, whatever the node visit order.
   struct CreditReturn {
     topology::NodeId node;
     std::int16_t port;
     std::int16_t vc;
-  };
-  /// A deferred destination ejection: the hook runs after the barrier in
-  /// ascending node order (<= 1 ejection per node per cycle, so that order
-  /// is unique and equals the legacy serial visit order).
-  struct DeferredEject {
-    topology::NodeId node;
-    Flit flit;
-  };
-
-  /// Counters a phase body may touch, accumulated tile-locally and folded
-  /// into the real counters after the barrier (single writer per tile, no
-  /// atomics on the hot path).
-  struct PhaseDeltas {
-    std::int64_t buffered_flits = 0;
-    std::int64_t full_links = 0;
-    std::uint64_t flits_moved = 0;
-    Counters counts;
-    std::vector<std::int32_t> vc_alloc;  // per VC index
-  };
-
-  /// A tile's share of the derived occupancy state (see Occupancy).
-  struct TileOccupancy {
-    // Occupancy bitmaps, one bit per tile-local node index (bit i of word
-    // i/64 <=> nodes[i]).  A route/switch bit is set exactly while the
-    // node's ready words are non-zero — set_*_ready maintain the
-    // equivalence on the empty <-> non-empty transitions — and an inject
-    // bit while the node's source queue is non-empty or one of its
-    // injection supplies is mid-message: enqueueing sets it, inject_node
-    // clears it when the last supply finishes on an empty queue.  The
-    // consuming phase walks set bits via count-trailing-zeros, which
-    // visits nodes in ascending order for free; the gauges popcount them.
-    std::vector<std::uint64_t> route_mask;
-    std::vector<std::uint64_t> switch_mask;
-    std::vector<std::uint64_t> inject_mask;
-    /// Occupancy bitmap over incoming_all positions: bit p is set while
-    /// incoming_all[p] is a full *intra-tile* register (the sender — same
-    /// tile by definition — sets it in note_link_full).  Cross-tile
-    /// registers never set a bit: the sender may not touch another tile's
-    /// mask, so the downstream tile polls them through boundary_in.
-    std::vector<std::uint64_t> link_mask;
   };
 
   /// The occupancy state derived from the routers, link registers, source
   /// queues and injection supplies — everything the phases' active-set
   /// walks and the gauges read.  The kernel keeps it incrementally
   /// (set_*_ready, the inject-bit updates, note_link_full, the phase
-  /// deltas); recount_occupancy() derives it from scratch.
+  /// bodies' total updates); recount_occupancy() derives it from scratch.
   struct Occupancy {
     std::vector<std::uint64_t> route_ready;     // like route_ready_
     std::vector<std::uint64_t> switch_ready;    // like switch_ready_
     std::vector<std::uint64_t> credit_blocked;  // like credit_blocked_
+    std::vector<std::uint64_t> route_mask;      // like route_mask_
+    std::vector<std::uint64_t> switch_mask;     // like switch_mask_
+    std::vector<std::uint64_t> inject_mask;     // like inject_mask_
+    std::vector<std::uint64_t> link_mask;       // like link_mask_
     std::vector<std::uint32_t> link_vc_allocated;
-    std::vector<TileOccupancy> tiles;
     std::uint64_t buffered_flits = 0;
     std::uint64_t full_links = 0;
-  };
-
-  /// One rectangular shard of the mesh.  A tile owns its nodes' worklists,
-  /// route cache, scratch buffers, deferred-commit queues and trace buffer;
-  /// during the parallel phases exactly one thread works a tile, and
-  /// everything it writes is either owned by the tile or one of these
-  /// queues.
-  struct Tile : TileOccupancy {
-    std::vector<topology::NodeId> nodes;  // ascending
-    /// Static: registers delivering into this tile from another tile
-    /// (checked for .full every cycle; O(tile perimeter)).
-    std::vector<std::size_t> boundary_in;
-    /// Static: every register delivering into this tile; link_mask bit p
-    /// names incoming_all[p].
-    std::vector<std::size_t> incoming_all;
-    // Deferred commits (drained after the switching barrier).
-    std::vector<CreditReturn> credits;
-    std::vector<MessageSlot> retires;
-    std::vector<DeferredEject> ejects;
-    /// Trace events emitted by this tile's phase bodies, in its (ascending)
-    /// node visit order; flush_trace() drains it after every phase.
-    std::vector<trace::Event> events;
-    PhaseDeltas d;
-    // Route-candidate memoization (kRouteCacheSize entries) + scratch.
-    std::vector<RouteCacheEntry> route_cache;
-#if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
-    /// First hit whose cached list differed from a fresh enumeration
-    /// (`cand`) this phase; phase_routing throws it after the barrier.
-    std::string route_class_fault;
-    routing::CandidateList cand;
-#endif
-    /// route_header's compaction target; grows to the widest list seen.
-    std::vector<routing::CandidateVc> free_cands;
-    /// switch_node's request list, sized once to a node's input VCs.
-    std::vector<CrossbarRequest> requests;
   };
 
   void phase_arrivals();
@@ -566,53 +485,25 @@ class Network {
   void phase_sampling();
   void commit_deferred();
 
-  // Per-node bodies shared by the serial and parallel drivers: identical
-  // work per visited node, so no tiling of the node set can diverge.
-  void arrive_link(Tile& t, std::size_t link_idx);
-  void inject_node(Tile& t, topology::NodeId id);
-  void route_node(Tile& t, topology::NodeId id);
+  // Per-node bodies, called by the phases for each node with work, in
+  // ascending node order.
+  void arrive_link(std::size_t link_idx);
+  void inject_node(topology::NodeId id);
+  void route_node(topology::NodeId id);
   /// Routes the header fronting input VC `idx` (flat `port * vcs + vc`) of
   /// router `rt` at node `id`: one allocation attempt, tier by tier.
-  void route_header(Tile& t, topology::NodeId id, topology::Coord c,
-                    Router& rt, std::size_t idx, sim::CounterRng& sel);
+  void route_header(topology::NodeId id, topology::Coord c, Router& rt,
+                    std::size_t idx, sim::CounterRng& sel);
   /// The crossbar at node `id`, in four steps: collect the sendable,
   /// credited input VCs from the ready words and the route table (no input
   /// VC is loaded), shuffle them, pick the winners (match_crossbar), and
   /// grant the winners only — the one step that touches input and output
   /// VCs, link registers and credits.
-  void switch_node(Tile& t, topology::NodeId id);
+  void switch_node(topology::NodeId id);
 
-  void arrivals_tile(Tile& t);
-
-  /// Lays the tile grid over the mesh (reducing an infeasible request),
-  /// assigns nodes and builds the static boundary lists.
-  void setup_tiles();
-  /// Runs `fn` over every tile — on the shared pool when the sharded
-  /// parallel path is enabled, inline otherwise.
-  template <typename Fn>
-  void for_each_tile(Fn&& fn);
-  /// Folds every tile's PhaseDeltas into the real counters.
-  void reduce_deltas();
-  /// Hands the tile trace buffers to the sink, merged by a stable sort on
-  /// the emitting node id.  A phase visits each node once and a node's
-  /// events all sit together in its tile's buffer, so the merge reproduces
-  /// the serial node-order emission exactly.  No-op while untraced.
-  void flush_trace();
-
-  /// Walks the set bits of a tile-local node mask in ascending node order,
-  /// calling `fn(node)`.  Snapshots one word at a time: a phase body may
-  /// clear the current node's bit (work exhausted) but never sets bits in
-  /// the mask being walked, so the snapshot cannot skip or repeat work.
-  template <typename Fn>
-  void walk_mask(const Tile& t, const std::vector<std::uint64_t>& mask,
-                 Fn&& fn) {
-    sim::for_each_set_bit(mask.data(), mask.size(),
-                          [&](std::size_t i) { fn(t.nodes[i]); });
-  }
-
-  /// Candidate set for `h`'s header at node `id`, memoized in the tile's
-  /// route cache.  The level-2 audit build re-enumerates every hit.
-  const routing::CandidateList& route_candidates(Tile& t, topology::NodeId id,
+  /// Candidate set for `h`'s header at node `id`, memoized in the route
+  /// cache.  The level-2 audit build re-enumerates every hit.
+  const routing::CandidateList& route_candidates(topology::NodeId id,
                                                  const HeaderState& h);
   /// Re-reads every node's site_base_ from the algorithm's uniform_at().
   void rebuild_sites();
@@ -641,38 +532,32 @@ class Network {
   /// aborted — never with flits of the message still in the network.
   void retire_slot(MessageSlot slot, bool aborted);
 
-  // Trace emission helpers; called only when trace_ != nullptr.  The
-  // serial overload records straight to the sink (creation, purge,
-  // retransmit — code that runs outside the tile phases); the Tile
-  // overloads append to the tile's buffer for flush_trace().  Kept out of
-  // line so the buffer append does not bloat the untraced phase bodies.
-  void emit(trace::EventKind kind, MessageId msg, topology::Coord node,
-            std::uint32_t a = 0, std::uint32_t b = 0);
-  [[gnu::noinline]] void emit(Tile& t, trace::EventKind kind, MessageId msg,
+  // Trace emission helpers; called only when trace_ != nullptr, and kept
+  // out of line so they do not bloat the untraced phase bodies.  Each
+  // records straight to the sink.
+  [[gnu::noinline]] void emit(trace::EventKind kind, MessageId msg,
                               topology::Coord node, std::uint32_t a = 0,
                               std::uint32_t b = 0);
   /// Successful allocation: runs the algorithm's on_hop() and emits
   /// Unblock/VcAlloc plus any ring-transition / misroute events derived
   /// from the hop's effect on the routing state.
-  void trace_alloc(Tile& t, topology::Coord c, MessageSlot slot,
+  void trace_alloc(topology::Coord c, MessageSlot slot,
                    topology::Direction dir, int vc);
   /// Failed allocation (every tier busy): emits Block on the transition.
-  [[gnu::noinline]] void trace_block(Tile& t, MessageSlot slot,
-                                     topology::Coord c);
+  [[gnu::noinline]] void trace_block(MessageSlot slot, topology::Coord c);
 
   /// The one from-scratch definition of the occupancy state: every ready
-  /// word, per-VC allocation gauge, tile mask and total, derived from the
-  /// router, route table, link, queue and supply state.  Reads each Active
+  /// word, per-VC allocation gauge, node and link mask and total, derived
+  /// from the router, route table, link, queue and supply state.  Reads each Active
   /// input VC's reserved output VC, so its route entry must be in range.
   [[nodiscard]] Occupancy recount_occupancy() const;
   /// Recount and install: replaces the occupancy state with
   /// recount_occupancy().  Used after rare bulk mutations (purge,
   /// reconfiguration) instead of per-item bookkeeping.
   void rebuild_active_sets();
-  /// Set bits of one tile node mask, summed over the tiles (the
-  /// active_*_nodes accessors).
-  [[nodiscard]] std::uint64_t marked_nodes(
-      std::vector<std::uint64_t> TileOccupancy::* mask) const noexcept;
+  /// Set bits of one node mask (the active_*_nodes accessors).
+  [[nodiscard]] static std::uint64_t marked_nodes(
+      const std::vector<std::uint64_t>& mask) noexcept;
   /// True when none of `node`'s injection supplies is mid-message.
   [[nodiscard]] bool supplies_idle(topology::NodeId node) const;
   /// Sets `node`'s inject bit: its source queue just grew.
@@ -688,25 +573,25 @@ class Network {
   //                             port other than Local and its reserved
   //                             output VC has credits == 0 (the VC cannot
   //                             send, whether or not it holds a flit)
-  // A node's bit in its tile's route/switch mask is set exactly while its
+  // A node's bit in the route/switch node mask is set exactly while its
   // route/switch ready words are non-zero: the setters set it on the
   // empty -> non-empty transition and clear it on the way back.
   // set_*_ready asserts the VC bit actually changes state.
-  // credit_blocked_ has no tile mask: it is set by route allocation onto
+  // credit_blocked_ has no node mask: it is set by route allocation onto
   // a creditless output VC and by a non-tail grant that spends the last
   // credit, and cleared by the credit return that lifts the count from 0
   // (found through OutputVc::feeder).
   void set_route_ready(topology::NodeId node, std::size_t bit, bool ready) {
-    set_ready(route_ready_, &TileOccupancy::route_mask, node, bit, ready);
+    set_ready(route_ready_, route_mask_, node, bit, ready);
   }
   void set_switch_ready(topology::NodeId node, std::size_t bit, bool ready) {
-    set_ready(switch_ready_, &TileOccupancy::switch_mask, node, bit, ready);
+    set_ready(switch_ready_, switch_mask_, node, bit, ready);
   }
   /// Flips one node's ready bit in `words` and, on the node's empty <->
-  /// non-empty transition, its bit in the tile `mask`.
+  /// non-empty transition, its bit in the node `mask`.
   void set_ready(std::vector<std::uint64_t>& words,
-                 std::vector<std::uint64_t> TileOccupancy::* mask,
-                 topology::NodeId node, std::size_t bit, bool ready);
+                 std::vector<std::uint64_t>& mask, topology::NodeId node,
+                 std::size_t bit, bool ready);
   /// The node's words in a per-node input-VC ready mask.
   [[nodiscard]] std::uint64_t* ready_words(std::vector<std::uint64_t>& mask,
                                            topology::NodeId node) {
@@ -716,11 +601,8 @@ class Network {
       const std::vector<std::uint64_t>& mask, topology::NodeId node) const {
     return mask.data() + static_cast<std::size_t>(node) * ready_words_;
   }
-  /// Called exactly when a flit lands on an empty link register.  `t` is
-  /// the sender's tile (== the caller's): the register is listed on the
-  /// sender's tile only when the downstream node is also in it, otherwise
-  /// the downstream tile discovers it through its boundary_in scan.
-  void note_link_full(Tile& t, std::size_t link_idx);
+  /// Called exactly when a flit lands on an empty link register.
+  void note_link_full(std::size_t link_idx);
   /// Applies the occupancy effect of pushing `f` into the input VC with
   /// flat index `bit` at `node`.
   void note_buffer_push(topology::NodeId node, std::size_t bit, const Flit& f,
@@ -758,8 +640,8 @@ class Network {
   // Counter-based arbitration seeds, all derived (order-independently)
   // from the network seed: route-scan rotation offsets, selection-policy
   // draws, and the crossbar request shuffle.  Every draw in the cycle
-  // kernel is a pure function of (seed, cycle, node [, draw index]) — the
-  // property that keeps any tile count and any thread count bit-identical.
+  // kernel is a pure function of (seed, cycle, node [, draw index]), so no
+  // node's randomness depends on which other nodes had work.
   std::uint64_t arb_seed_ = 0;
   std::uint64_t sel_seed_ = 0;
   std::uint64_t shuf_seed_ = 0;
@@ -800,30 +682,35 @@ class Network {
   std::uint64_t flits_moved_this_cycle_ = 0;
   sim::Watchdog watchdog_;
 
-  // Active-set state (see set_*_ready above).  The ready masks
-  // (ready_words_ words per node) stay global (indexed by node, each
-  // touched only by its owning tile mid-phase); the node occupancy bitmaps
-  // live on the tiles, addressed through the node -> tile-local-index map.
+  // Active-set state (see set_*_ready above): the per-node input-VC ready
+  // words (ready_words_ words per node), and one bit per node in each node
+  // mask.  A route/switch mask bit mirrors its node's ready words being
+  // non-zero; an inject bit is set while the node's source queue is
+  // non-empty or one of its injection supplies is mid-message (enqueueing
+  // sets it, inject_node clears it when the last supply finishes on an
+  // empty queue).  The phases walk set bits via count-trailing-zeros,
+  // which visits nodes in ascending order for free; the gauges popcount
+  // them.  link_mask_ has one bit per link register (indexed like links_),
+  // set while the register is full.
   std::vector<std::uint64_t> route_ready_;
   std::vector<std::uint64_t> switch_ready_;
   std::vector<std::uint64_t> credit_blocked_;
+  std::vector<std::uint64_t> route_mask_;
+  std::vector<std::uint64_t> switch_mask_;
+  std::vector<std::uint64_t> inject_mask_;
+  std::vector<std::uint64_t> link_mask_;
   std::vector<std::uint32_t> link_vc_allocated_;  // per VC index, link ports
   std::uint64_t full_links_ = 0;  ///< exact count of full link registers
 
-  // Spatial shards (always >= 1 tile; tiles_[0] spans the mesh when
-  // sharding is off, which is also the path every serial caller takes).
-  std::vector<Tile> tiles_;
-  std::vector<std::uint32_t> tile_of_node_;
-  /// Tile-local index of each node: nodes_[tile_of_node_[n]].nodes[
-  /// local_of_node_[n]] == n.  Addresses the node's bit in the tile masks.
-  std::vector<std::uint32_t> local_of_node_;
-  /// Per link register: 1 when both endpoints are in the same tile (such
-  /// registers are flagged in the tile's link_mask; cross-tile ones are
-  /// discovered through boundary_in).
-  std::vector<char> link_intra_;
-  /// Position of each incoming register within its downstream tile's
-  /// incoming_all (== its bit index in that tile's link_mask).
-  std::vector<std::uint32_t> link_pos_;
+  /// Route-candidate memoization (kRouteCacheSize entries).
+  std::vector<RouteCacheEntry> route_cache_;
+#if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2
+  routing::CandidateList audit_cands_;  ///< fresh enumeration of a cache hit
+#endif
+  /// route_header's compaction target; grows to the widest list seen.
+  std::vector<routing::CandidateVc> free_cands_;
+  /// switch_node's request list, sized once to a node's input VCs.
+  std::vector<CrossbarRequest> requests_;
 
   // Counts (see the accessors): whole-run, and the begin_measurement()
   // snapshot the window accessors subtract.
@@ -833,7 +720,7 @@ class Network {
   std::uint64_t route_cache_invalidations_ = 0;
   /// Per node: routing::site_base when the algorithm's uniform_at() holds
   /// there, kNotUniform otherwise.  Read only by the route cache; rebuilt
-  /// by the routing phase's serial prologue while sites_stale_ is set.
+  /// when the routing phase starts while sites_stale_ is set.
   std::vector<std::uint8_t> site_base_;
   bool sites_stale_ = true;
   bool measuring_ = false;
@@ -848,14 +735,13 @@ class Network {
   trace::TraceSink* trace_ = nullptr;
   /// Per-slot "currently blocked" flag, maintained only while tracing so
   /// Block/Unblock fire on transitions rather than every starved cycle.
-  /// Cleared on slot reuse.  Tile phases write only the slots they own at
-  /// that moment: the headers they route.
+  /// Cleared on slot reuse.
   std::vector<char> trace_blocked_;
-  std::vector<trace::Event> trace_scratch_;  // flush_trace merge buffer
 
-  // Deferred-commit scratch (kept across cycles to avoid reallocation).
-  std::vector<DeferredEject> eject_scratch_;
-  std::vector<MessageSlot> retire_scratch_;
+  // What the switch phase defers to commit_deferred() (kept across cycles
+  // to avoid reallocation): credit returns, and the slots of ejected tails.
+  std::vector<CreditReturn> credits_;
+  std::vector<MessageSlot> retires_;
 };
 
 }  // namespace ftmesh::router

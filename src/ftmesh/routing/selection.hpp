@@ -29,7 +29,7 @@ SelectionPolicy selection_from_string(std::string_view s);
 /// LeastCongested calls it.  Templated over the credit reader, so the
 /// router's per-allocation lambda is called directly rather than through a
 /// type-erased wrapper, and over the generator, so the sequential sim::Rng
-/// and the counter-based sim::CounterRng (used by the sharded kernel, where
+/// and the counter-based sim::CounterRng (used by the cycle kernel, where
 /// every node draws from its own per-cycle stream) share one
 /// implementation.
 template <typename Credits, typename Rng>

@@ -1,6 +1,6 @@
 #pragma once
 // Set-bit walks over a multi-word bitmask (bit i lives in word i/64, at
-// position i%64).  The cycle kernel's occupancy masks — tile node masks and
+// position i%64).  The cycle kernel's occupancy masks — node masks and
 // per-node input-VC ready masks — are consumed through these two loops, so
 // the visit order they define is the order the kernel's arbitration sees.
 //

@@ -48,10 +48,10 @@ inline std::uint64_t counter_below(std::uint64_t seed, std::uint64_t a,
 }
 
 /// A draw *stream* over counter_hash: the n-th value is
-/// counter_hash(seed, n, 0).  Used for arbitration inside the (optionally
-/// sharded) cycle kernel — each (cycle, node) gets its own seed, so a
-/// node's draws are a pure function of its local state and can never be
-/// perturbed by scan order, tiling or thread scheduling.  Satisfies the
+/// counter_hash(seed, n, 0).  Used for arbitration inside the cycle
+/// kernel — each (cycle, node) gets its own seed, so a node's draws are a
+/// pure function of its local state and can never be perturbed by which
+/// other nodes had work.  Satisfies the
 /// UniformRandomBitGenerator shape so it is interchangeable with Rng at
 /// the arbitration call sites.
 class CounterRng {

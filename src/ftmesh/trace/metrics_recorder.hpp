@@ -3,9 +3,9 @@
 // aggregates cannot give (ring congestion buildup, VC starvation windows,
 // post-fault recovery transients).  The recorder samples the network's
 // cumulative counters every `interval` cycles and stores the interval
-// deltas plus a few instantaneous gauges; the counters it reads are exact
-// and independent of the thread count, so a metrics series — like every
-// other report — is byte-identical across --step-threads.
+// deltas plus a few instantaneous gauges.  The counters it reads are the
+// kernel's exact whole-run counts, so a metrics series is a pure function
+// of the configuration and seed, like every other report.
 
 #include <cstdint>
 #include <iosfwd>

@@ -2,12 +2,9 @@
 // Structured message/flit lifecycle events.
 //
 // Every event is emitted from a point that visits work in ascending node
-// id within a tile, and the per-tile event buffers are merged by node id
-// after each phase, so a trace — like every other report — is
-// byte-identical across tile counts and thread counts.  The arrivals
-// phase is the one place that visits registers in another order (the
-// tile's link mask, then its boundary list); no event is ever emitted
-// from it.
+// id and goes straight to the sink, so a trace — like every other report —
+// is a pure function of the configuration and seed.  The arrivals phase,
+// which drains link registers in register order, emits no event.
 
 #include <cstdint>
 #include <string_view>

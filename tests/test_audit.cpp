@@ -257,16 +257,13 @@ TEST(Audit, ReportPrintsSummaryAndWitnesses) {
 // Drives real traffic and recounts the whole network every cycle at the
 // deepest level.  Any drift between the incremental bookkeeping and the
 // ground truth throws AuditError and fails the test.
-void run_audited_traffic(const std::string& algo_name, int fault_count,
-                         int tiles = 1) {
+void run_audited_traffic(const std::string& algo_name, int fault_count) {
   const Mesh mesh(6, 6);
   const auto faults = make_faults(mesh, fault_count, 5);
   const FRingSet rings(faults);
   const auto algo =
       ftmesh::routing::make_algorithm(algo_name, mesh, faults, rings);
-  NetworkConfig cfg;
-  cfg.tiles = tiles;
-  Network net(mesh, faults, *algo, cfg, Rng(7));
+  Network net(mesh, faults, *algo, NetworkConfig{}, Rng(7));
 
   Rng traffic(21);
   const auto random_live = [&]() -> Coord {
@@ -296,16 +293,6 @@ TEST(RuntimeAudit, CleanMeshTrafficKeepsEveryInvariant) {
 
 TEST(RuntimeAudit, FaultedRingTrafficKeepsEveryInvariant) {
   run_audited_traffic("Pbc", 3);
-}
-
-TEST(RuntimeAudit, TiledTrafficKeepsEveryInvariant) {
-  // Four tiles: retirements from every tile and creations at every tile's
-  // nodes churn the one free list while the level-1 audit walks it every
-  // cycle — a double free, an occupied entry or a lost vacant slot all
-  // throw here.
-  run_audited_traffic("Minimal-Adaptive", 0, /*tiles=*/4);
-  run_audited_traffic("Fully-Adaptive", 0, /*tiles=*/4);
-  run_audited_traffic("Pbc", 3, /*tiles=*/4);
 }
 
 #if defined(FTMESH_AUDIT) && FTMESH_AUDIT >= 2

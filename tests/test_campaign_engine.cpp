@@ -74,47 +74,18 @@ std::string fresh_dir(const std::string& name) {
   return path.string();
 }
 
-TEST(CampaignEngine, ShardedKernelDoesNotChangeTheCsv) {
-  // The spatially sharded Network::step (base.tiles / base.step_threads) is
-  // an execution detail of each cell's simulation: any tiling must leave
-  // every campaign CSV byte untouched.  (The keys do enter the spec hash —
-  // like every base-config field, a replayed checkpoint re-runs the exact
-  // config.)
+TEST(CampaignEngine, RetiredTilingFieldsDoNotChangeTheCsv) {
+  // base.tiles / base.step_threads still load but the kernel ignores them:
+  // every campaign CSV byte stays untouched.  (The keys do enter the spec
+  // hash — like every base-config field, a replayed checkpoint re-runs the
+  // exact config.)
   const auto spec = engine_spec();
-  const std::string expected = legacy_csv(spec);
-  for (const int tiles : {2, 4}) {
-    auto sharded = spec;
-    sharded.base.tiles = tiles;
-    sharded.base.step_threads = 4;
-    campaign::StreamOptions options;
-    options.threads = 2;
-    EXPECT_EQ(streamed_csv(sharded, options), expected) << "tiles=" << tiles;
-  }
-}
-
-TEST(CampaignEngine, ThreadedShardedKernelPastTheClaimWindowCompletes) {
-  // Campaign workers each stepping a tile-parallel network nest
-  // parallel_for.  A waiting step once ran queued pool tasks, among them a
-  // whole campaign worker, which then blocked on the claim window held by
-  // the suspended step's own unfinished cell: with more cells than the
-  // window (16 at 4 workers) this hung in most runs.
-  campaign::CampaignSpec spec;
-  spec.base.width = spec.base.height = 6;
-  spec.base.message_length = 8;
-  spec.base.warmup_cycles = 300;
-  spec.base.total_cycles = 1200;
-  spec.base.seed = 9;
-  spec.algorithms = {"Nbc", "Duato-Nbc", "PHop"};
-  spec.rates = {0.002, 0.004, 0.006};
-  spec.fault_counts = {0, 3};
-  spec.patterns = 3;
-  const std::string expected = legacy_csv(spec);
-  auto sharded = spec;
-  sharded.base.tiles = 4;
-  sharded.base.step_threads = 2;
+  auto retired = spec;
+  retired.base.tiles = 4;
+  retired.base.step_threads = 4;
   campaign::StreamOptions options;
-  options.threads = 4;
-  EXPECT_EQ(streamed_csv(sharded, options), expected);
+  options.threads = 2;
+  EXPECT_EQ(streamed_csv(retired, options), legacy_csv(spec));
 }
 
 TEST(CampaignEngine, CellIdsAreStableUniqueAndContentAddressed) {

@@ -13,21 +13,18 @@
 // The kernel keeps no reference scan or storage model to compare against,
 // so each case also checks what those comparisons stood for: a drained run
 // leaves no message or occupied slot behind (the active-set walks strand
-// no worm; every slot returns to the free list, one tile or four), every
-// message id reads as one well-formed life in the trace although slots
-// are reused, and the slot table is exactly the peak of concurrently live
-// messages, one tile or four.
+// no worm; every slot returns to the free list), every message id reads as
+// one well-formed life in the trace although slots are reused, and the
+// slot table is exactly the peak of concurrently live messages.
 //
 // The matrix deliberately includes a dynamic fault schedule so the
 // cache-invalidation and active-set-rebuild paths are exercised, not just
 // the steady state.
 //
-// The sharded kernel adds two more axes: the tile count (the mesh cut into
-// rectangular shards with deferred boundary commits) and the step thread
-// count (tiles dispatched on the
-// shared pool).  Both must be invisible in reports and traces; the
-// multi-threaded cases double as the TSan target for the parallel step
-// path.
+// The Sharded* cases are named for the tiled kernel they once compared
+// against the single-tile one.  The kernel now steps the whole mesh on the
+// calling thread; tiles and step_threads still load (perfbench assigns
+// them), so those cases pin that the retired fields change nothing.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +33,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ftmesh/trace/trace_sink.hpp"
@@ -98,47 +94,23 @@ TEST_P(GoldenDeterminism, RouteCacheDoesNotChangeTheReport) {
             warm.network().route_cache_hits());
 }
 
+/// config() with the retired tiling fields set away from their defaults.
+SimConfig with_retired_tiling(SimConfig cfg) {
+  cfg.tiles = 4;
+  cfg.step_threads = 4;
+  return cfg;
+}
+
 TEST_P(GoldenDeterminism, ShardedReportsAreByteIdentical) {
-  // The sharded kernel (router/network.hpp, NetworkConfig::tiles): every
-  // tile count and thread count must reproduce the single-tile report byte
-  // for byte — cross-tile effects are deferred to an ordered commit and
-  // every arbitration draw is a counter hash of (seed, cycle, node), so
-  // neither the tiling nor the thread schedule can leak into results.  The
-  // dynamic-schedule scenario covers the post-reconfiguration rebuild
-  // (worklists must land on their owning tiles again).
-  auto cfg = config();
-  cfg.tiles = 1;
-  cfg.step_threads = 1;
-  const std::string single = report_for(cfg);
-  for (const int tiles : {2, 4}) {
-    for (const int threads : {1, 4}) {
-      cfg.tiles = tiles;
-      cfg.step_threads = threads;
-      ASSERT_EQ(single, report_for(cfg))
-          << "tiles=" << tiles << " threads=" << threads;
-    }
-  }
+  const auto cfg = config();
+  ASSERT_EQ(report_for(cfg), report_for(with_retired_tiling(cfg)));
 }
 
 TEST_P(GoldenDeterminism, ShardedTracesAreByteIdentical) {
-  // A traced step runs the same tile-parallel drivers as an untraced one:
-  // each tile buffers its events and the network merges the buffers in
-  // node order after every phase.  The JSONL stream must match the
-  // single-tile run event for event at every tile and thread count; the
-  // threaded cases are the TSan target for the parallel tracing path.
-  auto cfg = config();
-  cfg.tiles = 1;
-  cfg.step_threads = 1;
-  const std::string single = trace_for(cfg);
-  ASSERT_FALSE(single.empty());
-  for (const int tiles : {2, 4}) {
-    for (const int threads : {1, 4}) {
-      cfg.tiles = tiles;
-      cfg.step_threads = threads;
-      ASSERT_EQ(single, trace_for(cfg))
-          << "tiles=" << tiles << " threads=" << threads;
-    }
-  }
+  const auto cfg = config();
+  const std::string plain = trace_for(cfg);
+  ASSERT_FALSE(plain.empty());
+  ASSERT_EQ(plain, trace_for(with_retired_tiling(cfg)));
 }
 
 TEST_P(GoldenDeterminism, RouteCacheDoesNotChangeTheTrace) {
@@ -178,19 +150,11 @@ void expect_drains_clean(const SimConfig& cfg) {
 }
 
 TEST_P(GoldenDeterminism, DrainLeavesNothingInFlight) {
-  auto cfg = config();
-  cfg.tiles = 1;
-  cfg.step_threads = 1;
-  expect_drains_clean(cfg);
+  expect_drains_clean(config());
 }
 
 TEST_P(GoldenDeterminism, ShardedDrainLeavesNothingInFlight) {
-  // Four tiles on two threads: retirements from every tile return their
-  // slots to the one free list.
-  auto cfg = config();
-  cfg.tiles = 4;
-  cfg.step_threads = 2;
-  expect_drains_clean(cfg);
+  expect_drains_clean(with_retired_tiling(config()));
 }
 
 TEST_P(GoldenDeterminism, EveryMessageHasOneWellFormedLifecycle) {
@@ -242,25 +206,18 @@ TEST_P(GoldenDeterminism, SlotTableIsThePeakOfLiveMessages) {
   // A retired slot is reused before the table grows, so the table ends
   // exactly as large as the most messages ever live at once — counted from
   // the trace, where a message lives from its Create to its Eject or
-  // Abort — however many were created over the run.  The tiling must not
-  // park spare slots: four tiles end at the same peak as one.
-  for (const auto& [tiles, threads] : {std::pair{1, 1}, std::pair{4, 2}}) {
-    SCOPED_TRACE(testing::Message() << "tiles=" << tiles);
-    auto cfg = config();
-    cfg.tiles = tiles;
-    cfg.step_threads = threads;
-    Simulator sim(cfg);
-    VectorSink sink;
-    sim.set_trace_sink(&sink);
-    sim.run();
-    std::size_t live = 0, peak = 0;
-    for (const Event& e : sink.events()) {
-      if (e.kind == EventKind::Create) peak = std::max(peak, ++live);
-      if (e.kind == EventKind::Eject || e.kind == EventKind::Abort) --live;
-    }
-    EXPECT_EQ(sim.network().message_slots(), peak);
-    EXPECT_LT(peak, sim.network().messages_created());
+  // Abort — however many were created over the run.
+  Simulator sim(config());
+  VectorSink sink;
+  sim.set_trace_sink(&sink);
+  sim.run();
+  std::size_t live = 0, peak = 0;
+  for (const Event& e : sink.events()) {
+    if (e.kind == EventKind::Create) peak = std::max(peak, ++live);
+    if (e.kind == EventKind::Eject || e.kind == EventKind::Abort) --live;
   }
+  EXPECT_EQ(sim.network().message_slots(), peak);
+  EXPECT_LT(peak, sim.network().messages_created());
 }
 
 std::string param_name(const ::testing::TestParamInfo<std::tuple<int, int>>& info) {

@@ -6,8 +6,8 @@
 //   - the JSON report plus a hexfloat dump of the SimResult fields the JSON
 //     omits (adaptivity, traffic split), and
 //   - the JSONL trace of the same configuration,
-// checked against tests/golden/fingerprints.txt.  The sharded kernel
-// (four tiles on two threads) must reproduce each pinned trace hash too.
+// checked against tests/golden/fingerprints.txt.  The retired tiles and
+// step_threads fields must leave both hashes of every line unmoved.
 //
 // The corpus is every algorithm on the four golden scenarios (8x8 base
 // configuration), Duato on the dynamic schedule at 8 and 32 VCs (the
@@ -170,19 +170,19 @@ TEST_P(GoldenFingerprints, MatchPinnedHashes) {
 }
 
 TEST_P(GoldenFingerprints, ShardedTraceMatchesPinnedHash) {
-  // The sharded kernel — four tiles stepped on two threads — must emit the pinned trace on every case,
-  // the 8- and 32-VC ready-mask widths and the 10x10 headline included.
-  // Only the trace: each tile keeps its own route-candidate cache, so the
-  // report's kernel cache counters depend on the tiling by design.
+  // Named for the tiled kernel it once pinned: tiles and step_threads still
+  // load but the kernel steps the whole mesh on the calling thread, so four
+  // tiles on two threads must reproduce the whole pinned line, the report's
+  // kernel cache counters included, on every case.
   Case c = cases()[GetParam()];
   c.cfg.tiles = 4;
   c.cfg.step_threads = 2;
   const auto table = pinned();
   const auto it = table.find(c.name);
   ASSERT_NE(it, table.end()) << c.name << " has no pinned line";
-  const std::string want = it->second.substr(it->second.find(' ') + 1);
-  EXPECT_EQ(want, hex(trace_fingerprint(c.cfg)))
-      << "the sharded trace moved for " << c.name;
+  EXPECT_EQ(it->second, hex(report_fingerprint(c.cfg)) + " " +
+                            hex(trace_fingerprint(c.cfg)))
+      << "the retired tiling fields moved results for " << c.name;
 }
 
 TEST(GoldenFingerprintFile, ListsExactlyTheCorpus) {

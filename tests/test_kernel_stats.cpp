@@ -98,15 +98,14 @@ TEST(KernelStats, ActiveSetMeansAreSampledAndBounded) {
 }
 
 TEST(KernelStats, GaugesAndDrainMatchABruteForceCountEveryCycle) {
-  // The active-set gauges popcount the tile masks and drained() reads the
+  // The active-set gauges popcount the node masks and drained() reads the
   // inject mask.  Both must equal a count taken straight from the routers,
-  // source queues and injection supplies on every cycle of a tiled run
-  // through node and link faults, a repair, and the drain.
+  // source queues and injection supplies on every cycle of a run through
+  // node and link faults, a repair, and the drain.
   SimConfig cfg = kernel_config();
   cfg.width = 10;
   cfg.height = 10;
   cfg.algorithm = "Nbc";
-  cfg.tiles = 4;
   cfg.injection_rate = 0.006;
   cfg.message_length = 12;
   cfg.warmup_cycles = 100;
@@ -187,10 +186,10 @@ TEST(KernelStats, FaultEventsInvalidateTheCache) {
   EXPECT_EQ(r.kernel.cache_invalidations, 2u);
 }
 
-TEST(KernelStats, SiteKeysShareEntriesAcrossAFaultFreeTiledMesh) {
+TEST(KernelStats, SiteKeysShareEntriesAcrossAFaultFreeMesh) {
   // Away from faults a header's candidates depend only on its route site
   // (neighbourhood, sign of dst - at) and route state, so the 32x32 mesh's
-  // ~10^6 (node, dst) pairs fold into a few hundred entries per tile.  A
+  // ~10^6 (node, dst) pairs fold into a few hundred entries.  A
   // count, not a timing: the run is deterministic, so the ratio repeats
   // exactly on any host.
   SimConfig cfg;
@@ -202,7 +201,6 @@ TEST(KernelStats, SiteKeysShareEntriesAcrossAFaultFreeTiledMesh) {
   cfg.message_length = 4;
   cfg.warmup_cycles = 500;
   cfg.total_cycles = 1500;
-  cfg.tiles = 4;
   cfg.seed = 7;
   cfg.collect_kernel_stats = true;
   Simulator sim(cfg);

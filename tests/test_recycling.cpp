@@ -28,10 +28,8 @@ struct RecyclingFixture {
   std::unique_ptr<ftmesh::routing::RoutingAlgorithm> algo;
   std::unique_ptr<Network> net;
 
-  explicit RecyclingFixture(int tiles = 1, int step_threads = 1) {
-    NetworkConfig cfg;
-    cfg.tiles = tiles;
-    cfg.step_threads = step_threads;
+  RecyclingFixture() {
+    const NetworkConfig cfg;
     algo = ftmesh::routing::make_algorithm("Minimal-Adaptive", mesh, faults,
                                            rings);
     net = std::make_unique<Network>(mesh, faults, *algo, cfg, Rng(7));
@@ -96,42 +94,38 @@ TEST(Recycling, RetiredIdStaysFinishedAfterSlotReuse) {
 }
 
 TEST(Recycling, TwoCreationsInOneWindowKeepBothMessages) {
-  // Two creations in the same between-cycles window, from nodes of one
-  // tile: each message gets its own slot, id and record, with one tile and
-  // with four.
-  for (const int tiles : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "tiles=" << tiles);
-    RecyclingFixture f(tiles, /*step_threads=*/1);
-    std::map<MessageId, Coord> ejected_at;  // tail ejections, by id
-    f.net->set_eject_hook([&](const ftmesh::router::Flit& flit, Coord c) {
-      if (ftmesh::router::is_tail(flit.type)) {
-        ejected_at[f.net->slot_message(flit.msg).id] = c;
-      }
-    });
-    const Coord a_dst{0, 7};
-    const Coord b_dst{6, 0};
-    const auto a = f.net->create_message({0, 0}, a_dst, 8);
-    EXPECT_FALSE(f.net->message_finished(a));  // live, not retired
-    const auto b = f.net->create_message({1, 0}, b_dst, 8);
-    ASSERT_EQ(b, a + 1);
-    EXPECT_EQ(f.net->message(a).dst, a_dst);
-    EXPECT_EQ(f.net->message(b).dst, b_dst);
-    EXPECT_EQ(f.net->message_slots(), 2u);  // one slot each
-    EXPECT_FALSE(f.net->message_finished(a));
-    EXPECT_FALSE(f.net->message_finished(b));
-    for (int i = 0; i < 400 && !(f.net->message_finished(a) &&
-                                 f.net->message_finished(b));
-         ++i) {
-      f.net->step();
-      ASSERT_NO_THROW(f.net->audit_invariants(2)) << "cycle " << i;
+  // Two creations in the same between-cycles window: each message gets its
+  // own slot, id and record.
+  RecyclingFixture f;
+  std::map<MessageId, Coord> ejected_at;  // tail ejections, by id
+  f.net->set_eject_hook([&](const ftmesh::router::Flit& flit, Coord c) {
+    if (ftmesh::router::is_tail(flit.type)) {
+      ejected_at[f.net->slot_message(flit.msg).id] = c;
     }
-    ASSERT_TRUE(f.net->message_finished(a));
-    ASSERT_TRUE(f.net->message_finished(b));
-    ASSERT_EQ(ejected_at.size(), 2u);
-    EXPECT_EQ(ejected_at[a], a_dst);
-    EXPECT_EQ(ejected_at[b], b_dst);
-    EXPECT_EQ(f.net->retired().size(), 2u);
+  });
+  const Coord a_dst{0, 7};
+  const Coord b_dst{6, 0};
+  const auto a = f.net->create_message({0, 0}, a_dst, 8);
+  EXPECT_FALSE(f.net->message_finished(a));  // live, not retired
+  const auto b = f.net->create_message({1, 0}, b_dst, 8);
+  ASSERT_EQ(b, a + 1);
+  EXPECT_EQ(f.net->message(a).dst, a_dst);
+  EXPECT_EQ(f.net->message(b).dst, b_dst);
+  EXPECT_EQ(f.net->message_slots(), 2u);  // one slot each
+  EXPECT_FALSE(f.net->message_finished(a));
+  EXPECT_FALSE(f.net->message_finished(b));
+  for (int i = 0; i < 400 && !(f.net->message_finished(a) &&
+                               f.net->message_finished(b));
+       ++i) {
+    f.net->step();
+    ASSERT_NO_THROW(f.net->audit_invariants(2)) << "cycle " << i;
   }
+  ASSERT_TRUE(f.net->message_finished(a));
+  ASSERT_TRUE(f.net->message_finished(b));
+  ASSERT_EQ(ejected_at.size(), 2u);
+  EXPECT_EQ(ejected_at[a], a_dst);
+  EXPECT_EQ(ejected_at[b], b_dst);
+  EXPECT_EQ(f.net->retired().size(), 2u);
 }
 
 TEST(Recycling, SlotTableStaysBoundedOverLongRuns) {
@@ -170,66 +164,6 @@ TEST(Recycling, SlotTableStaysBoundedOverLongRuns) {
   // nowhere near O(delivered).
   EXPECT_LE(f.net->message_slots(), 2 * high_water);
   EXPECT_LT(f.net->message_slots(), f.net->retired().size() / 10);
-  EXPECT_EQ(f.net->messages_created(),
-            static_cast<MessageId>(f.net->retired().size() +
-                                   (f.net->message_slots() -
-                                    f.net->free_message_slots())));
-}
-
-TEST(Recycling, RetiredIdStaysFinishedAfterCrossTileReuse) {
-  // Four tiles share one free list: a slot retired by traffic on one tile
-  // is handed to the next creation on any other.  The retired id must stay
-  // finished exactly as with one tile, and the reused slot must answer to
-  // the new id only.
-  RecyclingFixture f(/*tiles=*/4, /*step_threads=*/1);
-  const auto a = f.net->create_message({0, 0}, {3, 3}, 8);  // tile 0 traffic
-  for (int i = 0; i < 400 && !f.net->message_finished(a); ++i) f.net->step();
-  ASSERT_TRUE(f.net->message_finished(a));
-
-  // Created on the opposite tile, then stepped through a cycle there.
-  const auto b = f.net->create_message({6, 6}, {1, 1}, 8);
-  f.net->step();
-  EXPECT_EQ(f.net->message_slots(), 1u);  // cross-tile reuse of the one slot
-  EXPECT_TRUE(f.net->message_finished(a));
-  EXPECT_FALSE(f.net->message_finished(b));
-  EXPECT_EQ(f.net->message(b).id, b);
-  EXPECT_EQ(f.net->message(b).src, (Coord{6, 6}));
-  ASSERT_NO_THROW(f.net->audit_invariants(2));
-}
-
-TEST(Recycling, SlotTableStaysBoundedUnderShardedChurn) {
-  // The plateau guarantee must survive the tiled kernel: retirements from
-  // four tiles feed the one free list that every creation draws from, so
-  // the high-water mark stays O(in-flight), never O(delivered).
-  RecyclingFixture f(/*tiles=*/4, /*step_threads=*/1);
-  Rng rng(21);
-  const auto offer = [&](std::uint64_t cycle) {
-    if (cycle % 2 != 0) return;
-    const Coord src{static_cast<int>(rng.next_below(8)),
-                    static_cast<int>(rng.next_below(8))};
-    const Coord dst{static_cast<int>(rng.next_below(8)),
-                    static_cast<int>(rng.next_below(8))};
-    if (!(src == dst)) f.net->create_message(src, dst, 8);
-  };
-
-  for (std::uint64_t c = 0; c < 500; ++c) {
-    offer(c);
-    f.net->step();
-  }
-  const std::size_t high_water = f.net->message_slots();
-  ASSERT_GT(high_water, 0u);
-  const std::size_t target = 100 * high_water;
-
-  std::uint64_t c = 500;
-  for (; c < 2'000'000 && f.net->retired().size() < target; ++c) {
-    offer(c);
-    f.net->step();
-  }
-  ASSERT_GE(f.net->retired().size(), target) << "load never delivered enough";
-  EXPECT_LE(f.net->message_slots(), 2 * high_water);
-  EXPECT_LT(f.net->message_slots(), f.net->retired().size() / 10);
-  // Conservation under tiled churn: every slot is either occupied by an
-  // in-flight message or on the free list.
   EXPECT_EQ(f.net->messages_created(),
             static_cast<MessageId>(f.net->retired().size() +
                                    (f.net->message_slots() -

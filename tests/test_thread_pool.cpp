@@ -65,8 +65,8 @@ TEST(ParallelFor, RethrowsTheFirstExceptionOnTheCaller) {
 }
 
 // Regression: nested parallel_for from threads that are themselves pool
-// workers (a threaded campaign where each cell steps a sharded network)
-// used to deadlock when the pool was small — every worker blocked in its
+// workers (a threaded campaign whose cells each stepped a tile-parallel
+// network, before the kernel went single-threaded) used to deadlock when the pool was small — every worker blocked in its
 // inner wait, while the inner helper tasks (which must run to decrement
 // the completion count, even with the work counter already exhausted)
 // sat unrunnable in the queue.  The helping wait drains the queue from

@@ -180,13 +180,11 @@ TEST(TraceLifecycle, RecoveryEventsMatchReliabilityCounters) {
   EXPECT_GT(r.reliability.messages_flushed, 0u);
 }
 
-TEST(TraceDeterminism, JsonlByteStableAcrossSchedulerConfigs) {
-  auto cfg = loaded_config();
-  const std::string fast = jsonl_for(cfg);
-  ASSERT_FALSE(fast.empty());
-  EXPECT_EQ(fast, jsonl_for(cfg));  // repeatable
-  cfg.tiles = 4;
-  EXPECT_EQ(fast, jsonl_for(cfg));
+TEST(TraceDeterminism, JsonlByteStableAcrossRuns) {
+  const auto cfg = loaded_config();
+  const std::string first = jsonl_for(cfg);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, jsonl_for(cfg));
 }
 
 TEST(TraceSinks, CountingMatchesVector) {
@@ -262,24 +260,23 @@ TEST(Metrics, SampleCountAndDeltasAreConsistent) {
   EXPECT_GE(delivered, r.latency.delivered);
 }
 
-TEST(Metrics, SeriesByteStableAcrossStepThreads) {
-  // Each tile owns a route cache, so the cache columns depend on the tile
-  // count; at a fixed tiling the thread count must not move a byte.
+TEST(Metrics, SeriesIgnoresTheRetiredTilingFields) {
+  // tiles and step_threads still load but the kernel ignores them: the
+  // whole series, the route-cache columns included, must not move a byte.
   auto cfg = loaded_config();
   cfg.metrics_interval = 200;
-  cfg.tiles = 4;
-  const auto csv_for = [&](int threads) {
-    auto c = cfg;
-    c.step_threads = threads;
+  const auto csv_for = [](const SimConfig& c) {
     Simulator sim(c);
     const auto r = sim.run();
     std::ostringstream os;
     ftmesh::trace::write_metrics_csv(os, r.metrics);
     return os.str();
   };
-  const auto single = csv_for(1);
-  ASSERT_GT(single.size(), 100u);
-  EXPECT_EQ(single, csv_for(4));
+  const auto plain = csv_for(cfg);
+  ASSERT_GT(plain.size(), 100u);
+  cfg.tiles = 4;
+  cfg.step_threads = 4;
+  EXPECT_EQ(plain, csv_for(cfg));
 }
 
 TEST(Metrics, AppearsInJsonReport) {
@@ -306,24 +303,18 @@ TEST(Metrics, OffByDefault) {
 
 TEST(TraceOverhead, NullSinkDoesNotChangeResults) {
   // Attaching and detaching a sink must be behaviourally invisible: the
-  // traced run's report equals the untraced run's report byte for byte —
-  // also on the tile-parallel kernel, which traced runs now step too.
-  auto parallel = loaded_config();
-  parallel.tiles = 4;
-  parallel.step_threads = 4;
-  for (const SimConfig& cfg : {loaded_config(), parallel}) {
-    const auto report_for = [&](bool traced) {
-      Simulator sim(cfg);
-      CountingSink sink;
-      if (traced) sim.set_trace_sink(&sink);
-      const auto r = sim.run();
-      std::ostringstream os;
-      ftmesh::report::write_result_json(os, cfg, r);
-      return os.str();
-    };
-    EXPECT_EQ(report_for(false), report_for(true))
-        << "tiles=" << cfg.tiles << " step_threads=" << cfg.step_threads;
-  }
+  // traced run's report equals the untraced run's report byte for byte.
+  const auto cfg = loaded_config();
+  const auto report_for = [&](bool traced) {
+    Simulator sim(cfg);
+    CountingSink sink;
+    if (traced) sim.set_trace_sink(&sink);
+    const auto r = sim.run();
+    std::ostringstream os;
+    ftmesh::report::write_result_json(os, cfg, r);
+    return os.str();
+  };
+  EXPECT_EQ(report_for(false), report_for(true));
 }
 
 }  // namespace

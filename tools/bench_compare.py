@@ -22,7 +22,7 @@ from the current run (or vice versa) are an error only when watched.
 current[NAME_A] / current[NAME_B] must stay <= MAX_RATIO.  Machine
 speed cancels out, so pair gates hold on any runner without touching
 the checked-in baseline (used to bound the traced-vs-untraced step
-overhead and to require a speedup of the tile-parallel step).
+overhead).
 
 --counter-max gates a user counter from the current run against an
 absolute bound: current[NAME].counters[COUNTER] <= MAX.  Counters such
@@ -39,11 +39,9 @@ EITHER stamp reading non-release is refused (exit 2) unless
 draws a warning, so hand-trimmed fixtures keep working.
 
 The current run's host context is also checked for noise: when the 1-min
-load average exceeds the CPU count, or a sharded benchmark (thread count
-parsed from the tNxM capture suffix) asked for more threads than the host
-has, a warning is printed and recorded into the JSON itself (context.
-ftmesh_host_warnings) so archived artifacts distinguish noisy-host
-regressions from real ones.  Warnings never fail the run.
+load average exceeds the CPU count, a warning is printed and recorded into
+the JSON itself (context.ftmesh_host_warnings) so archived artifacts
+distinguish noisy-host regressions from real ones.  Warnings never fail the run.
 
 Exit status: 0 = within budget, 1 = regression or missing benchmark,
 2 = bad invocation / unreadable input / non-release input.
@@ -51,7 +49,6 @@ Exit status: 0 = within budget, 1 = regression or missing benchmark,
 
 import argparse
 import json
-import re
 import sys
 
 DEFAULT_WATCHED = [
@@ -105,23 +102,6 @@ def check_build_type(path, doc, allow_non_release):
             sys.exit(2)
 
 
-# Sharded benchmarks encode their tile/thread shape as a tNxM capture
-# suffix (BM_NetworkStepSharded/t4x4) and BM_ShardedScalingCurve as
-# /mesh/tiles/threads args; both yield the requested thread count.
-_THREADS_SUFFIX = re.compile(r"/t\d+x(\d+)(?:$|[/_])")
-_THREADS_NAMED = re.compile(r"_t\d+x(\d+)(?:$|/)")
-_THREADS_ARGS = re.compile(r"/\d+/\d+/(\d+)$")
-
-
-def requested_threads(name):
-    """Thread count a sharded benchmark asked for, or None."""
-    for pat in (_THREADS_SUFFIX, _THREADS_NAMED, _THREADS_ARGS):
-        m = pat.search(name)
-        if m:
-            return int(m.group(1))
-    return None
-
-
 def host_noise_warnings(doc):
     """Noise heuristics on the measuring host, from the run's context."""
     ctx = doc.get("context", {})
@@ -132,14 +112,6 @@ def host_noise_warnings(doc):
         warnings.append(
             f"load_avg {load_avg[0]:.2f} exceeds num_cpus {num_cpus}: "
             "the host was busy; timings are suspect")
-    if num_cpus:
-        for b in doc.get("benchmarks", []):
-            threads = requested_threads(b.get("name", ""))
-            if threads is not None and threads > num_cpus:
-                warnings.append(
-                    f"{b['name']} wants {threads} step threads but the host "
-                    f"has num_cpus {num_cpus}: sharded timings are "
-                    "oversubscribed")
     return warnings
 
 

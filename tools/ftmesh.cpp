@@ -88,8 +88,6 @@ SimConfig config_from_cli(const Cli& cli, bool faults_is_count = true) {
   cfg.fault_schedule = cli.get("fault-schedule", cfg.fault_schedule);
   override_from(cli, "max-retries", cfg.fault_max_retries);
   override_from(cli, "backoff", cfg.fault_retry_backoff);
-  override_from(cli, "tiles", cfg.tiles);
-  override_from(cli, "step-threads", cfg.step_threads);
   if (cli.flag("kernel-stats")) cfg.collect_kernel_stats = true;
   override_from(cli, "metrics-interval", cfg.metrics_interval);
   for (const auto& w : cfg.warnings()) std::cerr << "warning: " << w << "\n";
@@ -731,7 +729,6 @@ constexpr const char* kUsage = R"(usage: ftmesh <command> [flags]
                     [--save-config f]
                     [--fault-schedule SPEC] [--max-retries N]
                     [--backoff N] [--patience N] [--drain]
-                    [--tiles N] [--step-threads N]
                     [--trace f] [--trace-format jsonl|chrome]
                     [--metrics-interval N] [--metrics-out f.csv]
   ftmesh sweep      [--algorithm A] [--from R0] [--to R1] [--steps N] ...
@@ -758,16 +755,16 @@ Every command that simulates or checks a mesh (all but campaign-merge,
 reliability and algorithms) also takes the SimConfig flags: --config
 --algorithm --traffic --width --height --rate --length --vcs --faults
 --link-faults --cycles --warmup --seed --buffer-depth --patience
---fault-schedule --max-retries --backoff --tiles --step-threads
---kernel-stats --metrics-interval.
+--fault-schedule --max-retries --backoff --kernel-stats
+--metrics-interval.
 )";
 
 /// The flags config_from_cli reads.
 const std::vector<std::string> kConfigFlags = {
     "config", "algorithm", "traffic", "width", "height", "rate", "length",
     "vcs", "faults", "link-faults", "cycles", "warmup", "seed", "buffer-depth",
-    "patience", "fault-schedule", "max-retries", "backoff", "tiles",
-    "step-threads", "kernel-stats", "metrics-interval"};
+    "patience", "fault-schedule", "max-retries", "backoff", "kernel-stats",
+    "metrics-interval"};
 
 struct Command {
   const char* name;
