@@ -14,7 +14,7 @@ AnalyticalModel::AnalyticalModel(int k, std::uint32_t message_length, int vcs)
   // two dimensions double it.
   distance_ = 2.0 * (static_cast<double>(k) * k - 1.0) / (3.0 * k);
   // 2k(k-1) bidirectional links -> 4k(k-1) directed channels.
-  links_ = 4.0 * k * (k - 1.0);
+  directed_links_ = 4.0 * k * (k - 1.0);
 }
 
 double AnalyticalModel::zero_load_latency() const noexcept {
@@ -23,12 +23,12 @@ double AnalyticalModel::zero_load_latency() const noexcept {
 
 double AnalyticalModel::utilization(double rate) const noexcept {
   const double nodes = static_cast<double>(k_) * k_;
-  return rate * nodes * length_ * distance_ / links_;
+  return rate * nodes * length_ * distance_ / directed_links_;
 }
 
 double AnalyticalModel::saturation_rate() const noexcept {
   const double nodes = static_cast<double>(k_) * k_;
-  return links_ / (nodes * length_ * distance_);
+  return directed_links_ / (nodes * length_ * distance_);
 }
 
 double AnalyticalModel::predict_latency(double rate) const noexcept {

@@ -43,7 +43,7 @@ class AnalyticalModel {
   double length_;
   double vcs_;
   double distance_;
-  double links_;  // directed mesh links
+  double directed_links_;
 };
 
 }  // namespace ftmesh::analysis

@@ -22,6 +22,7 @@ class CampaignSpecError : public std::invalid_argument {
     invalid_patterns,       ///< patterns <= 0
     fault_count_out_of_range,  ///< negative or >= mesh node count
     invalid_threads,        ///< threads below -1? (reserved)
+    bad_value,              ///< a matrix flag's text is not a number
   };
 
   CampaignSpecError(Code code, const std::string& what)

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "ftmesh/campaign/error.hpp"
 #include "ftmesh/core/config_io.hpp"
@@ -30,6 +31,45 @@ std::uint64_t double_bits(double v) noexcept {
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
+}
+
+/// One number of matrix flag `flag`, parsed as a whole token of type T.
+template <typename T>
+T flag_number(const std::string& flag, const std::string& text) {
+  try {
+    return core::parse_number<T>(text);
+  } catch (const std::exception& e) {
+    throw CampaignSpecError(CampaignSpecError::Code::bad_value,
+                            "bad value for --" + flag + ": " + e.what());
+  }
+}
+
+/// --flag's value; a flag given without one is refused.
+std::string flag_text(const report::Cli& cli, const std::string& flag) {
+  std::string text = cli.get(flag, "");
+  if (cli.flag(flag) && text.empty()) {
+    throw CampaignSpecError(CampaignSpecError::Code::bad_value,
+                            "missing value for --" + flag);
+  }
+  return text;
+}
+
+std::vector<std::string> comma_items(const std::string& text) {
+  std::vector<std::string> items;
+  std::istringstream is(text);
+  for (std::string item; std::getline(is, item, ',');) {
+    if (!item.empty()) items.push_back(item);
+  }
+  return items;
+}
+
+template <typename T>
+std::vector<T> flag_numbers(const report::Cli& cli, const std::string& flag) {
+  std::vector<T> out;
+  for (const auto& item : comma_items(flag_text(cli, flag))) {
+    out.push_back(flag_number<T>(flag, item));
+  }
+  return out;
 }
 
 std::string hex64(std::uint64_t v) {
@@ -86,6 +126,21 @@ void CampaignSpec::validate() const {
               " mesh (need 0 <= f < " + std::to_string(capacity) + ")");
     }
   }
+}
+
+CampaignSpec spec_from_cli(const report::Cli& cli, core::SimConfig base) {
+  CampaignSpec spec;
+  spec.base = std::move(base);
+  spec.algorithms = comma_items(cli.get("algorithms", ""));
+  spec.rates = flag_numbers<double>(cli, "rates");
+  spec.fault_counts = flag_numbers<int>(cli, "fault-counts");
+  if (const auto text = flag_text(cli, "patterns"); !text.empty()) {
+    spec.patterns = flag_number<int>("patterns", text);
+  }
+  if (const auto text = flag_text(cli, "threads"); !text.empty()) {
+    spec.threads = flag_number<int>("threads", text);
+  }
+  return spec;
 }
 
 std::vector<std::string> CampaignSpec::effective_algorithms() const {

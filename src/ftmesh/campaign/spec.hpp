@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "ftmesh/core/config.hpp"
+#include "ftmesh/report/cli.hpp"
 
 namespace ftmesh::campaign {
 
@@ -48,6 +49,15 @@ struct CampaignSpec {
   [[nodiscard]] std::vector<double> effective_rates() const;
   [[nodiscard]] std::vector<int> effective_fault_counts() const;
 };
+
+/// The campaign of a command line (`ftmesh campaign`): `base` plus the
+/// matrix flags --algorithms (comma list of names), --rates and
+/// --fault-counts (comma lists; empty items skipped), --patterns and
+/// --threads.  Each number parses as one whole token of its field's type,
+/// so a fault count or pattern count past int range is refused rather
+/// than wrapped.  Throws CampaignSpecError (code bad_value) naming the
+/// flag; does not validate.
+CampaignSpec spec_from_cli(const report::Cli& cli, core::SimConfig base);
 
 /// One planned cell of the matrix.
 struct CellPlan {

@@ -58,6 +58,11 @@ class FlitRing {
     return slots()[head_];
   }
 
+  [[nodiscard]] const Flit& back() const noexcept {
+    assert(count_ > 0);
+    return slots()[wrap(head_ + count_ - 1u)];
+  }
+
   void push_back(const Flit& f) noexcept {
     assert(count_ < cap_ && "input VC over capacity: credit protocol violated");
     slots()[wrap(head_ + count_)] = f;

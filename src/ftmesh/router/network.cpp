@@ -7,6 +7,7 @@
 #include <cassert>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace ftmesh::router {
 
@@ -18,8 +19,8 @@ using topology::NodeId;
 
 namespace {
 
-// One-bit occupancy helpers for the node and link masks and the per-node
-// ready words (bit i of word i/64).
+// One-bit occupancy helpers for the node masks and the per-node ready
+// words (bit i of word i/64).
 inline void set_bit(std::uint64_t* words, std::size_t i) {
   words[i >> 6] |= std::uint64_t{1} << (i & 63u);
 }
@@ -29,8 +30,11 @@ inline bool test_bit(const std::uint64_t* words, std::size_t i) {
 inline void set_bit(std::vector<std::uint64_t>& mask, std::size_t i) {
   set_bit(mask.data(), i);
 }
+inline void clear_bit(std::uint64_t* words, std::size_t i) {
+  words[i >> 6] &= ~(std::uint64_t{1} << (i & 63u));
+}
 inline void clear_bit(std::vector<std::uint64_t>& mask, std::size_t i) {
-  mask[i >> 6] &= ~(std::uint64_t{1} << (i & 63u));
+  clear_bit(mask.data(), i);
 }
 inline bool test_bit(const std::vector<std::uint64_t>& mask, std::size_t i) {
   return test_bit(mask.data(), i);
@@ -105,7 +109,6 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   for (NodeId id = 0; id < mesh.node_count(); ++id) {
     routers_.emplace_back(mesh.coord_of(id), vcs, config_.buffer_depth);
   }
-  links_.resize(n * kMeshDirections);
   neighbour_id_.assign(n * kMeshDirections, -1);
   for (NodeId id = 0; id < mesh.node_count(); ++id) {
     const Coord c = mesh.coord_of(id);
@@ -136,7 +139,7 @@ Network::Network(const topology::Mesh& mesh, const fault::FaultMap& faults,
   route_mask_.assign(mask_words(n), 0);
   switch_mask_.assign(mask_words(n), 0);
   inject_mask_.assign(mask_words(n), 0);
-  link_mask_.assign(mask_words(links_.size()), 0);
+  arrived_.assign(n * ready_words_, 0);
   link_vc_allocated_.assign(static_cast<std::size_t>(vcs), 0);
   route_cache_.resize(kRouteCacheSize);
   requests_.resize(nivc_);
@@ -175,14 +178,7 @@ bool Network::supplies_idle(NodeId node) const {
                      [](const Supply& s) { return s.current == kInvalidMessage; });
 }
 
-void Network::note_link_full(std::size_t link_idx) {
-  ++full_links_;
-  set_bit(link_mask_, link_idx);
-}
-
-void Network::note_buffer_push(NodeId node, std::size_t bit, const Flit& f,
-                               bool was_empty) {
-  if (!was_empty) return;  // the VC's front, hence its readiness, is unchanged
+void Network::note_first_flit(NodeId node, std::size_t bit) {
   const IvcStage stage = routes(node)[bit].stage;
   if (stage == IvcStage::Active) {
     // A worm owns the VC and its buffer was dry: the new flit is sendable.
@@ -192,9 +188,9 @@ void Network::note_buffer_push(NodeId node, std::size_t bit, const Flit& f,
   // Not Active and the buffer was empty: wormhole ordering guarantees the
   // arriving flit is the next worm's header (RouteWait implies non-empty).
   assert(stage == IvcStage::Idle);
-  assert(is_head(f.type) && "body flit arrived into an idle empty VC");
+  assert(is_head(
+      routers_[static_cast<std::size_t>(node)].input_at(bit).buf.front().type));
   set_route_ready(node, bit, true);
-  (void)f;
 }
 
 Network::Occupancy Network::recount_occupancy() const {
@@ -206,7 +202,6 @@ Network::Occupancy Network::recount_occupancy() const {
   o.route_mask.assign(mask_words(n), 0);
   o.switch_mask.assign(mask_words(n), 0);
   o.inject_mask.assign(mask_words(n), 0);
-  o.link_mask.assign(mask_words(links_.size()), 0);
   o.link_vc_allocated.assign(static_cast<std::size_t>(vcs_), 0);
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
@@ -214,6 +209,7 @@ Network::Occupancy Network::recount_occupancy() const {
     std::uint64_t* routable = o.route_ready.data() + sid * ready_words_;
     std::uint64_t* sendable = o.switch_ready.data() + sid * ready_words_;
     std::uint64_t* blocked = o.credit_blocked.data() + sid * ready_words_;
+    const std::uint64_t* arrived = ready_words(arrived_, id);
     const InputRoute* route = routes(id);
     for (std::size_t bit = 0; bit < nivc_; ++bit) {
       const InputVc& ivc = rt.input_at(bit);
@@ -225,7 +221,11 @@ Network::Occupancy Network::recount_occupancy() const {
         set_bit(blocked, bit);
       }
       o.buffered_flits += ivc.buf.size();
-      if (ivc.buf.empty()) continue;
+      // A flit that crossed the link this cycle is not seen until it lands.
+      if (test_bit(arrived, bit) && ivc.buf.size() == 1) {
+        o.landing.emplace_back(id, bit);
+      }
+      if (ivc.buf.size() == std::size_t{test_bit(arrived, bit)}) continue;
       if (r.active()) {
         set_bit(sendable, bit);
       } else if (is_head(ivc.buf.front().type)) {
@@ -245,19 +245,13 @@ Network::Occupancy Network::recount_occupancy() const {
       set_bit(o.inject_mask, sid);
     }
   }
-  for (std::size_t idx = 0; idx < links_.size(); ++idx) {
-    if (!links_[idx].full) continue;
-    ++o.full_links;
-    ++o.buffered_flits;
-    set_bit(o.link_mask, idx);
-  }
   return o;
 }
 
 void Network::rebuild_active_sets() {
   Occupancy o = recount_occupancy();
   // Rebuilds happen between cycles; nothing may be pending a commit.
-  assert(credits_.empty() && retires_.empty());
+  assert(unblocks_.empty() && retires_.empty());
   assert(o.buffered_flits == buffered_flits_ &&
          "incremental flit count drifted");
   route_ready_ = std::move(o.route_ready);
@@ -266,13 +260,12 @@ void Network::rebuild_active_sets() {
   route_mask_ = std::move(o.route_mask);
   switch_mask_ = std::move(o.switch_mask);
   inject_mask_ = std::move(o.inject_mask);
-  link_mask_ = std::move(o.link_mask);
   link_vc_allocated_ = std::move(o.link_vc_allocated);
+  landing_ = std::move(o.landing);
   buffered_flits_ = o.buffered_flits;
-  full_links_ = o.full_links;
 }
 
-std::uint64_t Network::marked_nodes(
+std::uint64_t Network::set_bits(
     const std::vector<std::uint64_t>& mask) noexcept {
   std::uint64_t sum = 0;
   for (const std::uint64_t w : mask) {
@@ -464,6 +457,7 @@ std::vector<std::uint64_t> Network::since_mark(
 
 void Network::step() {
   flits_moved_this_cycle_ = 0;
+  links_crossed_this_cycle_ = 0;
   phase_arrivals();
   phase_injection();
   phase_routing();
@@ -479,22 +473,12 @@ void Network::step() {
 // ---- the deferred commit ------------------------------------------------
 
 void Network::commit_deferred() {
-  // Credit returns: every one lands here, after the whole switch phase, so
-  // a freed buffer slot becomes visible upstream on the next cycle no
-  // matter which node freed it or when in the phase.  A return that lifts
-  // a reserved output VC from 0 credits unblocks the input VC feeding it.
-  // The clear is branchless (an AND with an all-ones mask when nothing
-  // unblocks): the 0 -> 1 outcome is close to a coin flip at the knee.
-  for (const CreditReturn& cr : credits_) {
-    OutputVc& ovc =
-        routers_[static_cast<std::size_t>(cr.node)].output(cr.port, cr.vc);
-    const std::uint64_t unblock =
-        static_cast<std::uint64_t>((ovc.credits == 0) & ovc.allocated);
-    ++ovc.credits;
-    ready_words(credit_blocked_, cr.node)[ovc.feeder >> 6] &=
-        ~(unblock << (ovc.feeder & 63u));
-  }
-  credits_.clear();
+  // Credit unblocks: a return that lifted a reserved output VC from 0
+  // credits frees the input VC feeding it here, after the whole switch
+  // phase, so the freed buffer slot is used upstream on the next cycle no
+  // matter which node freed it or when in the phase.
+  for (const std::size_t bit : unblocks_) clear_bit(credit_blocked_, bit);
+  unblocks_.clear();
   // Retirements: stable-id order, so the retired_ log and the free-list
   // order feeding slot reuse do not depend on the node visit order.
   if (retires_.size() > 1) {
@@ -556,19 +540,23 @@ void Network::audit_invariants(int level) const {
   if (level < 2) return;
 
   // ---- level 2: what is not derived, then the occupancy recount ----------
-  if (!credits_.empty() || !retires_.empty()) {
+  if (!unblocks_.empty() || !retires_.empty()) {
     fail("deferred commit list not drained between cycles");
   }
   const auto local = topology::port_index(Direction::Local);
-  const auto nbits = static_cast<std::size_t>(kPortCount * vcs_);
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const auto sid = static_cast<std::size_t>(id);
     const Router& rt = routers_[sid];
     const InputRoute* route = routes(id);
+    const std::uint64_t* arrived = ready_words(arrived_, id);
     for (int port = 0; port < kPortCount; ++port) {
       for (int vc = 0; vc < vcs_; ++vc) {
         const InputVc& ivc = rt.input(port, vc);
         const InputRoute& r = route[port * vcs_ + vc];
+        if (test_bit(arrived, static_cast<std::size_t>(port * vcs_ + vc)) &&
+            (port == local || ivc.buf.empty())) {
+          fail("arrived bit on an empty or injection input VC");
+        }
         if (port != local &&
             ivc.buf.size() > static_cast<std::size_t>(config_.buffer_depth)) {
           fail("input VC buffer deeper than the credit budget");
@@ -592,8 +580,8 @@ void Network::audit_invariants(int level) const {
       }
     }
     for (int d = 0; d < kMeshDirections; ++d) {
-      const auto nb = mesh_->neighbour(mesh_->coord_of(id),
-                                       static_cast<Direction>(d));
+      const NodeId nb = neighbour_id_[sid * kMeshDirections +
+                                      static_cast<std::size_t>(d)];
       for (int vc = 0; vc < vcs_; ++vc) {
         const OutputVc& ovc = rt.output(d, vc);
         if (ovc.allocated) {
@@ -603,7 +591,7 @@ void Network::audit_invariants(int level) const {
           }
           // The feeder names the input VC whose worm holds the reservation:
           // Active, pointed at exactly this output VC.
-          if (ovc.feeder >= nbits) {
+          if (ovc.feeder >= nivc_) {
             fail("reserved output VC with an out-of-range feeder");
           }
           const InputRoute& feeder = route[ovc.feeder];
@@ -611,19 +599,14 @@ void Network::audit_invariants(int level) const {
             fail("output VC feeder does not name the input VC holding it");
           }
         }
-        if (!nb) continue;
-        // Credit conservation: credits + downstream occupancy + the flit in
-        // flight on the link register reconstruct the buffer depth exactly.
-        const auto& reg = links_[sid * kMeshDirections +
-                                 static_cast<std::size_t>(d)];
-        const int in_flight = (reg.full && reg.vc == vc) ? 1 : 0;
-        const auto& down = routers_[static_cast<std::size_t>(mesh_->id_of(*nb))];
+        if (nb < 0) continue;
+        // Credit conservation: credits + downstream occupancy reconstruct
+        // the buffer depth exactly.
         const auto& dbuf =
-            down.input(topology::port_index(
-                           topology::opposite(static_cast<Direction>(d))),
-                       vc)
+            routers_[static_cast<std::size_t>(nb)]
+                .input(port_index(opposite(static_cast<Direction>(d))), vc)
                 .buf;
-        if (ovc.credits + static_cast<int>(dbuf.size()) + in_flight !=
+        if (ovc.credits + static_cast<int>(dbuf.size()) !=
             config_.buffer_depth) {
           fail("credit accounting drifted on a link output VC");
         }
@@ -680,45 +663,21 @@ void Network::audit_invariants(int level) const {
   same_bits("route_mask", route_mask_, o.route_mask, mask_node);
   same_bits("switch_mask", switch_mask_, o.switch_mask, mask_node);
   same_bits("inject_mask", inject_mask_, o.inject_mask, mask_node);
-  same_bits("link_mask", link_mask_, o.link_mask, [&](std::size_t b) {
-    return "link register " + std::to_string(b % kMeshDirections) + " of " +
-           mask_node(b / kMeshDirections);
-  });
+  auto landing = landing_;
+  std::sort(landing.begin(), landing.end());
+  if (landing != o.landing) fail("landing list drifted from the recount");
   drifted("buffered_flits", buffered_flits_, o.buffered_flits);
-  drifted("full_links", full_links_, o.full_links);
 }
 
 // ---- phase 1: arrivals ---------------------------------------------------
 
-void Network::arrive_link(std::size_t link_idx) {
-  LinkReg& reg = links_[link_idx];
-  assert(reg.full);
-  const auto dir = static_cast<Direction>(link_idx % kMeshDirections);
-  const NodeId down_id = neighbour_id_[link_idx];
-  assert(down_id >= 0 && "flit sent off-mesh");
-  Router& down = routers_[static_cast<std::size_t>(down_id)];
-  const auto bit =
-      static_cast<std::size_t>(port_index(opposite(dir)) * vcs_ + reg.vc);
-  InputVc& ivc = down.input_at(bit);
-  assert(static_cast<int>(ivc.buf.size()) < config_.buffer_depth &&
-         "credit protocol violated");
-  const bool was_empty = ivc.buf.empty();
-  ivc.buf.push_back(reg.flit);
-  note_buffer_push(down_id, bit, reg.flit, was_empty);
-  reg.full = false;
-  --full_links_;
-}
-
 void Network::phase_arrivals() {
-  // Every full register drains each cycle, so the mask is consumed whole;
-  // ordering is irrelevant (registers target disjoint input VCs).
-  for (std::size_t w = 0; w < link_mask_.size(); ++w) {
-    std::uint64_t word = link_mask_[w];
-    link_mask_[w] = 0;
-    for (; word != 0; word &= word - 1) {
-      arrive_link((w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-    }
-  }
+  // Last cycle's crossings become visible.  An arrived flit behind another
+  // one is not its VC's front, so only the VCs it reached empty (or that
+  // drained down to it) change their ready bits.
+  for (const auto& [node, bit] : landing_) note_first_flit(node, bit);
+  landing_.clear();
+  std::fill(arrived_.begin(), arrived_.end(), 0);
 }
 
 // ---- phase 2: injection --------------------------------------------------
@@ -737,7 +696,7 @@ void Network::inject_node(NodeId id) {
       sup.next_seq = 0;
     }
     const auto bit = static_cast<std::size_t>(local * vcs_ + iv);
-    InputVc& ivc = router_mut(c).input_at(bit);
+    InputVc& ivc = routers_[static_cast<std::size_t>(id)].input_at(bit);
     if (static_cast<int>(ivc.buf.size()) >= config_.buffer_depth) continue;
     Message& m = messages_[sup.current];
     Flit flit;
@@ -759,7 +718,7 @@ void Network::inject_node(NodeId id) {
     const bool was_empty = ivc.buf.empty();
     ivc.buf.push_back(flit);
     ++buffered_flits_;
-    note_buffer_push(id, bit, flit, was_empty);
+    if (was_empty) note_first_flit(id, bit);
     ++sup.next_seq;
     if (sup.next_seq == m.length) {
       sup.current = kInvalidMessage;
@@ -1023,7 +982,6 @@ void Network::switch_node(NodeId id) {
     InputRoute& r = route[bit];
     const Flit flit = ivc.buf.front();
     ivc.buf.pop_front();
-    --buffered_flits_;
     ++flits_moved_this_cycle_;
     if (config_.collect_traffic_map) {
       ++node_traffic_[static_cast<std::size_t>(id)];
@@ -1031,6 +989,7 @@ void Network::switch_node(NodeId id) {
     const bool tail = is_tail(flit.type);
 
     if (req.out == local) {
+      --buffered_flits_;
       if (eject_hook_) eject_hook_(flit, mesh_->coord_of(id));
       if (tail) {
         Message& m = messages_[flit.msg];
@@ -1051,45 +1010,64 @@ void Network::switch_node(NodeId id) {
     } else {
       OutputVc& ovc = rt.output(req.out, r.vc);
       --ovc.credits;
-      LinkReg& reg = link(id, req.out);
-      assert(!reg.full && "one flit per link per cycle");
-      reg.flit = flit;
-      reg.vc = r.vc;
-      reg.full = true;
-      ++buffered_flits_;
-      note_link_full(static_cast<std::size_t>(id) * kMeshDirections +
-                     static_cast<std::size_t>(req.out));
+      // Link traversal: straight into the downstream buffer, marked
+      // arrived so its ready bits move only in the next cycle's arrivals.
+      const NodeId down =
+          neighbour_id_[static_cast<std::size_t>(id) * kMeshDirections +
+                        req.out];
+      assert(down >= 0 && "flit sent off-mesh");
+      const auto down_bit = static_cast<std::size_t>(
+          port_index(opposite(static_cast<Direction>(req.out))) * vcs_ + r.vc);
+      FlitRing& dbuf =
+          routers_[static_cast<std::size_t>(down)].input_at(down_bit).buf;
+      if (dbuf.empty()) landing_.emplace_back(down, down_bit);
+      dbuf.push_back(flit);
+      ++links_crossed_this_cycle_;
+      assert(!test_bit(ready_words(arrived_, down), down_bit));
+      set_bit(ready_words(arrived_, down), down_bit);
       if (tail) {
         ovc.release();
         --link_vc_allocated_[r.vc];
       } else if (ovc.credits == 0) {
         // The worm spent the last downstream slot: it stays blocked until
-        // the commit that returns a credit to this output VC.
+        // the commit after a credit returns to this output VC.
         set_bit(ready_words(credit_blocked_, id), bit);
       }
     }
 
-    // Credit return to the upstream router for the vacated buffer slot,
-    // deferred to the commit (next-cycle visibility).
+    // Credit return to the upstream router for the vacated buffer slot.
+    // Each output VC gets at most one per cycle, and a credit-blocked worm
+    // cannot send before the commit unblocks it, so the credit is first
+    // used on the next cycle; routing, the only other reader, is over.
     if (req.in != local) {
-      credits_.push_back(
-          {neighbour_id_[static_cast<std::size_t>(id) * kMeshDirections +
-                         req.in],
-           static_cast<std::int16_t>(
-               port_index(opposite(static_cast<Direction>(req.in)))),
-           static_cast<std::int16_t>(static_cast<int>(bit) - req.in * vcs_)});
-      assert(credits_.back().node >= 0);
+      const NodeId up =
+          neighbour_id_[static_cast<std::size_t>(id) * kMeshDirections +
+                        req.in];
+      assert(up >= 0);
+      OutputVc& uvc = routers_[static_cast<std::size_t>(up)].output(
+          port_index(opposite(static_cast<Direction>(req.in))),
+          static_cast<int>(bit) - req.in * vcs_);
+      if (uvc.credits == 0 && uvc.allocated) {
+        unblocks_.push_back(static_cast<std::size_t>(up) * ready_words_ * 64 +
+                            uvc.feeder);
+      }
+      ++uvc.credits;
     }
 
+    // A flit that arrived this cycle does not count until it lands; when
+    // it is all that is left, it lands on an empty VC.
+    const std::size_t arrived = test_bit(ready_words(arrived_, id), bit);
+    const bool drained = ivc.buf.size() == arrived;
+    if (drained && arrived != 0) landing_.emplace_back(id, bit);
     if (tail) {
       r = InputRoute{};
       set_switch_ready(id, bit, false);
-      if (!ivc.buf.empty()) {
+      if (!drained) {
         // The flit behind a tail is always the next worm's header.
         assert(is_head(ivc.buf.front().type));
         set_route_ready(id, bit, true);
       }
-    } else if (ivc.buf.empty()) {
+    } else if (drained) {
       // The worm still owns the VC but has nothing to send.
       set_switch_ready(id, bit, false);
     }
@@ -1119,7 +1097,7 @@ void Network::phase_sampling() {
     counters_.kernel_route_nodes_sum += active_route_nodes();
     counters_.kernel_switch_nodes_sum += active_switch_nodes();
     counters_.kernel_inject_nodes_sum += active_inject_nodes();
-    counters_.kernel_link_regs_sum += full_links_;
+    counters_.kernel_link_regs_sum += links_crossed_this_cycle_;
     ++counters_.kernel_samples;
   }
 }
@@ -1136,7 +1114,6 @@ Network::FaultVictims Network::collect_fault_victims() const {
     hit[s] = 1;
     ++out.flushed;
   };
-  const int vcs = algorithm_->layout().total();
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
     const Coord c = mesh_->coord_of(id);
     const Router& rt = routers_[static_cast<std::size_t>(id)];
@@ -1146,17 +1123,15 @@ Network::FaultVictims Network::collect_fault_victims() const {
       // passing through hold its output VCs), and messages mid-injection
       // from it (their remaining flits can never be supplied).
       for (int port = 0; port < kPortCount; ++port) {
-        for (int vc = 0; vc < vcs; ++vc) {
+        for (int vc = 0; vc < vcs_; ++vc) {
           for (const Flit& f : rt.input(port, vc).buf) flag(f.msg);
           const OutputVc& ovc = rt.output(port, vc);
           if (ovc.allocated) flag(ovc.owner);
         }
       }
-      for (int iv = 0; iv < config_.injection_vcs; ++iv) {
-        const Supply& s =
-            supplies_[static_cast<std::size_t>(id) *
-                          static_cast<std::size_t>(config_.injection_vcs) +
-                      static_cast<std::size_t>(iv)];
+      const auto ivs = static_cast<std::size_t>(config_.injection_vcs);
+      for (const Supply& s : std::span(supplies_).subspan(
+               static_cast<std::size_t>(id) * ivs, ivs)) {
         if (s.current != kInvalidMessage) flag(s.current);
       }
     }
@@ -1170,16 +1145,21 @@ Network::FaultVictims Network::collect_fault_victims() const {
       // other traffic.
       const bool link_dead = !faults_->link_alive(c, dir);
       if (!dead && !nb_dead && !link_dead) continue;
-      // Flits in flight on a link incident to a dead node or dead itself.
-      const LinkReg& reg =
-          links_[static_cast<std::size_t>(id) * kMeshDirections +
-                 static_cast<std::size_t>(d)];
-      if (reg.full) flag(reg.flit.msg);
+      // Flits that crossed a link incident to a dead node, or dead itself,
+      // in the last cycle: the back flit of each arrived VC downstream.
+      const NodeId down = mesh_->id_of(*nb);
+      for (int vc = 0; vc < vcs_; ++vc) {
+        const auto bit =
+            static_cast<std::size_t>(port_index(opposite(dir)) * vcs_ + vc);
+        if (!test_bit(ready_words(arrived_, down), bit)) continue;
+        flag(routers_[static_cast<std::size_t>(down)].input_at(bit).buf.back()
+                 .msg);
+      }
       if (!dead && (nb_dead || link_dead)) {
         // A healthy router's reservation pointing into the dead neighbour
         // or over the dead channel: the owner's path crosses the fault
         // even if no flit is there yet.
-        for (int vc = 0; vc < vcs; ++vc) {
+        for (int vc = 0; vc < vcs_; ++vc) {
           const OutputVc& ovc = rt.output(port_index(dir), vc);
           if (ovc.allocated) flag(ovc.owner);
         }
@@ -1220,36 +1200,36 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
       trace_blocked_[static_cast<std::size_t>(s)] = 0;
     }
   }
-  const int vcs = algorithm_->layout().total();
   const auto local = port_index(Direction::Local);
 
-  // 1. Link registers.  The sender consumed a credit when it launched the
-  //    flit; the downstream slot will now never be filled, so the credit
-  //    goes straight back to the sender's output VC.
-  for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-    for (int d = 0; d < kMeshDirections; ++d) {
-      LinkReg& reg = link(id, d);
-      if (!reg.full || !purge[static_cast<std::size_t>(reg.flit.msg)]) continue;
-      routers_[static_cast<std::size_t>(id)].output(d, reg.vc).credits++;
-      reg.full = false;
-      --buffered_flits_;
-    }
-  }
-
-  // 2. Input buffers.  Each removed flit frees a slot, so its credit is
+  // 1. Input buffers.  Each removed flit frees a slot, so its credit is
   //    restored on the upstream router's matching output VC (a dead
-  //    upstream router's state is simply never read again).  The VC is
-  //    released when it empties or when the purged message was at its
-  //    front; a surviving header exposed at the front re-enters routing
-  //    from the Idle stage next cycle.
+  //    upstream router's state is simply never read again).  A purged flit
+  //    that crossed the link this cycle takes its arrived bit with it.  The
+  //    VC's claim is judged on the buffer seen without a flit still
+  //    landing: it is released when that buffer empties or when the purged
+  //    message was at its front; a surviving header exposed at the front
+  //    re-enters routing from the Idle stage next cycle.
   for (NodeId id = 0; id < mesh_->node_count(); ++id) {
-    const Coord c = mesh_->coord_of(id);
     Router& rt = routers_[static_cast<std::size_t>(id)];
+    std::uint64_t* arrived = ready_words(arrived_, id);
     for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
+      for (int vc = 0; vc < vcs_; ++vc) {
         InputVc& ivc = rt.input(port, vc);
-        InputRoute& route = routes(id)[port * vcs + vc];
-        if (ivc.buf.empty()) {
+        const auto bit = static_cast<std::size_t>(port * vcs_ + vc);
+        InputRoute& route = routes(id)[bit];
+        const bool seen_empty =
+            ivc.buf.size() == std::size_t{test_bit(arrived, bit)};
+        const bool front_purged =
+            !seen_empty && purge[static_cast<std::size_t>(ivc.buf.front().msg)];
+        if (test_bit(arrived, bit) &&
+            purge[static_cast<std::size_t>(ivc.buf.back().msg)]) {
+          clear_bit(arrived, bit);
+        }
+        const std::size_t removed = ivc.buf.remove_if([&](const Flit& f) {
+          return purge[static_cast<std::size_t>(f.msg)] != 0;
+        });
+        if (seen_empty) {
           // A worm holds its input-VC claim even while the buffer is
           // momentarily empty (flits streamed ahead of the tail).  The
           // claimant is identified through its reserved output VC; a stale
@@ -1261,31 +1241,28 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
               route = InputRoute{};
             }
           }
-          continue;
+        } else if (front_purged ||
+                   ivc.buf.size() == std::size_t{test_bit(arrived, bit)}) {
+          route = InputRoute{};
         }
-        const bool front_purged =
-            purge[static_cast<std::size_t>(ivc.buf.front().msg)] != 0;
-        const std::size_t removed = ivc.buf.remove_if([&](const Flit& f) {
-          return purge[static_cast<std::size_t>(f.msg)] != 0;
-        });
         if (removed == 0) continue;
         buffered_flits_ -= removed;
         if (port != local) {
-          const auto updir = static_cast<Direction>(port);
-          const auto up = mesh_->neighbour(c, updir);
-          assert(up && "flit buffered on a port with no upstream link");
-          router_mut(*up).output(port_index(opposite(updir)), vc).credits +=
-              static_cast<int>(removed);
+          const NodeId up =
+              neighbour_id_[static_cast<std::size_t>(id) * kMeshDirections +
+                            static_cast<std::size_t>(port)];
+          routers_[static_cast<std::size_t>(up)]
+              .output(port_index(opposite(static_cast<Direction>(port))), vc)
+              .credits += static_cast<int>(removed);
         }
-        if (ivc.buf.empty() || front_purged) route = InputRoute{};
       }
     }
   }
 
-  // 3. Channel reservations held by purged messages.
+  // 2. Channel reservations held by purged messages.
   for (auto& rt : routers_) {
     for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
+      for (int vc = 0; vc < vcs_; ++vc) {
         OutputVc& ovc = rt.output(port, vc);
         if (ovc.allocated && purge[static_cast<std::size_t>(ovc.owner)]) {
           ovc.release();
@@ -1294,7 +1271,7 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
     }
   }
 
-  // 4. Injection supplies mid-message.
+  // 3. Injection supplies mid-message.
   for (auto& s : supplies_) {
     if (s.current != kInvalidMessage &&
         purge[static_cast<std::size_t>(s.current)]) {
@@ -1303,7 +1280,7 @@ void Network::purge_messages(const std::vector<MessageSlot>& slots) {
     }
   }
 
-  // 5. Source queues (messages not yet injected).
+  // 4. Source queues (messages not yet injected).
   for (auto& q : queues_) {
     q.erase(std::remove_if(
                 q.begin(), q.end(),
@@ -1333,7 +1310,6 @@ void Network::requeue_message(MessageId id) {
 }
 
 void Network::revalidate_ring_state(const fault::FRingSet& rings) {
-  const int vcs = algorithm_->layout().total();
   const auto check = [&](MessageSlot slot, Coord pos) {
     auto& r = headers_[static_cast<std::size_t>(slot)].rs.ring;
     if (!r.active) return;
@@ -1361,19 +1337,11 @@ void Network::revalidate_ring_state(const fault::FRingSet& rings) {
     const Coord c = mesh_->coord_of(id);
     const Router& rt = routers_[static_cast<std::size_t>(id)];
     for (int port = 0; port < kPortCount; ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
+      for (int vc = 0; vc < vcs_; ++vc) {
         for (const Flit& f : rt.input(port, vc).buf) {
           if (is_head(f.type)) check(f.msg, c);
         }
       }
-    }
-    for (int d = 0; d < kMeshDirections; ++d) {
-      const LinkReg& reg =
-          links_[static_cast<std::size_t>(id) * kMeshDirections +
-                 static_cast<std::size_t>(d)];
-      if (!reg.full || !is_head(reg.flit.type)) continue;
-      const auto nb = mesh_->neighbour(c, static_cast<Direction>(d));
-      if (nb) check(reg.flit.msg, *nb);
     }
   }
 }

@@ -3,29 +3,31 @@
 // and ejection, driven one cycle at a time.
 //
 // Cycle phases (two-phase update; see DESIGN.md item 1):
-//   1. arrivals   — flits on link registers enter downstream input buffers
+//   1. arrivals   — last cycle's link crossings reach their VCs' ready bits
 //   2. injection  — source queues feed flits into local input VCs
 //   3. routing    — headers at buffer heads request and allocate output VCs
-//   4. switching  — crossbar arbitration (random), link/ejection traversal,
-//                   credit return
-//   5. sampling   — watchdog + optional VC-usage / traffic-map accumulation
+//   4. switching  — crossbar arbitration (random), link traversal straight
+//                   into the downstream buffer or ejection, credit return
+//   5. commit     — credit unblocks and tail retirements
+//   6. sampling   — watchdog + optional VC-usage / traffic-map accumulation
 //
 // Timing model: one flit per link per cycle; single-cycle routers; random
 // resolution of all conflicts (per the paper).  A step walks the whole
-// mesh on the calling thread.  Credit returns and tail retirements are
-// deferred to a commit after switching, so a freed buffer slot is seen
-// upstream on the next cycle.
+// mesh on the calling thread.  A flit pushed downstream in cycle t is
+// marked in `arrived_` and reaches its VC's ready bits in cycle t+1; a
+// credit-blocked worm is unblocked in the commit, so a freed buffer slot
+// is used upstream on the next cycle.
 //
 // Scheduling: the per-cycle phases are occupancy-driven.  The network keeps
 // exact per-node input-VC bitmasks of routable headers, sendable
-// (switch-ready) flits and credit-blocked worms, the set of nodes with
-// pending injection work, and the set of full link registers, updated at
-// every occupancy-changing point (arrival, injection, route allocation,
-// switch traversal, credit return, tail release, purge).  Each phase visits
-// only nodes with work and, at those nodes, only the input VCs whose ready
-// bit is set.  recount_occupancy() is the one from-scratch definition of
-// that state: the rebuild after bulk mutations installs it and the level-2
-// audit (audit_invariants) compares every bit against it — see
+// (switch-ready) flits and credit-blocked worms, and the set of nodes with
+// pending injection work, updated at every occupancy-changing point
+// (arrival, injection, route allocation, switch traversal, credit return,
+// tail release, purge).  Each phase visits only nodes with work and, at
+// those nodes, only the input VCs whose ready bit is set.
+// recount_occupancy() is the one from-scratch definition of that state:
+// the rebuild after bulk mutations installs it and the level-2 audit
+// (audit_invariants) compares every bit against it — see
 // docs/performance.md for the invariants and the determinism argument.
 
 #include <bit>
@@ -187,6 +189,14 @@ class Network {
     return routes(mesh_->id_of(c))[port * vcs_ + vc];
   }
 
+  /// True while the back flit of input VC (`port`, `vc`) at `c` crossed its
+  /// link this cycle: the ready bits see it from the next arrivals phase.
+  [[nodiscard]] bool arrived(topology::Coord c, int port, int vc) const {
+    const auto bit = static_cast<std::size_t>(port * vcs_ + vc);
+    return (ready_words(arrived_, mesh_->id_of(c))[bit >> 6] >> (bit & 63u)) &
+           1u;
+  }
+
   [[nodiscard]] std::size_t source_queue_length(topology::Coord c) const {
     return queues_[static_cast<std::size_t>(mesh_->id_of(c))].size();
   }
@@ -236,8 +246,8 @@ class Network {
   /// hold no flits); the endpoint check visits every slot.
   [[nodiscard]] FaultVictims collect_fault_victims() const;
 
-  /// Removes every flit of the given messages from input buffers and link
-  /// registers, releases their channel reservations and injection supplies,
+  /// Removes every flit of the given messages from the input buffers,
+  /// releases their channel reservations and injection supplies,
   /// drops them from source queues, and restores the freed credits.  The
   /// messages themselves stay in the table (for retransmission/abort
   /// accounting); surviving traffic is untouched.  Rebuilds the active sets
@@ -379,19 +389,19 @@ class Network {
 
   // Instantaneous active-set gauges: the popcount of the route, switch
   // and inject node masks, O(nodes / 64) words per call — cheap enough for
-  // --kernel-stats to sample every cycle even on large meshes — and the
-  // exact full-register count.
+  // --kernel-stats to sample every cycle even on large meshes — and of the
+  // arrived mask: the flits that crossed a link this cycle.
   [[nodiscard]] std::uint64_t active_route_nodes() const noexcept {
-    return marked_nodes(route_mask_);
+    return set_bits(route_mask_);
   }
   [[nodiscard]] std::uint64_t active_switch_nodes() const noexcept {
-    return marked_nodes(switch_mask_);
+    return set_bits(switch_mask_);
   }
   [[nodiscard]] std::uint64_t active_inject_nodes() const noexcept {
-    return marked_nodes(inject_mask_);
+    return set_bits(inject_mask_);
   }
   [[nodiscard]] std::uint64_t full_link_registers() const noexcept {
-    return full_links_;
+    return set_bits(arrived_);
   }
 
   /// Per-VC-index count of currently reserved output VCs across all links.
@@ -412,20 +422,16 @@ class Network {
   /// Level 1 checks the slot table (the free list is exactly the vacant
   /// slots, live-id consistency, created == retired + live).  Level 2
   /// additionally checks what is not derived — buffer depths, VC stages,
-  /// output-VC reservations, owners and feeders, per-link credit
-  /// conservation, the drained commit lists — and then compares the whole
-  /// incrementally maintained occupancy state with recount_occupancy(),
-  /// naming the first node and bit that differ.  Always compiled (tests
-  /// drive it directly); builds configured with -DFTMESH_AUDIT=1|2 also
-  /// run it automatically at the end of every step().
+  /// arrived bits, output-VC reservations, owners and feeders, per-link
+  /// credit conservation, the drained commit lists — and then compares the
+  /// whole incrementally maintained occupancy state (landing list included)
+  /// with recount_occupancy(), naming the first node and bit that differ.
+  /// Always compiled (tests drive it directly); builds configured with
+  /// -DFTMESH_AUDIT=1|2 also run it automatically at the end of every
+  /// step().
   void audit_invariants(int level) const;
 
  private:
-  struct LinkReg {
-    Flit flit;
-    int vc = -1;
-    bool full = false;
-  };
   struct Supply {
     MessageSlot current = kInvalidMessage;
     std::uint32_t next_seq = 0;
@@ -450,21 +456,11 @@ class Network {
   /// route site (routing::route_site never produces it).
   static constexpr std::uint8_t kNotUniform = 0xFF;
 
-  /// A deferred credit return: +1 credit on `node`'s output (port, vc),
-  /// applied in the commit after the switch phase.  The paper's timing: a
-  /// freed buffer slot becomes visible upstream on the next cycle, never in
-  /// the cycle that freed it, whatever the node visit order.
-  struct CreditReturn {
-    topology::NodeId node;
-    std::int16_t port;
-    std::int16_t vc;
-  };
-
-  /// The occupancy state derived from the routers, link registers, source
+  /// The occupancy state derived from the routers, arrived bits, source
   /// queues and injection supplies — everything the phases' active-set
   /// walks and the gauges read.  The kernel keeps it incrementally
-  /// (set_*_ready, the inject-bit updates, note_link_full, the phase
-  /// bodies' total updates); recount_occupancy() derives it from scratch.
+  /// (set_*_ready, the inject-bit updates, the phase bodies' total
+  /// updates); recount_occupancy() derives it from scratch.
   struct Occupancy {
     std::vector<std::uint64_t> route_ready;     // like route_ready_
     std::vector<std::uint64_t> switch_ready;    // like switch_ready_
@@ -472,10 +468,9 @@ class Network {
     std::vector<std::uint64_t> route_mask;      // like route_mask_
     std::vector<std::uint64_t> switch_mask;     // like switch_mask_
     std::vector<std::uint64_t> inject_mask;     // like inject_mask_
-    std::vector<std::uint64_t> link_mask;       // like link_mask_
     std::vector<std::uint32_t> link_vc_allocated;
+    std::vector<std::pair<topology::NodeId, std::size_t>> landing;  // sorted
     std::uint64_t buffered_flits = 0;
-    std::uint64_t full_links = 0;
   };
 
   void phase_arrivals();
@@ -487,7 +482,6 @@ class Network {
 
   // Per-node bodies, called by the phases for each node with work, in
   // ascending node order.
-  void arrive_link(std::size_t link_idx);
   void inject_node(topology::NodeId id);
   void route_node(topology::NodeId id);
   /// Routes the header fronting input VC `idx` (flat `port * vcs + vc`) of
@@ -498,7 +492,7 @@ class Network {
   /// credited input VCs from the ready words and the route table (no input
   /// VC is loaded), shuffle them, pick the winners (match_crossbar), and
   /// grant the winners only — the one step that touches input and output
-  /// VCs, link registers and credits.
+  /// VCs, downstream buffers and credits.
   void switch_node(topology::NodeId id);
 
   /// Candidate set for `h`'s header at node `id`, memoized in the route
@@ -548,15 +542,16 @@ class Network {
 
   /// The one from-scratch definition of the occupancy state: every ready
   /// word, per-VC allocation gauge, node and link mask and total, derived
-  /// from the router, route table, link, queue and supply state.  Reads each Active
-  /// input VC's reserved output VC, so its route entry must be in range.
+  /// from the router, route table, arrived, queue and supply state.  Reads
+  /// each Active input VC's reserved output VC, so its route entry must be
+  /// in range.
   [[nodiscard]] Occupancy recount_occupancy() const;
   /// Recount and install: replaces the occupancy state with
   /// recount_occupancy().  Used after rare bulk mutations (purge,
   /// reconfiguration) instead of per-item bookkeeping.
   void rebuild_active_sets();
-  /// Set bits of one node mask (the active_*_nodes accessors).
-  [[nodiscard]] static std::uint64_t marked_nodes(
+  /// Set bits of one mask (the gauges).
+  [[nodiscard]] static std::uint64_t set_bits(
       const std::vector<std::uint64_t>& mask) noexcept;
   /// True when none of `node`'s injection supplies is mid-message.
   [[nodiscard]] bool supplies_idle(topology::NodeId node) const;
@@ -569,6 +564,9 @@ class Network {
   //                             stage != Active (a routable header)
   //   switch_ready_ bit set <=> that VC has stage == Active and a non-empty
   //                             buffer (a sendable flit)
+  //   arrived_      bit set <=> the VC's back flit crossed the link this
+  //                             cycle; the masks above do not see it (a
+  //                             buffer of only it counts as empty)
   //   credit_blocked_ bit set <=> that VC has stage == Active, a route
   //                             port other than Local and its reserved
   //                             output VC has credits == 0 (the VC cannot
@@ -580,7 +578,7 @@ class Network {
   // credit_blocked_ has no node mask: it is set by route allocation onto
   // a creditless output VC and by a non-tail grant that spends the last
   // credit, and cleared by the credit return that lifts the count from 0
-  // (found through OutputVc::feeder).
+  // (found through OutputVc::feeder) in the next commit.
   void set_route_ready(topology::NodeId node, std::size_t bit, bool ready) {
     set_ready(route_ready_, route_mask_, node, bit, ready);
   }
@@ -601,12 +599,10 @@ class Network {
       const std::vector<std::uint64_t>& mask, topology::NodeId node) const {
     return mask.data() + static_cast<std::size_t>(node) * ready_words_;
   }
-  /// Called exactly when a flit lands on an empty link register.
-  void note_link_full(std::size_t link_idx);
-  /// Applies the occupancy effect of pushing `f` into the input VC with
-  /// flat index `bit` at `node`.
-  void note_buffer_push(topology::NodeId node, std::size_t bit, const Flit& f,
-                        bool was_empty);
+  /// The input VC with flat index `bit` at `node` shows its first flit
+  /// (injected, or landed from a link): sets its switch bit when a worm
+  /// owns the VC, its route bit otherwise.
+  void note_first_flit(topology::NodeId node, std::size_t bit);
 
   /// `node`'s row of the route table: one entry per input VC, by flat index.
   [[nodiscard]] InputRoute* routes(topology::NodeId node) {
@@ -616,13 +612,6 @@ class Network {
     return input_routes_.data() + static_cast<std::size_t>(node) * nivc_;
   }
 
-  Router& router_mut(topology::Coord c) {
-    return routers_[static_cast<std::size_t>(mesh_->id_of(c))];
-  }
-  LinkReg& link(topology::NodeId node, int dir) {
-    return links_[static_cast<std::size_t>(node) * topology::kMeshDirections +
-                  static_cast<std::size_t>(dir)];
-  }
   Supply& supply(topology::NodeId node, int iv) {
     return supplies_[static_cast<std::size_t>(node) *
                          static_cast<std::size_t>(config_.injection_vcs) +
@@ -652,10 +641,8 @@ class Network {
   std::vector<InputRoute> input_routes_;
   /// Input port of each flat input-VC index (`bit / vcs_`, tabulated).
   std::vector<std::uint8_t> port_of_bit_;
-  std::vector<LinkReg> links_;  // [node][direction]
-  /// Mesh neighbour of each node per link direction, -1 off the edge;
-  /// indexed like links_, so a register's downstream node is
-  /// neighbour_id_[link index].
+  /// Mesh neighbour of each node per link direction, -1 off the edge:
+  /// [node][direction].
   std::vector<topology::NodeId> neighbour_id_;
 
   // Message storage: a slot table plus a parallel hot array (SoA split —
@@ -678,8 +665,9 @@ class Network {
   std::vector<Supply> supplies_;                 // [node][injection vc]
 
   std::uint64_t cycle_ = 0;
-  std::uint64_t buffered_flits_ = 0;  // input buffers + link registers
+  std::uint64_t buffered_flits_ = 0;  // input buffers
   std::uint64_t flits_moved_this_cycle_ = 0;
+  std::uint64_t links_crossed_this_cycle_ = 0;  // popcount of arrived_
   sim::Watchdog watchdog_;
 
   // Active-set state (see set_*_ready above): the per-node input-VC ready
@@ -690,17 +678,19 @@ class Network {
   // sets it, inject_node clears it when the last supply finishes on an
   // empty queue).  The phases walk set bits via count-trailing-zeros,
   // which visits nodes in ascending order for free; the gauges popcount
-  // them.  link_mask_ has one bit per link register (indexed like links_),
-  // set while the register is full.
+  // them.  arrived_ is laid out like the ready words.
   std::vector<std::uint64_t> route_ready_;
   std::vector<std::uint64_t> switch_ready_;
   std::vector<std::uint64_t> credit_blocked_;
   std::vector<std::uint64_t> route_mask_;
   std::vector<std::uint64_t> switch_mask_;
   std::vector<std::uint64_t> inject_mask_;
-  std::vector<std::uint64_t> link_mask_;
+  std::vector<std::uint64_t> arrived_;
+  /// The arrived VCs whose buffer holds only the arrived flit, as (node,
+  /// bit), for the next arrivals phase: listed when the flit is pushed
+  /// into an empty buffer, or when a departure leaves only it.
+  std::vector<std::pair<topology::NodeId, std::size_t>> landing_;
   std::vector<std::uint32_t> link_vc_allocated_;  // per VC index, link ports
-  std::uint64_t full_links_ = 0;  ///< exact count of full link registers
 
   /// Route-candidate memoization (kRouteCacheSize entries).
   std::vector<RouteCacheEntry> route_cache_;
@@ -739,8 +729,10 @@ class Network {
   std::vector<char> trace_blocked_;
 
   // What the switch phase defers to commit_deferred() (kept across cycles
-  // to avoid reallocation): credit returns, and the slots of ejected tails.
-  std::vector<CreditReturn> credits_;
+  // to avoid reallocation): the credit_blocked_ bits (node * ready_words_
+  // * 64 + feeder) of output VCs a credit return lifted from 0, and the
+  // slots of ejected tails.
+  std::vector<std::size_t> unblocks_;
   std::vector<MessageSlot> retires_;
 };
 

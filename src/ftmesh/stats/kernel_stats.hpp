@@ -26,7 +26,7 @@ struct KernelSummary {
 
   // Mean active-set sizes, sampled at the end of every measured cycle:
   // nodes with a routable header, nodes with a sendable flit, nodes with
-  // pending injection work, and full link registers.
+  // pending injection work, and flits that crossed a link in the cycle.
   std::uint64_t samples = 0;
   double mean_route_nodes = 0.0;
   double mean_switch_nodes = 0.0;

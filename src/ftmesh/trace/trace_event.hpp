@@ -4,7 +4,7 @@
 // Every event is emitted from a point that visits work in ascending node
 // id and goes straight to the sink, so a trace — like every other report —
 // is a pure function of the configuration and seed.  The arrivals phase,
-// which drains link registers in register order, emits no event.
+// which makes last cycle's link crossings visible, emits no event.
 
 #include <cstdint>
 #include <string_view>

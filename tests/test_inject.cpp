@@ -17,6 +17,7 @@
 #include "ftmesh/inject/fault_schedule.hpp"
 #include "ftmesh/inject/reconfigurator.hpp"
 #include "ftmesh/routing/registry.hpp"
+#include "ftmesh/stats/reliability_stats.hpp"
 #include "ftmesh/verify/verifier.hpp"
 
 namespace {
@@ -604,6 +605,86 @@ TEST(FaultInjector, StaleRetransmissionSkipsTheSlotsNextOccupant) {
   EXPECT_TRUE(net.drained());
   EXPECT_EQ(net.retired().size(), 2u);
   EXPECT_FALSE(net.retired_record(b)->aborted);
+}
+
+// A worm's tail crosses the link (3,2) -> (4,2) in cycle t, so nothing of
+// the worm is left at (3,2): no flit, no reservation.  The fault tick
+// before cycle t+1 then kills that link, or (3,2) itself.  The flit in
+// flight is the only thing that ties the worm to the fault, and the
+// recovery must still flush it, restore the credit it took, and resend
+// the message over the detour.
+void flush_tail_in_flight(const FaultEvent& ev) {
+  const Mesh m(8, 8);
+  FaultMap map(m);
+  FRingSet rings(map);
+  Reconfigurator rc(map, rings);
+  auto algo = ftmesh::routing::make_algorithm("Nbc", m, map, rings);
+  ftmesh::router::Network net(m, map, *algo, {}, Rng(3));
+  const Coord upstream{3, 2};
+  const int east =
+      ftmesh::topology::port_index(ftmesh::topology::Direction::XPlus);
+  const auto holds_east = [&] {
+    for (int vc = 0; vc < algo->layout().total(); ++vc) {
+      if (net.router_at(upstream).output(east, vc).allocated) return true;
+    }
+    return false;
+  };
+  const auto step = [&] {
+    net.step();
+    ASSERT_NO_THROW(net.audit_invariants(2)) << "cycle " << net.cycle();
+  };
+
+  // Along row 2 every minimal route runs east through (3,2).
+  const auto id = net.create_message({1, 2}, {6, 2}, 4);
+  while (!holds_east() && net.cycle() < 20) step();
+  ASSERT_TRUE(holds_east());
+  while (holds_east() && net.cycle() < 40) step();
+  ASSERT_FALSE(holds_east());  // the tail crossed in the last cycle
+  ASSERT_FALSE(net.message_finished(id));
+
+  // The fault tick, as the injector runs it: reconfigure, collect, purge.
+  ASSERT_TRUE(rc.apply(ev).applied);
+  const auto victims = net.collect_fault_victims();
+  ASSERT_EQ(victims.slots.size(), 1u);
+  EXPECT_EQ(victims.flushed, 1u);
+  const auto slot = victims.slots.front();
+  ASSERT_EQ(net.slot_message(slot).id, id);
+  net.purge_messages(victims.slots);
+  net.revalidate_ring_state(rings);
+  net.on_fault_change();
+  algo->on_fault_change();
+  ASSERT_NO_THROW(net.audit_invariants(2));  // the credit came back
+  EXPECT_EQ(net.flits_in_network(), 0u);
+
+  // Retransmission from the source, over the detour.
+  net.slot_message_mut(slot).retries++;
+  net.requeue_message(id);
+  while (!net.message_finished(id) && net.cycle() < 400) step();
+  ASSERT_TRUE(net.message_finished(id));
+  const auto* record = net.retired_record(id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_FALSE(record->aborted);
+  EXPECT_EQ(record->retries, 1);
+
+  ftmesh::inject::InjectLog log;
+  log.retransmissions = 1;
+  log.messages_flushed = victims.flushed;
+  const auto rel = ftmesh::stats::summarize_reliability(net, log);
+  EXPECT_EQ(rel.generated, net.messages_created());
+  EXPECT_EQ(rel.generated, rel.delivered + rel.aborted + rel.in_flight_end);
+  EXPECT_EQ(rel.delivered, 1u);
+  EXPECT_EQ(rel.in_flight_end, 0u);
+  EXPECT_EQ(rel.recovered_messages, 1u);
+  EXPECT_TRUE(net.drained());
+}
+
+TEST(FaultRecovery, TailInFlightOverAKilledLinkIsFlushedAndResent) {
+  flush_tail_in_flight(FaultEvent{FaultEventKind::FailLink, {3, 2},
+                                  ftmesh::topology::Direction::XPlus});
+}
+
+TEST(FaultRecovery, TailInFlightFromAKilledNodeIsFlushedAndResent) {
+  flush_tail_in_flight(FaultEvent{FaultEventKind::Fail, {3, 2}});
 }
 
 // ----------------------------------- verifier satellite: post-event safety

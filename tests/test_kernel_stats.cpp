@@ -81,7 +81,8 @@ TEST(KernelStats, ActiveSetMeansAreSampledAndBounded) {
   EXPECT_EQ(r.kernel.samples, cfg.total_cycles - cfg.warmup_cycles);
 
   // Mean set sizes are bounded by what they index: nodes for the three
-  // node worklists, 4 * nodes for link registers.
+  // node worklists, and 4 * nodes (one flit per link) for the flits that
+  // crossed a link in the cycle.
   const double nodes = static_cast<double>(cfg.width * cfg.height);
   EXPECT_GE(r.kernel.mean_route_nodes, 0.0);
   EXPECT_LE(r.kernel.mean_route_nodes, nodes);
@@ -132,7 +133,10 @@ TEST(KernelStats, GaugesAndDrainMatchABruteForceCountEveryCycle) {
         for (int port = 0; port < ftmesh::topology::kPortCount; ++port) {
           for (int vc = 0; vc < rt.vcs(); ++vc) {
             const auto& ivc = rt.input(port, vc);
-            if (ivc.buf.empty()) continue;
+            // A flit that crossed a link this cycle counts from the next.
+            if (ivc.buf.size() == (net.arrived(c, port, vc) ? 1u : 0u)) {
+              continue;
+            }
             if (net.input_route(c, port, vc).active()) {
               sendable = true;
             } else if (ftmesh::router::is_head(ivc.buf.front().type)) {

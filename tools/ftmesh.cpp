@@ -336,15 +336,7 @@ class CampaignCliSink : public ftmesh::campaign::CellSink {
 
 int cmd_campaign(const Cli& cli) {
   namespace cmp = ftmesh::campaign;
-  cmp::CampaignSpec spec;
-  spec.base = config_from_cli(cli);
-  spec.algorithms = split_list(cli.get("algorithms", ""));
-  spec.rates = cli.get_double_list("rates");
-  for (const auto f : cli.get_int_list("fault-counts")) {
-    spec.fault_counts.push_back(static_cast<int>(f));
-  }
-  spec.patterns = static_cast<int>(cli.get_int("patterns", 1));
-  spec.threads = static_cast<int>(cli.get_int("threads", 0));
+  const cmp::CampaignSpec spec = cmp::spec_from_cli(cli, config_from_cli(cli));
 
   cmp::StreamOptions options;
   options.threads = spec.threads;
