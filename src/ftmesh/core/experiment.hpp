@@ -1,6 +1,6 @@
 #pragma once
 // Multi-run experiment harness: runs a batch of independent simulations
-// (sweep points x fault patterns) across a thread pool and aggregates the
+// (sweep points x fault patterns) across parallel_for and aggregates the
 // per-run results, as the paper does ("the values obtained from 10
 // different fault sets are averaged").
 

@@ -5,13 +5,12 @@
 // deterministic because every simulation derives its randomness from its
 // own (seed, index) pair, never from scheduling.
 //
-// The helpers come from a process-lifetime pool private to
-// thread_pool.cpp: campaign batches are issued back-to-back, and
-// spawning/joining a full complement of OS threads per batch was a
-// measurable fixed cost.  The pool starts with zero workers and grows on
-// demand, never shrinking; the calling thread always participates as one
-// of the workers, so `threads == 1` never touches the pool (or any lock)
-// at all.
+// Each call starts its own helper threads and joins them before it
+// returns; the calling thread always participates as one of the workers,
+// so `threads == 1` starts no thread (and takes no lock) at all.  The
+// callers issue few, long calls (one per campaign, sweep, planning round
+// of the figure driver, or static check), so starting threads per call
+// costs nothing measurable.
 
 #include <cstddef>
 #include <functional>
@@ -30,8 +29,8 @@ namespace ftmesh::core {
 /// The first exception fn throws, on any worker, is rethrown on the caller
 /// once every helper has returned; after it, workers claim no further
 /// indices (calls already running finish).  Nested calls — fn itself
-/// calling parallel_for — are safe: a waiting caller runs queued pool
-/// tasks instead of sleeping.
+/// calling parallel_for — are safe: each call joins only the threads it
+/// started.
 void parallel_for(std::size_t count, int threads,
                   const std::function<void(std::size_t)>& fn);
 

@@ -8,7 +8,7 @@
 //   3. routing    — headers at buffer heads request and allocate output VCs
 //   4. switching  — crossbar arbitration (random), link traversal straight
 //                   into the downstream buffer or ejection, credit return
-//   5. commit     — credit unblocks and tail retirements
+//   5. commit     — credit unblocks
 //   6. sampling   — watchdog + optional VC-usage / traffic-map accumulation
 //
 // Timing model: one flit per link per cycle; single-cycle routers; random
@@ -423,7 +423,7 @@ class Network {
   /// slots, live-id consistency, created == retired + live).  Level 2
   /// additionally checks what is not derived — buffer depths, VC stages,
   /// arrived bits, output-VC reservations, owners and feeders, per-link
-  /// credit conservation, the drained commit lists — and then compares the
+  /// credit conservation, the drained unblock list — and then compares the
   /// whole incrementally maintained occupancy state (landing list included)
   /// with recount_occupancy(), naming the first node and bit that differ.
   /// Always compiled (tests drive it directly); builds configured with
@@ -730,10 +730,8 @@ class Network {
 
   // What the switch phase defers to commit_deferred() (kept across cycles
   // to avoid reallocation): the credit_blocked_ bits (node * ready_words_
-  // * 64 + feeder) of output VCs a credit return lifted from 0, and the
-  // slots of ejected tails.
+  // * 64 + feeder) of output VCs a credit return lifted from 0.
   std::vector<std::size_t> unblocks_;
-  std::vector<MessageSlot> retires_;
 };
 
 }  // namespace ftmesh::router
