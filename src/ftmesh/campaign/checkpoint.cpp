@@ -32,13 +32,18 @@ std::uint64_t parse_hex64(const std::string& text) {
   }
 }
 
+struct Field {
+  std::string key;
+  std::string value;
+  bool quoted = false;  ///< written as a string, not a raw token
+};
+
 /// Minimal parser for our own flat JSONL records: `{"k":v,...}` where v is
 /// a quoted string (escapes limited to \" and \\, all we ever emit for
 /// algorithm names) or a raw token.  Raw tokens are kept verbatim — they
 /// are the CSV cell strings and must survive the round trip untouched.
-std::vector<std::pair<std::string, std::string>> parse_flat_object(
-    const std::string& line) {
-  std::vector<std::pair<std::string, std::string>> fields;
+std::vector<Field> parse_flat_object(const std::string& line) {
+  std::vector<Field> fields;
   std::size_t i = 0;
   const auto fail = [&](const std::string& what) -> std::size_t {
     throw CampaignError("bad checkpoint record (" + what + "): " + line);
@@ -76,7 +81,8 @@ std::vector<std::pair<std::string, std::string>> parse_flat_object(
     ++i;
     skip_ws();
     std::string value;
-    if (i < line.size() && line[i] == '"') {
+    const bool quoted = i < line.size() && line[i] == '"';
+    if (quoted) {
       value = parse_string();
     } else {
       const std::size_t start = i;
@@ -87,7 +93,7 @@ std::vector<std::pair<std::string, std::string>> parse_flat_object(
       }
       if (value.empty()) fail("empty value");
     }
-    fields.emplace_back(key, std::move(value));
+    fields.push_back({key, std::move(value), quoted});
     skip_ws();
     if (i >= line.size()) fail("unterminated object");
     if (line[i] == '}') break;
@@ -229,22 +235,41 @@ StoredCell decode_record(const std::string& line) {
   if (fields.size() != columns.size() + 2) {
     throw CampaignError("bad checkpoint record (field count): " + line);
   }
-  if (fields[0].first != "cell" || fields[1].first != "id") {
+  if (fields[0].key != "cell" || fields[1].key != "id") {
     throw CampaignError("bad checkpoint record (missing identity): " + line);
+  }
+  // Each field must be written the way encode_record writes it — the id and
+  // the algorithm quoted, every other value raw — or the record would not
+  // read back the same once re-encoded: a quoted number may hold a ',' or
+  // be empty, neither of which a raw token can carry.
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    if (fields[f].quoted != (f == 1 || f == 2)) {
+      throw CampaignError("bad checkpoint record (" + fields[f].key +
+                          (fields[f].quoted ? " quoted" : " not quoted") +
+                          "): " + line);
+    }
   }
   StoredCell cell;
   try {
-    cell.index = core::parse_number<std::size_t>(fields[0].second);
+    cell.index = core::parse_number<std::size_t>(fields[0].value);
   } catch (const std::exception&) {
     throw CampaignError("bad checkpoint record (cell index): " + line);
   }
-  cell.id = parse_hex64(fields[1].second);
+  cell.id = parse_hex64(fields[1].value);
   cell.row.reserve(columns.size());
   for (std::size_t c = 0; c < columns.size(); ++c) {
-    if (fields[c + 2].first != columns[c]) {
+    if (fields[c + 2].key != columns[c]) {
       throw CampaignError("bad checkpoint record (column order): " + line);
     }
-    cell.row.push_back(fields[c + 2].second);
+    cell.row.push_back(fields[c + 2].value);
+  }
+  // encode_record escapes a control character as \t, \n, \r or \u00XX,
+  // which this reader does not take, and no algorithm name holds one.
+  for (const char ch : cell.row[0]) {
+    if (static_cast<unsigned char>(ch) < 0x20) {
+      throw CampaignError(
+          "bad checkpoint record (control character in algorithm): " + line);
+    }
   }
   return cell;
 }

@@ -1,10 +1,11 @@
 #pragma once
 // Seeded text mutations shared by the front-end fuzz loops
-// (test_config_fuzz, test_schedule_fuzz, test_campaign_fuzz).
+// (test_config_fuzz, test_schedule_fuzz, test_campaign_fuzz,
+// test_checkpoint_fuzz).
 //
 // A front end's text is a list of units joined by one separator: the lines
 // of a config file, the `;` items of a fault schedule, the words of a
-// command line.  Each case applies one to four mutations to a seed — a
+// command line, the lines of a checkpoint file or the fields of a record.  Each case applies one to four mutations to a seed — a
 // byte flip, a unit dropped or duplicated, a unit spliced in from another
 // seed, a number or a token replaced, a token inserted — drawn from a
 // fixed-seed generator, so a failure names a case that replays.
